@@ -13,14 +13,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import harness, relational, stats, zoo
 from .algebra import BlockKind, OperatorAlgebra
 from .derive import CostCounter, construct_mp, theorem2_bound
-from .mutate import DEFAULT_MATRIX, MutatorCategory, mutate
+from .mutate import MutatorCategory, mutate
 from .reachability import check_reachability
 from .specfile import (
     MutatorConfig,
@@ -260,18 +260,17 @@ def _blindness_rows(result: harness.BlindnessReport) -> List[Dict[str, object]]:
     ]
 
 
-def cmd_kill(args) -> int:
+def _mutator_config(args) -> MutatorConfig:
+    """The --config mutator config (the bundled one by default), with --seed
+    overriding its seed; reports record the resulting cfg.seed."""
     cfg = zoo.load_mutator_config(args.config) if args.config else zoo.load_mutator_config()
-    if args.seed is not None:
-        cfg = MutatorConfig(
-            categories=cfg.categories,
-            seed=args.seed,
-            suts=cfg.suts,
-            matrix_patches=cfg.matrix_patches,
-            overrides=cfg.overrides,
-        )
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def cmd_kill(args) -> int:
+    cfg = _mutator_config(args)
     result = harness.run_blindness_experiment(cfg)
-    report = Report("kill", args.seed, [])
+    report = Report("kill", cfg.seed, [])
     report.add("scaling kills per subject", _blindness_rows(result))
     report.add(
         "verdict",
@@ -501,28 +500,20 @@ def _check_cost(checks: List[Dict[str, object]]) -> None:
 
 
 def cmd_reproduce(args) -> int:
-    cfg = zoo.load_mutator_config(args.config) if args.config else zoo.load_mutator_config()
+    cfg = _mutator_config(args)
     if args.tamper:
-        patches = dict(cfg.matrix_patches)
-        patches[("MATH", BlockKind.L_STAR)] = "breaks"
-        cfg = MutatorConfig(
-            categories=cfg.categories,
-            seed=cfg.seed,
-            suts=cfg.suts,
-            matrix_patches=patches,
-            overrides=cfg.overrides,
-        )
-    seed = args.seed if args.seed is not None else cfg.seed
+        patches = {**cfg.matrix_patches, ("MATH", BlockKind.L_STAR): "breaks"}
+        cfg = replace(cfg, matrix_patches=patches)
     checks: List[Dict[str, object]] = []
     _check_derivations(checks)
     _check_reachability(checks)
     result = _check_blindness(checks, cfg)
-    _check_relational(checks, seed)
+    _check_relational(checks, cfg.seed)
     _check_stats(checks)
     _check_coverage(checks)
     _check_sgd(checks)
     _check_cost(checks)
-    report = Report("reproduce", seed, [])
+    report = Report("reproduce", cfg.seed, [])
     report.add("scaling kills per subject", _blindness_rows(result))
     report.add("checks", checks)
     failed = [c for c in checks if not c["ok"]]

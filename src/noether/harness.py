@@ -1,8 +1,9 @@
 """Executable MR instantiation, kill experiments, coverage, verdicts.
 
-Templates become executable checks by binding concrete subjects: symmetry
-MRs bind a group action, order MRs bind a monotone coordinate and its
-sampling cone, scaling MRs bind the subject's homogeneity declaration.
+Templates become executable checks by binding concrete subjects: a symmetry
+MR binds a group action, an order MR binds a monotone coordinate and its
+sampling cone, a scaling MR binds the subject's homogeneity declaration.
+Each of the three types owns its block's tuple rule and assertion.
 Kill experiments are two-pass: an MR that is not green on its unmutated
 subject is excluded (with a report entry) and can never contribute kills.
 """
@@ -11,15 +12,15 @@ from __future__ import annotations
 
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from . import minilang, zoo
-from .algebra import BLOCK_RELATION_FORM, BlockKind, OperatorAlgebra
-from .derive import BLOCK_TUPLE_RULE, BlockInvariant, MRTemplate, construct_mp
+from .algebra import BlockKind, OperatorAlgebra
+from .derive import construct_mp
 from .minilang import DomainError
 from .mutate import DEFAULT_MATRIX, Mutant, MutatorCategory
 from .mutate import mutate as derive_mutants
@@ -27,10 +28,6 @@ from .specfile import SutDecl
 
 DEFAULT_TOLERANCE = 100 * sys.float_info.epsilon
 DEFAULT_BUDGET = 64
-
-
-class UnboundSlot(Exception):
-    """An executable MR is missing a binding its tuple rule needs."""
 
 
 class BaselineRed(Exception):
@@ -52,14 +49,17 @@ class TupleGroup:
 
     members: Tuple[Tuple[float, ...], ...]
     scale: Optional[float] = None  # scaling-rule lambda
-    output_transform: str = "same"  # symmetry rule: same | negate
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutableMR:
+    """An MR bound to one subject; subclasses fix the block's rules."""
+
+    block: ClassVar[BlockKind]
+
     name: str
-    template: MRTemplate
-    binding: Dict[str, object]
+    decl: SutDecl
+    _: KW_ONLY
     tolerance: float = DEFAULT_TOLERANCE
     sample_budget: int = DEFAULT_BUDGET
 
@@ -70,88 +70,122 @@ class ExecutableMR:
             raise ValueError("sample budget must be nonnegative")
 
     @property
-    def block(self) -> BlockKind:
-        return self.template.block
-
-    @property
     def sut_name(self) -> str:
-        decl = self.binding.get("decl")
-        return decl.name if isinstance(decl, SutDecl) else str(self.binding.get("sut", ""))
+        return self.decl.name
+
+    def tuples(self, seed: int) -> List[TupleGroup]:
+        """Canonical tuple groups for the block's rule; deterministic."""
+        raise NotImplementedError
+
+    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
+        """Why one group's outputs break the relation; empty if they hold."""
+        raise NotImplementedError
+
+    def sample_violation(self, outputs: Sequence[float]) -> str:
+        """Why the whole sample's outputs break the relation; empty if not."""
+        return ""
+
+    def _bound(self, values: Sequence[float]) -> float:
+        return self.tolerance * max(1.0, *(abs(v) for v in values))
+
+    def _rng(self, seed: int) -> np.random.Generator:
+        return np.random.default_rng([seed, zlib.crc32(self.name.encode())])
 
 
-def _template_for(block: BlockKind, phi_name: str, arity: int = 2) -> MRTemplate:
-    invariant = BlockInvariant(
-        block=block,
-        phi=frozenset({phi_name}),
-        pi_template=BLOCK_RELATION_FORM[block],
-        arity=arity,
-    )
-    return MRTemplate(
-        block=block,
-        tuple_rule=BLOCK_TUPLE_RULE[block],
-        assertion_form=invariant.pi_template,
-        provenance=invariant,
-    )
+@dataclass(frozen=True)
+class SymmetryMR(ExecutableMR):
+    """f(g.x) = f(x), or -f(x) for an output-negating action."""
 
+    block: ClassVar[BlockKind] = BlockKind.G
+    action: zoo.GAction
 
-def _mr_rng(mr: ExecutableMR, seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(mr.name.encode())])
-
-
-def generate_tuples(mr: ExecutableMR, seed: int) -> List[TupleGroup]:
-    """Canonical tuple groups for the MR's block rule; deterministic."""
-    decl = mr.binding.get("decl")
-    if not isinstance(decl, SutDecl):
-        raise UnboundSlot(f"{mr.name}: no subject bound")
-    if mr.sample_budget == 0:
-        return []
-    rng = _mr_rng(mr, seed)
-    block = mr.template.block
-    if block is BlockKind.G:
-        action = mr.binding.get("action")
-        if not isinstance(action, zoo.GAction):
-            raise UnboundSlot(f"{mr.name}: symmetry MR needs an action binding")
+    def tuples(self, seed: int) -> List[TupleGroup]:
+        rng = self._rng(seed)
+        decl, action = self.decl, self.action
         groups = []
-        for _ in range(mr.sample_budget):
+        for _ in range(self.sample_budget):
             # sample away from the action's fixed points: a fixed point
             # satisfies any equivariance vacuously, and some mutants are
             # only well-defined off it
             base = zoo.sample_args(decl, rng, nonzero=bool(action.flips))
             offset = 0.0
             if action.shift:
-                offset = float(rng.integers(-30, 31)) if decl.domain == "int" else float(
-                    rng.uniform(-5.0, 5.0)
-                )
-                if offset == 0.0:
-                    offset = 1.0
-            moved = action.apply(base, offset)
-            groups.append(
-                TupleGroup(members=(base, moved), output_transform=action.output)
-            )
+                draw = rng.integers(-30, 31) if decl.domain == "int" else rng.uniform(-5.0, 5.0)
+                offset = float(draw) or 1.0
+            groups.append(TupleGroup(members=(base, action.apply(base, offset))))
         return groups
-    if block is BlockKind.O_LE:
-        spec = mr.binding.get("order")
-        if not isinstance(spec, zoo.OrderSpec):
-            raise UnboundSlot(f"{mr.name}: order MR needs an order-spec binding")
+
+    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
+        expected, got = values
+        if self.action.output == "negate":
+            expected = -expected
+        gap = got - expected
+        ok = abs(gap) <= self._bound(values)
+        return "" if ok else f"equivariance gap {gap!r} at {group.members}"
+
+
+@dataclass(frozen=True)
+class OrderMR(ExecutableMR):
+    """f is nondecreasing in one coordinate inside the sampling cone."""
+
+    block: ClassVar[BlockKind] = BlockKind.O_LE
+    order: zoo.OrderSpec
+
+    def tuples(self, seed: int) -> List[TupleGroup]:
+        rng = self._rng(seed)
+        decl, coord = self.decl, self.order.coordinate
         groups = []
-        for _ in range(mr.sample_budget):
-            base = list(zoo.sample_args(decl, rng, cone=spec.cone))
+        for _ in range(self.sample_budget):
+            base = list(zoo.sample_args(decl, rng, cone=self.order.cone))
             bumped = list(base)
-            delta = float(rng.integers(1, 11)) if decl.domain == "int" else float(
-                rng.uniform(0.1, 5.0)
-            )
-            bumped[spec.coordinate] = base[spec.coordinate] + delta
+            delta = rng.integers(1, 11) if decl.domain == "int" else rng.uniform(0.1, 5.0)
+            bumped[coord] = base[coord] + float(delta)
             groups.append(TupleGroup(members=(tuple(base), tuple(bumped))))
         return groups
-    if block is BlockKind.L_STAR:
-        if decl.homogeneity == "none":
-            raise UnboundSlot(f"{mr.name}: scaling MR needs a homogeneity declaration")
-        pairs = zoo.scaling_sample(decl, seed, mr.sample_budget)
+
+    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
+        lo, hi = values
+        ok = lo <= hi + self._bound(values)
+        return "" if ok else f"order violated: {lo!r} > {hi!r} at {group.members}"
+
+
+@dataclass(frozen=True)
+class ScalingMR(ExecutableMR):
+    """f(lam.x) = lam.f(x) (degree 1) or f(x) (scale invariant)."""
+
+    block: ClassVar[BlockKind] = BlockKind.L_STAR
+    # the tagger's budget: both judge mutants on the same points
+    sample_budget: int = field(default=zoo.SCALING_BUDGET, kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.decl.homogeneity == "none":
+            raise ValueError(f"{self.name}: scaling MR needs a homogeneity declaration")
+
+    def tuples(self, seed: int) -> List[TupleGroup]:
+        pairs = zoo.scaling_sample(self.decl, seed, self.sample_budget)
         return [
             TupleGroup(members=(base, tuple(lam * a for a in base)), scale=lam)
             for base, lam in pairs
         ]
-    raise UnboundSlot(f"{mr.name}: no executable tuple rule for block {block.tag}")
+
+    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
+        f0, f1 = values
+        invariant = self.decl.homogeneity == "positive-scale-invariant"
+        gap = f1 - (f0 if invariant else group.scale * f0)
+        ok = abs(gap) <= self._bound(values)
+        return "" if ok else f"scaling gap {gap!r} at {group.members}"
+
+    def sample_violation(self, outputs: Sequence[float]) -> str:
+        # a flat output on generically varied inputs satisfies the scaling
+        # identity degenerately; the relation treats it as a failure
+        flat = outputs and len(set(outputs)) == 1
+        return f"fixed output {outputs[0]!r} across the whole sample" if flat else ""
+
+
+def generate_tuples(mr: ExecutableMR, seed: int) -> List[TupleGroup]:
+    """Canonical tuple groups for the MR's block rule; deterministic."""
+    return mr.tuples(seed)
 
 
 @dataclass(frozen=True)
@@ -162,40 +196,18 @@ class MRCheck:
 
 def check_mr(mr: ExecutableMR, fn, seed: int) -> MRCheck:
     """Evaluate the MR's assertion on a compiled subject."""
-    decl: SutDecl = mr.binding["decl"]  # type: ignore[assignment]
-    groups = generate_tuples(mr, seed)
-    block = mr.template.block
-    tol = mr.tolerance
     outputs: List[float] = []
-    for group in groups:
+    for group in generate_tuples(mr, seed):
         try:
             values = [fn(*args) for args in group.members]
         except DomainError as exc:
             return MRCheck(False, f"domain error on {group.members}: {exc}")
+        failure = mr.violation(group, values)
+        if failure:
+            return MRCheck(False, failure)
         outputs.extend(values)
-        if block is BlockKind.G:
-            got, expected = values[1], values[0]
-            if group.output_transform == "negate":
-                expected = -expected
-            bound = tol * max(1.0, abs(values[0]), abs(values[1]))
-            if not abs(got - expected) <= bound:
-                return MRCheck(False, f"equivariance gap {got - expected!r} at {group.members}")
-        elif block is BlockKind.O_LE:
-            lo, hi = values
-            bound = tol * max(1.0, abs(lo), abs(hi))
-            if not lo <= hi + bound:
-                return MRCheck(False, f"order violated: {lo!r} > {hi!r} at {group.members}")
-        elif block is BlockKind.L_STAR:
-            f0, f1 = values
-            expected = f0 if decl.homogeneity == "positive-scale-invariant" else group.scale * f0
-            bound = tol * max(1.0, abs(f0), abs(f1))
-            if not abs(f1 - expected) <= bound:
-                return MRCheck(False, f"scaling gap {f1 - expected!r} at {group.members}")
-    if block is BlockKind.L_STAR and groups and len(set(outputs)) == 1:
-        # a flat output on generically varied inputs satisfies the scaling
-        # identity degenerately; the relation treats it as a failure
-        return MRCheck(False, f"fixed output {outputs[0]!r} across the whole sample")
-    return MRCheck(True)
+    failure = mr.sample_violation(outputs)
+    return MRCheck(not failure, failure)
 
 
 def build_standard_mrs(
@@ -205,40 +217,16 @@ def build_standard_mrs(
 ) -> List[ExecutableMR]:
     """The executable relations each subject's declared blocks support."""
     mrs: List[ExecutableMR] = []
+    opts = {"tolerance": tolerance, "sample_budget": budget}
     for name in sorted(programs):
-        program = programs[name]
-        decl = program.decl
+        decl = programs[name].decl
         if BlockKind.G in decl.blocks:
             for action in zoo.SUT_G_ACTIONS.get(name, ()):
-                mrs.append(
-                    ExecutableMR(
-                        name=f"{name}:G:{action.name}",
-                        template=_template_for(BlockKind.G, action.name),
-                        binding={"decl": decl, "action": action},
-                        tolerance=tolerance,
-                        sample_budget=budget,
-                    )
-                )
+                mrs.append(SymmetryMR(f"{name}:G:{action.name}", decl, action, **opts))
         if BlockKind.O_LE in decl.blocks and name in zoo.SUT_ORDER_SPECS:
-            mrs.append(
-                ExecutableMR(
-                    name=f"{name}:O_le",
-                    template=_template_for(BlockKind.O_LE, f"{name}-order"),
-                    binding={"decl": decl, "order": zoo.SUT_ORDER_SPECS[name]},
-                    tolerance=tolerance,
-                    sample_budget=budget,
-                )
-            )
+            mrs.append(OrderMR(f"{name}:O_le", decl, zoo.SUT_ORDER_SPECS[name], **opts))
         if BlockKind.L_STAR in decl.blocks and decl.homogeneity != "none":
-            mrs.append(
-                ExecutableMR(
-                    name=f"{name}:L_scale",
-                    template=_template_for(BlockKind.L_STAR, f"{name}-scaling", arity=3),
-                    binding={"decl": decl},
-                    tolerance=tolerance,
-                    sample_budget=zoo.SCALING_BUDGET,
-                )
-            )
+            mrs.append(ScalingMR(scaling_mr_name(name), decl, tolerance=tolerance))
     return mrs
 
 
@@ -256,34 +244,40 @@ def mutant_id(mutant: Mutant) -> str:
 class KillMatrix:
     mr_names: Tuple[str, ...]
     mutant_ids: Tuple[str, ...]
-    cells: Dict[Tuple[str, str], bool]
+    cells: Dict[Tuple[str, str], str]  # kills only: (mr, mutant) -> witness
     strata_labels: Dict[str, str]
     excluded: Tuple[Tuple[str, str, str], ...] = ()  # (mr, sut, reason)
 
     def killed(self, mutant: str) -> bool:
-        return any(self.cells.get((mr, mutant), False) for mr in self.mr_names)
+        return any((mr, mutant) in self.cells for mr in self.mr_names)
 
     def kills_by(self, mr: str) -> int:
-        return sum(1 for m in self.mutant_ids if self.cells.get((mr, m), False))
+        return sum(1 for m in self.mutant_ids if (mr, m) in self.cells)
 
 
 def run_kill_experiment(
     mrs: Sequence[ExecutableMR], mutants: Sequence[Mutant], seed: int
 ) -> KillMatrix:
-    """Two-pass kill matrix: baseline-red MRs are excluded up front."""
+    """Two-pass kill matrix: baseline-red MRs are excluded up front.
+
+    Only an MR's own subject's mutants are checked against it; each kill
+    is stored with the failure text that witnesses it.
+    """
     green: List[ExecutableMR] = []
+    green_by_sut: Dict[str, List[ExecutableMR]] = {}
     excluded: List[Tuple[str, str, str]] = []
     baseline_fns: Dict[str, object] = {}
     for mr in mrs:
-        decl: SutDecl = mr.binding["decl"]  # type: ignore[assignment]
-        if decl.name not in baseline_fns:
-            baseline_fns[decl.name] = minilang.compile_program(decl.program)
-        verdict = check_mr(mr, baseline_fns[decl.name], seed)
+        sut = mr.sut_name
+        if sut not in baseline_fns:
+            baseline_fns[sut] = minilang.compile_program(mr.decl.program)
+        verdict = check_mr(mr, baseline_fns[sut], seed)
         if verdict.passed:
             green.append(mr)
+            green_by_sut.setdefault(sut, []).append(mr)
         else:
-            excluded.append((mr.name, decl.name, verdict.failure))
-    cells: Dict[Tuple[str, str], bool] = {}
+            excluded.append((mr.name, sut, verdict.failure))
+    cells: Dict[Tuple[str, str], str] = {}
     strata: Dict[str, str] = {}
     ids: List[str] = []
     for mutant in mutants:
@@ -291,11 +285,10 @@ def run_kill_experiment(
         ids.append(mid)
         strata[mid] = mutant.strata
         fn = minilang.compile_program(mutant.decl.program)
-        for mr in green:
-            if mr.sut_name != mutant.base:
-                cells[(mr.name, mid)] = False
-                continue
-            cells[(mr.name, mid)] = not check_mr(mr, fn, seed).passed
+        for mr in green_by_sut.get(mutant.base, ()):
+            verdict = check_mr(mr, fn, seed)
+            if not verdict.passed:
+                cells[(mr.name, mid)] = verdict.failure
     return KillMatrix(
         mr_names=tuple(mr.name for mr in green),
         mutant_ids=tuple(ids),
@@ -307,10 +300,9 @@ def run_kill_experiment(
 
 def require_green(mr: ExecutableMR, seed: int) -> None:
     """Raise BaselineRed instead of excluding (strict single-MR check)."""
-    decl: SutDecl = mr.binding["decl"]  # type: ignore[assignment]
-    verdict = check_mr(mr, minilang.compile_program(decl.program), seed)
+    verdict = check_mr(mr, minilang.compile_program(mr.decl.program), seed)
     if not verdict.passed:
-        raise BaselineRed(mr.name, decl.name, verdict.failure)
+        raise BaselineRed(mr.name, mr.sut_name, verdict.failure)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +312,6 @@ def require_green(mr: ExecutableMR, seed: int) -> None:
 def _block_of(obj) -> BlockKind:
     if isinstance(obj, BlockKind):
         return obj
-    if isinstance(obj, ExecutableMR):
-        return obj.template.block
-    if isinstance(obj, MRTemplate):
-        return obj.block
     block = getattr(obj, "block", None)
     if isinstance(block, BlockKind):
         return block
@@ -418,7 +406,7 @@ def concordance_check(
             elif cell == "preserves":
                 mr = scaling_mr_name(sut)
                 for m in preserving:
-                    if matrix.cells.get((mr, mutant_id(m)), False):
+                    if (mr, mutant_id(m)) in matrix.cells:
                         violations.append(f"{mutant_id(m)}: killed despite a preserves-cell")
     return (not violations, tuple(violations))
 
@@ -453,7 +441,7 @@ def run_blindness_experiment(
         all_breaking = True
         for m in mutants_by_sut[name]:
             mid = mutant_id(m)
-            if kill_matrix.cells.get((mr, mid), False):
+            if (mr, mid) in kill_matrix.cells:
                 kills += 1
                 if m.homogeneity_effect != "breaking":
                     all_breaking = False
@@ -493,7 +481,7 @@ def k_sweep_audit(
     stays inside the band (five percentage points by default)."""
     rates: Dict[int, Fraction] = {}
     for factor in factors:
-        scaled = [replace_budget(mr, factor) for mr in mrs]
+        scaled = [replace(mr, sample_budget=mr.sample_budget * factor) for mr in mrs]
         matrix = run_kill_experiment(scaled, mutants, seed)
         killed = sum(1 for m in matrix.mutant_ids if matrix.killed(m))
         rates[factor] = Fraction(killed, len(matrix.mutant_ids)) if matrix.mutant_ids else Fraction(0)
@@ -501,12 +489,3 @@ def k_sweep_audit(
     stable = (max(values) - min(values)) <= Fraction(band).limit_denominator(10**6)
     return rates, stable
 
-
-def replace_budget(mr: ExecutableMR, factor: int) -> ExecutableMR:
-    return ExecutableMR(
-        name=mr.name,
-        template=mr.template,
-        binding=dict(mr.binding),
-        tolerance=mr.tolerance,
-        sample_budget=mr.sample_budget * factor,
-    )

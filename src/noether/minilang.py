@@ -169,22 +169,23 @@ def replace_at(node: Expr, path: Tuple[int, ...], new_node: Expr) -> Expr:
     return with_children(node, kids)
 
 
+def _all_const(nodes: Sequence[Expr]) -> bool:
+    return all(isinstance(n, Const) for n in nodes)
+
+
 def fold_constants(node: Expr) -> Expr:
-    """Evaluate constant subtrees; leaves anything that would raise alone."""
+    """Evaluate constant subtrees; leaves anything that would raise alone.
+
+    Constant nodes run through the evaluator's own compiler, so folding and
+    evaluation share one statement of the operator semantics.
+    """
     kids = [fold_constants(c) for c in children(node)]
     node = with_children(node, kids) if kids else node
     try:
-        if isinstance(node, Bin) and isinstance(node.left, Const) and isinstance(node.right, Const):
-            return Const(_apply_bin(node.op, node.left.value, node.right.value))
-        if isinstance(node, Neg) and isinstance(node.operand, Const):
-            return Const(-node.operand.value)
-        if isinstance(node, Call) and all(isinstance(a, Const) for a in node.args):
-            return Const(_apply_call(node.fn, [a.value for a in node.args]))
-        if isinstance(node, Cond) and isinstance(node.test, Cmp):
-            t = node.test
-            if isinstance(t.left, Const) and isinstance(t.right, Const):
-                taken = _apply_cmp(t.op, t.left.value, t.right.value)
-                return node.then if taken else node.other
+        if isinstance(node, (Bin, Neg, Call)) and _all_const(kids):
+            return Const(_compile_expr(node, {})(()))
+        if isinstance(node, Cond) and isinstance(node.test, Cmp) and _all_const(children(node.test)):
+            return node.then if _compile_expr(node.test, {})(()) else node.other
     except DomainError:
         pass
     return node
@@ -421,45 +422,6 @@ def type_check(prog: Program) -> None:
 # Evaluation: compile once to nested closures, then call
 
 
-def _apply_bin(op: str, a: float, b: float) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
-    if op == "%":
-        # floored remainder, total: a % 0 == a (loop-guard semantics)
-        if b == 0.0:
-            return a
-        return a % b
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def _apply_cmp(op: str, a: float, b: float) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    return a == b
-
-
-def _apply_call(fn: str, args: Sequence[float]) -> float:
-    if fn == "sqrt":
-        if args[0] < 0.0:
-            raise DomainError("sqrt of a negative number")
-        return math.sqrt(args[0])
-    if fn == "abs":
-        return abs(args[0])
-    if fn == "min":
-        return min(args[0], args[1])
-    return max(args[0], args[1])
-
-
 def _compile_expr(node: Expr, slots: dict) -> Callable:
     if isinstance(node, Const):
         v = node.value
@@ -556,10 +518,6 @@ def compile_program(prog: Program) -> Callable[..., float]:
         return result(env)
 
     return run
-
-
-def evaluate(prog: Program, args: Sequence[float]) -> float:
-    return compile_program(prog)(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,6 @@ def load_zoo(filename: str = "zoo.sut") -> Dict[str, SutProgram]:
     return {d.name: compile_sut(d) for d in decls}
 
 
-def evaluate(program: SutProgram, args: Sequence[float]) -> float:
-    """Run a subject; deterministic IEEE double semantics."""
-    return program.fn(*args)
-
-
 # ---------------------------------------------------------------------------
 # Executable symmetry and order metadata
 #

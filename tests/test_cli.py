@@ -1,12 +1,16 @@
 """End-to-end CLI tests: exit codes, output formats, the reproduce driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from noether import cli
 
 SEED = 20260816
+REFERENCE_REPORT = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "reproduce-20260816.jsonl"
+)
 
 
 def run(argv, capsys):
@@ -199,10 +203,20 @@ def kill_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def reproduce_run(tmp_path_factory):
+def reproduce_bytes(tmp_path_factory):
     dest = tmp_path_factory.mktemp("cli") / "reproduce.jsonl"
     code = cli.main(["reproduce", "--format", "machine", "--out", str(dest)])
-    return code, machine_lines(dest.read_text())
+    return code, dest.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def reproduce_run(reproduce_bytes):
+    code, raw = reproduce_bytes
+    return code, machine_lines(raw.decode("utf-8"))
+
+
+def kill_rows(rows):
+    return [r for r in rows if r.get("section") == "scaling kills per subject"]
 
 
 class TestKill:
@@ -215,13 +229,13 @@ class TestKill:
         assert verdict["concordance"] is True
         assert verdict["excluded_mrs"] == 0
 
+    def test_header_records_the_config_seed(self, kill_run):
+        _, rows = kill_run
+        assert rows[0] == {"command": "kill", "report_version": 1, "seed": SEED}
+
     def test_per_subject_rows(self, kill_run):
         _, rows = kill_run
-        kills = {
-            r["sut"]: (r["scaling_kills"], r["mutants"])
-            for r in rows
-            if r.get("section") == "scaling kills per subject"
-        }
+        kills = {r["sut"]: (r["scaling_kills"], r["mutants"]) for r in kill_rows(rows)}
         assert kills == {
             "clamp": (1, 4),
             "gcdSig": (22, 32),
@@ -259,6 +273,23 @@ class TestReproduce:
         assert sum(1 for n in names if n.startswith("relational:")) == 3
         assert sum(1 for n in names if n.startswith("stats:")) == 9
         assert sum(1 for n in names if n.startswith("coverage:")) == 3
+
+    def test_machine_report_matches_the_reference(self, reproduce_bytes):
+        _, raw = reproduce_bytes
+        assert raw == REFERENCE_REPORT.read_bytes()
+
+    def test_seed_reaches_the_blindness_stage(self, capsys):
+        code, out, _ = run(["reproduce", "--seed", "11", "--format", "machine"], capsys)
+        assert code == 0
+        reproduced = machine_lines(out)
+        code, out, _ = run(["kill", "--seed", "11", "--format", "machine"], capsys)
+        assert code == 0
+        killed = machine_lines(out)
+        assert reproduced[0]["seed"] == killed[0]["seed"] == 11
+        assert kill_rows(reproduced) == kill_rows(killed)
+        kills = {r["sut"]: (r["scaling_kills"], r["mutants"]) for r in kill_rows(killed)}
+        assert kills["gcdSig"] == (23, 32)
+        assert kills["lcmSig"] == (28, 37)
 
     def test_tamper_goes_red(self, tmp_path, capsys):
         dest = tmp_path / "tampered.jsonl"

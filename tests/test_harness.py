@@ -13,10 +13,10 @@ from noether.harness import (
     DEFAULT_BUDGET,
     DEFAULT_TOLERANCE,
     EmptyMetaPatternSet,
-    ExecutableMR,
     KillSummary,
-    UnboundSlot,
-    _template_for,
+    OrderMR,
+    ScalingMR,
+    SymmetryMR,
     build_standard_mrs,
     check_mr,
     concordance_check,
@@ -25,7 +25,6 @@ from noether.harness import (
     generate_tuples,
     k_sweep_audit,
     mutant_id,
-    replace_budget,
     require_green,
     run_blindness_experiment,
     run_kill_experiment,
@@ -106,30 +105,33 @@ class TestGenerateTuples:
             others = [i for i in range(len(lo)) if i != coord]
             assert all(lo[i] == hi[i] for i in others)
 
-    def test_unbound_slots(self):
-        template = _template_for(BlockKind.G, "x")
-        with pytest.raises(UnboundSlot):
-            generate_tuples(ExecutableMR("q", template, {}), SEED)
-        with pytest.raises(UnboundSlot):
-            generate_tuples(
-                ExecutableMR("q", template, {"decl": ZOO["midpoint"].decl}), SEED
-            )
-        adjoint = _template_for(BlockKind.T_STAR, "x")
-        with pytest.raises(UnboundSlot):
-            generate_tuples(
-                ExecutableMR("q", adjoint, {"decl": ZOO["midpoint"].decl}), SEED
-            )
-        scaling = _template_for(BlockKind.L_STAR, "x", arity=3)
+    def test_scaling_mr_rejects_a_subject_without_homogeneity(self):
         no_hyp = sut_from("sut f(x) blocks=L_star\nreturn x")
-        with pytest.raises(UnboundSlot):
-            generate_tuples(ExecutableMR("q", scaling, {"decl": no_hyp}), SEED)
+        with pytest.raises(ValueError, match="homogeneity"):
+            ScalingMR("q", no_hyp)
+        with pytest.raises(ValueError, match="homogeneity"):
+            dataclasses.replace(standard_mr("midpoint:L_scale"), decl=no_hyp)
+
+    def test_bindings_are_required_at_construction(self):
+        decl = ZOO["midpoint"].decl
+        with pytest.raises(TypeError):
+            SymmetryMR("q", decl)  # no action
+        with pytest.raises(TypeError):
+            OrderMR("q", decl)  # no order spec
+        with pytest.raises(TypeError):
+            ScalingMR("q")  # no subject
 
     def test_validation(self):
-        template = _template_for(BlockKind.G, "x")
+        decl = ZOO["midpoint"].decl
         with pytest.raises(ValueError):
-            ExecutableMR("q", template, {}, tolerance=0.0)
+            OrderMR("q", decl, SUT_ORDER_SPECS["midpoint"], tolerance=0.0)
         with pytest.raises(ValueError):
-            ExecutableMR("q", template, {}, sample_budget=-1)
+            SymmetryMR("q", decl, SUT_G_ACTIONS["midpoint"][0], sample_budget=-1)
+
+    def test_each_type_declares_its_block(self):
+        assert standard_mr("midpoint:G:negate-all").block is BlockKind.G
+        assert standard_mr("midpoint:O_le").block is BlockKind.O_LE
+        assert standard_mr("midpoint:L_scale").block is BlockKind.L_STAR
 
 
 # --- assertion checking ----------------------------------------------------------
@@ -167,36 +169,21 @@ class TestCheckMr:
         decl = sut_from(
             "sut flat(x) blocks=L_star homogeneity=positive-scale-invariant\nreturn 3"
         )
-        mr = ExecutableMR(
-            "flat:L_scale",
-            _template_for(BlockKind.L_STAR, "flat", arity=3),
-            {"decl": decl},
-            sample_budget=20,
-        )
+        mr = ScalingMR("flat:L_scale", decl, sample_budget=20)
         verdict = check_mr(mr, compile_program(decl.program), SEED)
         assert not verdict.passed
         assert "fixed output" in verdict.failure
 
     def test_domain_errors_fail_the_relation(self):
         decl = sut_from("sut root(x) blocks=G\nreturn sqrt(x)")
-        mr = ExecutableMR(
-            "root:G:flip",
-            _template_for(BlockKind.G, "flip"),
-            {"decl": decl, "action": SUT_G_ACTIONS["signum"][0]},
-            sample_budget=20,
-        )
+        mr = SymmetryMR("root:G:flip", decl, SUT_G_ACTIONS["signum"][0], sample_budget=20)
         verdict = check_mr(mr, compile_program(decl.program), SEED)
         assert not verdict.passed
         assert "domain error" in verdict.failure
 
     def test_order_violation_detected(self):
         decl = sut_from("sut down(x) blocks=O_le\nreturn 0 - x")
-        mr = ExecutableMR(
-            "down:O_le",
-            _template_for(BlockKind.O_LE, "down"),
-            {"decl": decl, "order": SUT_ORDER_SPECS["midpoint"]},
-            sample_budget=20,
-        )
+        mr = OrderMR("down:O_le", decl, SUT_ORDER_SPECS["midpoint"], sample_budget=20)
         assert not check_mr(mr, compile_program(decl.program), SEED).passed
         with pytest.raises(BaselineRed):
             require_green(mr, SEED)
@@ -210,38 +197,35 @@ class TestKillExperiment:
         decl = sut_from(
             "sut flat(x) blocks=L_star homogeneity=positive-scale-invariant\nreturn 3"
         )
-        red = ExecutableMR(
-            "flat:L_scale",
-            _template_for(BlockKind.L_STAR, "flat", arity=3),
-            {"decl": decl},
-            sample_budget=10,
-        )
+        red = ScalingMR("flat:L_scale", decl, sample_budget=10)
         mrs = [standard_mr("midpoint:G:negate-all"), red]
         matrix = run_kill_experiment(mrs, mutate(ZOO["midpoint"], seed=SEED), SEED)
         assert matrix.mr_names == ("midpoint:G:negate-all",)
         assert len(matrix.excluded) == 1
         assert matrix.excluded[0][:2] == ("flat:L_scale", "flat")
 
-    def test_cross_subject_cells_are_false(self):
+    def test_cross_subject_pairs_are_absent(self):
         mrs = [standard_mr("signum:L_scale")]
         mutants = mutate(ZOO["midpoint"], seed=SEED)
         matrix = run_kill_experiment(mrs, mutants, SEED)
-        for m in mutants:
-            assert matrix.cells[("signum:L_scale", mutant_id(m))] is False
+        assert matrix.mr_names == ("signum:L_scale",)
+        assert len(matrix.mutant_ids) == len(mutants)
+        assert matrix.cells == {}
 
     def test_matrix_bookkeeping(self):
-        mrs = [mr for mr in build_standard_mrs(ZOO) if mr.sut_name == "midpoint"]
-        mutants = mutate(ZOO["midpoint"], seed=SEED)
-        matrix = run_kill_experiment(mrs, mutants, SEED)
+        mrs = {mr.name: mr for mr in build_standard_mrs(ZOO) if mr.sut_name == "midpoint"}
+        mutants = {mutant_id(m): m for m in mutate(ZOO["midpoint"], seed=SEED)}
+        matrix = run_kill_experiment(list(mrs.values()), list(mutants.values()), SEED)
         assert set(matrix.strata_labels.values()) <= {"D1", "D2"}
+        assert matrix.cells
+        for (name, mid), witness in matrix.cells.items():
+            # each witness is the failure text a rerun of the check reproduces
+            fn = compile_program(mutants[mid].decl.program)
+            assert witness and check_mr(mrs[name], fn, SEED).failure == witness
         for m in matrix.mutant_ids:
-            assert matrix.killed(m) == any(
-                matrix.cells[(mr, m)] for mr in matrix.mr_names
-            )
+            assert matrix.killed(m) == any((mr, m) in matrix.cells for mr in matrix.mr_names)
         for mr in matrix.mr_names:
-            assert matrix.kills_by(mr) == sum(
-                matrix.cells[(mr, m)] for m in matrix.mutant_ids
-            )
+            assert matrix.kills_by(mr) == sum((mr, m) in matrix.cells for m in matrix.mutant_ids)
 
 
 # --- coverage ----------------------------------------------------------------------
@@ -270,7 +254,7 @@ class TestCoverage:
         algebra = load_algebra("equivariant")
         mr = standard_mr("midpoint:G:negate-all")
         assert coverage([mr], algebra) == Fraction(1, 5)
-        assert coverage([mr.template], algebra) == Fraction(1, 5)
+        assert coverage([mr.block], algebra) == Fraction(1, 5)
         assert coverage([BlockKind.G, BlockKind.G], algebra) == Fraction(1, 5)
 
     def test_unknown_carrier_rejected(self):
@@ -373,6 +357,11 @@ class TestBlindness:
     def test_no_baseline_exclusions(self, blindness_report):
         assert blindness_report.matrix.excluded == ()
 
+    def test_kill_matrix_holds_only_witnessed_kills(self, blindness_report):
+        cells = blindness_report.matrix.cells
+        assert len(cells) == 66
+        assert all(isinstance(w, str) and w for w in cells.values())
+
     def test_scaling_blindness_is_exhaustive(self, blindness_report):
         """No rule-preserving mutant is ever killed by its scaling relation."""
         checked = 0
@@ -381,9 +370,7 @@ class TestBlindness:
             for m in mutants:
                 if m.homogeneity_effect == "preserving":
                     checked += 1
-                    assert not blindness_report.matrix.cells.get(
-                        (mr, mutant_id(m)), False
-                    ), mutant_id(m)
+                    assert (mr, mutant_id(m)) not in blindness_report.matrix.cells, mutant_id(m)
         assert checked == 29  # every preserving-tagged mutant in the roster
 
     def test_concordance_clean(self, blindness_report):
@@ -423,11 +410,6 @@ class TestKSweep:
         assert rates == {1: Fraction(1, 3), 2: Fraction(1, 3), 4: Fraction(1, 3)}
         assert stable
 
-    def test_replace_budget_scales(self):
-        mr = standard_mr("midpoint:O_le")
-        assert replace_budget(mr, 4).sample_budget == 4 * mr.sample_budget
-        assert replace_budget(mr, 4).name == mr.name
-
     def test_instability_detected(self):
         # one mutant whose order violation hides in a narrow dip: a tiny
         # budget misses it, a bigger one finds it, so the sweep is unstable
@@ -439,12 +421,7 @@ class TestKSweep:
             mutate(base, categories=[MutatorCategory.RETURN_VALS], seed=SEED)[0],
             decl=broken,
         )
-        mr = ExecutableMR(
-            "dip:O_le",
-            _template_for(BlockKind.O_LE, "dip"),
-            {"decl": base, "order": SUT_ORDER_SPECS["midpoint"]},
-            sample_budget=1,
-        )
+        mr = OrderMR("dip:O_le", base, SUT_ORDER_SPECS["midpoint"], sample_budget=1)
         for probe_seed in range(200):
             rates, stable = k_sweep_audit([mr], [mutant], probe_seed)
             if rates[1] == 0 and rates[4] == 1:

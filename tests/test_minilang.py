@@ -21,7 +21,6 @@ from noether.minilang import (
     Var,
     assemble_program,
     compile_program,
-    evaluate,
     fold_constants,
     parse_expr,
     parse_statement,
@@ -226,7 +225,7 @@ class TestEval:
 
     def test_evaluate_helper(self):
         prog = assemble_program("t", ("a",), [parse_statement("return a * 3")])
-        assert evaluate(prog, (2.0,)) == 6.0
+        assert compile_program(prog)(2.0) == 6.0
 
 
 # --- type checking ----------------------------------------------------------
@@ -263,6 +262,7 @@ class TestFold:
         assert fold_constants(parse_expr("1 + 2 * 3")) == Const(7.0)
         assert fold_constants(parse_expr("sqrt(9)")) == Const(3.0)
         assert fold_constants(parse_expr("3 < 5 ? 10 : 20")) == Const(10.0)
+        assert fold_constants(parse_expr("7 % 0")) == Const(7.0)
 
     def test_folds_only_constant_subtrees(self):
         got = fold_constants(parse_expr("x + (6 - 2)"))

@@ -1,6 +1,7 @@
 """Mutation-engine tests: matrix rows, strata, tagging, survivor censuses."""
 
 from collections import Counter
+from types import ModuleType
 
 import pytest
 
@@ -279,3 +280,13 @@ class TestDegreeCertificate:
         text = f"{HEADER}\nsut q(x) blocks=O_le\nreturn x * x + x\n"
         decl = parse_sut_file(text)[0]
         assert syntactic_degree(decl.program) is None
+
+
+class TestPackageSurface:
+    def test_package_attribute_is_the_module(self):
+        import noether
+        import noether.mutate as mutate_module
+
+        assert isinstance(noether.mutate, ModuleType)
+        assert noether.mutate is mutate_module
+        assert noether.mutate.mutate is mutate
