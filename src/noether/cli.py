@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import harness, relational, stats, zoo
 from .algebra import BlockKind, OperatorAlgebra
 from .derive import CostCounter, construct_mp, theorem2_bound
-from .mutate import MutatorCategory, mutate
+from .mutate import MutatorCategory, mutant_id, mutate
 from .reachability import check_reachability
 from .specfile import (
     MutatorConfig,
@@ -222,20 +222,25 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    programs = zoo.load_zoo()
-    if args.sut not in programs:
+    decls = zoo.load_zoo()
+    if args.sut not in decls:
         print(f"mutate: unknown sut {args.sut!r}", file=sys.stderr)
         return 2
-    categories = (
-        [MutatorCategory[c] for c in args.categories.split(",")] if args.categories else None
-    )
-    mutants = mutate(programs[args.sut].decl, categories, seed=args.seed or 0)
-    report = Report("mutate", args.seed, [])
+    try:
+        categories = (
+            [MutatorCategory[c] for c in args.categories.split(",")] if args.categories else None
+        )
+    except KeyError as exc:
+        print(f"mutate: unknown mutator category {exc}", file=sys.stderr)
+        return 2
+    seed = 0 if args.seed is None else args.seed
+    mutants = mutate(decls[args.sut], categories, seed=seed)
+    report = Report("mutate", seed, [])
     report.add(
         f"mutants of {args.sut}",
         [
             {
-                "id": harness.mutant_id(m),
+                "id": mutant_id(m),
                 "category": m.category.name,
                 "strata": m.strata,
                 "effect": m.homogeneity_effect,
@@ -295,7 +300,11 @@ def cmd_rel(args) -> int:
     elif args.mutant == "guardless-pushdown":
         evaluator = relational.Evaluator(pushdown_guard=False)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    counts = relational.run_rel_mrs(seed, args.trials, evaluator)
+    try:
+        counts = relational.run_rel_mrs(seed, args.trials, evaluator)
+    except ValueError as exc:
+        print(f"rel: {exc}", file=sys.stderr)
+        return 2
     report = Report("rel", seed, [])
     report.add(
         "rewrite MRs",
@@ -307,23 +316,27 @@ def cmd_rel(args) -> int:
 
 def cmd_stats(args) -> int:
     report = Report("stats", args.seed, [])
-    if args.test == "wilson":
-        lo, hi = stats.wilson_interval(args.values[0], args.values[1], args.confidence)
-        report.add("wilson", [{"lo": lo, "hi": hi}])
-    elif args.test == "mcnemar":
-        report.add("mcnemar", [{"p": stats.mcnemar_exact(args.values[0], args.values[1])}])
-    elif args.test == "fisher":
-        a, b, c, d = args.values
-        report.add("fisher", [{"p": stats.fisher_exact_2x2(a, b, c, d)}])
-    elif args.test == "fleiss":
-        path = args.matrix or "fleiss_audit.tsv"
-        text = (
-            open(path, "r", encoding="utf-8").read()
-            if os.sep in path or os.path.exists(path)
-            else zoo.fixture_text(path)
-        )
-        rows = [line.split("\t") for line in text.splitlines() if line.strip()]
-        report.add("fleiss", [{"kappa": stats.fleiss_kappa(rows)}])
+    try:
+        if args.test == "wilson":
+            lo, hi = stats.wilson_interval(args.values[0], args.values[1], args.confidence)
+            report.add("wilson", [{"lo": lo, "hi": hi}])
+        elif args.test == "mcnemar":
+            report.add("mcnemar", [{"p": stats.mcnemar_exact(args.values[0], args.values[1])}])
+        elif args.test == "fisher":
+            a, b, c, d = args.values
+            report.add("fisher", [{"p": stats.fisher_exact_2x2(a, b, c, d)}])
+        elif args.test == "fleiss":
+            path = args.matrix or "fleiss_audit.tsv"
+            text = (
+                open(path, "r", encoding="utf-8").read()
+                if os.sep in path or os.path.exists(path)
+                else zoo.fixture_text(path)
+            )
+            rows = [line.split("\t") for line in text.splitlines() if line.strip()]
+            report.add("fleiss", [{"kappa": stats.fleiss_kappa(rows)}])
+    except (ValueError, stats.DegenerateCategories) as exc:
+        print(f"stats {args.test}: {exc}", file=sys.stderr)
+        return 2
     _emit(report, args)
     return 0
 

@@ -14,7 +14,7 @@ import sys
 import zlib
 from dataclasses import KW_ONLY, dataclass, field, replace
 from fractions import Fraction
-from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from . import minilang, zoo
 from .algebra import BlockKind, OperatorAlgebra
 from .derive import construct_mp
 from .minilang import DomainError
-from .mutate import DEFAULT_MATRIX, Mutant, MutatorCategory
+from .mutate import DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
 from .mutate import mutate as derive_mutants
-from .specfile import SutDecl
+from .specfile import SpecSemanticError, SutDecl
 
 DEFAULT_TOLERANCE = 100 * sys.float_info.epsilon
 DEFAULT_BUDGET = 64
@@ -211,15 +211,15 @@ def check_mr(mr: ExecutableMR, fn, seed: int) -> MRCheck:
 
 
 def build_standard_mrs(
-    programs: Mapping[str, zoo.SutProgram],
+    decls: Mapping[str, SutDecl],
     tolerance: float = DEFAULT_TOLERANCE,
     budget: int = DEFAULT_BUDGET,
 ) -> List[ExecutableMR]:
     """The executable relations each subject's declared blocks support."""
     mrs: List[ExecutableMR] = []
     opts = {"tolerance": tolerance, "sample_budget": budget}
-    for name in sorted(programs):
-        decl = programs[name].decl
+    for name in sorted(decls):
+        decl = decls[name]
         if BlockKind.G in decl.blocks:
             for action in zoo.SUT_G_ACTIONS.get(name, ()):
                 mrs.append(SymmetryMR(f"{name}:G:{action.name}", decl, action, **opts))
@@ -234,18 +234,11 @@ def build_standard_mrs(
 # Kill experiment
 
 
-def mutant_id(mutant: Mutant) -> str:
-    stmt, path = mutant.site
-    suffix = ".".join(map(str, path)) or "root"
-    return f"{mutant.base}/{mutant.category.name}@{stmt}:{suffix}"
-
-
 @dataclass
 class KillMatrix:
     mr_names: Tuple[str, ...]
     mutant_ids: Tuple[str, ...]
     cells: Dict[Tuple[str, str], str]  # kills only: (mr, mutant) -> witness
-    strata_labels: Dict[str, str]
     excluded: Tuple[Tuple[str, str, str], ...] = ()  # (mr, sut, reason)
 
     def killed(self, mutant: str) -> bool:
@@ -278,12 +271,10 @@ def run_kill_experiment(
         else:
             excluded.append((mr.name, sut, verdict.failure))
     cells: Dict[Tuple[str, str], str] = {}
-    strata: Dict[str, str] = {}
     ids: List[str] = []
     for mutant in mutants:
         mid = mutant_id(mutant)
         ids.append(mid)
-        strata[mid] = mutant.strata
         fn = minilang.compile_program(mutant.decl.program)
         for mr in green_by_sut.get(mutant.base, ()):
             verdict = check_mr(mr, fn, seed)
@@ -293,7 +284,6 @@ def run_kill_experiment(
         mr_names=tuple(mr.name for mr in green),
         mutant_ids=tuple(ids),
         cells=cells,
-        strata_labels=strata,
         excluded=tuple(excluded),
     )
 
@@ -344,15 +334,8 @@ class KillSummary:
         return Fraction(self.kills, self.mutants) if self.mutants else Fraction(0)
 
 
-def falsification_verdict(per_sut: Union[Mapping[str, tuple], Iterable[KillSummary]]) -> str:
+def falsification_verdict(summaries: Iterable[KillSummary]) -> str:
     """pass/falsified per the one-third outlier rule with the rescue clause."""
-    if isinstance(per_sut, Mapping):
-        summaries = [
-            entry if isinstance(entry, KillSummary) else KillSummary(sut, *entry)
-            for sut, entry in per_sut.items()
-        ]
-    else:
-        summaries = list(per_sut)
     outliers = [s for s in summaries if s.mutants and s.rate >= Fraction(1, 3)]
     unrescued = [s for s in outliers if not s.all_killed_breaking]
     return "falsified" if len(unrescued) > 1 else "pass"
@@ -413,21 +396,24 @@ def concordance_check(
 
 def run_blindness_experiment(
     cfg=None,
-    programs: Optional[Mapping[str, zoo.SutProgram]] = None,
+    decls: Optional[Mapping[str, SutDecl]] = None,
     matrix=None,
 ) -> BlindnessReport:
     """The full rule-blind scaling kill experiment on the configured suts."""
     if cfg is None:
         cfg = zoo.load_mutator_config()
-    if programs is None:
-        programs = zoo.load_zoo()
+    if decls is None:
+        decls = zoo.load_zoo()
+    unknown = [name for name in cfg.suts if name not in decls]
+    if unknown:
+        raise SpecSemanticError("suts", f"not in the zoo: {', '.join(unknown)}")
     active_matrix = (matrix or DEFAULT_MATRIX).with_config(cfg)
-    chosen = {name: programs[name] for name in cfg.suts} if cfg.suts else dict(programs)
+    chosen = {name: decls[name] for name in cfg.suts} if cfg.suts else dict(decls)
     categories = [MutatorCategory[c] for c in cfg.categories]
     mutants_by_sut: Dict[str, Tuple[Mutant, ...]] = {}
     for name in sorted(chosen):
         mutants_by_sut[name] = derive_mutants(
-            chosen[name].decl, categories, seed=cfg.seed, matrix=active_matrix
+            chosen[name], categories, seed=cfg.seed, matrix=active_matrix
         )
     mrs = build_standard_mrs(chosen)
     all_mutants = [m for name in sorted(chosen) for m in mutants_by_sut[name]]
@@ -453,8 +439,7 @@ def run_blindness_experiment(
             all_killed_breaking=all_breaking,
         )
     verdict = falsification_verdict(summaries.values())
-    decls = {name: program.decl for name, program in chosen.items()}
-    ok, violations = concordance_check(mutants_by_sut, kill_matrix, active_matrix.cells, decls)
+    ok, violations = concordance_check(mutants_by_sut, kill_matrix, active_matrix.cells, chosen)
     return BlindnessReport(
         summaries=summaries,
         verdict=verdict,

@@ -10,11 +10,12 @@ rule, never by running the kill experiment.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang, zoo
-from .algebra import BlockKind, block_from_tag
+from .algebra import BlockKind
 from .minilang import Assign, Bin, Call, Cmp, Cond, Const, DomainError, Expr, Neg, Program, Var
 from .specfile import MUTATOR_CATEGORY_NAMES, MutatorConfig, SutDecl
 
@@ -121,18 +122,14 @@ class CompatibilityMatrix:
                 raise ValueError(f"override {key} must resolve to preserves/breaks")
 
     def effect(self, sut: str, category: str, block: BlockKind) -> str:
+        """preserves/breaks; a case-dependent cell needs the sut's override."""
         cell = self.cells[(category, block)]
         if cell != CASE:
             return cell
         override = self.overrides.get((sut, category, block))
-        if override is not None:
-            return override
-        # unpopulated blocks never reach classify; this value backs the
-        # vacuous default for reporting paths that print whole rows
-        return BREAKS
-
-    def has_override(self, sut: str, category: str, block: BlockKind) -> bool:
-        return (sut, category, block) in self.overrides
+        if override is None:
+            raise MissingOverride(sut, category, block)
+        return override
 
     def with_config(self, cfg: MutatorConfig) -> "CompatibilityMatrix":
         cells = dict(self.cells)
@@ -153,21 +150,24 @@ class Mutant:
     category: MutatorCategory
     site: Tuple[int, Tuple[int, ...]]  # (statement index, path within it)
     replacement: Expr
-    strata: str  # D1 | D2
     broken_blocks: FrozenSet[BlockKind]
     homogeneity_effect: str  # preserving | breaking
     decl: SutDecl = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if (self.strata == "D1") != bool(self.broken_blocks):
-            raise ValueError("strata D1 exactly when some populated block breaks")
+    @property
+    def strata(self) -> str:
+        """D1 exactly when some populated block breaks, else D2."""
+        return "D1" if self.broken_blocks else "D2"
 
     def describe(self) -> str:
-        stmt, path = self.site
-        return (
-            f"{self.base}/{self.category.name}@{stmt}:{'.'.join(map(str, path)) or 'root'}"
-            f" -> {minilang.to_source(self.replacement)}"
-        )
+        return f"{mutant_id(self)} -> {minilang.to_source(self.replacement)}"
+
+
+def mutant_id(mutant: Mutant) -> str:
+    """Stable id `base/CATEGORY@stmt:path`; the path is `root` when empty."""
+    stmt, path = mutant.site
+    suffix = ".".join(map(str, path)) or "root"
+    return f"{mutant.base}/{mutant.category.name}@{stmt}:{suffix}"
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +261,21 @@ def _grid_outcomes(decl: SutDecl, grid: Sequence[Tuple[float, ...]]) -> List[obj
     return out
 
 
+def _same_outcomes(left: Sequence[object], right: Sequence[object]) -> bool:
+    """Pointwise equality that counts two NaNs at one point as equal."""
+    if left == right:
+        return True
+    return len(left) == len(right) and all(
+        a == b or (a != a and b != b) for a, b in zip(left, right)
+    )
+
+
 def is_trivially_equivalent(base: SutDecl, mutant: SutDecl, grid=None) -> bool:
     if _folded_statements(base.program) == _folded_statements(mutant.program):
         return True
     if grid is None:
         grid = zoo.small_int_grid(len(base.params))
-    return _grid_outcomes(base, grid) == _grid_outcomes(mutant, grid)
+    return _same_outcomes(_grid_outcomes(base, grid), _grid_outcomes(mutant, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +384,8 @@ def homogeneity_effect_of(
             m = mut_fn(*point)
         except DomainError:
             return "breaking"  # rule 2: domain shrank
+        if not math.isfinite(m) and math.isfinite(b):
+            return "breaking"  # rule 2: left the finite range (inf, NaN)
         base_vals.append(b)
         mut_vals.append(m)
     if len(set(mut_vals)) == 1 and len(set(base_vals)) > 1:
@@ -391,25 +402,14 @@ def homogeneity_effect_of(
 
 
 def classify(
-    mutant: Mutant, matrix: CompatibilityMatrix, sut_blocks: FrozenSet[BlockKind]
-) -> Tuple[str, FrozenSet[BlockKind]]:
-    broken: Set[BlockKind] = set()
-    for block in sut_blocks:
-        cell = matrix.cells[(mutant.category.name, block)]
-        if cell == CASE and not matrix.has_override(mutant.base, mutant.category.name, block):
-            raise MissingOverride(mutant.base, mutant.category.name, block)
-        if matrix.effect(mutant.base, mutant.category.name, block) == BREAKS:
-            broken.add(block)
-    strata = "D1" if broken else "D2"
-    return strata, frozenset(broken)
-
-
-def _as_decl(program: Union[SutDecl, "zoo.SutProgram"]) -> SutDecl:
-    return program.decl if isinstance(program, zoo.SutProgram) else program
+    sut: str, category: str, matrix: CompatibilityMatrix, blocks: FrozenSet[BlockKind]
+) -> FrozenSet[BlockKind]:
+    """The populated blocks a category's mutants break on this subject."""
+    return frozenset(b for b in blocks if matrix.effect(sut, category, b) == BREAKS)
 
 
 def mutate(
-    program: Union[SutDecl, "zoo.SutProgram"],
+    decl: SutDecl,
     categories: Optional[Iterable[MutatorCategory]] = None,
     seed: int = 0,
     matrix: Optional[CompatibilityMatrix] = None,
@@ -419,7 +419,6 @@ def mutate(
     Deterministic for a fixed seed: sites are enumerated in (category,
     statement, preorder-path) order and the seed fixes the tagging sample.
     """
-    decl = _as_decl(program)
     if categories is None:
         cats: Sequence[MutatorCategory] = tuple(MutatorCategory)
     else:
@@ -436,17 +435,15 @@ def mutate(
         )
         if is_trivially_equivalent(decl, mutated, grid):
             continue
-        effect = homogeneity_effect_of(decl, mutated, seed)
-        probe = Mutant(
-            base=decl.name,
-            category=category,
-            site=(stmt_index, path),
-            replacement=replacement,
-            strata="D2",
-            broken_blocks=frozenset(),
-            homogeneity_effect=effect,
-            decl=mutated,
+        out.append(
+            Mutant(
+                base=decl.name,
+                category=category,
+                site=(stmt_index, path),
+                replacement=replacement,
+                broken_blocks=classify(decl.name, category.name, matrix, decl.blocks),
+                homogeneity_effect=homogeneity_effect_of(decl, mutated, seed),
+                decl=mutated,
+            )
         )
-        strata, broken = classify(probe, matrix, decl.blocks)
-        out.append(replace(probe, strata=strata, broken_blocks=broken))
     return tuple(out)

@@ -71,7 +71,7 @@ class MRDescriptor:
             raise ValueError(f"{self.name}: parameter directions must be >= 1")
         if self.adjoint_indexing not in ("fixed", "configuration-indexed"):
             raise ValueError(f"{self.name}: bad adjoint indexing {self.adjoint_indexing!r}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # also rejects NaN
             raise ValueError(f"{self.name}: tolerance must be positive")
 
 

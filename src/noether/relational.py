@@ -503,8 +503,13 @@ def _safe_bag_equal(evaluator, q1, q2, db, modulo=False) -> Tuple[bool, str]:
 
 
 def run_rel_trial(
-    mr: str, db: Mapping[str, Relation], rng: np.random.Generator, evaluator: Evaluator = CORRECT
+    mr: str,
+    db: Mapping[str, Relation],
+    rng: np.random.Generator,
+    rules: Sequence[RewriteRule],
+    evaluator: Evaluator = CORRECT,
 ) -> RelTrial:
+    """One trial of one rewrite MR; callers load `rules` once per run."""
     if mr == "rho_join-comm":
         ok, detail = _safe_bag_equal(
             evaluator, Join(Base("R"), Base("S")), Join(Base("S"), Base("R")), db, modulo=True
@@ -520,7 +525,6 @@ def run_rel_trial(
         pred = _random_predicate(rng, ("b", "c"))
         once = Select(pred, Base("S"))
         twice = Select(pred, once)
-        rules = bundled_rules()
         plan_ok = rewrite_once(twice, rules, db) == once
         sem_ok, detail = _safe_bag_equal(evaluator, twice, once, db)
         dd_ok, dd_detail = _safe_bag_equal(
@@ -544,11 +548,12 @@ def run_rel_mrs(
     if trials < 1:
         raise ValueError("trials must be positive")
     counts = {mr: [0, 0] for mr in REL_MR_NAMES}
+    rules = bundled_rules()
     for k in range(trials):
         db = gen_database(db_seed + k)
         rng = np.random.default_rng([db_seed, k])
         for mr in REL_MR_NAMES:
-            outcome = run_rel_trial(mr, db, rng, evaluator)
+            outcome = run_rel_trial(mr, db, rng, rules, evaluator)
             counts[mr][0 if outcome.passed else 1] += 1
     return {mr: (p, f) for mr, (p, f) in counts.items()}
 

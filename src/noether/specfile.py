@@ -543,7 +543,7 @@ def mutator_config_to_text(cfg: MutatorConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Document sniffing (used by the CLI)
+# Document sniffing: parse any spec document by its first keyword
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import minilang
-from .algebra import BlockKind, OperatorAlgebra
+from .algebra import OperatorAlgebra
 from .reachability import MRDescriptor
 from .specfile import (
     MutatorConfig,
@@ -83,45 +83,8 @@ def load_mutator_config(name: str = "blindness") -> MutatorConfig:
 # Subjects
 
 
-@dataclass(frozen=True)
-class SutProgram:
-    """A compiled subject plus its declared hypotheses."""
-
-    decl: SutDecl
-    fn: Callable = field(compare=False, repr=False)
-
-    @property
-    def name(self) -> str:
-        return self.decl.name
-
-    @property
-    def params(self) -> Tuple[str, ...]:
-        return self.decl.params
-
-    @property
-    def blocks(self) -> frozenset:
-        return self.decl.blocks
-
-    @property
-    def homogeneity(self) -> str:
-        return self.decl.homogeneity
-
-    @property
-    def domain(self) -> str:
-        return self.decl.domain
-
-    @property
-    def arity(self) -> int:
-        return len(self.decl.params)
-
-
-def compile_sut(decl: SutDecl) -> SutProgram:
-    return SutProgram(decl=decl, fn=minilang.compile_program(decl.program))
-
-
-def load_zoo(filename: str = "zoo.sut") -> Dict[str, SutProgram]:
-    decls = parse_sut_file(fixture_text(filename))
-    return {d.name: compile_sut(d) for d in decls}
+def load_zoo(filename: str = "zoo.sut") -> Dict[str, SutDecl]:
+    return {d.name: d for d in parse_sut_file(fixture_text(filename))}
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +209,7 @@ def small_int_grid(arity: int) -> List[Tuple[float, ...]]:
 
 
 def check_homogeneity(
-    program: SutProgram,
+    decl: SutDecl,
     lambda_samples: Sequence[float],
     points: Sequence[Tuple[float, ...]],
     tau: float,
@@ -257,16 +220,17 @@ def check_homogeneity(
     subjects must satisfy f(lam*x) = f(x).  Both to absolute tolerance tau,
     for every (lambda, point) combination.
     """
-    if program.homogeneity == "none":
-        raise ValueError(f"{program.name} declares no homogeneity hypothesis")
-    invariant = program.homogeneity == "positive-scale-invariant"
+    if decl.homogeneity == "none":
+        raise ValueError(f"{decl.name} declares no homogeneity hypothesis")
+    invariant = decl.homogeneity == "positive-scale-invariant"
+    fn = minilang.compile_program(decl.program)
     for lam in lambda_samples:
         if lam <= 0:
             raise ValueError("scale factors must be positive")
         for point in points:
             scaled = tuple(lam * a for a in point)
-            lhs = program.fn(*scaled)
-            rhs = program.fn(*point) if invariant else lam * program.fn(*point)
+            lhs = fn(*scaled)
+            rhs = fn(*point) if invariant else lam * fn(*point)
             if not abs(lhs - rhs) <= tau:
                 return False
     return True

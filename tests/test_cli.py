@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from noether import cli
+from noether import cli, zoo
+from noether.specfile import HEADER
 
 SEED = 20260816
 REFERENCE_REPORT = (
@@ -60,6 +61,25 @@ class TestExitCodes:
         code, _, err = run(["derive", "boltzmann"], capsys)
         assert code == 2
         assert "missing fixture" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["stats", "wilson", "5", "3"],
+            ["mutate", "signum", "--categories", "FOO"],
+            ["rel", "--trials", "0"],
+            ["kill", "--config", "unknown_sut"],
+        ),
+        ids=("wilson-successes-above-n", "unknown-category", "zero-trials", "unknown-sut"),
+    )
+    def test_bad_input_is_one_line_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "zoo.sut").write_text(zoo.fixture_text("zoo.sut"))
+        (tmp_path / "unknown_sut.cfg").write_text(f"{HEADER}\nsuts nosuch\n")
+        monkeypatch.setenv("NOETHER_FIXTURES", str(tmp_path))
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
 
 
 class TestMachineFormat:
@@ -147,6 +167,14 @@ class TestSubcommands:
         assert len(rows) == 1
         assert rows[0]["category"] == "RETURN_VALS"
         assert rows[0]["id"] == "signum/RETURN_VALS@0:root"
+
+    def test_mutate_header_records_the_seed_used(self, capsys):
+        code, out, _ = run(["mutate", "midpoint", "--format", "machine"], capsys)
+        assert code == 0
+        default = machine_lines(out)
+        assert default[0] == {"command": "mutate", "report_version": 1, "seed": 0}
+        code, out, _ = run(["mutate", "midpoint", "--seed", "0", "--format", "machine"], capsys)
+        assert machine_lines(out) == default
 
     def test_rel_clean_green(self, capsys):
         code, out, _ = run(

@@ -72,7 +72,7 @@ class TestGenerateTuples:
         mr = standard_mr("midpoint:L_scale")
         renamed = dataclasses.replace(mr, name="anything-else")
         assert generate_tuples(mr, SEED) == generate_tuples(renamed, SEED)
-        pairs = scaling_sample(ZOO["midpoint"].decl, SEED, mr.sample_budget)
+        pairs = scaling_sample(ZOO["midpoint"], SEED, mr.sample_budget)
         got = generate_tuples(mr, SEED)
         assert [(g.members[0], g.scale) for g in got] == pairs
         for g in got:
@@ -113,7 +113,7 @@ class TestGenerateTuples:
             dataclasses.replace(standard_mr("midpoint:L_scale"), decl=no_hyp)
 
     def test_bindings_are_required_at_construction(self):
-        decl = ZOO["midpoint"].decl
+        decl = ZOO["midpoint"]
         with pytest.raises(TypeError):
             SymmetryMR("q", decl)  # no action
         with pytest.raises(TypeError):
@@ -122,7 +122,7 @@ class TestGenerateTuples:
             ScalingMR("q")  # no subject
 
     def test_validation(self):
-        decl = ZOO["midpoint"].decl
+        decl = ZOO["midpoint"]
         with pytest.raises(ValueError):
             OrderMR("q", decl, SUT_ORDER_SPECS["midpoint"], tolerance=0.0)
         with pytest.raises(ValueError):
@@ -216,7 +216,6 @@ class TestKillExperiment:
         mrs = {mr.name: mr for mr in build_standard_mrs(ZOO) if mr.sut_name == "midpoint"}
         mutants = {mutant_id(m): m for m in mutate(ZOO["midpoint"], seed=SEED)}
         matrix = run_kill_experiment(list(mrs.values()), list(mutants.values()), SEED)
-        assert set(matrix.strata_labels.values()) <= {"D1", "D2"}
         assert matrix.cells
         for (name, mid), witness in matrix.cells.items():
             # each witness is the failure text a rerun of the check reproduces
@@ -314,10 +313,6 @@ class TestFalsificationVerdict:
         )
         assert got == "falsified"
 
-    def test_mapping_form(self):
-        got = falsification_verdict({"a": (5, 10, False), "b": (4, 10, False)})
-        assert got == "falsified"
-
     def test_empty_subjects_are_not_outliers(self):
         assert falsification_verdict([summary("a", 0, 0, rescued=False)]) == "pass"
 
@@ -390,7 +385,7 @@ class TestBlindness:
         # hand the checker a fake active matrix claiming guard negation
         # breaks scaling; gcd's rule-preserving survivors must trip it
         cells = {("NEGATE_CONDITIONALS", b): "breaks" for b in CANONICAL_ORDER}
-        decls = {s: ZOO[s].decl for s in blindness_report.mutants_by_sut}
+        decls = {s: ZOO[s] for s in blindness_report.mutants_by_sut}
         ok, violations = concordance_check(
             blindness_report.mutants_by_sut, blindness_report.matrix, cells, decls
         )

@@ -1,11 +1,13 @@
 """Mutation-engine tests: matrix rows, strata, tagging, survivor censuses."""
 
 from collections import Counter
+from dataclasses import replace
 from types import ModuleType
 
 import pytest
 
 from noether.algebra import BlockKind
+from noether.harness import ScalingMR, check_mr
 from noether.minilang import Call, Cmp, Const, DomainError, compile_program
 from noether.mutate import (
     BREAKS,
@@ -19,12 +21,13 @@ from noether.mutate import (
     MutatorCategory,
     PRESERVES,
     classify,
+    homogeneity_effect_of,
     is_trivially_equivalent,
     mutate,
     syntactic_degree,
 )
 from noether.specfile import HEADER, MutatorConfig, parse_sut_file
-from noether.zoo import LAMBDA_SAMPLES, check_homogeneity, compile_sut, load_zoo, scaling_points, small_int_grid
+from noether.zoo import LAMBDA_SAMPLES, check_homogeneity, load_zoo, scaling_points, small_int_grid
 
 ZOO = load_zoo()
 SEED = 20260816
@@ -91,45 +94,27 @@ class TestMatrix:
 
 class TestClassify:
     def test_missing_override_raises(self):
-        probe = Mutant(
-            base="nobody",
-            category=MutatorCategory.MATH,
-            site=(0, ()),
-            replacement=Const(0.0),
-            strata="D2",
-            broken_blocks=frozenset(),
-            homogeneity_effect="breaking",
-            decl=ZOO["midpoint"].decl,
-        )
         with pytest.raises(MissingOverride):
-            classify(probe, DEFAULT_MATRIX, frozenset({BlockKind.O_LE}))
+            classify("nobody", "MATH", DEFAULT_MATRIX, frozenset({BlockKind.O_LE}))
+        with pytest.raises(MissingOverride):
+            DEFAULT_MATRIX.effect("nobody", "MATH", BlockKind.O_LE)
 
     def test_unpopulated_case_cells_never_consulted(self):
+        broken = classify("nobody", "MATH", DEFAULT_MATRIX, frozenset({BlockKind.G}))
+        assert broken == frozenset({BlockKind.G})
+
+    def test_strata_follow_the_broken_blocks(self):
         probe = Mutant(
-            base="nobody",
+            base="x",
             category=MutatorCategory.MATH,
             site=(0, ()),
             replacement=Const(0.0),
-            strata="D2",
             broken_blocks=frozenset(),
             homogeneity_effect="breaking",
-            decl=ZOO["midpoint"].decl,
+            decl=ZOO["midpoint"],
         )
-        strata, broken = classify(probe, DEFAULT_MATRIX, frozenset({BlockKind.G}))
-        assert strata == "D1" and broken == frozenset({BlockKind.G})
-
-    def test_mutant_strata_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            Mutant(
-                base="x",
-                category=MutatorCategory.MATH,
-                site=(0, ()),
-                replacement=Const(0.0),
-                strata="D1",
-                broken_blocks=frozenset(),
-                homogeneity_effect="breaking",
-                decl=ZOO["midpoint"].decl,
-            )
+        assert probe.strata == "D2"
+        assert replace(probe, broken_blocks=frozenset({BlockKind.G})).strata == "D1"
 
 
 # survivor census at the pinned seed: (total, D1, preserving, per-category)
@@ -182,7 +167,7 @@ class TestMutantCensus:
         (m,) = only
         assert m.category is MutatorCategory.RETURN_VALS
         assert m.replacement == Const(0.0)
-        assert m.site == (len(ZOO["midpoint"].decl.program.assigns), ())
+        assert m.site == (len(ZOO["midpoint"].program.assigns), ())
 
     def test_describe_format(self):
         (m,) = mutate(ZOO["midpoint"], categories=[MutatorCategory.RETURN_VALS], seed=SEED)
@@ -192,7 +177,7 @@ class TestMutantCensus:
 class TestSurvivorSoundness:
     @pytest.mark.parametrize("name", sorted(CENSUS))
     def test_every_survivor_differs_on_the_filter_grid(self, name):
-        decl = ZOO[name].decl
+        decl = ZOO[name]
         grid = small_int_grid(len(decl.params))
         base_fn = compile_program(decl.program)
 
@@ -214,11 +199,11 @@ class TestSurvivorSoundness:
     def test_preserving_tags_are_certified(self, name):
         """Rule-tagged preservers really satisfy the scaling hypothesis."""
         base = ZOO[name]
-        points = scaling_points(base.decl, SEED, 40)
+        points = scaling_points(base, SEED, 40)
         for m in mutate(base, seed=SEED):
             if m.homogeneity_effect != "preserving":
                 continue
-            assert check_homogeneity(compile_sut(m.decl), LAMBDA_SAMPLES, points, 1e-6), (
+            assert check_homogeneity(m.decl, LAMBDA_SAMPLES, points, 1e-6), (
                 m.describe()
             )
 
@@ -256,7 +241,7 @@ class TestSiteRules:
         (m,) = mutants
         assert m.replacement == Const(1.0)
         assert isinstance(
-            ZOO["hypotSig"].decl.program.result, Call
+            ZOO["hypotSig"].program.result, Call
         )  # the zoo exercises the same site rule
 
     def test_equivalent_candidates_are_filtered(self):
@@ -268,13 +253,38 @@ class TestSiteRules:
         assert mutants == ()
 
 
+class TestNonFiniteOutputs:
+    # x * 1e308 * 10 overflows to inf unless |x| < 0.18, so this body is NaN
+    # almost everywhere and 0 near zero
+    NAN_BODY = "return x * 1e308 * 10 - x * 1e308 * 10"
+
+    @staticmethod
+    def _decl(body):
+        return parse_sut_file(f"{HEADER}\nsut n(x) blocks=L_star homogeneity=degree-1\n{body}\n")[0]
+
+    def test_nan_outcomes_count_as_equal_on_the_grid(self):
+        nan_body = self._decl(self.NAN_BODY)
+        assert is_trivially_equivalent(nan_body, self._decl(self.NAN_BODY + " + 0"))
+        assert not is_trivially_equivalent(nan_body, self._decl("return x - x"))
+
+    @pytest.mark.parametrize("body", (NAN_BODY, "return x * 1e308 * 10"))
+    def test_non_finite_mutants_are_tagged_breaking(self, body):
+        # both pass the degree-1 certificate, and the scaling relation kills
+        # both: a preserving tag would be a preserving kill
+        base, mutant = self._decl("return x"), self._decl(body)
+        assert syntactic_degree(mutant.program) == 1
+        assert homogeneity_effect_of(base, mutant, SEED) == "breaking"
+        scaling = ScalingMR("n:L_scale", base)
+        assert not check_mr(scaling, compile_program(mutant.program), SEED).passed
+
+
 class TestDegreeCertificate:
     def test_linear_bodies_certify_degree_one(self):
-        decl = ZOO["midpoint"].decl
+        decl = ZOO["midpoint"]
         assert syntactic_degree(decl.program) == 1
 
     def test_signum_body_certifies_degree_zero(self):
-        assert syntactic_degree(ZOO["signum"].decl.program) == 0
+        assert syntactic_degree(ZOO["signum"].program) == 0
 
     def test_mixed_degrees_fail(self):
         text = f"{HEADER}\nsut q(x) blocks=O_le\nreturn x * x + x\n"

@@ -271,7 +271,7 @@ class TestTrials:
         import numpy as np
 
         with pytest.raises(ValueError):
-            run_rel_trial("rho_bogus", gen_database(0), np.random.default_rng(0))
+            run_rel_trial("rho_bogus", gen_database(0), np.random.default_rng(0), ())
 
     def test_deterministic(self):
         assert run_rel_mrs(SEED, 25) == run_rel_mrs(SEED, 25)

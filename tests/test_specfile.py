@@ -138,6 +138,11 @@ class TestDescriptorParsing:
         mr = parse_mr_descriptor(f"{HEADER}\nmr rho_x\nform=mixed-difference diff_order=2\n")
         assert mr.difference_order == 2
 
+    @pytest.mark.parametrize("value", ("0", "-1e-9", "nan"))
+    def test_tolerance_must_be_positive(self, value):
+        with pytest.raises(SpecSemanticError):
+            parse_mr_descriptor(f"{HEADER}\nmr rho_x\ntolerance={value}\n")
+
     def test_duplicate_field(self):
         with pytest.raises(SpecSemanticError):
             parse_mr_descriptor(f"{HEADER}\nmr rho_x\ndiff_order=1\ndiff_order=2\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noether.minilang import compile_program
 from noether.specfile import HEADER, parse_sut_file
 from noether.zoo import (
     LAMBDA_SAMPLES,
@@ -16,7 +17,6 @@ from noether.zoo import (
     GAction,
     check_homogeneity,
     cloud_signature,
-    compile_sut,
     default_point_cloud,
     default_sgd_fixture,
     load_zoo,
@@ -32,6 +32,7 @@ from noether.zoo import (
 )
 
 ZOO = load_zoo()
+FN = {name: compile_program(decl.program) for name, decl in ZOO.items()}
 
 SUBJECT_NAMES = {
     "midpoint",
@@ -56,50 +57,50 @@ class TestSubjectOracles:
 
     @given(st.integers(-80, 80), st.integers(-80, 80))
     def test_gcd_matches_stdlib(self, a, b):
-        assert ZOO["gcdSig"].fn(float(a), float(b)) == float(math.gcd(a, b))
+        assert FN["gcdSig"](float(a), float(b)) == float(math.gcd(a, b))
 
     @given(st.integers(-60, 60), st.integers(-60, 60))
     def test_lcm_matches_stdlib(self, a, b):
-        assert ZOO["lcmSig"].fn(float(a), float(b)) == float(math.lcm(a, b))
+        assert FN["lcmSig"](float(a), float(b)) == float(math.lcm(a, b))
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_hypot_matches_stdlib(self, x, y):
-        assert ZOO["hypotSig"].fn(x, y) == pytest.approx(math.hypot(x, y), abs=1e-9)
+        assert FN["hypotSig"](x, y) == pytest.approx(math.hypot(x, y), abs=1e-9)
 
     @given(st.floats(-100, 100), st.floats(-100, 100))
     def test_midpoint(self, a, b):
-        assert ZOO["midpoint"].fn(a, b) == (a + b) / 2
+        assert FN["midpoint"](a, b) == (a + b) / 2
 
     @given(st.integers(-5, 40))
     def test_exact_log2_is_clipped_floor_log(self, x):
         expected = 0 if x < 2 else min(5, x.bit_length() - 1)
-        assert ZOO["exactLog2"].fn(float(x)) == float(expected)
+        assert FN["exactLog2"](float(x)) == float(expected)
 
     @given(st.floats(-20, 20), st.floats(-20, 20), st.floats(-20, 20))
     def test_clamp(self, x, lo, hi):
-        got = ZOO["clamp"].fn(x, lo, hi)
+        got = FN["clamp"](x, lo, hi)
         # declared contract only constrains the valid cone lo <= hi
         if lo <= hi:
             assert got == min(max(x, lo), hi)
 
     @given(st.floats(-30, 30))
     def test_signum(self, x):
-        assert ZOO["signum"].fn(x) == float((x > 0) - (x < 0))
+        assert FN["signum"](x) == float((x > 0) - (x < 0))
 
     @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
     def test_is_sequence(self, a, b, c):
-        got = ZOO["isSequence"].fn(float(a), float(b), float(c))
+        got = FN["isSequence"](float(a), float(b), float(c))
         assert got == float(a <= b <= c)
 
     @given(st.floats(-40, 40), st.floats(-40, 40), st.floats(-40, 40), st.floats(-40, 40))
     def test_cadd_is_capped_sum_modulus(self, ar, ai, br, bi):
         expected = min(abs(complex(ar, ai) + complex(br, bi)), 1e6)
-        assert ZOO["caddSig"].fn(ar, ai, br, bi) == pytest.approx(expected, abs=1e-9)
+        assert FN["caddSig"](ar, ai, br, bi) == pytest.approx(expected, abs=1e-9)
 
     @given(st.integers(-20, 20), st.integers(1, 5))
     def test_power_sig(self, x, n):
         expected = float(x**3) if n == 3 else float(x)
-        assert ZOO["powerSig"].fn(float(x), float(n)) == expected
+        assert FN["powerSig"](float(x), float(n)) == expected
 
 
 # --- executable symmetry metadata ----------------------------------------------
@@ -108,13 +109,13 @@ class TestSubjectOracles:
 class TestActionTables:
     def test_every_action_names_a_real_subject_and_position(self):
         for sut, actions in SUT_G_ACTIONS.items():
-            arity = ZOO[sut].arity
+            arity = len(ZOO[sut].params)
             for action in actions:
                 assert all(0 <= i < arity for i in action.flips)
 
     def test_order_specs_point_at_real_coordinates(self):
         for sut, spec in SUT_ORDER_SPECS.items():
-            assert 0 <= spec.coordinate < ZOO[sut].arity
+            assert 0 <= spec.coordinate < len(ZOO[sut].params)
 
     def test_gcd_declares_order_block_without_executable_encoding(self):
         from noether.algebra import BlockKind
@@ -132,11 +133,11 @@ class TestActionTables:
     def test_declared_relations_hold_on_the_reference_subjects(self, x, y):
         # negate-all on midpoint negates the output
         act = SUT_G_ACTIONS["midpoint"][0]
-        assert ZOO["midpoint"].fn(*act.apply((x, y))) == -ZOO["midpoint"].fn(x, y)
+        assert FN["midpoint"](*act.apply((x, y))) == -FN["midpoint"](x, y)
         # conjugation preserves the modulus
         cadd = SUT_G_ACTIONS["caddSig"][0]
-        assert ZOO["caddSig"].fn(*cadd.apply((x, y, y, x))) == pytest.approx(
-            ZOO["caddSig"].fn(x, y, y, x), abs=1e-9
+        assert FN["caddSig"](*cadd.apply((x, y, y, x))) == pytest.approx(
+            FN["caddSig"](x, y, y, x), abs=1e-9
         )
 
 
@@ -145,7 +146,7 @@ class TestActionTables:
 
 class TestSamplers:
     def test_sample_args_deterministic(self):
-        decl = ZOO["clamp"].decl
+        decl = ZOO["clamp"]
         a = sample_args(decl, np.random.default_rng(5))
         b = sample_args(decl, np.random.default_rng(5))
         assert a == b
@@ -154,21 +155,21 @@ class TestSamplers:
     @settings(max_examples=50)
     def test_cones(self, seed):
         rng = np.random.default_rng(seed)
-        nn = sample_args(ZOO["caddSig"].decl, rng, cone="nonneg")
+        nn = sample_args(ZOO["caddSig"], rng, cone="nonneg")
         assert all(v >= 0 for v in nn)
-        lh = sample_args(ZOO["clamp"].decl, np.random.default_rng(seed), cone="lo-le-hi")
+        lh = sample_args(ZOO["clamp"], np.random.default_rng(seed), cone="lo-le-hi")
         assert lh[1] <= lh[2]
-        nz = sample_args(ZOO["gcdSig"].decl, np.random.default_rng(seed), nonzero=True)
+        nz = sample_args(ZOO["gcdSig"], np.random.default_rng(seed), nonzero=True)
         assert all(v != 0 for v in nz)
 
     def test_integer_domain_draws_integers(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            args = sample_args(ZOO["gcdSig"].decl, rng)
+            args = sample_args(ZOO["gcdSig"], rng)
             assert all(v == int(v) for v in args)
 
     def test_scaling_points_are_bases_then_scaled(self):
-        decl = ZOO["midpoint"].decl
+        decl = ZOO["midpoint"]
         pairs = scaling_sample(decl, 11, 6)
         points = scaling_points(decl, 11, 6)
         assert len(pairs) == 6 and len(points) == 12
@@ -179,7 +180,7 @@ class TestSamplers:
         assert set(lams) <= set(LAMBDA_SAMPLES)
 
     def test_scaling_sample_deterministic_in_seed(self):
-        decl = ZOO["hypotSig"].decl
+        decl = ZOO["hypotSig"]
         assert scaling_sample(decl, 3, 20) == scaling_sample(decl, 3, 20)
         assert scaling_sample(decl, 3, 20) != scaling_sample(decl, 4, 20)
 
@@ -200,19 +201,19 @@ DEGREE_ONE = ("midpoint", "clamp", "gcdSig", "lcmSig", "hypotSig")
 class TestHomogeneity:
     @pytest.mark.parametrize("name", DEGREE_ONE)
     def test_degree_one_subjects_pass(self, name):
-        program = ZOO[name]
-        points = scaling_points(program.decl, 20260816, 40)
-        assert check_homogeneity(program, LAMBDA_SAMPLES, points, 1e-6)
+        decl = ZOO[name]
+        points = scaling_points(decl, 20260816, 40)
+        assert check_homogeneity(decl, LAMBDA_SAMPLES, points, 1e-6)
 
     def test_scale_invariant_subject_passes(self):
-        program = ZOO["signum"]
-        points = scaling_points(program.decl, 20260816, 40)
-        assert check_homogeneity(program, LAMBDA_SAMPLES, points, 0.0)
+        decl = ZOO["signum"]
+        points = scaling_points(decl, 20260816, 40)
+        assert check_homogeneity(decl, LAMBDA_SAMPLES, points, 0.0)
 
     def test_affine_offset_fails_degree_one(self):
         text = f"{HEADER}\nsut off(x) blocks=L_star homogeneity=degree-1\nreturn x + 1\n"
-        program = compile_sut(parse_sut_file(text)[0])
-        assert not check_homogeneity(program, (2.0,), [(3.0,)], 1e-6)
+        decl = parse_sut_file(text)[0]
+        assert not check_homogeneity(decl, (2.0,), [(3.0,)], 1e-6)
 
     def test_undeclared_hypothesis_rejected(self):
         with pytest.raises(ValueError):
