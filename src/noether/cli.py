@@ -611,6 +611,9 @@ _ARG_COUNTS = {"wilson": 2, "mcnemar": 2, "fisher": 4, "fleiss": 0}
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"{args.command}: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return 2
     if args.command == "stats" and len(args.values) != _ARG_COUNTS[args.test]:
         print(
             f"stats {args.test}: expected {_ARG_COUNTS[args.test]} integers, got {len(args.values)}",

@@ -194,10 +194,10 @@ class MRCheck:
     failure: str = ""
 
 
-def check_mr(mr: ExecutableMR, fn, seed: int) -> MRCheck:
-    """Evaluate the MR's assertion on a compiled subject."""
+def check_mr(mr: ExecutableMR, fn, groups: Sequence[TupleGroup]) -> MRCheck:
+    """Evaluate the MR's assertion on a compiled subject over its tuple groups."""
     outputs: List[float] = []
-    for group in generate_tuples(mr, seed):
+    for group in groups:
         try:
             values = [fn(*args) for args in group.members]
         except DomainError as exc:
@@ -253,21 +253,23 @@ def run_kill_experiment(
 ) -> KillMatrix:
     """Two-pass kill matrix: baseline-red MRs are excluded up front.
 
-    Only an MR's own subject's mutants are checked against it; each kill
-    is stored with the failure text that witnesses it.
+    Only an MR's own subject's mutants are checked against it, on the
+    tuple groups drawn once for its baseline check; each kill is stored
+    with the failure text that witnesses it.
     """
     green: List[ExecutableMR] = []
-    green_by_sut: Dict[str, List[ExecutableMR]] = {}
+    green_by_sut: Dict[str, List[Tuple[ExecutableMR, List[TupleGroup]]]] = {}
     excluded: List[Tuple[str, str, str]] = []
     baseline_fns: Dict[str, object] = {}
     for mr in mrs:
         sut = mr.sut_name
         if sut not in baseline_fns:
             baseline_fns[sut] = minilang.compile_program(mr.decl.program)
-        verdict = check_mr(mr, baseline_fns[sut], seed)
+        groups = generate_tuples(mr, seed)
+        verdict = check_mr(mr, baseline_fns[sut], groups)
         if verdict.passed:
             green.append(mr)
-            green_by_sut.setdefault(sut, []).append(mr)
+            green_by_sut.setdefault(sut, []).append((mr, groups))
         else:
             excluded.append((mr.name, sut, verdict.failure))
     cells: Dict[Tuple[str, str], str] = {}
@@ -275,9 +277,8 @@ def run_kill_experiment(
     for mutant in mutants:
         mid = mutant_id(mutant)
         ids.append(mid)
-        fn = minilang.compile_program(mutant.decl.program)
-        for mr in green_by_sut.get(mutant.base, ()):
-            verdict = check_mr(mr, fn, seed)
+        for mr, groups in green_by_sut.get(mutant.base, ()):
+            verdict = check_mr(mr, mutant.fn, groups)
             if not verdict.passed:
                 cells[(mr.name, mid)] = verdict.failure
     return KillMatrix(
@@ -290,7 +291,8 @@ def run_kill_experiment(
 
 def require_green(mr: ExecutableMR, seed: int) -> None:
     """Raise BaselineRed instead of excluding (strict single-MR check)."""
-    verdict = check_mr(mr, minilang.compile_program(mr.decl.program), seed)
+    fn = minilang.compile_program(mr.decl.program)
+    verdict = check_mr(mr, fn, generate_tuples(mr, seed))
     if not verdict.passed:
         raise BaselineRed(mr.name, mr.sut_name, verdict.failure)
 

@@ -9,15 +9,21 @@ appear as ternary guards.
 Numeric semantics are IEEE-754 doubles.  `%` is the floored-division
 remainder (sign of the divisor) and is total: `a % 0 == a`, matching the
 behavior of a guarded loop that never divides by zero.  `/ 0` and
-`sqrt(negative)` raise DomainError.
+`sqrt(negative)` raise DomainError.  Expression trees nest at most
+MAX_DEPTH levels; deeper input is an ExprSyntaxError.
+
+`compile_program` turns a program into the source of one Python function
+and compiles it once; `fold_constants` computes constant subtrees with the
+same operator functions that function calls.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 
 class MiniLangError(Exception):
@@ -97,6 +103,11 @@ BIN_OPS = ("+", "-", "*", "/", "%")
 CMP_OPS = ("<", "<=", "==")
 BUILTIN_ARITY = {"sqrt": 1, "abs": 1, "min": 2, "max": 2}
 
+# Deepest expression tree the parser and the compiler accept (a leaf is one
+# level).  It bounds every recursive walk over a tree, and the generated
+# Python nests one parenthesis per level, well inside CPython's 200.
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Assign:
@@ -169,6 +180,20 @@ def replace_at(node: Expr, path: Tuple[int, ...], new_node: Expr) -> Expr:
     return with_children(node, kids)
 
 
+def _check_depth(node: Expr, col: int) -> None:
+    """Raise ExprSyntaxError if the tree is deeper than MAX_DEPTH; no recursion."""
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(col)
+        stack.extend((c, depth + 1) for c in children(node))
+
+
+def _too_deep(col: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", col, "a shallower expression")
+
+
 def _all_const(nodes: Sequence[Expr]) -> bool:
     return all(isinstance(n, Const) for n in nodes)
 
@@ -176,16 +201,20 @@ def _all_const(nodes: Sequence[Expr]) -> bool:
 def fold_constants(node: Expr) -> Expr:
     """Evaluate constant subtrees; leaves anything that would raise alone.
 
-    Constant nodes run through the evaluator's own compiler, so folding and
-    evaluation share one statement of the operator semantics.
+    Constant nodes are computed by the functions the compiled code calls,
+    so folding and evaluation share one statement of the semantics.
     """
     kids = [fold_constants(c) for c in children(node)]
     node = with_children(node, kids) if kids else node
     try:
-        if isinstance(node, (Bin, Neg, Call)) and _all_const(kids):
-            return Const(_compile_expr(node, {})(()))
+        if isinstance(node, Neg) and _all_const(kids):
+            return Const(-kids[0].value)
+        if isinstance(node, (Bin, Call)) and _all_const(kids):
+            op = node.fn if isinstance(node, Call) else node.op
+            return Const(_OPS[op](*(k.value for k in kids)))
         if isinstance(node, Cond) and isinstance(node.test, Cmp) and _all_const(children(node.test)):
-            return node.then if _compile_expr(node.test, {})(()) else node.other
+            test = node.test
+            return node.then if _OPS[test.op](test.left.value, test.right.value) else node.other
     except DomainError:
         pass
     return node
@@ -227,6 +256,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.text = text
+        self.level = 0  # nesting of the parse, bounded like the trees it builds
 
     def peek(self) -> Tuple[str, str, int]:
         if self.pos < len(self.tokens):
@@ -247,19 +277,23 @@ class _Parser:
         kind, text, _ = self.peek()
         return kind == "op" and text in ops
 
-    # expr := ternary
-    def parse_expr(self) -> Expr:
-        return self.parse_ternary()
+    def descend(self) -> None:
+        """Enter one more level of nesting; past MAX_DEPTH, refuse."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise _too_deep(self.peek()[2])
 
-    def parse_ternary(self) -> Expr:
-        test = self.parse_comparison()
+    # expr := comparison ["?" expr ":" expr]; each expr is one level deeper
+    def parse_expr(self) -> Expr:
+        self.descend()
+        node = self.parse_comparison()
         if self.at_op("?"):
             self.next()
-            then = self.parse_ternary()
+            then = self.parse_expr()
             self.expect_op(":")
-            other = self.parse_ternary()
-            return Cond(test, then, other)
-        return test
+            node = Cond(node, then, self.parse_expr())
+        self.level -= 1
+        return node
 
     def parse_comparison(self) -> Expr:
         left = self.parse_additive()
@@ -286,7 +320,9 @@ class _Parser:
     def parse_unary(self) -> Expr:
         if self.at_op("-"):
             self.next()
+            self.descend()
             inner = self.parse_unary()
+            self.level -= 1
             if isinstance(inner, Const):
                 # literal negatives fold to constants; no Neg node survives
                 return Const(-inner.value)
@@ -320,17 +356,19 @@ class _Parser:
             raise ArityError(f"{fn} takes {BUILTIN_ARITY[fn]} argument(s), got {len(args)}")
         return Call(fn, tuple(args))
 
-    def done(self) -> None:
-        kind, text, col = self.peek()
+    def finish(self, node: Expr, col: int) -> Expr:
+        """Require the end of input and a tree no deeper than MAX_DEPTH."""
+        kind, text, tail = self.peek()
         if kind != "eof":
-            raise ExprSyntaxError(f"trailing input {text!r}", col, "end of line")
+            raise ExprSyntaxError(f"trailing input {text!r}", tail, "end of line")
+        _check_depth(node, col)
+        return node
 
 
 def parse_expr(text: str) -> Expr:
     p = _Parser(text)
-    node = p.parse_expr()
-    p.done()
-    return node
+    col = p.peek()[2]
+    return p.finish(p.parse_expr(), col)
 
 
 def parse_statement(text: str) -> Union[Assign, Expr]:
@@ -343,9 +381,8 @@ def parse_statement(text: str) -> Union[Assign, Expr]:
     if kind != "ident":
         raise ExprSyntaxError(f"unexpected {name or 'end of input'!r}", col, "an identifier")
     p.expect_op("=")
-    expr = p.parse_expr()
-    p.done()
-    return Assign(name, expr)
+    col = p.peek()[2]
+    return Assign(name, p.finish(p.parse_expr(), col))
 
 
 def assemble_program(name: str, params: Sequence[str], statements: Sequence[Union[Assign, Expr]]) -> Program:
@@ -419,105 +456,93 @@ def type_check(prog: Program) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: compile once to nested closures, then call
+# Evaluation: each program compiles once to the source of one Python `def`.
+# Operators without a Python counterpart of the same meaning are called by
+# name; folding calls the same functions, so the semantics are written once.
 
 
-def _compile_expr(node: Expr, slots: dict) -> Callable:
+def _div(n: float, d: float) -> float:
+    if d == 0.0:
+        raise DomainError("division by zero")
+    return n / d
+
+
+def _mod(n: float, d: float) -> float:
+    return n if d == 0.0 else n % d
+
+
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise DomainError("sqrt of a negative number")
+    return math.sqrt(v)
+
+
+def _arity_error(name: str, expected: int, got: int) -> ArityError:
+    return ArityError(f"{name} takes {expected} argument(s), got {got}")
+
+
+_INFIX = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+}
+_CALLED = {"/": _div, "%": _mod, "sqrt": _sqrt, "abs": abs, "min": min, "max": max}
+_OPS = {**_INFIX, **_CALLED}
+_NAMESPACE = {f.__name__: f for f in (*_CALLED.values(), _arity_error)}
+
+
+def _emit(node: Expr, local: Mapping[str, str], consts: Dict[str, float], depth: int = 1) -> str:
+    """Python source for one expression; past MAX_DEPTH, ExprSyntaxError.
+
+    Constants are bound by name, not written as literals: folding can make
+    inf, nan and -0.0, which have none.
+    """
+    if depth > MAX_DEPTH:
+        raise _too_deep(1)
     if isinstance(node, Const):
-        v = node.value
-        return lambda env: v
+        name = f"c{len(consts)}"
+        consts[name] = node.value
+        return name
     if isinstance(node, Var):
-        i = slots[node.name]
-        return lambda env: env[i]
-    if isinstance(node, Bin):
-        lf = _compile_expr(node.left, slots)
-        rf = _compile_expr(node.right, slots)
-        op = node.op
-        if op == "+":
-            return lambda env: lf(env) + rf(env)
-        if op == "-":
-            return lambda env: lf(env) - rf(env)
-        if op == "*":
-            return lambda env: lf(env) * rf(env)
-        if op == "/":
-
-            def divide(env):
-                d = rf(env)
-                if d == 0.0:
-                    raise DomainError("division by zero")
-                return lf(env) / d
-
-            return divide
-
-        def modulo(env):
-            d = rf(env)
-            n = lf(env)
-            return n if d == 0.0 else n % d
-
-        return modulo
-    if isinstance(node, Cmp):
-        lf = _compile_expr(node.left, slots)
-        rf = _compile_expr(node.right, slots)
-        op = node.op
-        if op == "<":
-            return lambda env: lf(env) < rf(env)
-        if op == "<=":
-            return lambda env: lf(env) <= rf(env)
-        return lambda env: lf(env) == rf(env)
-    if isinstance(node, Cond):
-        tf = _compile_expr(node.test, slots)
-        thn = _compile_expr(node.then, slots)
-        els = _compile_expr(node.other, slots)
-        return lambda env: thn(env) if tf(env) else els(env)
+        return local[node.name]
+    args = [_emit(c, local, consts, depth + 1) for c in children(node)]
     if isinstance(node, Neg):
-        f = _compile_expr(node.operand, slots)
-        return lambda env: -f(env)
-    if isinstance(node, Call):
-        fns = [_compile_expr(a, slots) for a in node.args]
-        if node.fn == "sqrt":
-            a0 = fns[0]
-
-            def root(env):
-                v = a0(env)
-                if v < 0.0:
-                    raise DomainError("sqrt of a negative number")
-                return math.sqrt(v)
-
-            return root
-        if node.fn == "abs":
-            a0 = fns[0]
-            return lambda env: abs(a0(env))
-        if node.fn == "min":
-            a0, a1 = fns
-            return lambda env: min(a0(env), a1(env))
-        a0, a1 = fns
-        return lambda env: max(a0(env), a1(env))
-    raise TypeError(f"not an expression node: {node!r}")
+        return f"(-{args[0]})"
+    if isinstance(node, Cond):
+        test, then, other = args
+        return f"({then} if {test} else {other})"  # lazy, like `?:`
+    op = node.fn if isinstance(node, Call) else node.op
+    if op in _INFIX:
+        return f"({args[0]} {op} {args[1]})"
+    return f"{_CALLED[op].__name__}({', '.join(args)})"
 
 
 def compile_program(prog: Program) -> Callable[..., float]:
-    """Compile to a plain Python callable; raises ArityError on bad calls."""
-    slots = {name: i for i, name in enumerate(prog.params)}
+    """Compile to a plain Python function; raises ArityError on bad calls.
+
+    Expressions deeper than MAX_DEPTH raise ExprSyntaxError, as the parser
+    does, so a hand-built program cannot exceed what Python compiles.
+    """
+    n = len(prog.params)
+    local = {p: f"v{i}" for i, p in enumerate(prog.params)}
+    consts: Dict[str, float] = {}
+    lines = [
+        "def run(*args):",
+        f"    if len(args) != {n}:",
+        f"        raise _arity_error(name, {n}, len(args))",
+    ]
+    lines += [f"    v{i} = float(args[{i}])" for i in range(n)]
     for a in prog.assigns:
-        if a.name not in slots:
-            slots[a.name] = len(slots)
-    steps = [(slots[a.name], _compile_expr(a.expr, slots)) for a in prog.assigns]
-    result = _compile_expr(prog.result, slots)
-    nslots = len(slots)
-    nparams = len(prog.params)
-    name = prog.name
-
-    def run(*args: float) -> float:
-        if len(args) != nparams:
-            raise ArityError(f"{name} takes {nparams} argument(s), got {len(args)}")
-        env = [0.0] * nslots
-        for i, v in enumerate(args):
-            env[i] = float(v)
-        for slot, f in steps:
-            env[slot] = f(env)
-        return result(env)
-
-    return run
+        expr = _emit(a.expr, local, consts)
+        local.setdefault(a.name, f"v{len(local)}")
+        lines.append(f"    {local[a.name]} = {expr}")
+    lines.append(f"    return {_emit(prog.result, local, consts)}")
+    namespace = dict(_NAMESPACE, name=prog.name, **consts)
+    exec(compile("\n".join(lines), f"<minilang {prog.name}>", "exec"), namespace)
+    return namespace["run"]
 
 
 # ---------------------------------------------------------------------------

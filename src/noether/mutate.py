@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang, zoo
 from .algebra import BlockKind
@@ -153,6 +154,7 @@ class Mutant:
     broken_blocks: FrozenSet[BlockKind]
     homogeneity_effect: str  # preserving | breaking
     decl: SutDecl = field(compare=False, repr=False)
+    fn: Callable[..., float] = field(compare=False, repr=False)  # decl.program, compiled
 
     @property
     def strata(self) -> str:
@@ -243,22 +245,61 @@ def _candidates(
 
 
 # ---------------------------------------------------------------------------
-# Trivial-equivalence filter: two independent routes, either may discard
+# One program's facts, shared by the filter, the tagger and the kill harness
 
 
-def _folded_statements(program: Program) -> Tuple[Expr, ...]:
-    return tuple(minilang.fold_constants(e) for e in _statement_exprs(program))
+_DOMAIN_ERROR = object()  # the outcome of an evaluation that raised DomainError
 
 
-def _grid_outcomes(decl: SutDecl, grid: Sequence[Tuple[float, ...]]) -> List[object]:
-    fn = minilang.compile_program(decl.program)
+def _outcomes(fn: Callable[..., float], points: Sequence[Tuple[float, ...]]) -> List[object]:
     out: List[object] = []
-    for point in grid:
+    for point in points:
         try:
             out.append(fn(*point))
         except DomainError:
-            out.append("domain-error")
+            out.append(_DOMAIN_ERROR)
     return out
+
+
+class _Subject:
+    """A subject or candidate program with what the stages read of it.
+
+    `mutate` makes one for its subject, shared by every candidate, and one
+    per candidate.  Each fact is computed on first use, so a subject's own
+    evaluations fall inside the stage that first needs them.
+    """
+
+    def __init__(self, decl: SutDecl, seed: int):
+        self.decl = decl
+        self.seed = seed
+
+    @cached_property
+    def folded(self) -> Tuple[Expr, ...]:
+        return tuple(minilang.fold_constants(e) for e in _statement_exprs(self.decl.program))
+
+    @cached_property
+    def fn(self) -> Callable[..., float]:
+        return minilang.compile_program(self.decl.program)
+
+    @cached_property
+    def grid(self) -> List[Tuple[float, ...]]:
+        return zoo.small_int_grid(len(self.decl.params))
+
+    @cached_property
+    def grid_outcomes(self) -> List[object]:
+        return _outcomes(self.fn, self.grid)
+
+    @cached_property
+    def scaling_points(self) -> List[Tuple[float, ...]]:
+        return zoo.scaling_points(self.decl, self.seed, zoo.SCALING_BUDGET)
+
+    @cached_property
+    def scaling_outcomes(self) -> List[object]:
+        return _outcomes(self.fn, self.scaling_points)
+
+
+# ---------------------------------------------------------------------------
+# Trivial-equivalence filter: two independent routes, either may discard
 
 
 def _same_outcomes(left: Sequence[object], right: Sequence[object]) -> bool:
@@ -270,12 +311,11 @@ def _same_outcomes(left: Sequence[object], right: Sequence[object]) -> bool:
     )
 
 
-def is_trivially_equivalent(base: SutDecl, mutant: SutDecl, grid=None) -> bool:
-    if _folded_statements(base.program) == _folded_statements(mutant.program):
+def is_trivially_equivalent(base: _Subject, mutant: _Subject) -> bool:
+    """Equal after constant folding, or equal outcomes on the base's grid."""
+    if base.folded == mutant.folded:
         return True
-    if grid is None:
-        grid = zoo.small_int_grid(len(base.params))
-    return _same_outcomes(_grid_outcomes(base, grid), _grid_outcomes(mutant, grid))
+    return _same_outcomes(base.grid_outcomes, _outcomes(mutant.fn, base.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -363,25 +403,19 @@ def syntactic_degree(program: Program) -> Optional[object]:
     return None if degree == "bool" else degree
 
 
-def homogeneity_effect_of(
-    base: SutDecl, mutant: SutDecl, seed: int, budget: int = zoo.SCALING_BUDGET
-) -> str:
-    """preserving/breaking by rule, on the shared seeded sample."""
-    if base.homogeneity == "none":
+def homogeneity_effect_of(base: _Subject, mutant: _Subject) -> str:
+    """preserving/breaking by rule, on the base's seeded scaling sample."""
+    homogeneity = base.decl.homogeneity
+    if homogeneity == "none":
         # no hypothesis to preserve; refuse to certify preservation
         return "breaking"
-    points = zoo.scaling_points(base, seed, budget)
-    base_fn = minilang.compile_program(base.program)
-    mut_fn = minilang.compile_program(mutant.program)
     base_vals: List[float] = []
     mut_vals: List[float] = []
-    for point in points:
-        try:
-            b = base_fn(*point)
-        except DomainError:
+    for point, b in zip(base.scaling_points, base.scaling_outcomes):
+        if b is _DOMAIN_ERROR:
             continue  # outside the baseline's domain: not evidence
         try:
-            m = mut_fn(*point)
+            m = mutant.fn(*point)
         except DomainError:
             return "breaking"  # rule 2: domain shrank
         if not math.isfinite(m) and math.isfinite(b):
@@ -390,8 +424,8 @@ def homogeneity_effect_of(
         mut_vals.append(m)
     if len(set(mut_vals)) == 1 and len(set(base_vals)) > 1:
         return "breaking"  # rule 3: collapsed to a constant
-    target = 1 if base.homogeneity == "degree-1" else 0
-    degree = syntactic_degree(mutant.program)
+    target = 1 if homogeneity == "degree-1" else 0
+    degree = syntactic_degree(mutant.decl.program)
     if degree is _POLY or degree == target:
         return "preserving"  # rule 4: certificate
     return "breaking"
@@ -426,14 +460,15 @@ def mutate(
         cats = tuple(c for c in MutatorCategory if c in wanted)
     if matrix is None:
         matrix = DEFAULT_MATRIX
-    grid = zoo.small_int_grid(len(decl.params))
+    base = _Subject(decl, seed)
     exprs = _statement_exprs(decl.program)
     out: List[Mutant] = []
     for category, stmt_index, path, replacement in _candidates(decl, cats):
-        mutated = _rebuild(
-            decl, stmt_index, minilang.replace_at(exprs[stmt_index], path, replacement)
+        mutated = _Subject(
+            _rebuild(decl, stmt_index, minilang.replace_at(exprs[stmt_index], path, replacement)),
+            seed,
         )
-        if is_trivially_equivalent(decl, mutated, grid):
+        if is_trivially_equivalent(base, mutated):
             continue
         out.append(
             Mutant(
@@ -442,8 +477,9 @@ def mutate(
                 site=(stmt_index, path),
                 replacement=replacement,
                 broken_blocks=classify(decl.name, category.name, matrix, decl.blocks),
-                homogeneity_effect=homogeneity_effect_of(decl, mutated, seed),
-                decl=mutated,
+                homogeneity_effect=homogeneity_effect_of(base, mutated),
+                decl=mutated.decl,
+                fn=mutated.fn,
             )
         )
     return tuple(out)

@@ -274,22 +274,29 @@ _TOKEN = re.compile(r"[A-Za-z_]+|[(),]")
 
 
 def parse_pattern(text: str) -> Pattern:
+    """Prefix notation, e.g. `join(R,S)`; raises ValueError on bad text."""
     tokens = _TOKEN.findall(text.replace(" ", ""))
     pos = 0
 
+    def take() -> str:
+        nonlocal pos
+        if pos == len(tokens):
+            raise ValueError(f"bad pattern {text!r}: unexpected end")
+        pos += 1
+        return tokens[pos - 1]
+
     def parse() -> Pattern:
         nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+        tok = take()
+        if tok in "(),":
+            raise ValueError(f"bad pattern {text!r}: expected a name, found {tok!r}")
         if pos < len(tokens) and tokens[pos] == "(":
             pos += 1
             children = [parse()]
-            while tokens[pos] == ",":
-                pos += 1
+            while (sep := take()) == ",":
                 children.append(parse())
-            if tokens[pos] != ")":
+            if sep != ")":
                 raise ValueError(f"bad pattern {text!r}: expected ')'")
-            pos += 1
             return Pattern(tok, tuple(children))
         if tok == "empty":
             return Pattern("empty")

@@ -31,6 +31,7 @@ from .algebra import (
     canonical_sorted,
 )
 from .reachability import MRDescriptor
+from .relational import parse_guard, parse_pattern
 
 HEADER = "#noether-spec v1"
 
@@ -241,6 +242,16 @@ def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteDecl:
     m = re.match(r"lhs=(\S+)\s+rhs=(\S+)\s+guard=(.*)$", tail)
     if m is None:
         raise SpecSyntaxError(lineno, len(line) + 1, "lhs=<expr> rhs=<expr> guard=<text>")
+    for group, what, parse in (
+        (1, "pattern", parse_pattern),
+        (2, "pattern", parse_pattern),
+        (3, "guard", parse_guard),
+    ):
+        try:
+            parse(m.group(group))
+        except ValueError:
+            col = len(line) - len(tail) + m.start(group) + 1
+            raise SpecSyntaxError(lineno, col, f"a rewrite {what}", m.group(group))
     return RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip())
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, output formats, the reproduce driver."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -69,11 +70,23 @@ class TestExitCodes:
             ["mutate", "signum", "--categories", "FOO"],
             ["rel", "--trials", "0"],
             ["kill", "--config", "unknown_sut"],
+            ["mutate", "signum", "--seed", "-1"],
+            ["kill", "--seed", "-1"],
+            ["reproduce", "--seed", "-1"],
         ),
-        ids=("wilson-successes-above-n", "unknown-category", "zero-trials", "unknown-sut"),
+        ids=(
+            "wilson-successes-above-n",
+            "unknown-category",
+            "zero-trials",
+            "unknown-sut",
+            "mutate-negative-seed",
+            "kill-negative-seed",
+            "reproduce-negative-seed",
+        ),
     )
     def test_bad_input_is_one_line_exit_2(self, argv, tmp_path, monkeypatch, capsys):
-        (tmp_path / "zoo.sut").write_text(zoo.fixture_text("zoo.sut"))
+        # every bundled fixture, so each row fails only for its own bad input
+        shutil.copytree(Path(zoo.__file__).with_name("fixtures"), tmp_path, dirs_exist_ok=True)
         (tmp_path / "unknown_sut.cfg").write_text(f"{HEADER}\nsuts nosuch\n")
         monkeypatch.setenv("NOETHER_FIXTURES", str(tmp_path))
         code, out, err = run(argv, capsys)

@@ -170,21 +170,21 @@ class TestCheckMr:
             "sut flat(x) blocks=L_star homogeneity=positive-scale-invariant\nreturn 3"
         )
         mr = ScalingMR("flat:L_scale", decl, sample_budget=20)
-        verdict = check_mr(mr, compile_program(decl.program), SEED)
+        verdict = check_mr(mr, compile_program(decl.program), generate_tuples(mr, SEED))
         assert not verdict.passed
         assert "fixed output" in verdict.failure
 
     def test_domain_errors_fail_the_relation(self):
         decl = sut_from("sut root(x) blocks=G\nreturn sqrt(x)")
         mr = SymmetryMR("root:G:flip", decl, SUT_G_ACTIONS["signum"][0], sample_budget=20)
-        verdict = check_mr(mr, compile_program(decl.program), SEED)
+        verdict = check_mr(mr, compile_program(decl.program), generate_tuples(mr, SEED))
         assert not verdict.passed
         assert "domain error" in verdict.failure
 
     def test_order_violation_detected(self):
         decl = sut_from("sut down(x) blocks=O_le\nreturn 0 - x")
         mr = OrderMR("down:O_le", decl, SUT_ORDER_SPECS["midpoint"], sample_budget=20)
-        assert not check_mr(mr, compile_program(decl.program), SEED).passed
+        assert not check_mr(mr, compile_program(decl.program), generate_tuples(mr, SEED)).passed
         with pytest.raises(BaselineRed):
             require_green(mr, SEED)
 
@@ -220,7 +220,8 @@ class TestKillExperiment:
         for (name, mid), witness in matrix.cells.items():
             # each witness is the failure text a rerun of the check reproduces
             fn = compile_program(mutants[mid].decl.program)
-            assert witness and check_mr(mrs[name], fn, SEED).failure == witness
+            groups = generate_tuples(mrs[name], SEED)
+            assert witness and check_mr(mrs[name], fn, groups).failure == witness
         for m in matrix.mutant_ids:
             assert matrix.killed(m) == any((mr, m) in matrix.cells for mr in matrix.mr_names)
         for mr in matrix.mr_names:
@@ -415,6 +416,7 @@ class TestKSweep:
         mutant = dataclasses.replace(
             mutate(base, categories=[MutatorCategory.RETURN_VALS], seed=SEED)[0],
             decl=broken,
+            fn=compile_program(broken.program),
         )
         mr = OrderMR("dip:O_le", base, SUT_ORDER_SPECS["midpoint"], sample_budget=1)
         for probe_seed in range(200):

@@ -15,8 +15,10 @@ from noether.minilang import (
     Cond,
     Const,
     DomainError,
+    MAX_DEPTH,
     ExprSyntaxError,
     Neg,
+    Program,
     TypeCheckError,
     Var,
     assemble_program,
@@ -95,26 +97,62 @@ TOTAL_EXPR = st.recursive(_TOTAL_LEAF, _extend_total, max_leaves=20)
 
 
 def reference_eval(node, env):
-    """Independent recursive interpreter for the total fragment."""
+    """Independent recursive interpreter for the whole language."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, Bin):
-        a, b = reference_eval(node.left, env), reference_eval(node.right, env)
-        return {"+": a + b, "-": a - b, "*": a * b}[node.op]
-    if isinstance(node, Cmp):
-        a, b = reference_eval(node.left, env), reference_eval(node.right, env)
-        return {"<": a < b, "<=": a <= b, "==": a == b}[node.op]
     if isinstance(node, Cond):
         branch = node.then if reference_eval(node.test, env) else node.other
         return reference_eval(branch, env)
     if isinstance(node, Neg):
         return -reference_eval(node.operand, env)
-    if node.fn == "abs":
-        return abs(reference_eval(node.args[0], env))
+    if isinstance(node, (Bin, Cmp)):
+        a, b = reference_eval(node.left, env), reference_eval(node.right, env)
+        if node.op == "/":
+            if b == 0:
+                raise DomainError("division by zero")
+            return a / b
+        if node.op == "%":
+            return a if b == 0 else a % b
+        return {
+            "+": lambda: a + b,
+            "-": lambda: a - b,
+            "*": lambda: a * b,
+            "<": lambda: a < b,
+            "<=": lambda: a <= b,
+            "==": lambda: a == b,
+        }[node.op]()
     vals = [reference_eval(a, env) for a in node.args]
+    if node.fn == "sqrt":
+        if vals[0] < 0:
+            raise DomainError("sqrt of a negative number")
+        return math.sqrt(vals[0])
+    if node.fn == "abs":
+        return abs(vals[0])
     return min(vals) if node.fn == "min" else max(vals)
+
+
+def outcome(thunk):
+    """A value, or the marker of a DomainError."""
+    try:
+        return thunk()
+    except DomainError:
+        return DomainError
+
+
+def same_outcome(a, b):
+    """Equal floats (-0.0 only matches -0.0), NaN matches NaN, DomainError
+    matches DomainError."""
+    if a is DomainError or b is DomainError:
+        return a is b
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -3.0))
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -222,6 +260,43 @@ class TestEval:
         f = make_fn("return a + b")
         with pytest.raises(ArityError):
             f(1.0)
+
+    @staticmethod
+    def _agrees_with_reference(expr, xyz):
+        # unchecked programs: codegen must agree on every tree, typed or not
+        env = dict(zip(("x", "y", "z"), xyz))
+        expected = outcome(lambda: reference_eval(expr, env))
+        for tree in (expr, fold_constants(expr)):
+            fn = compile_program(Program("t", ("x", "y", "z"), (), tree))
+            assert same_outcome(outcome(lambda: fn(*xyz)), expected), (tree, xyz)
+
+    @given(ANY_EXPR, st.tuples(FINITE, FINITE, FINITE))
+    @settings(max_examples=300)
+    def test_codegen_matches_the_reference_on_finite_inputs(self, expr, xyz):
+        self._agrees_with_reference(expr, xyz)
+
+    @given(ANY_EXPR, st.tuples(SPECIAL, SPECIAL, SPECIAL))
+    @settings(max_examples=300)
+    def test_codegen_matches_the_reference_on_signed_zero_inf_and_nan(self, expr, xyz):
+        self._agrees_with_reference(expr, xyz)
+
+    @pytest.mark.parametrize("value", (-0.0, math.inf, -math.inf, math.nan))
+    def test_constants_without_a_literal_compile(self, value):
+        # folding makes these; the generated code binds them by name
+        fn = compile_program(Program("t", (), (), Bin("+", Const(value), Const(-0.0))))
+        assert same_outcome(fn(), value + -0.0)
+
+    def test_depth_limit_is_shared_by_parser_and_compiler(self):
+        chain = " % ".join(["x"] * MAX_DEPTH)
+        fn = compile_program(assemble_program("t", ("x",), [parse_expr(chain)]))
+        assert fn(3.0) == 0.0
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(chain + " % x")
+        deep = Var("x")
+        for _ in range(MAX_DEPTH):
+            deep = Neg(deep)
+        with pytest.raises(ExprSyntaxError):
+            compile_program(Program("t", ("x",), (), deep))
 
     def test_evaluate_helper(self):
         prog = assemble_program("t", ("a",), [parse_statement("return a * 3")])

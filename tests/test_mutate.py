@@ -7,7 +7,7 @@ from types import ModuleType
 import pytest
 
 from noether.algebra import BlockKind
-from noether.harness import ScalingMR, check_mr
+from noether.harness import ScalingMR, check_mr, generate_tuples
 from noether.minilang import Call, Cmp, Const, DomainError, compile_program
 from noether.mutate import (
     BREAKS,
@@ -20,6 +20,7 @@ from noether.mutate import (
     Mutant,
     MutatorCategory,
     PRESERVES,
+    _Subject,
     classify,
     homogeneity_effect_of,
     is_trivially_equivalent,
@@ -31,6 +32,11 @@ from noether.zoo import LAMBDA_SAMPLES, check_homogeneity, load_zoo, scaling_poi
 
 ZOO = load_zoo()
 SEED = 20260816
+
+
+def subject(decl):
+    return _Subject(decl, SEED)
+
 
 _COLUMNS = (
     BlockKind.G,
@@ -112,6 +118,7 @@ class TestClassify:
             broken_blocks=frozenset(),
             homogeneity_effect="breaking",
             decl=ZOO["midpoint"],
+            fn=compile_program(ZOO["midpoint"].program),
         )
         assert probe.strata == "D2"
         assert replace(probe, broken_blocks=frozenset({BlockKind.G})).strata == "D1"
@@ -192,8 +199,11 @@ class TestSurvivorSoundness:
 
         base_out = outcomes(base_fn)
         for m in mutate(ZOO[name], seed=SEED):
-            assert outcomes(compile_program(m.decl.program)) != base_out, m.describe()
-            assert not is_trivially_equivalent(decl, m.decl)
+            fresh = outcomes(compile_program(m.decl.program))
+            assert fresh != base_out, m.describe()
+            # the stored function is the mutant's own program, compiled
+            assert list(map(repr, outcomes(m.fn))) == list(map(repr, fresh)), m.describe()
+            assert not is_trivially_equivalent(subject(decl), subject(m.decl))
 
     @pytest.mark.parametrize("name", ("midpoint", "clamp", "gcdSig", "lcmSig", "signum"))
     def test_preserving_tags_are_certified(self, name):
@@ -263,9 +273,9 @@ class TestNonFiniteOutputs:
         return parse_sut_file(f"{HEADER}\nsut n(x) blocks=L_star homogeneity=degree-1\n{body}\n")[0]
 
     def test_nan_outcomes_count_as_equal_on_the_grid(self):
-        nan_body = self._decl(self.NAN_BODY)
-        assert is_trivially_equivalent(nan_body, self._decl(self.NAN_BODY + " + 0"))
-        assert not is_trivially_equivalent(nan_body, self._decl("return x - x"))
+        nan_body = subject(self._decl(self.NAN_BODY))
+        assert is_trivially_equivalent(nan_body, subject(self._decl(self.NAN_BODY + " + 0")))
+        assert not is_trivially_equivalent(nan_body, subject(self._decl("return x - x")))
 
     @pytest.mark.parametrize("body", (NAN_BODY, "return x * 1e308 * 10"))
     def test_non_finite_mutants_are_tagged_breaking(self, body):
@@ -273,9 +283,10 @@ class TestNonFiniteOutputs:
         # both: a preserving tag would be a preserving kill
         base, mutant = self._decl("return x"), self._decl(body)
         assert syntactic_degree(mutant.program) == 1
-        assert homogeneity_effect_of(base, mutant, SEED) == "breaking"
+        assert homogeneity_effect_of(subject(base), subject(mutant)) == "breaking"
         scaling = ScalingMR("n:L_scale", base)
-        assert not check_mr(scaling, compile_program(mutant.program), SEED).passed
+        groups = generate_tuples(scaling, SEED)
+        assert not check_mr(scaling, compile_program(mutant.program), groups).passed
 
 
 class TestDegreeCertificate:

@@ -177,6 +177,11 @@ class TestRewriteRules:
         with pytest.raises(ValueError):
             parse_pattern("select(p, join(R, S)) extra")
 
+    @pytest.mark.parametrize("text", ("", "join(R", "join(R,", "join(", "join(,R)", "("))
+    def test_truncated_or_misplaced_input_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="bad pattern"):
+            parse_pattern(text)
+
     def test_select_idempotence_rewrite(self):
         rules = bundled_rules()
         pred = Predicate("eq", "b", 2)

@@ -121,6 +121,22 @@ generators spin,gauge
             parse_algebra(f"{HEADER}\nalgebra t\noperator a acts=input blocks=G\n")
 
 
+    @pytest.mark.parametrize(
+        "rule",
+        (
+            "lhs=join(R rhs=R guard=none",
+            "lhs=R rhs=join(R,) guard=none",
+            "lhs=R rhs=R guard=bogus",
+        ),
+        ids=("truncated-lhs", "empty-rhs-argument", "unknown-guard"),
+    )
+    def test_bad_rewrite_rules_rejected_at_parse_time(self, rule):
+        text = f"{HEADER}\nalgebra t\noperator a acts=input blocks=B_rel\ngenerators a\n"
+        assert parse_algebra(f"{text}rewrite r lhs=join(R,S) rhs=join(S,R) guard=none\n")
+        with pytest.raises(SpecSyntaxError, match="line 5"):
+            parse_algebra(f"{text}rewrite r {rule}\n")
+
+
 class TestDescriptorParsing:
     def test_defaults_fill_in(self):
         mr = parse_mr_descriptor(f"{HEADER}\nmr rho_x\n")
@@ -164,6 +180,20 @@ class TestSutParsing:
     def test_homogeneity_vocabulary(self):
         with pytest.raises(SpecSemanticError, match="homogeneity"):
             parse_sut_file(f"{HEADER}\nsut f(a) blocks=G homogeneity=cubic\nreturn a\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        (
+            "(" * 3000 + "x" + ")" * 3000,
+            "-" * 3000 + "x",
+            " + ".join(["x"] * 1500),
+            " % ".join(["x"] * 250),
+        ),
+        ids=("3000-parentheses", "3000-minus-signs", "1500-term-sum", "250-term-remainder"),
+    )
+    def test_too_deep_bodies_are_syntax_errors(self, body):
+        with pytest.raises(SpecSyntaxError, match="line 3"):
+            parse_sut_file(f"{HEADER}\nsut f(x) blocks=G homogeneity=none\nreturn {body}\n")
 
     def test_non_sut_leading_line(self):
         with pytest.raises(SpecSyntaxError):
