@@ -65,17 +65,8 @@ class BlockKind(enum.Enum):
         return self.priority < other.priority
 
 
-# Canonical order, highest priority first.
-CANONICAL_ORDER: Tuple[BlockKind, ...] = (
-    BlockKind.G,
-    BlockKind.O_LE,
-    BlockKind.T_STAR,
-    BlockKind.T_REV,
-    BlockKind.L_STAR,
-    BlockKind.D_STAR,
-    BlockKind.E_STAR,
-    BlockKind.B_REL,
-)
+# Canonical order, highest priority first: the order BlockKind declares.
+CANONICAL_ORDER: Tuple[BlockKind, ...] = tuple(BlockKind)
 
 _PRIORITY = {kind: len(CANONICAL_ORDER) - i for i, kind in enumerate(CANONICAL_ORDER)}
 

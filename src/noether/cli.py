@@ -15,10 +15,10 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import harness, relational, stats, zoo
-from .algebra import BlockKind, OperatorAlgebra
+from .algebra import BlockKind
 from .derive import CostCounter, construct_mp, theorem2_bound
 from .mutate import MutatorCategory, mutant_id, mutate
 from .reachability import check_reachability
@@ -28,10 +28,19 @@ from .specfile import (
     SpecSyntaxError,
     parse_algebra,
     parse_mr_descriptor,
+    parse_mutator_config,
 )
 
 REPORT_VERSION = 1
 DEFAULT_SEED = 20260816
+
+# `rel --mutant` modes: the evaluator each names and the rewrite MR that
+# `reproduce` requires to catch it (None for the correct evaluator)
+REL_MODES: Dict[str, Tuple[relational.Evaluator, Optional[str]]] = {
+    "correct": (relational.CORRECT, None),
+    "biased-join": (relational.Evaluator(join_mode="left-semi"), "rho_join-comm"),
+    "guardless-pushdown": (relational.Evaluator(pushdown_guard=False), "rho_select-push"),
+}
 
 EXPECTED_PATTERNS: Dict[str, Dict[str, str]] = {
     "boltzmann": {
@@ -146,18 +155,13 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(text)
 
 
-def _load_algebra(ref: str) -> OperatorAlgebra:
-    if ref.endswith(".alg") or os.sep in ref:
+def _load(ref: str, ext: str, parse: Callable[[str], object]):
+    """Parse the spec document `ref` names: the file `ref` when it ends in
+    `ext` or contains a path separator, else the fixture `ref + ext`."""
+    if ref.endswith(ext) or os.sep in ref:
         with open(ref, "r", encoding="utf-8") as fh:
-            return parse_algebra(fh.read())
-    return zoo.load_algebra(ref)
-
-
-def _load_descriptor(ref: str):
-    if ref.endswith(".mr") or os.sep in ref:
-        with open(ref, "r", encoding="utf-8") as fh:
-            return parse_mr_descriptor(fh.read())
-    return zoo.load_descriptor(ref)
+            return parse(fh.read())
+    return parse(zoo.fixture_text(ref + ext))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +169,7 @@ def _load_descriptor(ref: str):
 
 
 def cmd_derive(args) -> int:
-    algebra = _load_algebra(args.algebra)
+    algebra = _load(args.algebra, ".alg", parse_algebra)
     counter = CostCounter()
     patterns = construct_mp(algebra, counter)
     report = Report("derive", args.seed, [])
@@ -182,8 +186,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_check_mr(args) -> int:
-    descriptor = _load_descriptor(args.descriptor)
-    algebra = _load_algebra(args.algebra)
+    descriptor = _load(args.descriptor, ".mr", parse_mr_descriptor)
+    algebra = _load(args.algebra, ".alg", parse_algebra)
     verdict = check_reachability(descriptor, algebra)
     report = Report("check-mr", args.seed, [])
     report.add(
@@ -202,11 +206,11 @@ def cmd_check_mr(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    algebra = _load_algebra(args.algebra)
+    algebra = _load(args.algebra, ".alg", parse_algebra)
     blocks = []
     rows = []
     for ref in args.mr:
-        descriptor = _load_descriptor(ref)
+        descriptor = _load(ref, ".mr", parse_mr_descriptor)
         verdict = check_reachability(descriptor, algebra)
         if not verdict.reachable:
             print(f"coverage: {descriptor.name} is not derivable on {algebra.name}", file=sys.stderr)
@@ -268,7 +272,7 @@ def _blindness_rows(result: harness.BlindnessReport) -> List[Dict[str, object]]:
 def _mutator_config(args) -> MutatorConfig:
     """The --config mutator config (the bundled one by default), with --seed
     overriding its seed; reports record the resulting cfg.seed."""
-    cfg = zoo.load_mutator_config(args.config) if args.config else zoo.load_mutator_config()
+    cfg = _load(args.config or "blindness", ".cfg", parse_mutator_config)
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
@@ -294,14 +298,9 @@ def cmd_kill(args) -> int:
 
 
 def cmd_rel(args) -> int:
-    evaluator = relational.CORRECT
-    if args.mutant == "biased-join":
-        evaluator = relational.Evaluator(join_mode="left-semi")
-    elif args.mutant == "guardless-pushdown":
-        evaluator = relational.Evaluator(pushdown_guard=False)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     try:
-        counts = relational.run_rel_mrs(seed, args.trials, evaluator)
+        counts = relational.run_rel_mrs(seed, args.trials, REL_MODES[args.mutant][0])
     except ValueError as exc:
         print(f"rel: {exc}", file=sys.stderr)
         return 2
@@ -361,7 +360,7 @@ def _check_derivations(checks: List[Dict[str, object]]) -> None:
 
 def _check_reachability(checks: List[Dict[str, object]]) -> None:
     for ref, algebra_name, tags, block in REACHABILITY_GOLDENS:
-        verdict = check_reachability(_load_descriptor(ref), _load_algebra(algebra_name))
+        verdict = check_reachability(zoo.load_descriptor(ref), zoo.load_algebra(algebra_name))
         ok = verdict.obstruction_tags() == tags and (
             (verdict.assigned_block.tag if verdict.assigned_block else None) == block
         )
@@ -373,7 +372,7 @@ def _check_reachability(checks: List[Dict[str, object]]) -> None:
             }
         )
     for ref, tag in SINGLE_OBSTRUCTION_FIXTURES:
-        verdict = check_reachability(_load_descriptor(ref), _load_algebra("boltzmann"))
+        verdict = check_reachability(zoo.load_descriptor(ref), zoo.load_algebra("boltzmann"))
         ok = verdict.obstruction_tags() == (tag,)
         checks.append(
             {"check": f"obstruction:{ref}", "ok": ok, "detail": ",".join(verdict.obstruction_tags())}
@@ -414,31 +413,24 @@ def _check_blindness(checks: List[Dict[str, object]], cfg: MutatorConfig) -> har
 
 
 def _check_relational(checks: List[Dict[str, object]], seed: int) -> None:
-    clean = relational.run_rel_mrs(seed, 100)
-    ok = all(f == 0 for _, f in clean.values())
-    checks.append(
-        {
-            "check": "relational:clean",
-            "ok": ok,
-            "detail": "; ".join(f"{mr} {p}/{p + f}" for mr, (p, f) in clean.items()),
-        }
-    )
-    biased = relational.run_rel_mrs(seed, 100, relational.Evaluator(join_mode="left-semi"))
-    checks.append(
-        {
-            "check": "relational:biased-join-detected",
-            "ok": biased["rho_join-comm"][1] > 0,
-            "detail": f"rho_join-comm fails {biased['rho_join-comm'][1]}/100",
-        }
-    )
-    guardless = relational.run_rel_mrs(seed, 100, relational.Evaluator(pushdown_guard=False))
-    checks.append(
-        {
-            "check": "relational:guardless-pushdown-detected",
-            "ok": guardless["rho_select-push"][1] > 0,
-            "detail": f"rho_select-push fails {guardless['rho_select-push'][1]}/100",
-        }
-    )
+    for mode, (evaluator, target) in REL_MODES.items():
+        counts = relational.run_rel_mrs(seed, 100, evaluator)
+        if target is None:
+            checks.append(
+                {
+                    "check": "relational:clean",
+                    "ok": all(f == 0 for _, f in counts.values()),
+                    "detail": "; ".join(f"{mr} {p}/{p + f}" for mr, (p, f) in counts.items()),
+                }
+            )
+        else:
+            checks.append(
+                {
+                    "check": f"relational:{mode}-detected",
+                    "ok": counts[target][1] > 0,
+                    "detail": f"{target} fails {counts[target][1]}/100",
+                }
+            )
 
 
 def _check_stats(checks: List[Dict[str, object]]) -> None:
@@ -574,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mutate)
 
     p = sub.add_parser("kill", help="run the scaling-blindness kill experiment")
-    p.add_argument("--config", default=None, help="mutator config fixture name")
+    p.add_argument("--config", default=None, help="bundled mutator config name or .cfg path")
     common(p)
     p.set_defaults(fn=cmd_kill)
 
@@ -582,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument(
         "--mutant",
-        choices=("correct", "biased-join", "guardless-pushdown"),
+        choices=tuple(REL_MODES),
         default="correct",
     )
     common(p)

@@ -16,22 +16,14 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang, zoo
-from .algebra import BlockKind
+from .algebra import CANONICAL_ORDER, BlockKind
 from .minilang import Assign, Bin, Call, Cmp, Cond, Const, DomainError, Expr, Neg, Program, Var
 from .specfile import MUTATOR_CATEGORY_NAMES, MutatorConfig, SutDecl
 
 
-class MutatorCategory(enum.Enum):
-    CONDITIONALS_BOUNDARY = "CONDITIONALS_BOUNDARY"
-    INCREMENTS = "INCREMENTS"
-    INVERT_NEGS = "INVERT_NEGS"
-    MATH = "MATH"
-    NEGATE_CONDITIONALS = "NEGATE_CONDITIONALS"
-    RETURN_VALS = "RETURN_VALS"
-    CALL_REMOVAL = "CALL_REMOVAL"
-
-
-assert tuple(c.name for c in MutatorCategory) == MUTATOR_CATEGORY_NAMES
+MutatorCategory = enum.Enum(
+    "MutatorCategory", [(name, name) for name in MUTATOR_CATEGORY_NAMES], module=__name__
+)
 
 PRESERVES = "preserves"
 BREAKS = "breaks"
@@ -58,18 +50,7 @@ def _row(cats: str) -> Tuple[str, ...]:
     return tuple(decode[c] for c in cats)
 
 
-# column order G, O_le, T_star, T_rev, L_star, D_star, E_star, B_rel
-_COLUMNS = (
-    BlockKind.G,
-    BlockKind.O_LE,
-    BlockKind.T_STAR,
-    BlockKind.T_REV,
-    BlockKind.L_STAR,
-    BlockKind.D_STAR,
-    BlockKind.E_STAR,
-    BlockKind.B_REL,
-)
-
+# columns in CANONICAL_ORDER: G, O_le, T_star, T_rev, L_star, D_star, E_star, B_rel
 _DEFAULT_ROWS: Mapping[str, Tuple[str, ...]] = {
     "CONDITIONALS_BOUNDARY": _row("oxooo~oo"),
     "INCREMENTS": _row("xxxxx~oo"),
@@ -83,7 +64,7 @@ _DEFAULT_ROWS: Mapping[str, Tuple[str, ...]] = {
 DEFAULT_CELLS: Mapping[Tuple[str, BlockKind], str] = {
     (cat, block): effect
     for cat, row in _DEFAULT_ROWS.items()
-    for block, effect in zip(_COLUMNS, row)
+    for block, effect in zip(CANONICAL_ORDER, row)
 }
 
 # Overrides for every case-dependent cell a bundled subject actually

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .algebra import RewriteDecl
+from .minilang import MAX_DEPTH
 
 EMPTY_NAME = "EMPTY"  # every generated database carries an empty relation
 STRING_POOL = ("oak", "elm", "fir", "yew")
@@ -147,6 +148,12 @@ class Distinct:
 
 QueryExpr = Union[Base, Select, Project, Join, UnionAll, Distinct]
 
+# The one list of plan heads: rewrite patterns name plan nodes by these keys,
+# and each head takes one argument per field of its class.
+_HEADS = {"select": Select, "join": Join, "project": Project, "union": UnionAll, "distinct": Distinct}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _HEADS.values()}
+_PLAN_NODES = (Base, *_HEADS.values())
+
 
 def schema_of(q: QueryExpr, db: Mapping[str, Relation]) -> Tuple[str, ...]:
     if isinstance(q, Base):
@@ -258,11 +265,11 @@ def eval_query(q: QueryExpr, db: Mapping[str, Relation]) -> Relation:
 
 @dataclass(frozen=True)
 class Pattern:
-    """head: select/join/project/union/distinct, or a leaf.
+    """head: a plan head (a key of `_HEADS`) with one child per field, or a leaf.
 
     Leaves: `p` (predicate variable), `true` (literal truth predicate),
-    `empty` (the canonical empty relation), capitalized names (relation
-    variables).
+    `empty` (the canonical empty relation), any other name (relation
+    variable).
     """
 
     head: str
@@ -270,45 +277,54 @@ class Pattern:
     name: str = ""
 
 
-_TOKEN = re.compile(r"[A-Za-z_]+|[(),]")
+_LEAVES = {"true": TRUE, "empty": Base(EMPTY_NAME)}
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\S")
+_END = "end of pattern"  # follows the last token; never itself a token
 
 
 def parse_pattern(text: str) -> Pattern:
-    """Prefix notation, e.g. `join(R,S)`; raises ValueError on bad text."""
-    tokens = _TOKEN.findall(text.replace(" ", ""))
+    """Prefix notation, e.g. `join(R,S)`.  ValueError on a character outside
+    names, `(),` and whitespace, an unknown head, a wrong number of
+    arguments, or heads nested deeper than `minilang.MAX_DEPTH`."""
+    tokens = _TOKEN.findall(text) + [_END]
     pos = 0
 
-    def take() -> str:
+    def fail(reason: str) -> ValueError:
+        return ValueError(f"bad pattern {text!r}: {reason}")
+
+    def parse(depth: int) -> Pattern:
         nonlocal pos
-        if pos == len(tokens):
-            raise ValueError(f"bad pattern {text!r}: unexpected end")
+        tok = tokens[pos]
         pos += 1
-        return tokens[pos - 1]
-
-    def parse() -> Pattern:
-        nonlocal pos
-        tok = take()
-        if tok in "(),":
-            raise ValueError(f"bad pattern {text!r}: expected a name, found {tok!r}")
-        if pos < len(tokens) and tokens[pos] == "(":
-            pos += 1
-            children = [parse()]
-            while (sep := take()) == ",":
-                children.append(parse())
+        if not _NAME.fullmatch(tok):
+            raise fail(f"expected a name, found {tok!r}")
+        if tok not in _HEADS:
+            if tokens[pos] == "(":
+                raise fail(f"unknown head {tok!r}")
+            if tok in _LEAVES:
+                return Pattern(tok)
+            return Pattern("predvar" if tok == "p" else "relvar", name=tok)
+        children = []
+        if tokens[pos] == "(":
+            if depth > MAX_DEPTH:
+                raise fail(f"nesting deeper than {MAX_DEPTH} levels")
+            sep = ","
+            while sep == ",":
+                pos += 1
+                children.append(parse(depth + 1))
+                sep = tokens[pos]
             if sep != ")":
-                raise ValueError(f"bad pattern {text!r}: expected ')'")
-            return Pattern(tok, tuple(children))
-        if tok == "empty":
-            return Pattern("empty")
-        if tok == "true":
-            return Pattern("true")
-        if tok == "p":
-            return Pattern("predvar", name=tok)
-        return Pattern("relvar", name=tok)
+                raise fail(f"expected ',' or ')', found {sep!r}")
+            pos += 1
+        arity = len(_FIELDS[_HEADS[tok]])
+        if len(children) != arity:
+            raise fail(f"{tok} takes {arity} argument(s), got {len(children)}")
+        return Pattern(tok, tuple(children))
 
-    out = parse()
-    if pos != len(tokens):
-        raise ValueError(f"bad pattern {text!r}: trailing tokens")
+    out = parse(1)
+    if tokens[pos] != _END:
+        raise fail(f"trailing {tokens[pos]!r}")
     return out
 
 
@@ -318,10 +334,6 @@ class Guard:
 
     pred_var: str = ""
     rel_var: str = ""
-
-    @property
-    def trivial(self) -> bool:
-        return not self.pred_var
 
 
 def parse_guard(text: str) -> Guard:
@@ -342,73 +354,55 @@ class RewriteRule:
     guard: Guard
 
 
+def _variables(pat: Pattern) -> set:
+    if pat.name:
+        return {pat.name}
+    return set().union(*map(_variables, pat.children))
+
+
 def compile_rule(decl: RewriteDecl) -> RewriteRule:
-    return RewriteRule(
-        name=decl.name,
-        lhs=parse_pattern(decl.lhs),
-        rhs=parse_pattern(decl.rhs),
-        guard=parse_guard(decl.guard),
-    )
+    """The executable rule; SpecSemanticError if rhs or guard uses a
+    variable that lhs does not bind."""
+    from .specfile import SpecSemanticError
 
-
-_HEADS = {"select": Select, "join": Join, "project": Project, "union": UnionAll, "distinct": Distinct}
+    lhs, rhs, guard = parse_pattern(decl.lhs), parse_pattern(decl.rhs), parse_guard(decl.guard)
+    unbound = sorted((_variables(rhs) | {guard.pred_var, guard.rel_var}) - _variables(lhs) - {""})
+    if unbound:
+        raise SpecSemanticError(
+            decl.name, f"rhs or guard uses {', '.join(unbound)}, which lhs does not bind"
+        )
+    return RewriteRule(decl.name, lhs, rhs, guard)
 
 
 def _match(pat: Pattern, expr, bindings: Dict[str, object]) -> bool:
-    if pat.head == "relvar":
-        seen = bindings.get(pat.name)
-        if seen is not None:
-            return seen == expr
-        bindings[pat.name] = expr
-        return True
-    if pat.head == "predvar":
-        if not isinstance(expr, Predicate):
+    head = pat.head
+    if pat.name:
+        if head == "predvar" and not isinstance(expr, Predicate):
             return False
-        seen = bindings.get(pat.name)
-        if seen is not None:
-            return seen == expr
-        bindings[pat.name] = expr
-        return True
-    if pat.head == "true":
+        return bindings.setdefault(pat.name, expr) == expr
+    if head == "true":
         return isinstance(expr, Predicate) and expr.op == "true"
-    if pat.head == "empty":
+    if head == "empty":
         return isinstance(expr, Base) and expr.name == EMPTY_NAME
-    if pat.head == "select":
-        return (
-            isinstance(expr, Select)
-            and _match(pat.children[0], expr.pred, bindings)
-            and _match(pat.children[1], expr.child, bindings)
-        )
-    if pat.head == "join":
-        return (
-            isinstance(expr, Join)
-            and _match(pat.children[0], expr.left, bindings)
-            and _match(pat.children[1], expr.right, bindings)
-        )
-    if pat.head == "distinct":
-        return isinstance(expr, Distinct) and _match(pat.children[0], expr.child, bindings)
-    if pat.head == "union":
-        return (
-            isinstance(expr, UnionAll)
-            and _match(pat.children[0], expr.left, bindings)
-            and _match(pat.children[1], expr.right, bindings)
-        )
-    return False
+    cls = _HEADS[head]
+    if type(expr) is not cls:
+        return False
+    for child, name in zip(pat.children, _FIELDS[cls]):
+        if not _match(child, getattr(expr, name), bindings):
+            return False
+    return True
 
 
 def _instantiate(pat: Pattern, bindings: Mapping[str, object]):
-    if pat.head in ("relvar", "predvar"):
+    if pat.name:
         return bindings[pat.name]
-    if pat.head == "empty":
-        return Base(EMPTY_NAME)
-    if pat.head == "true":
-        return TRUE
-    ctor = _HEADS[pat.head]
-    return ctor(*[_instantiate(c, bindings) for c in pat.children])
+    if pat.head in _LEAVES:
+        return _LEAVES[pat.head]
+    return _HEADS[pat.head](*[_instantiate(c, bindings) for c in pat.children])
 
 
 def _guard_holds(guard: Guard, bindings: Mapping[str, object], db: Mapping[str, Relation]) -> bool:
-    if guard.trivial:
+    if not guard.pred_var:
         return True
     pred = bindings[guard.pred_var]
     rel_expr = bindings[guard.rel_var]
@@ -431,16 +425,13 @@ def rewrite_once(
     expr: QueryExpr, rules: Sequence[RewriteRule], db: Mapping[str, Relation]
 ) -> QueryExpr:
     """One bottom-up pass; at each node the first firing rule applies."""
-    if isinstance(expr, Select):
-        expr = Select(expr.pred, rewrite_once(expr.child, rules, db))
-    elif isinstance(expr, Project):
-        expr = Project(expr.attrs, rewrite_once(expr.child, rules, db))
-    elif isinstance(expr, Distinct):
-        expr = Distinct(rewrite_once(expr.child, rules, db))
-    elif isinstance(expr, Join):
-        expr = Join(rewrite_once(expr.left, rules, db), rewrite_once(expr.right, rules, db))
-    elif isinstance(expr, UnionAll):
-        expr = UnionAll(rewrite_once(expr.left, rules, db), rewrite_once(expr.right, rules, db))
+    cls = type(expr)
+    if cls is not Base:
+        args = []
+        for name in _FIELDS[cls]:
+            value = getattr(expr, name)
+            args.append(rewrite_once(value, rules, db) if isinstance(value, _PLAN_NODES) else value)
+        expr = cls(*args)
     for rule in rules:
         out = apply_rule(rule, expr, db)
         if out is not None:

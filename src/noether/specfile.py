@@ -31,13 +31,13 @@ from .algebra import (
     canonical_sorted,
 )
 from .reachability import MRDescriptor
-from .relational import parse_guard, parse_pattern
+from .relational import compile_rule, parse_guard, parse_pattern
 
 HEADER = "#noether-spec v1"
 
 HOMOGENEITY_TAGS = ("degree-1", "positive-scale-invariant", "none")
 
-# grammar-level category vocabulary; mirrored by the mutation engine's enum
+# grammar-level category vocabulary; the mutation engine's enum is built from it
 MUTATOR_CATEGORY_NAMES = (
     "CONDITIONALS_BOUNDARY",
     "INCREMENTS",
@@ -251,8 +251,10 @@ def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteDecl:
             parse(m.group(group))
         except ValueError:
             col = len(line) - len(tail) + m.start(group) + 1
-            raise SpecSyntaxError(lineno, col, f"a rewrite {what}", m.group(group))
-    return RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip())
+            raise SpecSyntaxError(lineno, col, f"a rewrite {what}", m.group(group)[:40])
+    decl = RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip())
+    compile_rule(decl)  # SpecSemanticError on a variable that lhs does not bind
+    return decl
 
 
 def _parse_label(lineno: int, line: str, rest: str) -> Tuple[BlockKind, str]:
@@ -551,30 +553,3 @@ def mutator_config_to_text(cfg: MutatorConfig) -> str:
     for (sut, cat, block), effect in sorted(cfg.overrides.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].tag)):
         out.append(f"override {sut} {cat} {block.tag}={effect}")
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Document sniffing: parse any spec document by its first keyword
-
-
-@dataclass(frozen=True)
-class SpecDocument:
-    kind: str  # algebra | mr | sut | mutators
-    payload: object
-
-
-def load_document(text: str) -> SpecDocument:
-    """Parse a document by sniffing its first declaration keyword."""
-    lines = _content_lines(text)
-    if not lines:
-        raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "a declaration", "end of document")
-    keyword = lines[0][1].split(None, 1)[0]
-    if keyword == "algebra":
-        return SpecDocument("algebra", parse_algebra(text))
-    if keyword == "mr":
-        return SpecDocument("mr", parse_mr_descriptor(text))
-    if keyword == "sut":
-        return SpecDocument("sut", parse_sut_file(text))
-    if keyword in ("mutators", "seed", "suts", "matrix", "override"):
-        return SpecDocument("mutators", parse_mutator_config(text))
-    raise SpecSyntaxError(lines[0][0], 1, "algebra, mr, sut or mutator configuration", keyword)

@@ -15,6 +15,14 @@ REFERENCE_REPORT = (
 )
 
 
+FIXTURES = Path(zoo.__file__).with_name("fixtures")
+# the bundled query-plan algebra with one rule whose rhs names a variable Q
+# that its lhs does not bind
+UNBOUND_RULE_ALGEBRA = (FIXTURES / "relational.alg").read_text().replace(
+    "rhs=select(p,R) guard=none", "rhs=select(p,Q) guard=none"
+)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -64,15 +72,19 @@ class TestExitCodes:
         assert "missing fixture" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,fixture",
         (
-            ["stats", "wilson", "5", "3"],
-            ["mutate", "signum", "--categories", "FOO"],
-            ["rel", "--trials", "0"],
-            ["kill", "--config", "unknown_sut"],
-            ["mutate", "signum", "--seed", "-1"],
-            ["kill", "--seed", "-1"],
-            ["reproduce", "--seed", "-1"],
+            (["stats", "wilson", "5", "3"], None),
+            (["mutate", "signum", "--categories", "FOO"], None),
+            (["rel", "--trials", "0"], None),
+            (["kill", "--config", "unknown_sut"], ("unknown_sut.cfg", f"{HEADER}\nsuts nosuch\n")),
+            (["mutate", "signum", "--seed", "-1"], None),
+            (["kill", "--seed", "-1"], None),
+            (["reproduce", "--seed", "-1"], None),
+            (["derive", "nosuch"], None),
+            (["check-mr", "nosuch", "--algebra", "boltzmann"], None),
+            (["coverage", "--algebra", "equivariant", "--mr", "nosuch"], None),
+            (["rel"], ("relational.alg", UNBOUND_RULE_ALGEBRA)),
         ),
         ids=(
             "wilson-successes-above-n",
@@ -82,12 +94,19 @@ class TestExitCodes:
             "mutate-negative-seed",
             "kill-negative-seed",
             "reproduce-negative-seed",
+            "derive-unknown-algebra",
+            "check-mr-unknown-descriptor",
+            "coverage-unknown-descriptor",
+            "rel-unbound-rule-variable",
         ),
     )
-    def test_bad_input_is_one_line_exit_2(self, argv, tmp_path, monkeypatch, capsys):
-        # every bundled fixture, so each row fails only for its own bad input
-        shutil.copytree(Path(zoo.__file__).with_name("fixtures"), tmp_path, dirs_exist_ok=True)
-        (tmp_path / "unknown_sut.cfg").write_text(f"{HEADER}\nsuts nosuch\n")
+    def test_bad_input_is_one_line_exit_2(self, argv, fixture, tmp_path, monkeypatch, capsys):
+        # every bundled fixture plus at most one written by the row, so each
+        # row fails only for its own bad input
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        if fixture:
+            name, text = fixture
+            (tmp_path / name).write_text(text)
         monkeypatch.setenv("NOETHER_FIXTURES", str(tmp_path))
         code, out, err = run(argv, capsys)
         assert code == 2
@@ -269,6 +288,14 @@ class TestKill:
         assert verdict["preserving_kills"] == 0
         assert verdict["concordance"] is True
         assert verdict["excluded_mrs"] == 0
+
+    def test_config_path_is_read_from_disk(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{HEADER}\nseed {SEED}\nsuts midpoint\n")
+        code, out, err = run(["kill", "--config", str(cfg), "--format", "machine"], capsys)
+        assert code == 0, err
+        rows = kill_rows(machine_lines(out))
+        assert [(r["sut"], r["scaling_kills"], r["mutants"]) for r in rows] == [("midpoint", 1, 3)]
 
     def test_header_records_the_config_seed(self, kill_run):
         _, rows = kill_run

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from noether.algebra import RewriteDecl
 from noether.relational import (
     CORRECT,
     EMPTY_NAME,
@@ -24,6 +25,7 @@ from noether.relational import (
     bag_equal,
     bundled_rules,
     check_rules_on_db,
+    compile_rule,
     eval_query,
     gen_database,
     parse_pattern,
@@ -174,10 +176,27 @@ class TestRewriteRules:
         assert pat.children[1].children[1].name == "S"
         assert parse_pattern("empty").head == "empty"
         assert parse_pattern("true").head == "true"
+        assert parse_pattern("join(R1,S)").children[0].name == "R1"
         with pytest.raises(ValueError):
             parse_pattern("select(p, join(R, S)) extra")
 
-    @pytest.mark.parametrize("text", ("", "join(R", "join(R,", "join(", "join(,R)", "("))
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "",
+            "join(R",
+            "join(R,",
+            "join(",
+            "join(,R)",
+            "(",
+            "join(R S)",
+            "join(R$,S)",
+            "selct(p,R)",
+            "join(R)",
+            "distinct(R,S)",
+            pytest.param("join(" * 2000 + "R" + ",S)" * 2000, id="2000-deep"),
+        ),
+    )
     def test_truncated_or_misplaced_input_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="bad pattern"):
             parse_pattern(text)
@@ -196,6 +215,12 @@ class TestRewriteRules:
         rules = bundled_rules()
         got = rewrite_once(Join(Base("R"), Base(EMPTY_NAME)), rules, DB)
         assert got == Base(EMPTY_NAME)
+
+    def test_project_rules_fire_below_the_root(self):
+        rule = compile_rule(RewriteDecl("project_idem", "project(A,project(A,R))", "project(A,R)"))
+        attrs = ("a",)
+        plan = Distinct(Project(attrs, Project(attrs, Base("R"))))
+        assert rewrite_once(plan, [rule], DB) == Distinct(Project(attrs, Base("R")))
 
     def test_pushdown_guard_respected_by_rule(self):
         rules = {r.name: r for r in bundled_rules()}

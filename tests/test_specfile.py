@@ -11,7 +11,6 @@ from noether.specfile import (
     SpecSyntaxError,
     algebra_to_text,
     descriptor_to_text,
-    load_document,
     mutator_config_to_text,
     parse_algebra,
     parse_mr_descriptor,
@@ -57,18 +56,6 @@ class TestRoundTrips:
     def test_mutator_config(self):
         cfg = parse_mutator_config(fixture_text("blindness.cfg"))
         assert parse_mutator_config(mutator_config_to_text(cfg)) == cfg
-
-    @pytest.mark.parametrize(
-        "filename,kind",
-        [
-            ("equivariant.alg", "algebra"),
-            ("rho_rot.mr", "mr"),
-            ("zoo.sut", "sut"),
-            ("blindness.cfg", "mutators"),
-        ],
-    )
-    def test_load_document_sniffs_kind(self, filename, kind):
-        assert load_document(fixture_text(filename)).kind == kind
 
 
 class TestAlgebraParsing:
@@ -122,18 +109,43 @@ generators spin,gauge
 
 
     @pytest.mark.parametrize(
-        "rule",
+        "rule,col",
         (
-            "lhs=join(R rhs=R guard=none",
-            "lhs=R rhs=join(R,) guard=none",
-            "lhs=R rhs=R guard=bogus",
+            ("lhs=join(R rhs=R guard=none", 15),
+            ("lhs=R rhs=join(R,) guard=none", 21),
+            ("lhs=R rhs=R guard=bogus", 29),
+            ("lhs=" + "join(" * 2000 + "R" + ",S)" * 2000 + " rhs=R guard=none", 15),
+            ("lhs=selct(p,R) rhs=R guard=none", 15),
+            ("lhs=join(R) rhs=R guard=none", 15),
+            ("lhs=distinct(R) rhs=distinct(R,R) guard=none", 31),
         ),
-        ids=("truncated-lhs", "empty-rhs-argument", "unknown-guard"),
+        ids=(
+            "truncated-lhs",
+            "empty-rhs-argument",
+            "unknown-guard",
+            "2000-deep-lhs",
+            "unknown-head",
+            "join-arity",
+            "distinct-arity",
+        ),
     )
-    def test_bad_rewrite_rules_rejected_at_parse_time(self, rule):
+    def test_bad_rewrite_rules_rejected_at_parse_time(self, rule, col):
         text = f"{HEADER}\nalgebra t\noperator a acts=input blocks=B_rel\ngenerators a\n"
         assert parse_algebra(f"{text}rewrite r lhs=join(R,S) rhs=join(S,R) guard=none\n")
-        with pytest.raises(SpecSyntaxError, match="line 5"):
+        with pytest.raises(SpecSyntaxError, match=f"line 5, column {col}:"):
+            parse_algebra(f"{text}rewrite r {rule}\n")
+
+    @pytest.mark.parametrize(
+        "rule",
+        (
+            "lhs=select(p,R) rhs=select(p,Q) guard=none",
+            "lhs=join(R,S) rhs=join(S,R) guard=attrs(p) subset attrs(R)",
+        ),
+        ids=("unbound-rhs-variable", "unbound-guard-variable"),
+    )
+    def test_rule_variables_must_be_bound_by_lhs(self, rule):
+        text = f"{HEADER}\nalgebra t\noperator a acts=input blocks=B_rel\ngenerators a\n"
+        with pytest.raises(SpecSemanticError, match="lhs does not bind"):
             parse_algebra(f"{text}rewrite r {rule}\n")
 
 
@@ -220,14 +232,19 @@ class TestMutatorParsing:
             parse_mutator_config(f"{HEADER}\nseed 1\nseed 2\n")
 
 
+def parse_with_every_parser(text):
+    for parse in (parse_algebra, parse_mr_descriptor, parse_sut_file, parse_mutator_config):
+        try:
+            parse(text)
+        except (SpecSyntaxError, SpecSemanticError):
+            pass
+
+
 class TestTotality:
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))
     @settings(max_examples=300)
-    def test_load_document_never_crashes(self, body):
-        try:
-            load_document(f"{HEADER}\n{body}")
-        except (SpecSyntaxError, SpecSemanticError):
-            pass
+    def test_random_bodies_never_crash(self, body):
+        parse_with_every_parser(f"{HEADER}\n{body}")
 
     @given(
         st.lists(
@@ -253,7 +270,4 @@ class TestTotality:
     )
     @settings(max_examples=300)
     def test_shuffled_declarations_never_crash(self, lines):
-        try:
-            load_document(HEADER + "\n" + "\n".join(lines) + "\n")
-        except (SpecSyntaxError, SpecSemanticError):
-            pass
+        parse_with_every_parser(HEADER + "\n" + "\n".join(lines) + "\n")
