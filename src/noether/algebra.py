@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 
 class AlgebraError(Exception):
@@ -222,45 +222,37 @@ class OperatorAlgebra:
 
 @dataclass
 class BlockDecomposition:
-    """Operators grouped by block tag.
+    """Operators grouped by block tag, built only by `decompose`.
 
     The mapping is a cover, not a partition: a multi-tagged operator appears
-    under each of its blocks.  All eight blocks are always present as keys.
+    under each of its blocks.  All eight blocks are keys, in canonical order.
     """
 
     per_block: Mapping[BlockKind, Tuple[str, ...]]
-
-    def __post_init__(self):
-        filled = {kind: tuple(self.per_block.get(kind, ())) for kind in CANONICAL_ORDER}
-        self.per_block = filled
 
     def operators_in(self, kind: BlockKind) -> Tuple[str, ...]:
         return self.per_block[kind]
 
     def nonempty_blocks(self) -> Tuple[BlockKind, ...]:
-        return tuple(k for k in CANONICAL_ORDER if self.per_block[k])
-
-    def __eq__(self, other: object):
-        if not isinstance(other, BlockDecomposition):
-            return NotImplemented
-        return self.per_block == other.per_block
+        """The populated blocks, in canonical order: one MetaPattern each."""
+        return tuple(kind for kind, names in self.per_block.items() if names)
 
 
 def decompose(algebra: OperatorAlgebra) -> BlockDecomposition:
     """Group the algebra's operators by block tag.
 
-    A zero-operator algebra decomposes to all-empty blocks without error;
-    an operator with no tags raises UnassignedOperator instead of being
-    silently dropped.
+    Each operator is filed under its own tags, so within a block operators
+    keep their declaration order.  A zero-operator algebra decomposes to
+    all-empty blocks without error; an operator with no tags raises
+    UnassignedOperator instead of being silently dropped.
     """
     buckets: dict = {kind: [] for kind in CANONICAL_ORDER}
     for op in algebra.operators:
         if not op.block_tags:
             raise UnassignedOperator(op.name)
-        for kind in CANONICAL_ORDER:
-            if kind in op.block_tags:
-                buckets[kind].append(op.name)
-    return BlockDecomposition({k: tuple(v) for k, v in buckets.items()})
+        for kind in op.block_tags:
+            buckets[kind].append(op.name)
+    return BlockDecomposition({kind: tuple(names) for kind, names in buckets.items()})
 
 
 def canonical_max(blocks: Iterable[BlockKind]) -> BlockKind:

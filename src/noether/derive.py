@@ -225,9 +225,9 @@ def assign_block(derivations: Iterable[Tuple[BlockKind, BlockInvariant]]) -> Blo
     return canonical_max(blocks)
 
 
-def theorem2_bound(n: int, max_cost_hint: int = 1, constant: float = 1.5) -> float:
-    """The advertised cost ceiling for n generators."""
-    return constant * n * max_cost_hint * math.log2(n + 1)
+def theorem2_bound(n: int, max_cost_hint: int = 1) -> float:
+    """The advertised cost ceiling for n generators: 1.5 n h log2(n + 1)."""
+    return 1.5 * n * max_cost_hint * math.log2(n + 1)
 
 
 def synthetic_algebra(n: int) -> OperatorAlgebra:

@@ -19,8 +19,7 @@ from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from . import minilang, zoo
-from .algebra import BlockKind, OperatorAlgebra
-from .derive import construct_mp
+from .algebra import BlockKind, OperatorAlgebra, decompose
 from .minilang import DomainError
 from .mutate import DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
 from .mutate import mutate as derive_mutants
@@ -210,23 +209,18 @@ def check_mr(mr: ExecutableMR, fn, groups: Sequence[TupleGroup]) -> MRCheck:
     return MRCheck(not failure, failure)
 
 
-def build_standard_mrs(
-    decls: Mapping[str, SutDecl],
-    tolerance: float = DEFAULT_TOLERANCE,
-    budget: int = DEFAULT_BUDGET,
-) -> List[ExecutableMR]:
+def build_standard_mrs(decls: Mapping[str, SutDecl]) -> List[ExecutableMR]:
     """The executable relations each subject's declared blocks support."""
     mrs: List[ExecutableMR] = []
-    opts = {"tolerance": tolerance, "sample_budget": budget}
     for name in sorted(decls):
         decl = decls[name]
         if BlockKind.G in decl.blocks:
             for action in zoo.SUT_G_ACTIONS.get(name, ()):
-                mrs.append(SymmetryMR(f"{name}:G:{action.name}", decl, action, **opts))
+                mrs.append(SymmetryMR(f"{name}:G:{action.name}", decl, action))
         if BlockKind.O_LE in decl.blocks and name in zoo.SUT_ORDER_SPECS:
-            mrs.append(OrderMR(f"{name}:O_le", decl, zoo.SUT_ORDER_SPECS[name], **opts))
+            mrs.append(OrderMR(f"{name}:O_le", decl, zoo.SUT_ORDER_SPECS[name]))
         if BlockKind.L_STAR in decl.blocks and decl.homogeneity != "none":
-            mrs.append(ScalingMR(scaling_mr_name(name), decl, tolerance=tolerance))
+            mrs.append(ScalingMR(scaling_mr_name(name), decl))
     return mrs
 
 
@@ -311,13 +305,16 @@ def _block_of(obj) -> BlockKind:
 
 
 def coverage(mrs: Iterable[object], algebra: OperatorAlgebra) -> Fraction:
-    """Fraction of the algebra's MetaPatterns hit by some MR's block."""
-    patterns = construct_mp(algebra)
-    if not patterns:
+    """Fraction of the algebra's MetaPatterns hit by some MR's block.
+
+    Each populated block contributes exactly one MetaPattern, so the
+    patterns are counted by their blocks without being built.
+    """
+    blocks = decompose(algebra).nonempty_blocks()
+    if not blocks:
         raise EmptyMetaPatternSet(f"algebra {algebra.name} derives no MetaPatterns")
     hit_blocks: Set[BlockKind] = {_block_of(mr) for mr in mrs}
-    covered = sum(1 for p in patterns if p.block in hit_blocks)
-    return Fraction(covered, len(patterns))
+    return Fraction(sum(1 for block in blocks if block in hit_blocks), len(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +393,15 @@ def concordance_check(
     return (not violations, tuple(violations))
 
 
-def run_blindness_experiment(
-    cfg=None,
-    decls: Optional[Mapping[str, SutDecl]] = None,
-    matrix=None,
-) -> BlindnessReport:
+def run_blindness_experiment(cfg=None) -> BlindnessReport:
     """The full rule-blind scaling kill experiment on the configured suts."""
     if cfg is None:
         cfg = zoo.load_mutator_config()
-    if decls is None:
-        decls = zoo.load_zoo()
+    decls = zoo.load_zoo()
     unknown = [name for name in cfg.suts if name not in decls]
     if unknown:
         raise SpecSemanticError("suts", f"not in the zoo: {', '.join(unknown)}")
-    active_matrix = (matrix or DEFAULT_MATRIX).with_config(cfg)
+    active_matrix = DEFAULT_MATRIX.with_config(cfg)
     chosen = {name: decls[name] for name in cfg.suts} if cfg.suts else dict(decls)
     categories = [MutatorCategory[c] for c in cfg.categories]
     mutants_by_sut: Dict[str, Tuple[Mutant, ...]] = {}
@@ -457,22 +449,23 @@ def run_blindness_experiment(
 # Orbit-budget stability audit
 
 
+# the paper's orbit budgets {K, 2K, 4K} and its five-point stability band
+K_SWEEP_FACTORS = (1, 2, 4)
+K_SWEEP_BAND = Fraction(5, 100)
+
+
 def k_sweep_audit(
-    mrs: Sequence[ExecutableMR],
-    mutants: Sequence[Mutant],
-    seed: int,
-    factors: Tuple[int, ...] = (1, 2, 4),
-    band: float = 0.05,
+    mrs: Sequence[ExecutableMR], mutants: Sequence[Mutant], seed: int
 ) -> Tuple[Dict[int, Fraction], bool]:
-    """Detection rate at budget multiples {K, 2K, 4K}; stable if the spread
-    stays inside the band (five percentage points by default)."""
+    """Detection rate at each budget multiple of K_SWEEP_FACTORS; stable if
+    the spread stays inside K_SWEEP_BAND."""
     rates: Dict[int, Fraction] = {}
-    for factor in factors:
+    for factor in K_SWEEP_FACTORS:
         scaled = [replace(mr, sample_budget=mr.sample_budget * factor) for mr in mrs]
         matrix = run_kill_experiment(scaled, mutants, seed)
         killed = sum(1 for m in matrix.mutant_ids if matrix.killed(m))
         rates[factor] = Fraction(killed, len(matrix.mutant_ids)) if matrix.mutant_ids else Fraction(0)
     values = list(rates.values())
-    stable = (max(values) - min(values)) <= Fraction(band).limit_denominator(10**6)
+    stable = (max(values) - min(values)) <= K_SWEEP_BAND
     return rates, stable
 

@@ -99,8 +99,6 @@ class Call:
 
 Expr = Union[Const, Var, Bin, Cmp, Cond, Neg, Call]
 
-BIN_OPS = ("+", "-", "*", "/", "%")
-CMP_OPS = ("<", "<=", "==")
 BUILTIN_ARITY = {"sqrt": 1, "abs": 1, "min": 2, "max": 2}
 
 # Deepest expression tree the parser and the compiler accept (a leaf is one

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .algebra import (
     BLOCK_RELATION_FORM,
@@ -102,13 +102,12 @@ def structural_obstructions(mr: MRDescriptor) -> frozenset:
 
 
 def _admitting_blocks(mr: MRDescriptor, algebra: OperatorAlgebra) -> Tuple[BlockKind, ...]:
-    decomp = decompose(algebra)
-    nonempty = set(decomp.nonempty_blocks())
     return tuple(
         kind
-        for kind in CANONICAL_ORDER
-        if kind in nonempty and BLOCK_RELATION_FORM[kind] == mr.relation_form
+        for kind in decompose(algebra).nonempty_blocks()
+        if BLOCK_RELATION_FORM[kind] == mr.relation_form
     )
+
 
 def check_reachability(mr: MRDescriptor, algebra: OperatorAlgebra) -> ReachabilityVerdict:
     """Decide derivability of the descriptor against the algebra.
@@ -156,6 +155,5 @@ def exhaust_blocks(mr: MRDescriptor, algebra: OperatorAlgebra) -> Dict[BlockKind
     verdict = check_reachability(mr, algebra)
     if verdict.reachable:
         raise NotRejected(f"{mr.name} is derivable (block {verdict.assigned_block})")
-    decomp = decompose(algebra)
-    nonempty = set(decomp.nonempty_blocks())
-    return {kind: _block_reason(kind, mr, kind in nonempty) for kind in CANONICAL_ORDER}
+    populated = decompose(algebra).nonempty_blocks()
+    return {kind: _block_reason(kind, mr, kind in populated) for kind in CANONICAL_ORDER}

@@ -348,10 +348,23 @@ def parse_guard(text: str) -> Guard:
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """An executable rule; SpecSemanticError if rhs or guard uses a
+    variable that lhs does not bind."""
+
     name: str
     lhs: Pattern
     rhs: Pattern
     guard: Guard
+
+    def __post_init__(self):
+        from .specfile import SpecSemanticError
+
+        used = _variables(self.rhs) | {self.guard.pred_var, self.guard.rel_var}
+        unbound = sorted(used - _variables(self.lhs) - {""})
+        if unbound:
+            raise SpecSemanticError(
+                self.name, f"rhs or guard uses {', '.join(unbound)}, which lhs does not bind"
+            )
 
 
 def _variables(pat: Pattern) -> set:
@@ -361,17 +374,10 @@ def _variables(pat: Pattern) -> set:
 
 
 def compile_rule(decl: RewriteDecl) -> RewriteRule:
-    """The executable rule; SpecSemanticError if rhs or guard uses a
-    variable that lhs does not bind."""
-    from .specfile import SpecSemanticError
-
-    lhs, rhs, guard = parse_pattern(decl.lhs), parse_pattern(decl.rhs), parse_guard(decl.guard)
-    unbound = sorted((_variables(rhs) | {guard.pred_var, guard.rel_var}) - _variables(lhs) - {""})
-    if unbound:
-        raise SpecSemanticError(
-            decl.name, f"rhs or guard uses {', '.join(unbound)}, which lhs does not bind"
-        )
-    return RewriteRule(decl.name, lhs, rhs, guard)
+    """Parse the rule's three fields into its executable form."""
+    return RewriteRule(
+        decl.name, parse_pattern(decl.lhs), parse_pattern(decl.rhs), parse_guard(decl.guard)
+    )
 
 
 def _match(pat: Pattern, expr, bindings: Dict[str, object]) -> bool:
@@ -559,8 +565,9 @@ def run_rel_mrs(
 def check_rules_on_db(db: Mapping[str, Relation], seed: int = 0) -> List[str]:
     """Violations of `eval(lhs) == eval(rhs)` for every bundled rule on db.
 
-    Rules are instantiated with concrete bindings drawn over the database's
-    base relations and a sampled predicate; the guard is honored.
+    Each rule's lhs is instantiated with concrete bindings drawn over the
+    database's base relations and a sampled predicate, then rewritten by
+    `apply_rule`, so the guard is honored.
     """
     rng = np.random.default_rng(seed)
     violations = []
@@ -574,8 +581,8 @@ def check_rules_on_db(db: Mapping[str, Relation], seed: int = 0) -> List[str]:
                     "p": _random_predicate(rng, schema_of(Base(left_name), db)),
                 }
                 lhs = _instantiate(rule.lhs, bindings)
-                rhs = _instantiate(rule.rhs, bindings)
-                if not _guard_holds(rule.guard, bindings, db):
+                rhs = apply_rule(rule, lhs, db)
+                if rhs is None:  # the guard does not hold
                     continue
                 try:
                     left = CORRECT.eval(lhs, db)

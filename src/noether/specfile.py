@@ -31,7 +31,7 @@ from .algebra import (
     canonical_sorted,
 )
 from .reachability import MRDescriptor
-from .relational import compile_rule, parse_guard, parse_pattern
+from .relational import RewriteRule, parse_guard, parse_pattern
 
 HEADER = "#noether-spec v1"
 
@@ -242,19 +242,19 @@ def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteDecl:
     m = re.match(r"lhs=(\S+)\s+rhs=(\S+)\s+guard=(.*)$", tail)
     if m is None:
         raise SpecSyntaxError(lineno, len(line) + 1, "lhs=<expr> rhs=<expr> guard=<text>")
+    parsed = []
     for group, what, parse in (
         (1, "pattern", parse_pattern),
         (2, "pattern", parse_pattern),
         (3, "guard", parse_guard),
     ):
         try:
-            parse(m.group(group))
+            parsed.append(parse(m.group(group)))
         except ValueError:
             col = len(line) - len(tail) + m.start(group) + 1
             raise SpecSyntaxError(lineno, col, f"a rewrite {what}", m.group(group)[:40])
-    decl = RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip())
-    compile_rule(decl)  # SpecSemanticError on a variable that lhs does not bind
-    return decl
+    RewriteRule(rule_name, *parsed)  # SpecSemanticError on a variable that lhs does not bind
+    return RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip())
 
 
 def _parse_label(lineno: int, line: str, rest: str) -> Tuple[BlockKind, str]:

@@ -3,13 +3,11 @@
 Ten mini-language programs with declared block hypotheses form the kill
 substrate; this module also carries their executable symmetry/order
 metadata, the shared seeded samplers (the mutation tagger and the kill
-harness must see the same points), a toy SGD round-trip, and a
-rotation-invariant point-cloud statistic.
+harness must see the same points) and a toy SGD round-trip.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -83,8 +81,8 @@ def load_mutator_config(name: str = "blindness") -> MutatorConfig:
 # Subjects
 
 
-def load_zoo(filename: str = "zoo.sut") -> Dict[str, SutDecl]:
-    return {d.name: d for d in parse_sut_file(fixture_text(filename))}
+def load_zoo() -> Dict[str, SutDecl]:
+    return {d.name: d for d in parse_sut_file(fixture_text("zoo.sut"))}
 
 
 # ---------------------------------------------------------------------------
@@ -297,61 +295,16 @@ def sgd_roundtrip_residual(traj: SgdTrajectory, loss: QuadraticLoss) -> float:
     return float(np.linalg.norm(forward_end - replay))
 
 
-def default_sgd_fixture(eta: float = 1e-3, steps: int = 10) -> Tuple[SgdTrajectory, QuadraticLoss]:
-    """The bundled low-D quadratic used by the order-check property."""
+def default_sgd_fixture(eta: float = 1e-3) -> Tuple[SgdTrajectory, QuadraticLoss]:
+    """The bundled low-D quadratic used by the order-check property: ten
+    steps alternating over its two batches."""
     matrices = (
         np.array([[1.2, 0.3], [0.3, 0.9]]),
         np.array([[0.7, 0.0], [0.0, 1.5]]),
     )
     centers = (np.array([1.0, -2.0]), np.array([-0.5, 0.75]))
     loss = QuadraticLoss(matrices=matrices, centers=centers)
-    order = tuple(i % 2 for i in range(steps))
-    traj = SgdTrajectory(theta0=(3.0, -1.0), eta=eta, steps=steps, batch_order=order)
+    order = tuple(i % 2 for i in range(10))
+    traj = SgdTrajectory(theta0=(3.0, -1.0), eta=eta, steps=len(order), batch_order=order)
     return traj, loss
 
-
-# ---------------------------------------------------------------------------
-# Rotation-invariant point-cloud statistic
-
-
-def default_point_cloud(count: int = 12, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, size=(count, 3))
-
-
-def random_rotations(count: int, seed: int) -> np.ndarray:
-    """Seeded uniform rotations via unit quaternions, shape (count, 3, 3)."""
-    rng = np.random.default_rng(seed)
-    mats = np.empty((count, 3, 3))
-    for k in range(count):
-        u1, u2, u3 = rng.random(3)
-        x = math.sqrt(1.0 - u1) * math.sin(2.0 * math.pi * u2)
-        y = math.sqrt(1.0 - u1) * math.cos(2.0 * math.pi * u2)
-        z = math.sqrt(u1) * math.sin(2.0 * math.pi * u3)
-        w = math.sqrt(u1) * math.cos(2.0 * math.pi * u3)
-        mats[k] = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-    return mats
-
-
-def cloud_signature(points: np.ndarray) -> np.ndarray:
-    """Sorted vector of pairwise distances; exactly rotation-invariant."""
-    diffs = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diffs * diffs).sum(axis=-1))
-    iu = np.triu_indices(len(points), k=1)
-    return np.sort(dists[iu])
-
-
-def rotation_invariance_deviation(
-    points: np.ndarray, n_rotations: int = 100, seed: int = 20260816
-) -> float:
-    base = cloud_signature(points)
-    worst = 0.0
-    for rot in random_rotations(n_rotations, seed):
-        worst = max(worst, float(np.max(np.abs(cloud_signature(points @ rot.T) - base))))
-    return worst

@@ -1,9 +1,10 @@
 """Derivation pipeline tests: goldens, uniqueness laws, cost accounting."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noether.algebra import (
@@ -30,6 +31,7 @@ from noether.derive import (
     theorem2_bound,
     translate,
 )
+from noether.harness import coverage
 from noether.zoo import load_algebra
 
 # label -> block tag, frozen per bundled algebra
@@ -187,6 +189,46 @@ class TestConstruction:
         )
         with pytest.raises(UnassignedOperator):
             construct_mp(alg)
+
+
+# one operator in three blocks, one in two, one in one
+_MULTI_TAGGED = OperatorAlgebra(
+    name="multi",
+    operators=(
+        Operator(
+            "g", ActsOn.INPUT, frozenset({BlockKind.G, BlockKind.O_LE, BlockKind.L_STAR}),
+            regime=Regime.FINITE, group_order_or_dim=2,
+        ),
+        Operator("rev", ActsOn.BOTH, frozenset({BlockKind.T_REV, BlockKind.O_LE})),
+        Operator("dyn", ActsOn.OUTPUT, frozenset({BlockKind.D_STAR})),
+    ),
+    generators=("g", "rev", "dyn"),
+)
+
+
+class TestPopulatedBlocks:
+    """`decompose` alone decides which blocks are populated; these pin it
+    to the all-kinds scan and the built MetaPatterns it replaced."""
+
+    @given(random_algebras())
+    @example(_MULTI_TAGGED)
+    @settings(max_examples=150, deadline=None)
+    def test_decompose_matches_an_all_kinds_scan(self, alg):
+        scan = {
+            kind: tuple(op.name for op in alg.operators if kind in op.block_tags)
+            for kind in CANONICAL_ORDER
+        }
+        per_block = decompose(alg).per_block
+        assert per_block == scan
+        assert tuple(per_block) == CANONICAL_ORDER
+
+    @given(random_algebras(), st.sets(st.sampled_from(CANONICAL_ORDER)))
+    @example(_MULTI_TAGGED, {BlockKind.O_LE, BlockKind.E_STAR})
+    @settings(max_examples=150, deadline=None)
+    def test_coverage_counts_the_built_patterns(self, alg, hit):
+        patterns = construct_mp(alg)
+        covered = sum(1 for p in patterns if p.block in hit)
+        assert coverage(hit, alg) == Fraction(covered, len(patterns))
 
 
 class TestTranslate:

@@ -1,4 +1,4 @@
-"""Subject-zoo tests: oracles for every subject, samplers, SGD, rotations."""
+"""Subject-zoo tests: oracles for every subject, samplers, SGD."""
 
 import math
 
@@ -16,13 +16,9 @@ from noether.zoo import (
     SUT_ORDER_SPECS,
     GAction,
     check_homogeneity,
-    cloud_signature,
-    default_point_cloud,
     default_sgd_fixture,
     load_zoo,
     QuadraticLoss,
-    random_rotations,
-    rotation_invariance_deviation,
     sample_args,
     scaling_points,
     scaling_sample,
@@ -260,27 +256,3 @@ class TestSgdRoundTrip:
         with pytest.raises(ValueError):
             SgdTrajectory(theta0=(0.0,), eta=0.1, steps=2, batch_order=(0,))
 
-
-# --- rotation-invariant signature -------------------------------------------------
-
-
-class TestRotations:
-    def test_signature_is_rotation_invariant(self):
-        assert rotation_invariance_deviation(default_point_cloud()) <= 1e-9
-
-    def test_rotations_are_special_orthogonal(self):
-        for rot in random_rotations(25, seed=3):
-            assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
-
-    def test_signature_shape_and_order(self):
-        cloud = default_point_cloud(count=8)
-        sig = cloud_signature(cloud)
-        assert sig.shape == (8 * 7 // 2,)
-        assert np.all(np.diff(sig) >= 0)
-
-    def test_translation_changes_nothing_but_scaling_does(self):
-        cloud = default_point_cloud()
-        shifted = cloud + np.array([5.0, -2.0, 1.0])
-        assert np.allclose(cloud_signature(shifted), cloud_signature(cloud), atol=1e-9)
-        assert not np.allclose(cloud_signature(2 * cloud), cloud_signature(cloud))
