@@ -13,7 +13,10 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:
+    from .relational import RewriteRule
 
 
 class AlgebraError(Exception):
@@ -160,13 +163,16 @@ class RewriteDecl:
     """One identity-preserving rewrite rule, patterns kept as opaque text.
 
     The relational evaluator interprets lhs/rhs in its tiny prefix notation;
-    the algebra layer only carries them.
+    the algebra layer only carries them.  `rule` is their executable form
+    when `parse_algebra` built the declaration, and None when it is built
+    by hand (`relational.compile_rule` parses the fields then).
     """
 
     name: str
     lhs: str
     rhs: str
     guard: str = ""
+    rule: Optional["RewriteRule"] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Bag-semantics relational mini-evaluator and its rewrite-equality MRs.
 
-Relations are multisets of tuples over named columns (NULL-free; values are
-small ints and three-letter strings).  Query plans are tiny trees of select,
+Relations are multisets of tuples over distinct named columns (NULL-free;
+values are small ints and three-letter strings).  Query plans are tiny trees of select,
 project, natural join, union and distinct over base relations.  The rewrite
 rules come from the bundled query-plan algebra in a prefix pattern notation,
 e.g. `select(p,join(R,S)) -> join(select(p,R),S)` guarded by attribute
@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,8 +26,6 @@ from .minilang import MAX_DEPTH
 
 EMPTY_NAME = "EMPTY"  # every generated database carries an empty relation
 STRING_POOL = ("oak", "elm", "fir", "yew")
-
-REL_MR_NAMES = ("rho_join-comm", "rho_select-push", "rho_distinct-idem", "rho_plan-equiv")
 
 
 class UnknownRelation(KeyError):
@@ -48,11 +48,21 @@ class Relation:
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "rows", Counter(self.rows))
+        if len(set(self.schema)) != len(self.schema):
+            raise SchemaMismatch(f"repeated column name in {self.schema}")
         for row in self.rows:
             if len(row) != len(self.schema):
-                raise SchemaMismatch(
-                    f"row arity {len(row)} != schema arity {len(self.schema)}"
-                )
+                raise SchemaMismatch(f"row arity {len(row)} != schema arity {len(self.schema)}")
+
+    @classmethod
+    def _trusted(cls, schema: Tuple[str, ...], counts: Mapping[Tuple, int]) -> "Relation":
+        """Relation(schema, counts) unchecked, for relations built here from
+        valid ones; skips Counter.__init__, costly next to a few-row bag."""
+        rows = Counter.__new__(Counter)
+        dict.update(rows, counts)
+        rel = object.__new__(cls)
+        rel.__dict__.update(schema=schema, rows=rows)
+        return rel
 
     @property
     def size(self) -> int:
@@ -61,19 +71,25 @@ class Relation:
     def reordered(self, new_schema: Sequence[str]) -> "Relation":
         if set(new_schema) != set(self.schema) or len(new_schema) != len(self.schema):
             raise SchemaMismatch(f"cannot reorder {self.schema} as {tuple(new_schema)}")
-        index = [self.schema.index(a) for a in new_schema]
-        rows = Counter()
-        for row, count in self.rows.items():
-            rows[tuple(row[i] for i in index)] += count
-        return Relation(tuple(new_schema), rows)
+        # a permutation of distinct columns maps distinct rows to distinct rows
+        get = _row_getter([self.schema.index(a) for a in new_schema])
+        return Relation._trusted(tuple(new_schema), {get(row): n for row, n in self.rows.items()})
+
+
+def _row_getter(index: Sequence[int]):
+    """The function from a row to the tuple of its values at `index`."""
+    if len(index) == 1:
+        return lambda row, i=index[0]: (row[i],)
+    return itemgetter(*index) if index else lambda row: ()
 
 
 def bag_equal(left: Relation, right: Relation, modulo_column_order: bool = False) -> bool:
-    if modulo_column_order:
+    """Same schema and same bag; modulo column order, the right side is first
+    reordered into the left's columns when both hold the same column names."""
+    if modulo_column_order and left.schema != right.schema:
         if set(left.schema) != set(right.schema):
             return False
-        order = tuple(sorted(left.schema))
-        return left.reordered(order).rows == right.reordered(order).rows
+        right = right.reordered(left.schema)
     return left.schema == right.schema and left.rows == right.rows
 
 
@@ -152,28 +168,86 @@ QueryExpr = Union[Base, Select, Project, Join, UnionAll, Distinct]
 # and each head takes one argument per field of its class.
 _HEADS = {"select": Select, "join": Join, "project": Project, "union": UnionAll, "distinct": Distinct}
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _HEADS.values()}
-_PLAN_NODES = (Base, *_HEADS.values())
 
 
 def schema_of(q: QueryExpr, db: Mapping[str, Relation]) -> Tuple[str, ...]:
-    if isinstance(q, Base):
-        if q.name not in db:
-            raise UnknownRelation(q.name)
-        return db[q.name].schema
-    if isinstance(q, (Select, Distinct)):
-        return schema_of(q.child, db)
-    if isinstance(q, Project):
-        return tuple(q.attrs)
-    if isinstance(q, Join):
-        left, right = schema_of(q.left, db), schema_of(q.right, db)
-        return left + tuple(a for a in right if a not in left)
-    if isinstance(q, UnionAll):
-        return schema_of(q.left, db)
-    raise TypeError(f"not a query node: {q!r}")
+    """The schema of `eval_query(q, db)`, or the schema error it raises: q
+    evaluated over db's relations with their rows dropped."""
+    return eval_query(q, {n: Relation._trusted(r.schema, {}) for n, r in db.items()}).schema
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one function per plan class, found through `_EVAL`
+
+
+def _base(ev: "Evaluator", q: Base, db) -> Relation:
+    if q.name not in db:
+        raise UnknownRelation(q.name)
+    return db[q.name]
+
+
+def _select(ev: "Evaluator", q: Select, db) -> Relation:
+    child = ev.eval(q.child, db)
+    holds, schema = q.pred.holds, child.schema
+    return Relation._trusted(schema, {r: n for r, n in child.rows.items() if holds(schema, r)})
+
+
+def _project(ev: "Evaluator", q: Project, db) -> Relation:
+    child = ev.eval(q.child, db)
+    attrs = tuple(q.attrs)
+    if not set(attrs) <= set(child.schema) or len(set(attrs)) != len(attrs):
+        raise SchemaMismatch(f"cannot project {child.schema} onto {attrs}")
+    get = _row_getter([child.schema.index(a) for a in attrs])
+    rows = Counter()
+    for row, count in child.rows.items():
+        rows[get(row)] += count
+    return Relation._trusted(attrs, rows)
+
+
+@lru_cache(maxsize=256)
+def _join_plan(left: Tuple[str, ...], right: Tuple[str, ...]):
+    """(output schema, left key, right key, right extras) of the natural join
+    of two schemas; each getter maps a row to a tuple."""
+    shared = [a for a in left if a in right]
+    extra = [i for i, a in enumerate(right) if a not in left]
+    keys = [_row_getter([side.index(a) for a in shared]) for side in (left, right)]
+    return left + tuple(right[i] for i in extra), *keys, _row_getter(extra)
+
+
+def _join(ev: "Evaluator", q: Join, db) -> Relation:
+    left, right = ev.eval(q.left, db), ev.eval(q.right, db)
+    schema, left_key, right_key, extra = _join_plan(left.schema, right.schema)
+    by_key: Dict[Tuple, List[Tuple[Tuple, int]]] = {}
+    for row, count in right.rows.items():
+        by_key.setdefault(right_key(row), []).append((extra(row), count))
+    if ev.join_mode == "left-semi":
+        # biased: emit the left row once per multiplicity iff matched
+        rows = {row: n for row, n in left.rows.items() if left_key(row) in by_key}
+        return Relation._trusted(left.schema, rows)
+    # a right row is its key plus its extras, so each output row has one source pair
+    rows = {
+        lrow + rextra: lcount * rcount
+        for lrow, lcount in left.rows.items()
+        for rextra, rcount in by_key.get(left_key(lrow), ())
+    }
+    return Relation._trusted(schema, rows)
+
+
+def _union(ev: "Evaluator", q: UnionAll, db) -> Relation:
+    left, right = ev.eval(q.left, db), ev.eval(q.right, db)
+    if left.schema != right.schema:
+        raise SchemaMismatch(f"union schemas differ: {left.schema} vs {right.schema}")
+    return Relation._trusted(left.schema, left.rows + right.rows)
+
+
+def _distinct(ev: "Evaluator", q: Distinct, db) -> Relation:
+    child = ev.eval(q.child, db)
+    return Relation._trusted(child.schema, dict.fromkeys(child.rows, 1))
+
+
+_EVAL = {
+    Base: _base, Select: _select, Project: _project, Join: _join, UnionAll: _union, Distinct: _distinct
+}
 
 
 @dataclass(frozen=True)
@@ -197,59 +271,10 @@ class Evaluator:
         return q
 
     def eval(self, q: QueryExpr, db: Mapping[str, Relation]) -> Relation:
-        if isinstance(q, Base):
-            if q.name not in db:
-                raise UnknownRelation(q.name)
-            return db[q.name]
-        if isinstance(q, Select):
-            child = self.eval(q.child, db)
-            rows = Counter()
-            for row, count in child.rows.items():
-                if q.pred.holds(child.schema, row):
-                    rows[row] += count
-            return Relation(child.schema, rows)
-        if isinstance(q, Project):
-            child = self.eval(q.child, db)
-            missing = [a for a in q.attrs if a not in child.schema]
-            if missing:
-                raise SchemaMismatch(f"projection of absent attributes {missing}")
-            index = [child.schema.index(a) for a in q.attrs]
-            rows = Counter()
-            for row, count in child.rows.items():
-                rows[tuple(row[i] for i in index)] += count
-            return Relation(tuple(q.attrs), rows)
-        if isinstance(q, Join):
-            return self._join(self.eval(q.left, db), self.eval(q.right, db))
-        if isinstance(q, UnionAll):
-            left, right = self.eval(q.left, db), self.eval(q.right, db)
-            if left.schema != right.schema:
-                raise SchemaMismatch(f"union schemas differ: {left.schema} vs {right.schema}")
-            return Relation(left.schema, left.rows + right.rows)
-        if isinstance(q, Distinct):
-            child = self.eval(q.child, db)
-            return Relation(child.schema, Counter(dict.fromkeys(child.rows, 1)))
-        raise TypeError(f"not a query node: {q!r}")
-
-    def _join(self, left: Relation, right: Relation) -> Relation:
-        shared = [a for a in left.schema if a in right.schema]
-        left_idx = [left.schema.index(a) for a in shared]
-        right_idx = [right.schema.index(a) for a in shared]
-        extra = [i for i, a in enumerate(right.schema) if a not in left.schema]
-        schema = left.schema + tuple(right.schema[i] for i in extra)
-        by_key: Dict[Tuple, List[Tuple[Tuple, int]]] = {}
-        for row, count in right.rows.items():
-            by_key.setdefault(tuple(row[i] for i in right_idx), []).append((row, count))
-        rows = Counter()
-        if self.join_mode == "left-semi":
-            # biased: emit the left row once per multiplicity iff matched
-            for row, count in left.rows.items():
-                if tuple(row[i] for i in left_idx) in by_key:
-                    rows[row] += count
-            return Relation(left.schema, rows)
-        for lrow, lcount in left.rows.items():
-            for rrow, rcount in by_key.get(tuple(lrow[i] for i in left_idx), ()):
-                rows[lrow + tuple(rrow[i] for i in extra)] += lcount * rcount
-        return Relation(schema, rows)
+        evaluate = _EVAL.get(type(q))
+        if evaluate is None:
+            raise TypeError(f"not a query node: {q!r}")
+        return evaluate(self, q, db)
 
 
 CORRECT = Evaluator()
@@ -436,7 +461,7 @@ def rewrite_once(
         args = []
         for name in _FIELDS[cls]:
             value = getattr(expr, name)
-            args.append(rewrite_once(value, rules, db) if isinstance(value, _PLAN_NODES) else value)
+            args.append(rewrite_once(value, rules, db) if type(value) in _EVAL else value)
         expr = cls(*args)
     for rule in rules:
         out = apply_rule(rule, expr, db)
@@ -448,8 +473,9 @@ def rewrite_once(
 def bundled_rules() -> Tuple[RewriteRule, ...]:
     from . import zoo
 
+    # read on every call so a NOETHER_FIXTURES swap takes effect; rules come parsed
     algebra = zoo.load_algebra("relational")
-    return tuple(compile_rule(decl) for decl in algebra.semiring_rules)
+    return tuple(decl.rule for decl in algebra.semiring_rules)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +532,43 @@ def _safe_bag_equal(evaluator, q1, q2, db, modulo=False) -> Tuple[bool, str]:
     return False, f"bags differ: {left.schema}:{left.size} vs {right.schema}:{right.size}"
 
 
+_R, _S, _T = Base("R"), Base("S"), Base("T")
+
+
+def _plans_agree(q1, q2, db, rng, rules, evaluator) -> Tuple[bool, str]:
+    return _safe_bag_equal(evaluator, q1, q2, db, modulo=True)
+
+
+def _select_push(db, rng, rules, evaluator) -> Tuple[bool, str]:
+    pred = _random_predicate(rng, ("a", "b", "c"))
+    q = Select(pred, Join(_R, _S))
+    ok, detail = _safe_bag_equal(evaluator, q, evaluator.optimize(q, db), db)
+    return ok, detail + (f" [pred on {pred.attr}]" if not ok else "")
+
+
+def _distinct_idem(db, rng, rules, evaluator) -> Tuple[bool, str]:
+    pred = _random_predicate(rng, ("b", "c"))
+    once = Select(pred, _S)
+    twice = Select(pred, once)
+    plan_ok = rewrite_once(twice, rules, db) == once
+    sem_ok, detail = _safe_bag_equal(evaluator, twice, once, db)
+    dd_ok, dd_detail = _safe_bag_equal(evaluator, Distinct(Distinct(_S)), Distinct(_S), db)
+    if not plan_ok:
+        detail = "plan trees differ after one rewrite pass"
+    return plan_ok and sem_ok and dd_ok, detail or dd_detail
+
+
+# The rewrite MRs in report order: each maps (db, rng, rules, evaluator) to
+# (passed, detail) and draws from rng in its own fixed order.
+_REL_MRS = {
+    "rho_join-comm": partial(_plans_agree, Join(_R, _S), Join(_S, _R)),
+    "rho_select-push": _select_push,
+    "rho_distinct-idem": _distinct_idem,
+    "rho_plan-equiv": partial(_plans_agree, Join(Join(_R, _S), _T), Join(_R, Join(_S, _T))),
+}
+REL_MR_NAMES = tuple(_REL_MRS)
+
+
 def run_rel_trial(
     mr: str,
     db: Mapping[str, Relation],
@@ -514,35 +577,10 @@ def run_rel_trial(
     evaluator: Evaluator = CORRECT,
 ) -> RelTrial:
     """One trial of one rewrite MR; callers load `rules` once per run."""
-    if mr == "rho_join-comm":
-        ok, detail = _safe_bag_equal(
-            evaluator, Join(Base("R"), Base("S")), Join(Base("S"), Base("R")), db, modulo=True
-        )
-        return RelTrial(mr, ok, detail)
-    if mr == "rho_select-push":
-        pred = _random_predicate(rng, ("a", "b", "c"))
-        q = Select(pred, Join(Base("R"), Base("S")))
-        pushed = evaluator.optimize(q, db)
-        ok, detail = _safe_bag_equal(evaluator, q, pushed, db)
-        return RelTrial(mr, ok, detail + (f" [pred on {pred.attr}]" if not ok else ""))
-    if mr == "rho_distinct-idem":
-        pred = _random_predicate(rng, ("b", "c"))
-        once = Select(pred, Base("S"))
-        twice = Select(pred, once)
-        plan_ok = rewrite_once(twice, rules, db) == once
-        sem_ok, detail = _safe_bag_equal(evaluator, twice, once, db)
-        dd_ok, dd_detail = _safe_bag_equal(
-            evaluator, Distinct(Distinct(Base("S"))), Distinct(Base("S")), db
-        )
-        if not plan_ok:
-            detail = "plan trees differ after one rewrite pass"
-        return RelTrial(mr, plan_ok and sem_ok and dd_ok, detail or dd_detail)
-    if mr == "rho_plan-equiv":
-        q1 = Join(Join(Base("R"), Base("S")), Base("T"))
-        q2 = Join(Base("R"), Join(Base("S"), Base("T")))
-        ok, detail = _safe_bag_equal(evaluator, q1, q2, db, modulo=True)
-        return RelTrial(mr, ok, detail)
-    raise ValueError(f"unknown relational MR {mr!r}")
+    trial = _REL_MRS.get(mr)
+    if trial is None:
+        raise ValueError(f"unknown relational MR {mr!r}")
+    return RelTrial(mr, *trial(db, rng, rules, evaluator))
 
 
 def run_rel_mrs(
@@ -561,41 +599,3 @@ def run_rel_mrs(
             counts[mr][0 if outcome.passed else 1] += 1
     return {mr: (p, f) for mr, (p, f) in counts.items()}
 
-
-def check_rules_on_db(db: Mapping[str, Relation], seed: int = 0) -> List[str]:
-    """Violations of `eval(lhs) == eval(rhs)` for every bundled rule on db.
-
-    Each rule's lhs is instantiated with concrete bindings drawn over the
-    database's base relations and a sampled predicate, then rewritten by
-    `apply_rule`, so the guard is honored.
-    """
-    rng = np.random.default_rng(seed)
-    violations = []
-    base_names = [n for n in sorted(db) if n != EMPTY_NAME]
-    for rule in bundled_rules():
-        for left_name in base_names:
-            for right_name in base_names:
-                bindings: Dict[str, object] = {
-                    "R": Base(left_name),
-                    "S": Base(right_name),
-                    "p": _random_predicate(rng, schema_of(Base(left_name), db)),
-                }
-                lhs = _instantiate(rule.lhs, bindings)
-                rhs = apply_rule(rule, lhs, db)
-                if rhs is None:  # the guard does not hold
-                    continue
-                try:
-                    left = CORRECT.eval(lhs, db)
-                    right = CORRECT.eval(rhs, db)
-                except (SchemaMismatch, UnknownRelation) as exc:
-                    violations.append(f"{rule.name} on ({left_name},{right_name}): {exc}")
-                    continue
-                # identities like R join EMPTY = EMPTY change the schema but
-                # not the (empty) bag; emptiness on both sides counts as equal
-                both_empty = left.size == 0 and right.size == 0
-                if not both_empty and not bag_equal(left, right, modulo_column_order=True):
-                    violations.append(
-                        f"{rule.name} on ({left_name},{right_name}): "
-                        f"bags differ {left.schema}:{left.size} vs {right.schema}:{right.size}"
-                    )
-    return violations

@@ -253,8 +253,9 @@ def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteDecl:
         except ValueError:
             col = len(line) - len(tail) + m.start(group) + 1
             raise SpecSyntaxError(lineno, col, f"a rewrite {what}", m.group(group)[:40])
-    RewriteRule(rule_name, *parsed)  # SpecSemanticError on a variable that lhs does not bind
-    return RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip())
+    # SpecSemanticError on a variable that lhs does not bind
+    rule = RewriteRule(rule_name, *parsed)
+    return RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip(), rule)
 
 
 def _parse_label(lineno: int, line: str, rest: str) -> Tuple[BlockKind, str]:

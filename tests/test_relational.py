@@ -1,14 +1,21 @@
 """Relational mini-evaluator tests: bag semantics, rewrites, MR trials."""
 
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from noether import relational
 from noether.algebra import RewriteDecl
+from noether.cli import REL_MODES
 from noether.relational import (
     CORRECT,
     EMPTY_NAME,
     REL_MR_NAMES,
+    STRING_POOL,
     Base,
     Distinct,
     Evaluator,
@@ -24,7 +31,6 @@ from noether.relational import (
     apply_rule,
     bag_equal,
     bundled_rules,
-    check_rules_on_db,
     compile_rule,
     eval_query,
     gen_database,
@@ -34,6 +40,7 @@ from noether.relational import (
     run_rel_trial,
     schema_of,
 )
+from noether.zoo import load_algebra
 
 SEED = 20260816
 
@@ -42,10 +49,62 @@ S = Relation(("b", "c"), Counter({(2, "oak"): 3, (4, "elm"): 1}))
 DB = {"R": R, "S": S, EMPTY_NAME: Relation(("e",), Counter())}
 
 
+def check_rules_on_db(db, seed=0):
+    """Violations of `eval(lhs) == eval(rhs)` for every bundled rule on db.
+
+    Each rule's lhs is instantiated with concrete bindings drawn over the
+    database's base relations and a sampled predicate, then rewritten by
+    `apply_rule`, so the guard is honored.
+    """
+    rng = np.random.default_rng(seed)
+    violations = []
+    base_names = [n for n in sorted(db) if n != EMPTY_NAME]
+    for rule in bundled_rules():
+        for left_name in base_names:
+            for right_name in base_names:
+                bindings = {
+                    "R": Base(left_name),
+                    "S": Base(right_name),
+                    "p": relational._random_predicate(rng, schema_of(Base(left_name), db)),
+                }
+                lhs = relational._instantiate(rule.lhs, bindings)
+                rhs = apply_rule(rule, lhs, db)
+                if rhs is None:  # the guard does not hold
+                    continue
+                try:
+                    left = CORRECT.eval(lhs, db)
+                    right = CORRECT.eval(rhs, db)
+                except (SchemaMismatch, UnknownRelation) as exc:
+                    violations.append(f"{rule.name} on ({left_name},{right_name}): {exc}")
+                    continue
+                # identities like R join EMPTY = EMPTY change the schema but
+                # not the (empty) bag; emptiness on both sides counts as equal
+                both_empty = left.size == 0 and right.size == 0
+                if not both_empty and not bag_equal(left, right, modulo_column_order=True):
+                    violations.append(
+                        f"{rule.name} on ({left_name},{right_name}): "
+                        f"bags differ {left.schema}:{left.size} vs {right.schema}:{right.size}"
+                    )
+    return violations
+
+
+def outcome(compute):
+    """compute()'s value, or the type of the exception it raised."""
+    try:
+        return compute()
+    except Exception as exc:  # the differential tests compare error types
+        return type(exc)
+
+
 class TestRelationBasics:
     def test_row_arity_checked(self):
         with pytest.raises(SchemaMismatch):
             Relation(("a",), Counter({(1, 2): 1}))
+
+    def test_repeated_column_name_rejected(self):
+        # a sorted reorder maps both (1, 2) and (1, 3) over ("a", "a") to (1, 1)
+        with pytest.raises(SchemaMismatch):
+            Relation(("a", "a"), Counter({(1, 2): 1}))
 
     def test_size_counts_multiplicity(self):
         assert R.size == 3
@@ -92,6 +151,10 @@ class TestEvaluator:
         with pytest.raises(SchemaMismatch):
             eval_query(Project(("z",), Base("R")), DB)
 
+    def test_project_repeated_attribute(self):
+        with pytest.raises(SchemaMismatch):
+            eval_query(Project(("a", "a"), Base("R")), DB)
+
     def test_unknown_relation(self):
         with pytest.raises(UnknownRelation):
             eval_query(Base("Q"), DB)
@@ -130,14 +193,157 @@ class TestEvaluator:
             Project(("a",), Base("R")),
             Join(Base("R"), Base("S")),
             Distinct(Base("S")),
+            UnionAll(Base("R"), Base("R")),
+            Base("Q"),
+            Project(("z",), Base("R")),
+            Project(("a", "a"), Base("R")),
+            UnionAll(Base("R"), Base("S")),
+            Join(Base("R"), Project(("z",), Base("S"))),
         ):
-            assert schema_of(q, DB) == eval_query(q, DB).schema
+            assert outcome(lambda: schema_of(q, DB)) == outcome(lambda: eval_query(q, DB).schema)
 
     def test_left_semi_join_differs(self):
         biased = Evaluator(join_mode="left-semi")
         got = biased.eval(Join(Base("R"), Base("S")), DB)
         assert got.schema == ("a", "b")  # drops the right extras
         assert got.rows == Counter({(1, 2): 2, (3, 2): 1})
+
+
+def reference_eval(ev, q, db):
+    """The evaluator as an isinstance chain that builds every relation through
+    the validating constructor: the reference for the dispatch table."""
+    if isinstance(q, Base):
+        if q.name not in db:
+            raise UnknownRelation(q.name)
+        return db[q.name]
+    if isinstance(q, Select):
+        child = reference_eval(ev, q.child, db)
+        rows = Counter()
+        for row, count in child.rows.items():
+            if q.pred.holds(child.schema, row):
+                rows[row] += count
+        return Relation(child.schema, rows)
+    if isinstance(q, Project):
+        child = reference_eval(ev, q.child, db)
+        missing = [a for a in q.attrs if a not in child.schema]
+        if missing:
+            raise SchemaMismatch(f"projection of absent attributes {missing}")
+        index = [child.schema.index(a) for a in q.attrs]
+        rows = Counter()
+        for row, count in child.rows.items():
+            rows[tuple(row[i] for i in index)] += count
+        return Relation(tuple(q.attrs), rows)
+    if isinstance(q, Join):
+        left, right = reference_eval(ev, q.left, db), reference_eval(ev, q.right, db)
+        shared = [a for a in left.schema if a in right.schema]
+        left_idx = [left.schema.index(a) for a in shared]
+        right_idx = [right.schema.index(a) for a in shared]
+        extra = [i for i, a in enumerate(right.schema) if a not in left.schema]
+        by_key = {}
+        for row, count in right.rows.items():
+            by_key.setdefault(tuple(row[i] for i in right_idx), []).append((row, count))
+        rows = Counter()
+        if ev.join_mode == "left-semi":
+            for row, count in left.rows.items():
+                if tuple(row[i] for i in left_idx) in by_key:
+                    rows[row] += count
+            return Relation(left.schema, rows)
+        for lrow, lcount in left.rows.items():
+            for rrow, rcount in by_key.get(tuple(lrow[i] for i in left_idx), ()):
+                rows[lrow + tuple(rrow[i] for i in extra)] += lcount * rcount
+        return Relation(left.schema + tuple(right.schema[i] for i in extra), rows)
+    if isinstance(q, UnionAll):
+        left, right = reference_eval(ev, q.left, db), reference_eval(ev, q.right, db)
+        if left.schema != right.schema:
+            raise SchemaMismatch(f"union schemas differ: {left.schema} vs {right.schema}")
+        return Relation(left.schema, left.rows + right.rows)
+    if isinstance(q, Distinct):
+        child = reference_eval(ev, q.child, db)
+        return Relation(child.schema, Counter(dict.fromkeys(child.rows, 1)))
+    raise TypeError(f"not a query node: {q!r}")
+
+
+ATTRS = ("a", "b", "c", "d", "e", "z")
+PREDICATES = st.one_of(
+    st.just(TRUE),
+    st.builds(
+        Predicate,
+        st.sampled_from(("eq", "le", "lt")),
+        st.sampled_from(ATTRS),
+        st.one_of(st.integers(0, 9), st.sampled_from(STRING_POOL)),
+    ),
+)
+
+
+def plans(heads):
+    """Plans with at most `heads` nested plan heads over named relations."""
+    bases = st.sampled_from(("R", "S", "T", EMPTY_NAME, "Q")).map(Base)
+    if heads == 0:
+        return bases
+    sub = plans(heads - 1)
+    return st.one_of(
+        bases,
+        st.builds(Select, PREDICATES, sub),
+        st.builds(Project, st.lists(st.sampled_from(ATTRS), max_size=3).map(tuple), sub),
+        st.builds(Join, sub, sub),
+        st.builds(UnionAll, sub, sub),
+        st.builds(Distinct, sub),
+    )
+
+
+def sorted_bag_equal(left, right):
+    """bag_equal modulo column order as both sides reordered into sorted order."""
+    if set(left.schema) != set(right.schema):
+        return False
+    order = tuple(sorted(left.schema))
+    return left.reordered(order).rows == right.reordered(order).rows
+
+
+class TestFastPathDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(plan=plans(4), seed=st.integers(0, 2**32))
+    def test_evaluators_match_the_reference(self, plan, seed):
+        db = gen_database(seed)
+        trusted = Relation.__dict__["_trusted"].__func__
+        built = []
+
+        def recording(cls, schema, counts):
+            built.append(trusted(cls, schema, counts))
+            return built[-1]
+
+        for evaluator, _ in REL_MODES.values():
+            with mock.patch.object(Relation, "_trusted", classmethod(recording)):
+                got = outcome(lambda: evaluator.eval(plan, db))
+            assert got == outcome(lambda: reference_eval(evaluator, plan, db))
+        for rel in built:
+            assert type(rel.schema) is tuple and type(rel.rows) is Counter
+            assert Relation(rel.schema, rel.rows) == rel
+        # schema_of checks what eval checks short of the rows' values
+        shape = outcome(lambda: schema_of(plan, db))
+        result = outcome(lambda: CORRECT.eval(plan, db))
+        if isinstance(result, Relation):
+            assert shape == result.schema
+        if isinstance(shape, type):
+            assert isinstance(result, type)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_sided_reorder_matches_sorted_reorder(self, data):
+        def columns():
+            return tuple(data.draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=3)))
+
+        def relation(cols):
+            row = st.tuples(*[st.integers(0, 2)] * len(cols))
+            return Relation(cols, Counter(data.draw(st.dictionaries(row, st.integers(1, 2), max_size=3))))
+
+        left = relation(columns())
+        perm = tuple(data.draw(st.permutations(left.schema)))
+        kind = data.draw(st.sampled_from(("permuted", "same columns", "any columns")))
+        if kind == "permuted":
+            right = left.reordered(perm)
+        else:
+            right = relation(perm if kind == "same columns" else columns())
+        assert bag_equal(left, right, modulo_column_order=True) == sorted_bag_equal(left, right)
 
 
 class TestOptimizer:
@@ -167,6 +373,20 @@ class TestRewriteRules:
             "select_true",
             "join_empty",
         ]
+
+    def test_bundled_rules_reuse_the_parsed_rules(self, monkeypatch):
+        def parse_again(text):
+            raise AssertionError(f"pattern {text!r} parsed a second time")
+
+        monkeypatch.setattr(relational, "parse_pattern", parse_again)
+        rules = bundled_rules()
+        assert len(rules) == 4 and all(isinstance(r, relational.RewriteRule) for r in rules)
+
+    def test_parsed_rule_travels_with_its_declaration(self):
+        for rule, decl in zip(bundled_rules(), load_algebra("relational").semiring_rules):
+            by_hand = RewriteDecl(decl.name, decl.lhs, decl.rhs, decl.guard)
+            assert decl.rule == rule == compile_rule(by_hand)
+            assert decl == by_hand  # the carried rule takes no part in equality
 
     def test_pattern_parse_shapes(self):
         pat = parse_pattern("select(p, join(R, S))")
