@@ -32,7 +32,7 @@ class UnassignedOperator(AlgebraError):
 
 
 class EmptyInput(AlgebraError):
-    """canonical_max / assign_block called with nothing to choose from."""
+    """canonical_max called with nothing to choose from."""
 
 
 @functools.total_ordering
@@ -175,7 +175,7 @@ class RewriteDecl:
     rule: Optional["RewriteRule"] = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorAlgebra:
     """A named operator set with a generating subset.
 
@@ -192,9 +192,9 @@ class OperatorAlgebra:
     label_overrides: Mapping[BlockKind, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.operators = tuple(self.operators)
-        self.generators = tuple(self.generators)
-        self.semiring_rules = tuple(self.semiring_rules)
+        object.__setattr__(self, "operators", tuple(self.operators))
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "semiring_rules", tuple(self.semiring_rules))
         names = [op.name for op in self.operators]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -215,18 +215,16 @@ class OperatorAlgebra:
                 f"algebra {self.name!r}: semiring rules given but no operator is B_rel-tagged"
             )
 
-    def operator(self, name: str) -> Operator:
-        for op in self.operators:
-            if op.name == name:
-                return op
-        raise KeyError(name)
+    @functools.cached_property
+    def blocks(self) -> BlockDecomposition:
+        """The algebra's block decomposition, computed by `decompose` on first use.
 
-    def generator_operators(self) -> Tuple[Operator, ...]:
-        by_name = {op.name: op for op in self.operators}
-        return tuple(by_name[g] for g in self.generators)
+        Not a field: equality, repr and the printed form ignore it.
+        """
+        return decompose(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockDecomposition:
     """Operators grouped by block tag, built only by `decompose`.
 
@@ -251,6 +249,7 @@ def decompose(algebra: OperatorAlgebra) -> BlockDecomposition:
     keep their declaration order.  A zero-operator algebra decomposes to
     all-empty blocks without error; an operator with no tags raises
     UnassignedOperator instead of being silently dropped.
+    `OperatorAlgebra.blocks` calls this once per algebra and keeps the result.
     """
     buckets: dict = {kind: [] for kind in CANONICAL_ORDER}
     for op in algebra.operators:

@@ -172,11 +172,11 @@ def cmd_derive(args) -> int:
     algebra = _load(args.algebra, ".alg", parse_algebra)
     counter = CostCounter()
     patterns = construct_mp(algebra, counter)
-    report = Report("derive", args.seed, [])
+    report = Report("derive", None, [])
     report.add(
         f"MetaPatterns for {algebra.name}",
         [
-            {"label": p.label, "block": p.block.tag, "invariants": len(p.members)}
+            {"label": p.label, "block": p.block.tag, "invariants": len(p.templates)}
             for p in patterns
         ],
     )
@@ -189,7 +189,7 @@ def cmd_check_mr(args) -> int:
     descriptor = _load(args.descriptor, ".mr", parse_mr_descriptor)
     algebra = _load(args.algebra, ".alg", parse_algebra)
     verdict = check_reachability(descriptor, algebra)
-    report = Report("check-mr", args.seed, [])
+    report = Report("check-mr", None, [])
     report.add(
         "reachability",
         [
@@ -218,7 +218,7 @@ def cmd_coverage(args) -> int:
         blocks.append(verdict.assigned_block)
         rows.append({"descriptor": descriptor.name, "block": verdict.assigned_block.tag})
     score = harness.coverage(blocks, algebra)
-    report = Report("coverage", args.seed, [])
+    report = Report("coverage", None, [])
     report.add("members", rows)
     report.add("coverage", [{"fraction": str(score), "value": float(score)}])
     _emit(report, args)
@@ -314,7 +314,7 @@ def cmd_rel(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    report = Report("stats", args.seed, [])
+    report = Report("stats", None, [])
     try:
         if args.test == "wilson":
             lo, hi = stats.wilson_interval(args.values[0], args.values[1], args.confidence)
@@ -537,9 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="noether", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--format", choices=("human", "machine"), default="human")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("derive", help="MetaPattern set for an operator algebra")
@@ -562,12 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="enumerate mutants of a bundled subject")
     p.add_argument("sut")
     p.add_argument("--categories", default=None, help="comma-separated category names")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_mutate)
 
     p = sub.add_parser("kill", help="run the scaling-blindness kill experiment")
     p.add_argument("--config", default=None, help="bundled mutator config name or .cfg path")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_kill)
 
     p = sub.add_parser("rel", help="run the relational rewrite MRs")
@@ -577,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(REL_MODES),
         default="correct",
     )
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_rel)
 
     p = sub.add_parser("stats", help="exact small-sample statistics")
@@ -591,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="full desk-scale suite with verdicts")
     p.add_argument("--config", default=None)
     p.add_argument("--tamper", action="store_true", help="negative control: break a matrix cell")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_reproduce)
 
     return parser
@@ -603,8 +604,9 @@ _ARG_COUNTS = {"wilson": 2, "mcnemar": 2, "fisher": 4, "fleiss": 0}
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print(f"{args.command}: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        print(f"{args.command}: --seed must be nonnegative, got {seed}", file=sys.stderr)
         return 2
     if args.command == "stats" and len(args.values) != _ARG_COUNTS[args.test]:
         print(

@@ -1,21 +1,23 @@
 """MetaPattern derivation.
 
-Pipeline: decompose the algebra into blocks, extract one invariant per
-(operator, block) pair, translate each invariant into an executable MR
-template via the block's canonical tuple rule, quotient structurally equal
-invariants, and aggregate one MetaPattern per nonempty block.
+Pipeline: read the algebra's block decomposition, extract one invariant
+per (operator, block) pair, translate each invariant into an executable MR
+template via the block's canonical tuple rule, and aggregate one
+MetaPattern per nonempty block that keeps its templates.
 
 An instrumented cost counter makes the advertised near-linear complexity
 checkable: extraction charges each operator's cost hint once per tagged
 block, translation charges one unit per invariant, the quotient charges a
-log-sized insertion fee, and aggregation charges one unit per block.
+log-sized insertion fee, and aggregation charges one unit per block.  The
+quotient under structural equality is only that fee: each invariant names
+one operator and names are unique, so no two invariants of a block merge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .algebra import (
     BLOCK_RELATION_FORM,
@@ -23,12 +25,9 @@ from .algebra import (
     BlockDecomposition,
     BlockKind,
     CANONICAL_ORDER,
-    EmptyInput,
     Operator,
     OperatorAlgebra,
     Regime,
-    canonical_max,
-    decompose,
 )
 
 # block -> canonical tuple-generation rule (a bijection)
@@ -101,16 +100,12 @@ class BlockInvariant:
 
 @dataclass(frozen=True)
 class MRTemplate:
-    """Executable-MR recipe: tuple rule plus assertion shape.
-
-    tolerance is a slot: None until a harness binds a concrete budget.
-    """
+    """Executable-MR recipe: tuple rule plus assertion shape."""
 
     block: BlockKind
     tuple_rule: str
     assertion_form: str
     provenance: BlockInvariant
-    tolerance: Optional[float] = None
 
     def __post_init__(self):
         if self.tuple_rule != BLOCK_TUPLE_RULE[self.block]:
@@ -122,16 +117,24 @@ class MRTemplate:
 
 @dataclass(frozen=True)
 class MetaPattern:
+    """One populated block's MR templates, one per tagged operator in
+    declaration order."""
+
     block: BlockKind
     label: str
-    members: FrozenSet[BlockInvariant]
+    templates: Tuple[MRTemplate, ...]
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError(f"MetaPattern {self.label} must have members")
-        for inv in self.members:
-            if inv.block is not self.block:
-                raise ValueError(f"member block {inv.block.tag} != pattern block {self.block.tag}")
+        if not self.templates:
+            raise ValueError(f"MetaPattern {self.label} must have templates")
+        for tpl in self.templates:
+            if tpl.block is not self.block:
+                raise ValueError(f"template block {tpl.block.tag} != pattern block {self.block.tag}")
+
+    @property
+    def members(self) -> FrozenSet[BlockInvariant]:
+        """The invariants the templates were translated from."""
+        return frozenset(tpl.provenance for tpl in self.templates)
 
 
 def _arity_for(block: BlockKind, op: Operator) -> int:
@@ -147,21 +150,23 @@ def extract_invariants(
     decomposition: BlockDecomposition,
     algebra: OperatorAlgebra,
     counter: Optional[CostCounter] = None,
-) -> Dict[BlockKind, Set[BlockInvariant]]:
+) -> Dict[BlockKind, Tuple[BlockInvariant, ...]]:
     """Step 1: one invariant per (operator, tagged block) pair.
 
-    Empty blocks yield empty sets (no error).  Extraction is schema-driven;
-    each operator pays its declared cost hint per tagged block.
+    One tuple per populated block, in canonical block order; within a block
+    the invariants follow operator declaration order, and empty blocks are
+    absent.  Extraction is schema-driven; each operator pays its declared
+    cost hint per tagged block.
     """
-    out: Dict[BlockKind, Set[BlockInvariant]] = {}
+    out: Dict[BlockKind, Tuple[BlockInvariant, ...]] = {}
     by_name = {op.name: op for op in algebra.operators}
-    for block in CANONICAL_ORDER:
-        invariants: Set[BlockInvariant] = set()
+    for block in decomposition.nonempty_blocks():
+        invariants: List[BlockInvariant] = []
         for op_name in decomposition.operators_in(block):
             op = by_name[op_name]
             if counter is not None:
                 counter.charge(op.cost_hint, "extract")
-            invariants.add(
+            invariants.append(
                 BlockInvariant(
                     block=block,
                     phi=frozenset({op.name}),
@@ -169,8 +174,7 @@ def extract_invariants(
                     arity=_arity_for(block, op),
                 )
             )
-        if invariants:
-            out[block] = invariants
+        out[block] = tuple(invariants)
     return out
 
 
@@ -195,34 +199,18 @@ def construct_mp(
     algebra: OperatorAlgebra, counter: Optional[CostCounter] = None
 ) -> Tuple[MetaPattern, ...]:
     """Steps 1-4: the full MetaPattern set, in canonical block order."""
-    decomposition = decompose(algebra)
-    extracted = extract_invariants(decomposition, algebra, counter)
+    extracted = extract_invariants(algebra.blocks, algebra, counter)
     patterns: List[MetaPattern] = []
-    for block in CANONICAL_ORDER:
-        invariants = extracted.get(block)
-        if not invariants:
-            continue
-        # quotient under structural equality: set insertion with a
-        # log-sized fee per element, mirroring an ordered-set build
-        members: Set[BlockInvariant] = set()
-        for i, inv in enumerate(sorted(invariants, key=lambda v: sorted(v.phi))):
-            translate(inv, counter)
-            if counter is not None:
-                counter.charge(math.ceil(math.log2(i + 2)), "quotient")
-            members.add(inv)
+    for block, invariants in extracted.items():
+        templates = tuple(translate(inv, counter) for inv in invariants)
         if counter is not None:
+            # the quotient's log-sized insertion fee; it has nothing to merge
+            fee = sum(math.ceil(math.log2(i + 2)) for i in range(len(invariants)))
+            counter.charge(fee, "quotient")
             counter.charge(1, "aggregate")
         label = algebra.label_overrides.get(block, DEFAULT_LABELS[block])
-        patterns.append(MetaPattern(block=block, label=label, members=frozenset(members)))
+        patterns.append(MetaPattern(block=block, label=label, templates=templates))
     return tuple(patterns)
-
-
-def assign_block(derivations: Iterable[Tuple[BlockKind, BlockInvariant]]) -> BlockKind:
-    """Unique canonical block for a multi-block-derivable MR."""
-    blocks = [block for block, _ in derivations]
-    if not blocks:
-        raise EmptyInput("assign_block needs at least one derivation")
-    return canonical_max(blocks)
 
 
 def theorem2_bound(n: int, max_cost_hint: int = 1) -> float:

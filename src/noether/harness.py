@@ -19,7 +19,7 @@ from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from . import minilang, zoo
-from .algebra import BlockKind, OperatorAlgebra, decompose
+from .algebra import BlockKind, OperatorAlgebra
 from .minilang import DomainError
 from .mutate import DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
 from .mutate import mutate as derive_mutants
@@ -310,7 +310,7 @@ def coverage(mrs: Iterable[object], algebra: OperatorAlgebra) -> Fraction:
     Each populated block contributes exactly one MetaPattern, so the
     patterns are counted by their blocks without being built.
     """
-    blocks = decompose(algebra).nonempty_blocks()
+    blocks = algebra.blocks.nonempty_blocks()
     if not blocks:
         raise EmptyMetaPatternSet(f"algebra {algebra.name} derives no MetaPatterns")
     hit_blocks: Set[BlockKind] = {_block_of(mr) for mr in mrs}

@@ -28,7 +28,6 @@ from .algebra import (
     OperatorAlgebra,
     RELATION_FORMS,
     canonical_max,
-    decompose,
 )
 
 
@@ -104,7 +103,7 @@ def structural_obstructions(mr: MRDescriptor) -> frozenset:
 def _admitting_blocks(mr: MRDescriptor, algebra: OperatorAlgebra) -> Tuple[BlockKind, ...]:
     return tuple(
         kind
-        for kind in decompose(algebra).nonempty_blocks()
+        for kind in algebra.blocks.nonempty_blocks()
         if BLOCK_RELATION_FORM[kind] == mr.relation_form
     )
 
@@ -155,5 +154,5 @@ def exhaust_blocks(mr: MRDescriptor, algebra: OperatorAlgebra) -> Dict[BlockKind
     verdict = check_reachability(mr, algebra)
     if verdict.reachable:
         raise NotRejected(f"{mr.name} is derivable (block {verdict.assigned_block})")
-    populated = decompose(algebra).nonempty_blocks()
+    populated = algebra.blocks.nonempty_blocks()
     return {kind: _block_reason(kind, mr, kind in populated) for kind in CANONICAL_ORDER}

@@ -143,6 +143,87 @@ class TestMachineFormat:
         labels = [r["label"] for r in rows if r.get("section", "").startswith("MetaPatterns")]
         assert labels == ["m_inv", "m_mono", "m_adj", "m_rev", "m_conv"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["derive", "sort"],
+            ["check-mr", "rho_rot", "--algebra", "equivariant"],
+            ["coverage", "--algebra", "equivariant", "--mr", "rho_rot"],
+            ["stats", "wilson", "7", "20"],
+        ),
+        ids=("derive", "check-mr", "coverage", "stats"),
+    )
+    def test_subcommands_that_draw_nothing_take_no_seed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(argv + ["--format", "machine"], capsys)
+        assert code == 0
+        assert machine_lines(out)[0] == {"command": argv[0], "report_version": 1, "seed": None}
+
+    def test_derive_rows_and_cost_of_the_bundled_algebras(self, capsys):
+        got = {}
+        for name in DERIVE_TABLE:
+            code, out, _ = run(["derive", name, "--format", "machine"], capsys)
+            assert code == 0
+            rows = machine_lines(out)[1:]
+            got[name] = (
+                [(r["label"], r["block"], r["invariants"]) for r in rows[:-1]],
+                rows[-1]["total_units"],
+            )
+        assert got == DERIVE_TABLE
+
+
+# `derive NAME --format machine`: (label, block, invariants) rows and the
+# cost section's total_units, per bundled algebra
+DERIVE_TABLE = {
+    "boltzmann": (
+        [
+            ("m_inv", "G", 2),
+            ("m_mono", "O_le", 2),
+            ("m_adj", "T_star", 1),
+            ("m_rev", "T_rev", 1),
+            ("m_conv", "L_star", 1),
+            ("m_dyn", "D_star", 1),
+            ("m_cmp", "E_star", 1),
+        ],
+        36,
+    ),
+    "equivariant": (
+        [
+            ("m_inv", "G", 2),
+            ("m_mono", "O_le", 1),
+            ("m_adj", "T_star", 1),
+            ("m_rev", "T_rev", 1),
+            ("m_conv", "L_star", 1),
+        ],
+        24,
+    ),
+    "sort": ([("m_inv", "G", 1), ("m_mono", "O_le", 1)], 8),
+    "relational": (
+        [
+            ("m_rel_inv", "G", 1),
+            ("m_rel_mono", "O_le", 1),
+            ("m_rel_cmp", "E_star", 1),
+            ("m_rel", "B_rel", 1),
+        ],
+        16,
+    ),
+    "ffn": ([("m_stab", "L_star", 1)], 4),
+    "pwr": (
+        [
+            ("m_inv", "G", 1),
+            ("m_mono", "O_le", 2),
+            ("m_adj", "T_star", 1),
+            ("m_conv", "L_star", 1),
+            ("m_dyn", "D_star", 1),
+            ("m_cmp", "E_star", 1),
+        ],
+        28,
+    ),
+}
+
 
 class TestSubcommands:
     def test_check_mr_blocked(self, capsys):

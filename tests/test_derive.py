@@ -1,17 +1,20 @@
 """Derivation pipeline tests: goldens, uniqueness laws, cost accounting."""
 
+import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noether import algebra as algebra_module
+from noether import zoo
 from noether.algebra import (
     ActsOn,
     BlockKind,
     CANONICAL_ORDER,
-    EmptyInput,
     Operator,
     OperatorAlgebra,
     Regime,
@@ -24,7 +27,6 @@ from noether.derive import (
     CostCounter,
     DEFAULT_LABELS,
     MRTemplate,
-    assign_block,
     construct_mp,
     extract_invariants,
     synthetic_algebra,
@@ -32,7 +34,13 @@ from noether.derive import (
     translate,
 )
 from noether.harness import coverage
-from noether.zoo import load_algebra
+from noether.reachability import check_reachability, exhaust_blocks
+from noether.specfile import algebra_to_text, parse_algebra
+from noether.zoo import load_algebra, load_descriptor
+
+FIXTURES = Path(zoo.__file__).with_name("fixtures")
+BUNDLED_ALGEBRAS = sorted(p.stem for p in FIXTURES.glob("*.alg"))
+BUNDLED_DESCRIPTORS = sorted(p.stem for p in FIXTURES.glob("*.mr"))
 
 # label -> block tag, frozen per bundled algebra
 PATTERN_GOLDENS = {
@@ -231,6 +239,64 @@ class TestPopulatedBlocks:
         assert coverage(hit, alg) == Fraction(covered, len(patterns))
 
 
+class TestStoredDecomposition:
+    """Each algebra is decomposed once; every reader shares the result."""
+
+    def test_one_decomposition_per_algebra(self, monkeypatch):
+        calls = []
+        real = algebra_module.decompose
+
+        def counting(alg):
+            calls.append(alg.name)
+            return real(alg)
+
+        monkeypatch.setattr(algebra_module, "decompose", counting)
+        descriptors = [load_descriptor(name) for name in BUNDLED_DESCRIPTORS]
+        obstructed = load_descriptor("rho_nonadd")
+        assert len(BUNDLED_ALGEBRAS) == 6
+        for name in BUNDLED_ALGEBRAS:
+            alg = load_algebra(name)
+            before = (repr(alg), algebra_to_text(alg))
+            calls.clear()
+            patterns = construct_mp(alg)
+            coverage([p.block for p in patterns], alg)
+            for descriptor in descriptors:
+                check_reachability(descriptor, alg)
+            exhaust_blocks(obstructed, alg)
+            assert calls == [alg.name]
+            assert (repr(alg), algebra_to_text(alg)) == before
+            assert parse_algebra(algebra_to_text(alg)) == alg
+
+    def test_algebra_is_frozen(self):
+        alg = load_algebra("sort")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alg.name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alg.operators = ()
+
+    def test_untagged_operator_raises_on_every_use(self):
+        alg = OperatorAlgebra(
+            name="bad",
+            operators=(Operator("b", ActsOn.INPUT, frozenset()),),
+            generators=("b",),
+        )
+        for _ in range(2):
+            with pytest.raises(UnassignedOperator):
+                alg.blocks
+
+
+class TestTemplates:
+    @given(random_algebras())
+    @settings(max_examples=150, deadline=None)
+    def test_patterns_keep_their_translated_templates(self, alg):
+        extracted = extract_invariants(decompose(alg), alg)
+        for p in construct_mp(alg):
+            assert p.templates == tuple(translate(inv) for inv in extracted[p.block])
+            names = [next(iter(t.provenance.phi)) for t in p.templates]
+            assert names == [op.name for op in alg.operators if p.block in op.block_tags]
+            assert p.members == frozenset(t.provenance for t in p.templates)
+
+
 class TestTranslate:
     @given(random_algebras())
     @settings(max_examples=100, deadline=None)
@@ -243,7 +309,6 @@ class TestTranslate:
                 assert t1.block is block
                 assert t1.tuple_rule == BLOCK_TUPLE_RULE[block]
                 assert t1.provenance == inv
-                assert t1.tolerance is None  # unbound until a harness binds it
 
     def test_tuple_rules_are_a_bijection(self):
         assert len(set(BLOCK_TUPLE_RULE.values())) == len(CANONICAL_ORDER)
@@ -285,18 +350,6 @@ class TestTranslate:
             for inv in invs
         }
         assert arity == {"small": 3, "big": 8, "lie": 4, "pair": 2}
-
-
-class TestAssignBlock:
-    def test_picks_canonical_maximum(self):
-        inv = BlockInvariant(BlockKind.O_LE, frozenset({"a"}), "monotonicity", 2)
-        inv2 = BlockInvariant(BlockKind.G, frozenset({"a"}), "equivariance", 2)
-        got = assign_block([(BlockKind.O_LE, inv), (BlockKind.G, inv2)])
-        assert got is BlockKind.G
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            assign_block([])
 
 
 # --- cost accounting ----------------------------------------------------------
