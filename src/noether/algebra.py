@@ -175,6 +175,25 @@ class RewriteDecl:
     rule: Optional["RewriteRule"] = field(default=None, compare=False, repr=False)
 
 
+class _LabelMap(dict):
+    """A read-only dict that hashes, so the frozen algebra holding it does;
+    it prints and compares as a plain dict."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an algebra's label map is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True)
 class OperatorAlgebra:
     """A named operator set with a generating subset.
@@ -195,6 +214,7 @@ class OperatorAlgebra:
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "semiring_rules", tuple(self.semiring_rules))
+        object.__setattr__(self, "label_overrides", _LabelMap(self.label_overrides))
         names = [op.name for op in self.operators]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})

@@ -16,9 +16,8 @@ from dataclasses import KW_ONLY, dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from . import minilang, zoo
+from ._rng import Generator
 from .algebra import BlockKind, OperatorAlgebra
 from .minilang import DomainError
 from .mutate import DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
@@ -87,8 +86,8 @@ class ExecutableMR:
     def _bound(self, values: Sequence[float]) -> float:
         return self.tolerance * max(1.0, *(abs(v) for v in values))
 
-    def _rng(self, seed: int) -> np.random.Generator:
-        return np.random.default_rng([seed, zlib.crc32(self.name.encode())])
+    def _rng(self, seed: int) -> Generator:
+        return Generator([seed, zlib.crc32(self.name.encode())])
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._rng import Generator
 from .algebra import RewriteDecl
 from .minilang import MAX_DEPTH
 
@@ -170,10 +169,26 @@ _HEADS = {"select": Select, "join": Join, "project": Project, "union": UnionAll,
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _HEADS.values()}
 
 
+class _Rowless:
+    """db's relations with their rows dropped, each made when a plan looks
+    it up."""
+
+    __slots__ = ("db",)
+
+    def __init__(self, db: Mapping[str, Relation]):
+        self.db = db
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.db
+
+    def __getitem__(self, name: str) -> Relation:
+        return Relation._trusted(self.db[name].schema, {})
+
+
 def schema_of(q: QueryExpr, db: Mapping[str, Relation]) -> Tuple[str, ...]:
     """The schema of `eval_query(q, db)`, or the schema error it raises: q
     evaluated over db's relations with their rows dropped."""
-    return eval_query(q, {n: Relation._trusted(r.schema, {}) for n, r in db.items()}).schema
+    return eval_query(q, _Rowless(db)).schema
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +499,7 @@ def bundled_rules() -> Tuple[RewriteRule, ...]:
 
 
 def gen_database(seed: int) -> Dict[str, Relation]:
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
 
     def rows(maker, count):
         bag = Counter()
@@ -493,20 +508,20 @@ def gen_database(seed: int) -> Dict[str, Relation]:
         return bag
 
     def s(pool=STRING_POOL):
-        return pool[int(rng.integers(0, len(pool)))]
+        return pool[rng.integers(0, len(pool))]
 
-    r = Relation(("a", "b"), rows(lambda: (int(rng.integers(0, 10)), int(rng.integers(0, 5))), int(rng.integers(1, 5))))
-    s_rel = Relation(("b", "c"), rows(lambda: (int(rng.integers(0, 5)), s()), int(rng.integers(1, 5))))
-    t = Relation(("c", "d"), rows(lambda: (s(), int(rng.integers(0, 10))), int(rng.integers(1, 5))))
+    r = Relation(("a", "b"), rows(lambda: (rng.integers(0, 10), rng.integers(0, 5)), rng.integers(1, 5)))
+    s_rel = Relation(("b", "c"), rows(lambda: (rng.integers(0, 5), s()), rng.integers(1, 5)))
+    t = Relation(("c", "d"), rows(lambda: (s(), rng.integers(0, 10)), rng.integers(1, 5)))
     return {"R": r, "S": s_rel, "T": t, EMPTY_NAME: Relation(("e",), Counter())}
 
 
-def _random_predicate(rng: np.random.Generator, over: Sequence[str]) -> Predicate:
-    attr = over[int(rng.integers(0, len(over)))]
+def _random_predicate(rng: Generator, over: Sequence[str]) -> Predicate:
+    attr = over[rng.integers(0, len(over))]
     if attr == "c":
-        return Predicate("eq", "c", STRING_POOL[int(rng.integers(0, len(STRING_POOL)))])
-    op = ("eq", "le", "lt")[int(rng.integers(0, 3))]
-    bound = int(rng.integers(0, 5 if attr == "b" else 10))
+        return Predicate("eq", "c", STRING_POOL[rng.integers(0, len(STRING_POOL))])
+    op = ("eq", "le", "lt")[rng.integers(0, 3)]
+    bound = rng.integers(0, 5 if attr == "b" else 10)
     return Predicate(op, attr, bound)
 
 
@@ -572,7 +587,7 @@ REL_MR_NAMES = tuple(_REL_MRS)
 def run_rel_trial(
     mr: str,
     db: Mapping[str, Relation],
-    rng: np.random.Generator,
+    rng: Generator,
     rules: Sequence[RewriteRule],
     evaluator: Evaluator = CORRECT,
 ) -> RelTrial:
@@ -593,7 +608,7 @@ def run_rel_mrs(
     rules = bundled_rules()
     for k in range(trials):
         db = gen_database(db_seed + k)
-        rng = np.random.default_rng([db_seed, k])
+        rng = Generator([db_seed, k])
         for mr in REL_MR_NAMES:
             outcome = run_rel_trial(mr, db, rng, rules, evaluator)
             counts[mr][0 if outcome.passed else 1] += 1

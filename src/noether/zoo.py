@@ -8,14 +8,15 @@ harness must see the same points) and a toy SGD round-trip.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from operator import add, mul, sub
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang
+from ._rng import Generator
 from .algebra import OperatorAlgebra
 from .reachability import MRDescriptor
 from .specfile import (
@@ -144,20 +145,20 @@ SUT_ORDER_SPECS: Mapping[str, OrderSpec] = {
 # mutants on the same evaluation points, so both draw from here.
 
 
-def _draw_value(rng: np.random.Generator, domain: str, nonzero: bool) -> float:
+def _draw_value(rng: Generator, domain: str, nonzero: bool) -> float:
     if domain == "int":
         if nonzero:
-            magnitude = int(rng.integers(1, _INT_RANGE + 1))
+            magnitude = rng.integers(1, _INT_RANGE + 1)
             return float(magnitude if rng.integers(0, 2) else -magnitude)
         return float(rng.integers(-_INT_RANGE, _INT_RANGE + 1))
     if nonzero:
-        magnitude = float(rng.uniform(0.5, 10.0))
+        magnitude = rng.uniform(0.5, 10.0)
         return magnitude if rng.integers(0, 2) else -magnitude
-    return float(rng.uniform(-10.0, 10.0))
+    return rng.uniform(-10.0, 10.0)
 
 
 def sample_args(
-    decl: SutDecl, rng: np.random.Generator, *, nonzero: bool = False, cone: str = "any"
+    decl: SutDecl, rng: Generator, *, nonzero: bool = False, cone: str = "any"
 ) -> Tuple[float, ...]:
     args = [_draw_value(rng, decl.domain, nonzero) for _ in decl.params]
     if cone == "nonneg":
@@ -170,7 +171,7 @@ def sample_args(
 
 def scaling_sample(decl: SutDecl, seed: int, budget: int) -> List[Tuple[Tuple[float, ...], float]]:
     """(base args, lambda) pairs for the scaling relation."""
-    rng = np.random.default_rng(seed ^ 0x5CA1E)
+    rng = Generator(seed ^ 0x5CA1E)
     out = []
     for k in range(budget):
         base = sample_args(decl, rng, nonzero=False)
@@ -259,19 +260,30 @@ class SgdTrajectory:
 class QuadraticLoss:
     """Per-batch affine gradients grad_i(theta) = A_i (theta - c_i) + b_i.
 
-    b_i defaults to zero (pure quadratic); a linear loss is A_i = 0 with a
-    constant gradient b_i.
+    Vectors are float tuples and each A_i is a tuple of rows.  b_i defaults
+    to zero (pure quadratic); a linear loss is A_i = 0 with a constant
+    gradient b_i.
     """
 
-    matrices: Tuple[np.ndarray, ...]
-    centers: Tuple[np.ndarray, ...]
-    linear_terms: Optional[Tuple[np.ndarray, ...]] = None
+    matrices: Tuple[Tuple[Tuple[float, ...], ...], ...]
+    centers: Tuple[Tuple[float, ...], ...]
+    linear_terms: Optional[Tuple[Tuple[float, ...], ...]] = None
 
-    def gradient(self, batch: int, theta: np.ndarray) -> np.ndarray:
-        g = self.matrices[batch] @ (theta - self.centers[batch])
+    def gradient(self, batch: int, theta: Sequence[float]) -> Tuple[float, ...]:
+        offset = [t - c for t, c in zip(theta, self.centers[batch])]
+        g = tuple(sum(map(mul, row, offset)) for row in self.matrices[batch])
         if self.linear_terms is not None:
-            g = g + self.linear_terms[batch]
+            g = tuple(map(add, g, self.linear_terms[batch]))
         return g
+
+
+def _sgd_leg(
+    theta: Tuple[float, ...], loss: QuadraticLoss, batches: Iterable[int], step: float
+) -> Tuple[float, ...]:
+    """theta after one step of size `step` along each batch's gradient."""
+    for i in batches:
+        theta = tuple(t + step * g for t, g in zip(theta, loss.gradient(i, theta)))
+    return theta
 
 
 def sgd_roundtrip_residual(traj: SgdTrajectory, loss: QuadraticLoss) -> float:
@@ -282,29 +294,19 @@ def sgd_roundtrip_residual(traj: SgdTrajectory, loss: QuadraticLoss) -> float:
     O(eta^2), which the order-check property pins to a ratio near 4 when
     eta is halved.
     """
-    theta = np.asarray(traj.theta0, dtype=float)
-    forward_end = theta
-    for i in traj.batch_order:
-        forward_end = forward_end - traj.eta * loss.gradient(i, forward_end)
-    back = forward_end
-    for i in reversed(traj.batch_order):
-        back = back + traj.eta * loss.gradient(i, back)
-    replay = back
-    for i in traj.batch_order:
-        replay = replay - traj.eta * loss.gradient(i, replay)
-    return float(np.linalg.norm(forward_end - replay))
+    theta = tuple(map(float, traj.theta0))
+    forward_end = _sgd_leg(theta, loss, traj.batch_order, -traj.eta)
+    back = _sgd_leg(forward_end, loss, reversed(traj.batch_order), traj.eta)
+    replay = _sgd_leg(back, loss, traj.batch_order, -traj.eta)
+    return math.sqrt(sum(d * d for d in map(sub, forward_end, replay)))
 
 
 def default_sgd_fixture(eta: float = 1e-3) -> Tuple[SgdTrajectory, QuadraticLoss]:
     """The bundled low-D quadratic used by the order-check property: ten
     steps alternating over its two batches."""
-    matrices = (
-        np.array([[1.2, 0.3], [0.3, 0.9]]),
-        np.array([[0.7, 0.0], [0.0, 1.5]]),
-    )
-    centers = (np.array([1.0, -2.0]), np.array([-0.5, 0.75]))
+    matrices = (((1.2, 0.3), (0.3, 0.9)), ((0.7, 0.0), (0.0, 1.5)))
+    centers = ((1.0, -2.0), (-0.5, 0.75))
     loss = QuadraticLoss(matrices=matrices, centers=centers)
     order = tuple(i % 2 for i in range(10))
     traj = SgdTrajectory(theta0=(3.0, -1.0), eta=eta, steps=len(order), batch_order=order)
     return traj, loss
-

@@ -1,5 +1,8 @@
 """Algebra data model: block order, decomposition, validation."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from noether.algebra import (
     canonical_max,
     decompose,
 )
+from noether.zoo import BUNDLED_ALGEBRAS, load_algebra
 
 BLOCKS = list(BlockKind)
 
@@ -113,6 +117,42 @@ class TestAlgebraValidation:
             name="ok", operators=(rel,), generators=("w",), semiring_rules=(rule,)
         )
         assert ok.semiring_rules == (rule,)
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+    def test_bundled_algebras_hash(self, name):
+        alg, again = load_algebra(name), load_algebra(name)
+        assert hash(alg) == hash(again)
+        assert {alg: name}[again] == name
+
+    def test_label_map_cannot_be_edited_in_place(self):
+        alg = load_algebra("relational")
+        labels = dict(alg.label_overrides)
+        edits = (
+            lambda m: m.__setitem__(BlockKind.G, "edited"),
+            lambda m: m.__delitem__(BlockKind.G),
+            lambda m: m.__ior__({BlockKind.G: "edited"}),
+            lambda m: m.update({BlockKind.G: "edited"}),
+            lambda m: m.setdefault(BlockKind.T_STAR, "edited"),
+            lambda m: m.pop(BlockKind.G),
+            lambda m: m.popitem(),
+            lambda m: m.clear(),
+        )
+        for edit in edits:
+            with pytest.raises(TypeError):
+                edit(alg.label_overrides)
+        assert alg.label_overrides == labels
+        assert repr(alg.label_overrides) == repr(labels)
+        assert copy.deepcopy(alg) == pickle.loads(pickle.dumps(alg)) == alg
+
+    def test_label_map_is_copied_from_the_caller(self):
+        labels = {BlockKind.O_LE: "m_mine"}
+        alg = OperatorAlgebra(
+            name="a", operators=(op("x", BlockKind.O_LE),), generators=("x",), label_overrides=labels
+        )
+        labels[BlockKind.O_LE] = "m_changed"
+        assert alg.label_overrides == {BlockKind.O_LE: "m_mine"}
 
 
 class TestDecomposition:

@@ -3,12 +3,12 @@
 from collections import Counter
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noether import relational
+from noether._rng import Generator
 from noether.algebra import RewriteDecl
 from noether.cli import REL_MODES
 from noether.relational import (
@@ -56,7 +56,7 @@ def check_rules_on_db(db, seed=0):
     database's base relations and a sampled predicate, then rewritten by
     `apply_rule`, so the guard is honored.
     """
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     violations = []
     base_names = [n for n in sorted(db) if n != EMPTY_NAME]
     for rule in bundled_rules():
@@ -518,10 +518,8 @@ class TestTrials:
     def test_trial_validation(self):
         with pytest.raises(ValueError):
             run_rel_mrs(SEED, 0)
-        import numpy as np
-
         with pytest.raises(ValueError):
-            run_rel_trial("rho_bogus", gen_database(0), np.random.default_rng(0), ())
+            run_rel_trial("rho_bogus", gen_database(0), Generator(0), ())
 
     def test_deterministic(self):
         assert run_rel_mrs(SEED, 25) == run_rel_mrs(SEED, 25)

@@ -2,11 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noether._rng import Generator
 from noether.minilang import compile_program
 from noether.specfile import HEADER, parse_sut_file
 from noether.zoo import (
@@ -143,23 +143,23 @@ class TestActionTables:
 class TestSamplers:
     def test_sample_args_deterministic(self):
         decl = ZOO["clamp"]
-        a = sample_args(decl, np.random.default_rng(5))
-        b = sample_args(decl, np.random.default_rng(5))
+        a = sample_args(decl, Generator(5))
+        b = sample_args(decl, Generator(5))
         assert a == b
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=50)
     def test_cones(self, seed):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         nn = sample_args(ZOO["caddSig"], rng, cone="nonneg")
         assert all(v >= 0 for v in nn)
-        lh = sample_args(ZOO["clamp"], np.random.default_rng(seed), cone="lo-le-hi")
+        lh = sample_args(ZOO["clamp"], Generator(seed), cone="lo-le-hi")
         assert lh[1] <= lh[2]
-        nz = sample_args(ZOO["gcdSig"], np.random.default_rng(seed), nonzero=True)
+        nz = sample_args(ZOO["gcdSig"], Generator(seed), nonzero=True)
         assert all(v != 0 for v in nz)
 
     def test_integer_domain_draws_integers(self):
-        rng = np.random.default_rng(0)
+        rng = Generator(0)
         for _ in range(50):
             args = sample_args(ZOO["gcdSig"], rng)
             assert all(v == int(v) for v in args)
@@ -238,12 +238,11 @@ class TestSgdRoundTrip:
         assert sgd_roundtrip_residual(*default_sgd_fixture(eta=0.0)) == 0.0
 
     def test_constant_gradients_cancel_exactly(self):
-        dim = 2
-        zero = np.zeros((dim, dim))
+        zero = ((0.0, 0.0), (0.0, 0.0))
         loss = QuadraticLoss(
             matrices=(zero, zero),
-            centers=(np.zeros(dim), np.zeros(dim)),
-            linear_terms=(np.array([0.3, -0.7]), np.array([1.1, 0.2])),
+            centers=((0.0, 0.0), (0.0, 0.0)),
+            linear_terms=((0.3, -0.7), (1.1, 0.2)),
         )
         traj = SgdTrajectory(theta0=(1.0, 2.0), eta=0.05, steps=6, batch_order=(0, 1, 0, 1, 0, 1))
         assert sgd_roundtrip_residual(traj, loss) == 0.0
