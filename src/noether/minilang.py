@@ -13,8 +13,12 @@ behavior of a guarded loop that never divides by zero.  `/ 0` and
 MAX_DEPTH levels; deeper input is an ExprSyntaxError.
 
 `compile_program` turns a program into the source of one Python function
-and compiles it once; `fold_constants` computes constant subtrees with the
-same operator functions that function calls.
+and compiles it once.  `compile_variants` compiles many one-statement
+variants of a program the same way, as one mutant schema: every statement
+is emitted once, each variant's replacement beside it, and each variant is
+a closure over the shared code that selects its own statement.
+`fold_constants` computes constant subtrees with the same operator
+functions that the compiled code calls.
 """
 
 from __future__ import annotations
@@ -518,29 +522,85 @@ def _emit(node: Expr, local: Mapping[str, str], consts: Dict[str, float], depth:
     return f"{_CALLED[op].__name__}({', '.join(args)})"
 
 
+def _select(lines: List[str], indent: str, target: str, sources: Sequence[str], first: int) -> None:
+    """Run `target + sources[_a - first]`, halving on `_a`: depth and compares grow as log2."""
+    if len(sources) == 1:
+        lines.append(f"{indent}{target}{sources[0]}")
+        return
+    mid = len(sources) // 2
+    lines.append(f"{indent}if _a < {first + mid}:")
+    _select(lines, indent + "    ", target, sources[:mid], first)
+    lines.append(f"{indent}else:")
+    _select(lines, indent + "    ", target, sources[mid:], first + mid)
+
+
+def _compile(
+    prog: Program, alternatives: Mapping[int, Sequence[Expr]]
+) -> Callable[[int, int], Callable[..., float]]:
+    """Compile `prog` once and return the factory of its functions.
+
+    `factory(s, a)` is a closure that runs statement `s` as
+    `alternatives[s][a]` and every other statement as written.  Only
+    statements with alternatives test the selector, so the functions of a
+    program without any run no selector at all.
+    """
+    n = len(prog.params)
+    local = {p: f"v{i}" for i, p in enumerate(prog.params)}
+    consts: Dict[str, float] = {}
+    lines = [
+        "def schema(_s, _a):",
+        "    def run(*args):",
+        f"        if len(args) != {n}:",
+        f"            raise _arity_error(name, {n}, len(args))",
+    ]
+    lines += [f"        v{i} = float(args[{i}])" for i in range(n)]
+    statements = [(a.name, a.expr) for a in prog.assigns] + [(None, prog.result)]
+    for k, (name, expr) in enumerate(statements):
+        sources = [_emit(e, local, consts) for e in (expr, *alternatives.get(k, ()))]
+        if name is not None:
+            local.setdefault(name, f"v{len(local)}")
+        target = "return " if name is None else f"{local[name]} = "
+        if len(sources) == 1:
+            lines.append(f"        {target}{sources[0]}")
+            continue
+        lines += [f"        if _s != {k}:", f"            {target}{sources[0]}", "        else:"]
+        _select(lines, "            ", target, sources[1:], 0)
+    lines.append("    return run")
+    namespace = dict(_NAMESPACE, name=prog.name, **consts)
+    exec(compile("\n".join(lines), f"<minilang {prog.name}>", "exec"), namespace)
+    return namespace["schema"]
+
+
 def compile_program(prog: Program) -> Callable[..., float]:
     """Compile to a plain Python function; raises ArityError on bad calls.
 
     Expressions deeper than MAX_DEPTH raise ExprSyntaxError, as the parser
     does, so a hand-built program cannot exceed what Python compiles.
     """
-    n = len(prog.params)
-    local = {p: f"v{i}" for i, p in enumerate(prog.params)}
-    consts: Dict[str, float] = {}
-    lines = [
-        "def run(*args):",
-        f"    if len(args) != {n}:",
-        f"        raise _arity_error(name, {n}, len(args))",
-    ]
-    lines += [f"    v{i} = float(args[{i}])" for i in range(n)]
-    for a in prog.assigns:
-        expr = _emit(a.expr, local, consts)
-        local.setdefault(a.name, f"v{len(local)}")
-        lines.append(f"    {local[a.name]} = {expr}")
-    lines.append(f"    return {_emit(prog.result, local, consts)}")
-    namespace = dict(_NAMESPACE, name=prog.name, **consts)
-    exec(compile("\n".join(lines), f"<minilang {prog.name}>", "exec"), namespace)
-    return namespace["run"]
+    return _compile(prog, {})(-1, -1)
+
+
+def compile_variants(
+    prog: Program, variants: Sequence[Tuple[int, Expr]]
+) -> List[Callable[..., float]]:
+    """One function per `(statement index, expression)` variant of `prog`.
+
+    Variant `(k, e)` behaves as `compile_program` of `prog` with statement
+    `k`'s expression replaced by `e`.  All variants share one compiled
+    mutant schema (Untch, Offutt & Harrold, ISSTA 1993): each statement is
+    emitted once, plus each variant's replacement, and every function is a
+    closure over the same code that selects its own statement.
+    """
+    alternatives: Dict[int, List[Expr]] = {}
+    selectors = []
+    for k, expr in variants:
+        if not 0 <= k <= len(prog.assigns):
+            raise IndexError(f"{prog.name} has no statement {k}")
+        slot = alternatives.setdefault(k, [])
+        selectors.append((k, len(slot)))
+        slot.append(expr)
+    schema = _compile(prog, alternatives)
+    return [schema(k, a) for k, a in selectors]
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +624,15 @@ def _level(node: Expr) -> int:
 
 
 def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    """A literal that parses back to `v` bit for bit; NaN has none."""
+    v = float(v)
+    if math.isnan(v):
+        raise ValueError("NaN has no mini-language literal")
+    if math.isinf(v):
+        return "1e999" if v > 0 else "-1e999"  # the tokenizer's float() overflows to inf
+    if v == 0.0 and math.copysign(1.0, v) < 0:
+        return "-0"  # the parser negates the literal 0 to -0.0
+    if v.is_integer() and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
 

@@ -173,7 +173,7 @@ def _rebuild(decl: SutDecl, stmt_index: int, new_expr: Expr) -> SutDecl:
 
 
 def _is_integral_const(node: Expr) -> bool:
-    return isinstance(node, Const) and float(node.value) == int(node.value)
+    return isinstance(node, Const) and float(node.value).is_integer()
 
 
 def _candidates(
@@ -246,21 +246,24 @@ class _Subject:
     """A subject or candidate program with what the stages read of it.
 
     `mutate` makes one for its subject, shared by every candidate, and one
-    per candidate.  Each fact is computed on first use, so a subject's own
-    evaluations fall inside the stage that first needs them.
+    per candidate; each arrives with its folded statements and compiled
+    function.  The sample facts are computed on first use, so a subject's
+    own evaluations fall inside the stage that first needs them.
     """
 
-    def __init__(self, decl: SutDecl, seed: int):
+    def __init__(
+        self, decl: SutDecl, seed: int, folded: Tuple[Expr, ...], fn: Callable[..., float]
+    ):
         self.decl = decl
         self.seed = seed
+        self.folded = folded
+        self.fn = fn
 
-    @cached_property
-    def folded(self) -> Tuple[Expr, ...]:
-        return tuple(minilang.fold_constants(e) for e in _statement_exprs(self.decl.program))
-
-    @cached_property
-    def fn(self) -> Callable[..., float]:
-        return minilang.compile_program(self.decl.program)
+    @classmethod
+    def of(cls, decl: SutDecl, seed: int) -> "_Subject":
+        """Fold every statement of `decl` and compile it on its own."""
+        folded = tuple(minilang.fold_constants(e) for e in _statement_exprs(decl.program))
+        return cls(decl, seed, folded, minilang.compile_program(decl.program))
 
     @cached_property
     def grid(self) -> List[Tuple[float, ...]]:
@@ -441,14 +444,18 @@ def mutate(
         cats = tuple(c for c in MutatorCategory if c in wanted)
     if matrix is None:
         matrix = DEFAULT_MATRIX
-    base = _Subject(decl, seed)
+    candidates = _candidates(decl, cats)
+    if not candidates:
+        return ()
+    base = _Subject.of(decl, seed)
     exprs = _statement_exprs(decl.program)
+    variants = [(k, minilang.replace_at(exprs[k], path, new)) for _, k, path, new in candidates]
+    fns = minilang.compile_variants(decl.program, variants)
     out: List[Mutant] = []
-    for category, stmt_index, path, replacement in _candidates(decl, cats):
-        mutated = _Subject(
-            _rebuild(decl, stmt_index, minilang.replace_at(exprs[stmt_index], path, replacement)),
-            seed,
-        )
+    for (category, _, path, replacement), (stmt_index, stmt), fn in zip(candidates, variants, fns):
+        folded = list(base.folded)
+        folded[stmt_index] = minilang.fold_constants(stmt)
+        mutated = _Subject(_rebuild(decl, stmt_index, stmt), seed, tuple(folded), fn)
         if is_trivially_equivalent(base, mutated):
             continue
         out.append(

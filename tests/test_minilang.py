@@ -23,6 +23,7 @@ from noether.minilang import (
     Var,
     assemble_program,
     compile_program,
+    compile_variants,
     fold_constants,
     parse_expr,
     parse_statement,
@@ -164,6 +165,18 @@ class TestParsePrint:
     def test_roundtrip(self, expr):
         assert parse_expr(to_source(expr)) == expr
 
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, -0.0, 0.0, 1e15, -2.5))
+    def test_roundtrip_is_bit_exact(self, value):
+        for tree in (Const(value), Bin("*", Var("x"), Const(value))):
+            back = parse_expr(to_source(tree))
+            assert back == tree
+            const = back if isinstance(back, Const) else back.right
+            assert math.copysign(1.0, const.value) == math.copysign(1.0, value)
+
+    def test_nan_has_no_literal(self):
+        with pytest.raises(ValueError, match="NaN"):
+            to_source(Const(math.nan))
+
     def test_precedence(self):
         assert parse_expr("1 + 2 * 3") == Bin(
             "+", Const(1.0), Bin("*", Const(2.0), Const(3.0))
@@ -301,6 +314,89 @@ class TestEval:
     def test_evaluate_helper(self):
         prog = assemble_program("t", ("a",), [parse_statement("return a * 3")])
         assert compile_program(prog)(2.0) == 6.0
+
+
+# --- mutant schemata: one compiled function for many variants --------------
+
+
+def _deep(depth):
+    """A tree exactly `depth` levels deep."""
+    node = Var("y")
+    for _ in range(depth - 1):
+        node = Neg(node)
+    return node
+
+
+@st.composite
+def programs_and_variants(draw):
+    """A program over x, y, z with rebinding assignments, and variants of it.
+
+    One assignment may be nested to MAX_DEPTH, the most the compiler takes,
+    so the selector code around it must not add expression nesting.
+    """
+    assigns = [
+        Assign(draw(st.sampled_from(("x", "y", "z"))), draw(ANY_EXPR))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if draw(st.booleans()):
+        assigns.insert(draw(st.integers(0, len(assigns))), Assign("z", _deep(MAX_DEPTH)))
+    prog = Program("t", ("x", "y", "z"), tuple(assigns), draw(ANY_EXPR))
+    exprs = [a.expr for a in prog.assigns] + [prog.result]
+    variants = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, len(exprs) - 1))
+        path, _node = draw(st.sampled_from(list(walk(exprs[k]))))
+        variants.append((k, replace_at(exprs[k], path, draw(ANY_EXPR))))
+    return prog, variants
+
+
+def _rebuilt(prog, k, expr):
+    assigns = list(prog.assigns)
+    if k < len(assigns):
+        assigns[k] = Assign(assigns[k].name, expr)
+        return Program(prog.name, prog.params, tuple(assigns), prog.result)
+    return Program(prog.name, prog.params, prog.assigns, expr)
+
+
+def _observed(fn, args):
+    """repr of the value, or the type of the exception raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # any error must match, not only DomainError
+        return type(exc)
+
+
+_INPUT = st.one_of(FINITE, SPECIAL)
+
+
+class TestVariants:
+    @given(programs_and_variants(), st.tuples(_INPUT, _INPUT, _INPUT))
+    @settings(max_examples=150, deadline=None)
+    def test_each_variant_matches_its_rebuilt_program(self, case, xyz):
+        prog, variants = case
+        try:
+            expected = [compile_program(_rebuilt(prog, k, e)) for k, e in variants]
+        except ExprSyntaxError:  # a replacement pushed a statement past MAX_DEPTH
+            with pytest.raises(ExprSyntaxError):
+                compile_variants(prog, variants)
+            return
+        got = compile_variants(prog, variants)
+        assert len(got) == len(variants)
+        for want, fn in zip(expected, got):
+            assert _observed(fn, xyz) == _observed(want, xyz)
+            assert _observed(fn, xyz[:2]) is _observed(want, xyz[:2]) is ArityError
+
+    def test_many_alternatives_in_one_statement(self):
+        # 3,000 variants of one statement; a flat if/elif chain this long
+        # exceeds CPython's compiler recursion limit
+        prog = assemble_program("t", ("x",), [parse_statement("return x")])
+        fns = compile_variants(prog, [(0, Bin("+", Var("x"), Const(float(i)))) for i in range(3000)])
+        assert [fns[i](1.0) for i in (0, 1, 1499, 2999)] == [1.0, 2.0, 1500.0, 3000.0]
+
+    def test_unknown_statement_is_refused(self):
+        prog = assemble_program("t", ("x",), [parse_statement("return x")])
+        with pytest.raises(IndexError):
+            compile_variants(prog, [(1, Var("x"))])
 
 
 # --- type checking ----------------------------------------------------------

@@ -1,11 +1,13 @@
 """Mutation-engine tests: matrix rows, strata, tagging, survivor censuses."""
 
+import builtins
 from collections import Counter
 from dataclasses import replace
 from types import ModuleType
 
 import pytest
 
+from noether import minilang
 from noether.algebra import BlockKind
 from noether.harness import ScalingMR, check_mr, generate_tuples
 from noether.minilang import Call, Cmp, Const, DomainError, compile_program
@@ -21,6 +23,8 @@ from noether.mutate import (
     MutatorCategory,
     PRESERVES,
     _Subject,
+    _candidates,
+    _statement_exprs,
     classify,
     homogeneity_effect_of,
     is_trivially_equivalent,
@@ -28,14 +32,21 @@ from noether.mutate import (
     syntactic_degree,
 )
 from noether.specfile import HEADER, MutatorConfig, parse_sut_file
-from noether.zoo import LAMBDA_SAMPLES, check_homogeneity, load_zoo, scaling_points, small_int_grid
+from noether.zoo import (
+    LAMBDA_SAMPLES,
+    check_homogeneity,
+    load_mutator_config,
+    load_zoo,
+    scaling_points,
+    small_int_grid,
+)
 
 ZOO = load_zoo()
 SEED = 20260816
 
 
 def subject(decl):
-    return _Subject(decl, SEED)
+    return _Subject.of(decl, SEED)
 
 
 _COLUMNS = (
@@ -261,6 +272,64 @@ class TestSiteRules:
         )
         # x + 0 -> x - 0 folds to the same tree; the filter must drop it
         assert mutants == ()
+
+    @pytest.mark.parametrize("threshold", ("1e999", "-1e999"))
+    def test_infinite_thresholds_are_not_increment_sites(self, threshold):
+        text = f"{HEADER}\nsut t(x) blocks=O_le\nreturn x < {threshold} ? 1 : 0\n"
+        decl = parse_sut_file(text)[0]
+        assert {c[0] for c in _candidates(decl, tuple(MutatorCategory))} == {
+            MutatorCategory.CONDITIONALS_BOUNDARY,
+            MutatorCategory.NEGATE_CONDITIONALS,
+            MutatorCategory.RETURN_VALS,
+        }
+        assert isinstance(mutate(decl, seed=SEED), tuple)
+
+
+class TestSchemaCost:
+    """Each subject compiles its candidates once and folds each statement once."""
+
+    def test_gcd_compiles_twice_and_folds_each_statement_once(self, monkeypatch):
+        compiles = []
+        real_compile = builtins.compile
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args[1])
+            return real_compile(*args, **kwargs)
+
+        folds = []
+        depth = [0]
+        real_fold = minilang.fold_constants
+
+        def counting_fold(node):
+            if not depth[0]:
+                folds.append(node)
+            depth[0] += 1
+            try:
+                return real_fold(node)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        monkeypatch.setattr(minilang, "fold_constants", counting_fold)
+        mutants = mutate(ZOO["gcdSig"], seed=SEED)
+        monkeypatch.undo()
+        # the subject on its own, then the schema of all its candidates
+        assert compiles == ["<minilang gcdSig>", "<minilang gcdSig>"]
+        assert len(_statement_exprs(ZOO["gcdSig"].program)) == 27
+        assert len(_candidates(ZOO["gcdSig"], tuple(MutatorCategory))) == 70
+        assert len(folds) == 27 + 70
+        assert len(mutants) == CENSUS["gcdSig"][0]
+
+    def test_blindness_roster_filter_and_tag_counts(self):
+        cfg = load_mutator_config()
+        categories = [MutatorCategory[c] for c in cfg.categories]
+        candidates = survivors = preserving = 0
+        for name in cfg.suts:
+            candidates += len(_candidates(ZOO[name], categories))
+            mutants = mutate(ZOO[name], categories, seed=cfg.seed)
+            survivors += len(mutants)
+            preserving += sum(m.homogeneity_effect == "preserving" for m in mutants)
+        assert (candidates - survivors, survivors, preserving) == (77, 88, 29)
 
 
 class TestNonFiniteOutputs:

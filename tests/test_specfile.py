@@ -53,6 +53,10 @@ class TestRoundTrips:
         assert parse_sut_file(sut_file_to_text(decls)) == decls
         assert len(decls) >= 6
 
+    def test_sut_file_with_infinite_and_negative_zero_constants(self):
+        text = f"{HEADER}\nsut t(x) blocks=O_le homogeneity=none\nreturn x < 1e999 ? -0 : -1e999\n"
+        assert sut_file_to_text(parse_sut_file(text)) == text
+
     def test_mutator_config(self):
         cfg = parse_mutator_config(fixture_text("blindness.cfg"))
         assert parse_mutator_config(mutator_config_to_text(cfg)) == cfg
