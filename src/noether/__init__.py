@@ -5,157 +5,8 @@ decides which MR descriptors the canonical translation can reach, runs the
 mutant-stratified scaling-blindness experiment on a bundled expression-
 language subject zoo, evaluates rewrite MRs on a bag-semantics relational
 mini-evaluator, and computes the exact small-sample statistics the reports
-use.
+use.  Import the submodules directly, e.g. `from noether.derive import
+construct_mp`; the package itself exports nothing else.
 """
 
-from .algebra import (
-    BLOCK_RELATION_FORM,
-    CANONICAL_ORDER,
-    ActsOn,
-    BlockKind,
-    Operator,
-    OperatorAlgebra,
-    Regime,
-    RewriteDecl,
-    block_from_tag,
-    canonical_max,
-    decompose,
-)
-from .derive import (
-    BLOCK_TUPLE_RULE,
-    BlockInvariant,
-    CostCounter,
-    MetaPattern,
-    MRTemplate,
-    construct_mp,
-    extract_invariants,
-    synthetic_algebra,
-    theorem2_bound,
-    translate,
-)
-from .harness import (
-    BaselineRed,
-    EmptyMetaPatternSet,
-    ExecutableMR,
-    KillMatrix,
-    KillSummary,
-    OrderMR,
-    ScalingMR,
-    SymmetryMR,
-    build_standard_mrs,
-    check_mr,
-    concordance_check,
-    coverage,
-    falsification_verdict,
-    generate_tuples,
-    k_sweep_audit,
-    run_blindness_experiment,
-    run_kill_experiment,
-)
-from .mutate import (
-    DEFAULT_MATRIX,
-    CompatibilityMatrix,
-    MissingOverride,
-    Mutant,
-    MutatorCategory,
-)
-from .reachability import (
-    MRDescriptor,
-    NotRejected,
-    Obstruction,
-    ReachabilityVerdict,
-    check_reachability,
-    exhaust_blocks,
-)
-from .relational import Evaluator, Relation, eval_query, run_rel_mrs
-from .stats import (
-    DegenerateCategories,
-    PairedCounts,
-    fisher_exact_2x2,
-    fleiss_kappa,
-    holm_thresholds,
-    mcnemar_exact,
-    wilson_interval,
-)
-from .specfile import (
-    MutatorConfig,
-    SpecSemanticError,
-    SpecSyntaxError,
-    parse_algebra,
-    parse_mr_descriptor,
-)
-from .zoo import load_algebra, load_descriptor, load_mutator_config, load_zoo
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActsOn",
-    "BLOCK_RELATION_FORM",
-    "BLOCK_TUPLE_RULE",
-    "BaselineRed",
-    "BlockInvariant",
-    "BlockKind",
-    "CANONICAL_ORDER",
-    "CompatibilityMatrix",
-    "CostCounter",
-    "DEFAULT_MATRIX",
-    "DegenerateCategories",
-    "EmptyMetaPatternSet",
-    "Evaluator",
-    "ExecutableMR",
-    "KillMatrix",
-    "KillSummary",
-    "MetaPattern",
-    "MissingOverride",
-    "MRDescriptor",
-    "MRTemplate",
-    "Mutant",
-    "MutatorCategory",
-    "MutatorConfig",
-    "NotRejected",
-    "Obstruction",
-    "Operator",
-    "OperatorAlgebra",
-    "OrderMR",
-    "PairedCounts",
-    "ReachabilityVerdict",
-    "Regime",
-    "Relation",
-    "RewriteDecl",
-    "ScalingMR",
-    "SpecSemanticError",
-    "SpecSyntaxError",
-    "SymmetryMR",
-    "block_from_tag",
-    "build_standard_mrs",
-    "canonical_max",
-    "check_mr",
-    "check_reachability",
-    "concordance_check",
-    "construct_mp",
-    "coverage",
-    "decompose",
-    "eval_query",
-    "exhaust_blocks",
-    "extract_invariants",
-    "falsification_verdict",
-    "fisher_exact_2x2",
-    "fleiss_kappa",
-    "generate_tuples",
-    "holm_thresholds",
-    "k_sweep_audit",
-    "load_algebra",
-    "load_descriptor",
-    "load_mutator_config",
-    "load_zoo",
-    "mcnemar_exact",
-    "parse_algebra",
-    "parse_mr_descriptor",
-    "run_blindness_experiment",
-    "run_kill_experiment",
-    "run_rel_mrs",
-    "synthetic_algebra",
-    "theorem2_bound",
-    "translate",
-    "wilson_interval",
-]

@@ -39,28 +39,42 @@ class EmptyInput(AlgebraError):
 class BlockKind(enum.Enum):
     """The eight block kinds, ordered by canonical priority (G highest).
 
-    The enum value is the ASCII tag used in algebra files.  Comparisons
-    implement the strict total order G > O_LE > T_STAR > T_REV > L_STAR >
-    D_STAR > E_STAR > B_REL.
+    Each member carries its own facts, written once in its row: the ASCII
+    tag used in algebra files, the one relation form the block certifies,
+    its canonical tuple-generation rule, its default MetaPattern label, and
+    its fixed tuple arity (None for G, whose arity is its sampled orbit).
+    Comparisons implement the strict total order G > O_LE > T_STAR > T_REV
+    > L_STAR > D_STAR > E_STAR > B_REL, the declaration order.
     """
 
-    G = "G"            # symmetry-group block: group actions and equivariance
-    O_LE = "O_le"      # order block: monotone parameter dependence
-    T_STAR = "T_star"  # self-adjoint block: pairing/duality operators
-    T_REV = "T_rev"    # reversal block: involutions (time reversal etc.)
-    L_STAR = "L_star"  # limit block: parametric refinement/scaling families
-    D_STAR = "D_star"  # dynamics block: qualitative trajectory features
-    E_STAR = "E_star"  # method block: error-ordered method comparison
-    B_REL = "B_rel"    # rewrite block: identity-preserving rewrite equality
+    G = ("G", "equivariance", "group-orbit", "m_inv", None)
+    O_LE = ("O_le", "monotonicity", "order-pair", "m_mono", 2)
+    T_STAR = ("T_star", "self-adjoint-pairing", "inner-product-pair", "m_adj", 2)
+    T_REV = ("T_rev", "involution", "involution-pair", "m_rev", 2)
+    L_STAR = ("L_star", "convergence-rate", "parametric-sequence", "m_conv", 3)
+    D_STAR = ("D_star", "qualitative-feature", "trajectory", "m_dyn", 3)
+    E_STAR = ("E_star", "method-order", "method-pair", "m_cmp", 2)
+    B_REL = ("B_rel", "rewrite-equality", "rewrite-pair", "m_rel", 2)
 
-    @property
-    def tag(self) -> str:
-        return self.value
+    def __init__(
+        self,
+        tag: str,
+        relation_form: str,
+        tuple_rule: str,
+        default_label: str,
+        fixed_arity: Optional[int],
+    ):
+        self.tag = tag
+        self.relation_form = relation_form
+        self.tuple_rule = tuple_rule
+        self.default_label = default_label
+        self.fixed_arity = fixed_arity
+        # rank under the canonical order, larger wins: minus the number of
+        # members declared before this one
+        self.priority = -len(type(self).__members__)
 
-    @property
-    def priority(self) -> int:
-        """Rank under the canonical order; larger wins."""
-        return _PRIORITY[self]
+    # members are singletons, so identity hashing agrees with equality
+    __hash__ = object.__hash__
 
     def __lt__(self, other: object):
         if not isinstance(other, BlockKind):
@@ -71,26 +85,14 @@ class BlockKind(enum.Enum):
 # Canonical order, highest priority first: the order BlockKind declares.
 CANONICAL_ORDER: Tuple[BlockKind, ...] = tuple(BlockKind)
 
-_PRIORITY = {kind: len(CANONICAL_ORDER) - i for i, kind in enumerate(CANONICAL_ORDER)}
-
-_TAG_TO_KIND = {kind.value: kind for kind in BlockKind}
-
-# Each block certifies exactly one relation form.
-BLOCK_RELATION_FORM: Mapping[BlockKind, str] = {
-    BlockKind.G: "equivariance",
-    BlockKind.O_LE: "monotonicity",
-    BlockKind.T_STAR: "self-adjoint-pairing",
-    BlockKind.T_REV: "involution",
-    BlockKind.L_STAR: "convergence-rate",
-    BlockKind.D_STAR: "qualitative-feature",
-    BlockKind.E_STAR: "method-order",
-    BlockKind.B_REL: "rewrite-equality",
-}
+_TAG_TO_KIND = {kind.tag: kind for kind in BlockKind}
 
 # Descriptor-only vocabulary: legal in MR descriptors, certified by no block.
 DESCRIPTOR_ONLY_FORMS: Tuple[str, ...] = ("homomorphism-failure", "mixed-difference")
 
-RELATION_FORMS: Tuple[str, ...] = tuple(BLOCK_RELATION_FORM.values()) + DESCRIPTOR_ONLY_FORMS
+RELATION_FORMS: Tuple[str, ...] = (
+    tuple(kind.relation_form for kind in BlockKind) + DESCRIPTOR_ONLY_FORMS
+)
 
 
 def block_from_tag(tag: str) -> BlockKind:
@@ -201,7 +203,8 @@ class OperatorAlgebra:
     semiring_rules holds the rewrite rules attached to the rewrite block and
     must be nonempty exactly when some operator is tagged B_rel.
     label_overrides maps block kinds to custom MetaPattern labels for this
-    algebra (the default block->label map applies otherwise).
+    algebra (each block's default label applies otherwise); the eight
+    effective labels must be distinct, so a label names one MetaPattern.
     """
 
     name: str
@@ -219,6 +222,10 @@ class OperatorAlgebra:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"algebra {self.name!r}: duplicate operator names {dupes}")
+        labels = [self.label_overrides.get(kind, kind.default_label) for kind in BlockKind]
+        if len(set(labels)) != len(labels):
+            dupes = sorted({n for n in labels if labels.count(n) > 1})
+            raise ValueError(f"algebra {self.name!r}: duplicate MetaPattern labels {dupes}")
         name_set = set(names)
         for g in self.generators:
             if g not in name_set:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import harness, relational, stats, zoo
 from .algebra import BlockKind
 from .derive import CostCounter, construct_mp, theorem2_bound
-from .mutate import MutatorCategory, mutant_id, mutate
+from .mutate import MissingOverride, MutatorCategory, mutant_id, mutate
 from .reachability import check_reachability
 from .specfile import (
     MutatorConfig,
@@ -621,6 +621,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (SpecSyntaxError, SpecSemanticError) as exc:
         print(f"noether: spec file rejected: {exc}", file=sys.stderr)
+        return 2
+    except MissingOverride as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"noether: {exc}", file=sys.stderr)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .algebra import (
-    BLOCK_RELATION_FORM,
     ActsOn,
     BlockDecomposition,
     BlockKind,
@@ -30,40 +29,8 @@ from .algebra import (
     Regime,
 )
 
-# block -> canonical tuple-generation rule (a bijection)
-BLOCK_TUPLE_RULE: Mapping[BlockKind, str] = {
-    BlockKind.G: "group-orbit",
-    BlockKind.O_LE: "order-pair",
-    BlockKind.T_STAR: "inner-product-pair",
-    BlockKind.T_REV: "involution-pair",
-    BlockKind.L_STAR: "parametric-sequence",
-    BlockKind.D_STAR: "trajectory",
-    BlockKind.E_STAR: "method-pair",
-    BlockKind.B_REL: "rewrite-pair",
-}
-
-DEFAULT_LABELS: Mapping[BlockKind, str] = {
-    BlockKind.G: "m_inv",
-    BlockKind.O_LE: "m_mono",
-    BlockKind.T_STAR: "m_adj",
-    BlockKind.T_REV: "m_rev",
-    BlockKind.L_STAR: "m_conv",
-    BlockKind.D_STAR: "m_dyn",
-    BlockKind.E_STAR: "m_cmp",
-    BlockKind.B_REL: "m_rel",
-}
-
-# fixed tuple arities; the group block samples its orbit up to this cap
+# the group block samples its orbit up to this cap
 _ORBIT_CAP = 8
-_FIXED_ARITY: Mapping[BlockKind, int] = {
-    BlockKind.O_LE: 2,
-    BlockKind.T_STAR: 2,
-    BlockKind.T_REV: 2,
-    BlockKind.L_STAR: 3,
-    BlockKind.D_STAR: 3,
-    BlockKind.E_STAR: 2,
-    BlockKind.B_REL: 2,
-}
 
 
 class CostCounter:
@@ -84,35 +51,35 @@ class BlockInvariant:
 
     block: BlockKind
     phi: FrozenSet[str]
-    pi_template: str
     arity: int
 
     def __post_init__(self):
         if not self.phi:
             raise ValueError("invariant needs at least one operator")
-        if self.pi_template != BLOCK_RELATION_FORM[self.block]:
-            raise ValueError(
-                f"form {self.pi_template!r} is not admissible for block {self.block.tag}"
-            )
         if self.arity < 1:
             raise ValueError("arity must be positive")
+
+    @property
+    def pi_template(self) -> str:
+        """The relation form, the one its block certifies."""
+        return self.block.relation_form
 
 
 @dataclass(frozen=True)
 class MRTemplate:
-    """Executable-MR recipe: tuple rule plus assertion shape."""
+    """Executable-MR recipe: tuple rule plus assertion shape, both fixed by
+    the block."""
 
     block: BlockKind
-    tuple_rule: str
-    assertion_form: str
     provenance: BlockInvariant
 
-    def __post_init__(self):
-        if self.tuple_rule != BLOCK_TUPLE_RULE[self.block]:
-            raise ValueError(
-                f"tuple rule {self.tuple_rule!r} is not the canonical rule "
-                f"for block {self.block.tag}"
-            )
+    @property
+    def tuple_rule(self) -> str:
+        return self.block.tuple_rule
+
+    @property
+    def assertion_form(self) -> str:
+        return self.block.relation_form
 
 
 @dataclass(frozen=True)
@@ -138,12 +105,12 @@ class MetaPattern:
 
 
 def _arity_for(block: BlockKind, op: Operator) -> int:
-    if block is BlockKind.G:
-        size = op.group_order_or_dim or 0
-        if op.regime is Regime.FINITE and size >= 2:
-            return min(size, _ORBIT_CAP)
-        return 4  # sampled orbit for Lie / truncated / degenerate groups
-    return _FIXED_ARITY[block]
+    if block.fixed_arity is not None:
+        return block.fixed_arity
+    size = op.group_order_or_dim or 0
+    if op.regime is Regime.FINITE and size >= 2:
+        return min(size, _ORBIT_CAP)
+    return 4  # sampled orbit for Lie / truncated / degenerate groups
 
 
 def extract_invariants(
@@ -170,7 +137,6 @@ def extract_invariants(
                 BlockInvariant(
                     block=block,
                     phi=frozenset({op.name}),
-                    pi_template=BLOCK_RELATION_FORM[block],
                     arity=_arity_for(block, op),
                 )
             )
@@ -187,12 +153,7 @@ def translate(invariant: BlockInvariant, counter: Optional[CostCounter] = None) 
     """
     if counter is not None:
         counter.charge(1, "translate")
-    return MRTemplate(
-        block=invariant.block,
-        tuple_rule=BLOCK_TUPLE_RULE[invariant.block],
-        assertion_form=invariant.pi_template,
-        provenance=invariant,
-    )
+    return MRTemplate(block=invariant.block, provenance=invariant)
 
 
 def construct_mp(
@@ -208,7 +169,7 @@ def construct_mp(
             fee = sum(math.ceil(math.log2(i + 2)) for i in range(len(invariants)))
             counter.charge(fee, "quotient")
             counter.charge(1, "aggregate")
-        label = algebra.label_overrides.get(block, DEFAULT_LABELS[block])
+        label = algebra.label_overrides.get(block, block.default_label)
         patterns.append(MetaPattern(block=block, label=label, templates=templates))
     return tuple(patterns)
 

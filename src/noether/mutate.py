@@ -422,8 +422,14 @@ def homogeneity_effect_of(base: _Subject, mutant: _Subject) -> str:
 def classify(
     sut: str, category: str, matrix: CompatibilityMatrix, blocks: FrozenSet[BlockKind]
 ) -> FrozenSet[BlockKind]:
-    """The populated blocks a category's mutants break on this subject."""
-    return frozenset(b for b in blocks if matrix.effect(sut, category, b) == BREAKS)
+    """The populated blocks a category's mutants break on this subject.
+
+    Blocks are visited in canonical order, so a MissingOverride names the
+    same block in every process.
+    """
+    return frozenset(
+        b for b in CANONICAL_ORDER if b in blocks and matrix.effect(sut, category, b) == BREAKS
+    )
 
 
 def mutate(

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .algebra import (
-    BLOCK_RELATION_FORM,
     BlockKind,
     CANONICAL_ORDER,
     OperatorAlgebra,
@@ -102,9 +101,7 @@ def structural_obstructions(mr: MRDescriptor) -> frozenset:
 
 def _admitting_blocks(mr: MRDescriptor, algebra: OperatorAlgebra) -> Tuple[BlockKind, ...]:
     return tuple(
-        kind
-        for kind in algebra.blocks.nonempty_blocks()
-        if BLOCK_RELATION_FORM[kind] == mr.relation_form
+        kind for kind in algebra.blocks.nonempty_blocks() if kind.relation_form == mr.relation_form
     )
 
 
@@ -129,7 +126,7 @@ def check_reachability(mr: MRDescriptor, algebra: OperatorAlgebra) -> Reachabili
 def _block_reason(kind: BlockKind, mr: MRDescriptor, populated: bool) -> str:
     if not populated:
         return "block empty for this algebra"
-    form = BLOCK_RELATION_FORM[kind]
+    form = kind.relation_form
     if kind is BlockKind.O_LE and mr.relation_form == "mixed-difference":
         return (
             "template mismatch: a monotone pair is a two-point relation, but a "

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from noether.algebra import (
-    BLOCK_RELATION_FORM,
     CANONICAL_ORDER,
+    DESCRIPTOR_ONLY_FORMS,
+    RELATION_FORMS,
     ActsOn,
     BlockKind,
     EmptyInput,
@@ -177,5 +178,6 @@ class TestDecomposition:
             decompose(algebra)
 
     def test_relation_form_map_is_total_and_injective(self):
-        assert set(BLOCK_RELATION_FORM) == set(BLOCKS)
-        assert len(set(BLOCK_RELATION_FORM.values())) == len(BLOCKS)
+        forms = [b.relation_form for b in BLOCKS]
+        assert len(set(forms)) == len(BLOCKS)
+        assert set(forms) == set(RELATION_FORMS) - set(DESCRIPTOR_ONLY_FORMS)

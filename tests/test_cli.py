@@ -1,7 +1,10 @@
 """End-to-end CLI tests: exit codes, output formats, the reproduce driver."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,10 +19,17 @@ REFERENCE_REPORT = (
 
 
 FIXTURES = Path(zoo.__file__).with_name("fixtures")
+SRC = Path(__file__).resolve().parent.parent / "src"
 # the bundled query-plan algebra with one rule whose rhs names a variable Q
 # that its lhs does not bind
 UNBOUND_RULE_ALGEBRA = (FIXTURES / "relational.alg").read_text().replace(
     "rhs=select(p,R) guard=none", "rhs=select(p,Q) guard=none"
+)
+# the bundled zoo with midpoint's body behind two negations: its INVERT_NEGS
+# mutants populate the case-dependent (INVERT_NEGS, G) and (INVERT_NEGS,
+# L_star) cells, for which no override exists
+NEGATED_MIDPOINT_ZOO = (FIXTURES / "zoo.sut").read_text().replace(
+    "return (a + b) / 2\n", "return -(-(a + b) / 2)\n"
 )
 
 
@@ -85,6 +95,9 @@ class TestExitCodes:
             (["check-mr", "nosuch", "--algebra", "boltzmann"], None),
             (["coverage", "--algebra", "equivariant", "--mr", "nosuch"], None),
             (["rel"], ("relational.alg", UNBOUND_RULE_ALGEBRA)),
+            (["mutate", "midpoint"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
+            (["kill"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
+            (["reproduce"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
         ),
         ids=(
             "wilson-successes-above-n",
@@ -98,6 +111,9 @@ class TestExitCodes:
             "check-mr-unknown-descriptor",
             "coverage-unknown-descriptor",
             "rel-unbound-rule-variable",
+            "mutate-missing-override",
+            "kill-missing-override",
+            "reproduce-missing-override",
         ),
     )
     def test_bad_input_is_one_line_exit_2(self, argv, fixture, tmp_path, monkeypatch, capsys):
@@ -142,6 +158,26 @@ class TestMachineFormat:
         rows = machine_lines(dest.read_text())
         labels = [r["label"] for r in rows if r.get("section", "").startswith("MetaPatterns")]
         assert labels == ["m_inv", "m_mono", "m_adj", "m_rev", "m_conv"]
+
+    def test_reports_do_not_depend_on_the_hash_seed(self):
+        """Interpreters with different string-hash seeds print the same bytes,
+        so no report follows the iteration order of a set or a hash."""
+        argvs = [["derive", name, "--format", "machine"] for name in zoo.BUNDLED_ALGEBRAS]
+        argvs.append(["mutate", "gcdSig", "--seed", str(SEED), "--format", "machine"])
+        code = f"from noether import cli\nfor argv in {argvs!r}:\n    assert cli.main(argv) == 0\n"
+        env = {k: v for k, v in os.environ.items() if k != "NOETHER_FIXTURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(env, PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b'"report_version"') == len(argvs)
 
     @pytest.mark.parametrize(
         "argv",

@@ -22,11 +22,8 @@ from noether.algebra import (
     decompose,
 )
 from noether.derive import (
-    BLOCK_TUPLE_RULE,
     BlockInvariant,
     CostCounter,
-    DEFAULT_LABELS,
-    MRTemplate,
     construct_mp,
     extract_invariants,
     synthetic_algebra,
@@ -184,7 +181,7 @@ class TestConstruction:
     @settings(max_examples=100, deadline=None)
     def test_default_labels_without_overrides(self, alg):
         for p in construct_mp(alg):
-            assert p.label == DEFAULT_LABELS[p.block]
+            assert p.label == p.block.default_label
 
     def test_untagged_operator_rejected(self):
         alg = OperatorAlgebra(
@@ -307,34 +304,18 @@ class TestTranslate:
                 t1, t2 = translate(inv), translate(inv)
                 assert t1 == t2
                 assert t1.block is block
-                assert t1.tuple_rule == BLOCK_TUPLE_RULE[block]
+                assert t1.tuple_rule == block.tuple_rule
+                assert t1.assertion_form == inv.pi_template == block.relation_form
                 assert t1.provenance == inv
 
     def test_tuple_rules_are_a_bijection(self):
-        assert len(set(BLOCK_TUPLE_RULE.values())) == len(CANONICAL_ORDER)
-
-    def test_template_rejects_wrong_tuple_rule(self):
-        inv = BlockInvariant(
-            block=BlockKind.G,
-            phi=frozenset({"a"}),
-            pi_template="equivariance",
-            arity=2,
-        )
-        with pytest.raises(ValueError):
-            MRTemplate(
-                block=BlockKind.G,
-                tuple_rule="order-pair",
-                assertion_form="equivariance",
-                provenance=inv,
-            )
+        assert len({block.tuple_rule for block in CANONICAL_ORDER}) == len(CANONICAL_ORDER)
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
-            BlockInvariant(BlockKind.G, frozenset(), "equivariance", 2)
+            BlockInvariant(BlockKind.G, frozenset(), 2)
         with pytest.raises(ValueError):
-            BlockInvariant(BlockKind.G, frozenset({"a"}), "monotonicity", 2)
-        with pytest.raises(ValueError):
-            BlockInvariant(BlockKind.G, frozenset({"a"}), "equivariance", 0)
+            BlockInvariant(BlockKind.G, frozenset({"a"}), 0)
 
     def test_group_orbit_arity(self):
         ops = (

@@ -34,10 +34,12 @@ from noether.mutate import (
 from noether.specfile import HEADER, MutatorConfig, parse_sut_file
 from noether.zoo import (
     LAMBDA_SAMPLES,
+    SCALING_BUDGET,
     check_homogeneity,
     load_mutator_config,
     load_zoo,
     scaling_points,
+    scaling_sample,
     small_int_grid,
 )
 
@@ -115,6 +117,17 @@ class TestClassify:
             classify("nobody", "MATH", DEFAULT_MATRIX, frozenset({BlockKind.O_LE}))
         with pytest.raises(MissingOverride):
             DEFAULT_MATRIX.effect("nobody", "MATH", BlockKind.O_LE)
+
+    def test_missing_override_names_the_first_block_in_canonical_order(self):
+        # INVERT_NEGS is case-dependent on both G and L_star; which cell is
+        # reported must not depend on how the set iterates
+        for blocks in (
+            frozenset({BlockKind.G, BlockKind.L_STAR}),
+            frozenset({BlockKind.L_STAR, BlockKind.O_LE, BlockKind.G}),
+        ):
+            with pytest.raises(MissingOverride, match=r"\(INVERT_NEGS, G\)") as exc:
+                classify("nobody", "INVERT_NEGS", DEFAULT_MATRIX, blocks)
+            assert exc.value.block is BlockKind.G
 
     def test_unpopulated_case_cells_never_consulted(self):
         broken = classify("nobody", "MATH", DEFAULT_MATRIX, frozenset({BlockKind.G}))
@@ -380,3 +393,36 @@ class TestPackageSurface:
         assert isinstance(noether.mutate, ModuleType)
         assert noether.mutate is mutate_module
         assert noether.mutate.mutate is mutate
+
+
+# A random certified degree-1 subject whose scaling MR is green at SEED, yet
+# whose lambda = 7 scaling MR kills two of its preserving-tagged mutants
+# (CONDITIONALS_BOUNDARY@2:0 and NEGATE_CONDITIONALS@3:root): scaling by 7
+# rounds in binary floating point.
+R88 = f"""{HEADER}
+sut r88(x, y) blocks=L_star homogeneity=degree-1
+t0 = y
+t1 = abs(((t0 - t0) - max(t0, x)))
+t2 = (t0 < ((y - t1) + x) ? ((t0 < x ? t1 : y) - max(x, t1)) : t1)
+return ((sqrt(t2 * t2 + x * x) % t2) < sqrt((t1 - t0) * (t1 - t0) + t2 * t2) ? t0 : t2)
+"""
+
+
+class TestCertificateExactness:
+    def test_preserving_mutants_commute_with_power_of_two_scaling(self):
+        """The degree certificate is exact for power-of-two lambda: every
+        operation of the language commutes with it bit for bit."""
+        decl = parse_sut_file(R88)[0]
+        matrix = CompatibilityMatrix(
+            overrides={("r88", "NEGATE_CONDITIONALS", BlockKind.L_STAR): PRESERVES}
+        )
+        preserving = [
+            m for m in mutate(decl, seed=SEED, matrix=matrix) if m.homogeneity_effect == "preserving"
+        ]
+        assert len(preserving) == 5
+        bases = [base for base, _ in scaling_sample(decl, SEED, SCALING_BUDGET)]
+        for m in preserving:
+            for lam in (0.5, 2.0, 4.0):
+                for base in bases:
+                    scaled = m.fn(*(lam * a for a in base))
+                    assert scaled.hex() == (lam * m.fn(*base)).hex(), (m.site, lam, base)

@@ -111,6 +111,22 @@ generators spin,gauge
         with pytest.raises(SpecSemanticError):
             parse_algebra(f"{HEADER}\nalgebra t\noperator a acts=input blocks=G\n")
 
+    @pytest.mark.parametrize(
+        "labels",
+        (
+            ("label L_star=m_mono",),
+            ("label G=m_x", "label T_rev=m_x"),
+            ("label O_le=m_rel",),
+        ),
+        ids=("override-meets-default", "two-overrides", "override-meets-unpopulated-default"),
+    )
+    def test_metapattern_labels_must_be_distinct(self, labels):
+        text = f"{HEADER}\nalgebra t\noperator a acts=input blocks=O_le,L_star\ngenerators a\n"
+        with pytest.raises(SpecSemanticError, match="duplicate MetaPattern labels"):
+            parse_algebra(text + "\n".join(labels) + "\n")
+        swapped = parse_algebra(text + "label O_le=m_conv\nlabel L_star=m_mono\n")
+        assert swapped.label_overrides == {BlockKind.O_LE: "m_conv", BlockKind.L_STAR: "m_mono"}
+
 
     @pytest.mark.parametrize(
         "rule,col",
