@@ -10,16 +10,17 @@ are sorted so identical inputs give bit-identical documents.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import harness, relational, stats, zoo
 from .algebra import BlockKind
-from .derive import CostCounter, construct_mp, theorem2_bound
+from .derive import CostCounter, construct_mp, synthetic_algebra, theorem2_bound
 from .mutate import MissingOverride, MutatorCategory, mutant_id, mutate
 from .reachability import check_reachability
 from .specfile import (
@@ -64,10 +65,10 @@ EXPECTED_PATTERNS: Dict[str, Dict[str, str]] = {
     "ffn": {"m_stab": "L_star"},
 }
 
-REACHABILITY_GOLDENS: Tuple[Tuple[str, str, Tuple[str, ...], Optional[str]], ...] = (
-    # (descriptor fixture, algebra fixture, obstruction tags, assigned block tag)
-    ("rho_nonadd", "boltzmann", ("O1", "O2", "O3"), None),
-    ("rho_mtc_bor", "boltzmann", ("O1", "O4", "O5"), None),
+REACHABILITY_GOLDENS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
+    # (descriptor fixture, algebra fixture, obstruction tags, assigned block tag or "-")
+    ("rho_nonadd", "boltzmann", ("O1", "O2", "O3"), "-"),
+    ("rho_mtc_bor", "boltzmann", ("O1", "O4", "O5"), "-"),
     ("rho_rot", "equivariant", (), "G"),
     ("rho_adj", "equivariant", (), "T_star"),
     ("rho_train_rev", "equivariant", (), "T_rev"),
@@ -100,42 +101,8 @@ STATS_GOLDENS = (
 )
 
 
-@dataclass
-class Report:
-    command: str
-    seed: Optional[int]
-    sections: List[Tuple[str, List[Dict[str, object]]]]
-
-    def add(self, title: str, rows: List[Dict[str, object]]) -> None:
-        self.sections.append((title, rows))
-
-    def render(self, fmt: str) -> str:
-        if fmt == "machine":
-            lines = [
-                json.dumps(
-                    {"command": self.command, "report_version": REPORT_VERSION, "seed": self.seed},
-                    sort_keys=True,
-                )
-            ]
-            for title, rows in self.sections:
-                for row in rows:
-                    lines.append(json.dumps({"section": title, **row}, sort_keys=True))
-            return "\n".join(lines) + "\n"
-        out: List[str] = []
-        for title, rows in self.sections:
-            out.append(f"== {title} ==")
-            if not rows:
-                out.append("  (empty)")
-                continue
-            keys = list(rows[0].keys())
-            widths = {
-                k: max(len(k), *(len(_cell(r.get(k))) for r in rows)) for k in keys
-            }
-            out.append("  " + "  ".join(k.ljust(widths[k]) for k in keys))
-            for row in rows:
-                out.append("  " + "  ".join(_cell(row.get(k)).ljust(widths[k]) for k in keys))
-            out.append("")
-        return "\n".join(out).rstrip("\n") + "\n"
+Rows = List[Dict[str, object]]
+Check = Tuple[str, bool, str]  # (check name, ok, detail): one row of reproduce's checks
 
 
 def _cell(value: object) -> str:
@@ -146,8 +113,31 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _emit(report: Report, args) -> None:
-    text = report.render(args.format)
+def _render(command: str, seed: Optional[int], sections: Dict[str, Rows], fmt: str) -> str:
+    """One report: JSON Lines under a header (machine) or padded tables (human)."""
+    if fmt == "machine":
+        header = {"command": command, "report_version": REPORT_VERSION, "seed": seed}
+        lines = [json.dumps(header, sort_keys=True)]
+        for title, rows in sections.items():
+            lines += [json.dumps({"section": title, **row}, sort_keys=True) for row in rows]
+        return "\n".join(lines) + "\n"
+    out: List[str] = []
+    for title, rows in sections.items():
+        out.append(f"== {title} ==")
+        if not rows:
+            out.append("  (empty)")
+            continue
+        keys = list(rows[0])
+        table = [keys] + [[_cell(row.get(k)) for k in keys] for row in rows]
+        widths = [max(len(line[i]) for line in table) for i in range(len(keys))]
+        out += ["  " + "  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in table]
+        out.append("")
+    return "\n".join(out).rstrip("\n") + "\n"
+
+
+def _emit(args, seed: Optional[int], sections: Dict[str, Rows]) -> None:
+    """Write the report of `args.command` to --out, or else to stdout."""
+    text = _render(args.command, seed, sections, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -156,12 +146,36 @@ def _emit(report: Report, args) -> None:
 
 
 def _load(ref: str, ext: str, parse: Callable[[str], object]):
-    """Parse the spec document `ref` names: the file `ref` when it ends in
-    `ext` or contains a path separator, else the fixture `ref + ext`."""
+    """Parse the document `ref` names: the file `ref` when it ends in `ext`
+    or contains a path separator, else the fixture `ref + ext`."""
     if ref.endswith(ext) or os.sep in ref:
         with open(ref, "r", encoding="utf-8") as fh:
             return parse(fh.read())
     return parse(zoo.fixture_text(ref + ext))
+
+
+def _tsv_rows(text: str) -> List[List[str]]:
+    """A label matrix: one tab-separated row per nonblank line."""
+    return [line.split("\t") for line in text.splitlines() if line.strip()]
+
+
+def _block_tag(block: Optional[BlockKind]) -> str:
+    return block.tag if block else "-"
+
+
+# test -> (number of integer arguments, the report row it computes)
+STATS_TESTS: Dict[str, Tuple[int, Callable[..., Dict[str, object]]]] = {
+    "wilson": (
+        2,
+        lambda args: dict(zip(("lo", "hi"), stats.wilson_interval(*args.values, args.confidence))),
+    ),
+    "mcnemar": (2, lambda args: {"p": stats.mcnemar_exact(*args.values)}),
+    "fisher": (4, lambda args: {"p": stats.fisher_exact_2x2(*args.values)}),
+    "fleiss": (
+        0,
+        lambda args: {"kappa": stats.fleiss_kappa(_load(args.matrix, ".tsv", _tsv_rows))},
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +186,11 @@ def cmd_derive(args) -> int:
     algebra = _load(args.algebra, ".alg", parse_algebra)
     counter = CostCounter()
     patterns = construct_mp(algebra, counter)
-    report = Report("derive", None, [])
-    report.add(
-        f"MetaPatterns for {algebra.name}",
-        [
-            {"label": p.label, "block": p.block.tag, "invariants": len(p.templates)}
-            for p in patterns
-        ],
-    )
-    report.add("cost", [{"total_units": counter.total}])
-    _emit(report, args)
+    rows = [
+        {"label": p.label, "block": p.block.tag, "invariants": len(p.templates)} for p in patterns
+    ]
+    cost = [{"total_units": counter.total}]
+    _emit(args, None, {f"MetaPatterns for {algebra.name}": rows, "cost": cost})
     return 0
 
 
@@ -189,19 +198,13 @@ def cmd_check_mr(args) -> int:
     descriptor = _load(args.descriptor, ".mr", parse_mr_descriptor)
     algebra = _load(args.algebra, ".alg", parse_algebra)
     verdict = check_reachability(descriptor, algebra)
-    report = Report("check-mr", None, [])
-    report.add(
-        "reachability",
-        [
-            {
-                "descriptor": descriptor.name,
-                "reachable": verdict.reachable,
-                "obstructions": ",".join(verdict.obstruction_tags()) or "-",
-                "assigned_block": verdict.assigned_block.tag if verdict.assigned_block else "-",
-            }
-        ],
-    )
-    _emit(report, args)
+    row = {
+        "descriptor": descriptor.name,
+        "reachable": verdict.reachable,
+        "obstructions": ",".join(verdict.obstruction_tags()) or "-",
+        "assigned_block": _block_tag(verdict.assigned_block),
+    }
+    _emit(args, None, {"reachability": [row]})
     return 0
 
 
@@ -218,10 +221,8 @@ def cmd_coverage(args) -> int:
         blocks.append(verdict.assigned_block)
         rows.append({"descriptor": descriptor.name, "block": verdict.assigned_block.tag})
     score = harness.coverage(blocks, algebra)
-    report = Report("coverage", None, [])
-    report.add("members", rows)
-    report.add("coverage", [{"fraction": str(score), "value": float(score)}])
-    _emit(report, args)
+    fraction = {"fraction": str(score), "value": float(score)}
+    _emit(args, None, {"members": rows, "coverage": [fraction]})
     return 0
 
 
@@ -238,27 +239,22 @@ def cmd_mutate(args) -> int:
         print(f"mutate: unknown mutator category {exc}", file=sys.stderr)
         return 2
     seed = 0 if args.seed is None else args.seed
-    mutants = mutate(decls[args.sut], categories, seed=seed)
-    report = Report("mutate", seed, [])
-    report.add(
-        f"mutants of {args.sut}",
-        [
-            {
-                "id": mutant_id(m),
-                "category": m.category.name,
-                "strata": m.strata,
-                "effect": m.homogeneity_effect,
-                "broken": ",".join(sorted(b.tag for b in m.broken_blocks)) or "-",
-            }
-            for m in mutants
-        ],
-    )
-    _emit(report, args)
+    rows = [
+        {
+            "id": mutant_id(m),
+            "category": m.category.name,
+            "strata": m.strata,
+            "effect": m.homogeneity_effect,
+            "broken": ",".join(sorted(b.tag for b in m.broken_blocks)) or "-",
+        }
+        for m in mutate(decls[args.sut], categories, seed=seed)
+    ]
+    _emit(args, seed, {f"mutants of {args.sut}": rows})
     return 0
 
 
-def _blindness_rows(result: harness.BlindnessReport) -> List[Dict[str, object]]:
-    return [
+def _kills_section(result: harness.BlindnessReport) -> Dict[str, Rows]:
+    rows = [
         {
             "sut": s.sut,
             "scaling_kills": s.kills,
@@ -267,6 +263,7 @@ def _blindness_rows(result: harness.BlindnessReport) -> List[Dict[str, object]]:
         }
         for s in result.summaries.values()
     ]
+    return {"scaling kills per subject": rows}
 
 
 def _mutator_config(args) -> MutatorConfig:
@@ -279,20 +276,13 @@ def _mutator_config(args) -> MutatorConfig:
 def cmd_kill(args) -> int:
     cfg = _mutator_config(args)
     result = harness.run_blindness_experiment(cfg)
-    report = Report("kill", cfg.seed, [])
-    report.add("scaling kills per subject", _blindness_rows(result))
-    report.add(
-        "verdict",
-        [
-            {
-                "falsification": result.verdict,
-                "preserving_kills": len(result.preserving_kills),
-                "concordance": result.concordance_ok,
-                "excluded_mrs": len(result.matrix.excluded),
-            }
-        ],
-    )
-    _emit(report, args)
+    verdict = {
+        "falsification": result.verdict,
+        "preserving_kills": len(result.preserving_kills),
+        "concordance": result.concordance_ok,
+        "excluded_mrs": len(result.matrix.excluded),
+    }
+    _emit(args, cfg.seed, {**_kills_section(result), "verdict": [verdict]})
     ok = result.verdict == "pass" and not result.preserving_kills and result.concordance_ok
     return 0 if ok else 1
 
@@ -304,39 +294,21 @@ def cmd_rel(args) -> int:
     except ValueError as exc:
         print(f"rel: {exc}", file=sys.stderr)
         return 2
-    report = Report("rel", seed, [])
-    report.add(
-        "rewrite MRs",
-        [{"mr": mr, "passes": p, "fails": f} for mr, (p, f) in counts.items()],
-    )
-    _emit(report, args)
+    rows = [{"mr": mr, "passes": p, "fails": f} for mr, (p, f) in counts.items()]
+    _emit(args, seed, {"rewrite MRs": rows})
     return 0 if all(f == 0 for _, f in counts.values()) else 1
 
 
 def cmd_stats(args) -> int:
-    report = Report("stats", None, [])
+    arity, row_of = STATS_TESTS[args.test]
     try:
-        if args.test == "wilson":
-            lo, hi = stats.wilson_interval(args.values[0], args.values[1], args.confidence)
-            report.add("wilson", [{"lo": lo, "hi": hi}])
-        elif args.test == "mcnemar":
-            report.add("mcnemar", [{"p": stats.mcnemar_exact(args.values[0], args.values[1])}])
-        elif args.test == "fisher":
-            a, b, c, d = args.values
-            report.add("fisher", [{"p": stats.fisher_exact_2x2(a, b, c, d)}])
-        elif args.test == "fleiss":
-            path = args.matrix or "fleiss_audit.tsv"
-            text = (
-                open(path, "r", encoding="utf-8").read()
-                if os.sep in path or os.path.exists(path)
-                else zoo.fixture_text(path)
-            )
-            rows = [line.split("\t") for line in text.splitlines() if line.strip()]
-            report.add("fleiss", [{"kappa": stats.fleiss_kappa(rows)}])
+        if len(args.values) != arity:
+            raise ValueError(f"expected {arity} integers, got {len(args.values)}")
+        row = row_of(args)
     except (ValueError, stats.DegenerateCategories) as exc:
         print(f"stats {args.test}: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
+    _emit(args, None, {args.test: [row]})
     return 0
 
 
@@ -344,135 +316,64 @@ def cmd_stats(args) -> int:
 # reproduce: the full desk-scale suite
 
 
-def _check_derivations(checks: List[Dict[str, object]]) -> None:
+def _check_derivations() -> Iterator[Check]:
     for name, expected in EXPECTED_PATTERNS.items():
         patterns = construct_mp(zoo.load_algebra(name))
         got = {p.label: p.block.tag for p in patterns}
         ok = got == expected
-        checks.append(
-            {
-                "check": f"derive:{name}",
-                "ok": ok,
-                "detail": f"{len(patterns)} patterns" if ok else f"got {sorted(got)}",
-            }
-        )
+        yield f"derive:{name}", ok, f"{len(patterns)} patterns" if ok else f"got {sorted(got)}"
 
 
-def _check_reachability(checks: List[Dict[str, object]]) -> None:
+def _check_reachability() -> Iterator[Check]:
     for ref, algebra_name, tags, block in REACHABILITY_GOLDENS:
         verdict = check_reachability(zoo.load_descriptor(ref), zoo.load_algebra(algebra_name))
-        ok = verdict.obstruction_tags() == tags and (
-            (verdict.assigned_block.tag if verdict.assigned_block else None) == block
-        )
-        checks.append(
-            {
-                "check": f"reachability:{ref}",
-                "ok": ok,
-                "detail": ",".join(verdict.obstruction_tags()) or (verdict.assigned_block.tag if verdict.assigned_block else "-"),
-            }
-        )
+        got_tags, got_block = verdict.obstruction_tags(), _block_tag(verdict.assigned_block)
+        ok = (got_tags, got_block) == (tags, block)
+        yield f"reachability:{ref}", ok, ",".join(got_tags) or got_block
     for ref, tag in SINGLE_OBSTRUCTION_FIXTURES:
         verdict = check_reachability(zoo.load_descriptor(ref), zoo.load_algebra("boltzmann"))
-        ok = verdict.obstruction_tags() == (tag,)
-        checks.append(
-            {"check": f"obstruction:{ref}", "ok": ok, "detail": ",".join(verdict.obstruction_tags())}
-        )
+        got_tags = verdict.obstruction_tags()
+        yield f"obstruction:{ref}", got_tags == (tag,), ",".join(got_tags)
 
 
-def _check_blindness(checks: List[Dict[str, object]], cfg: MutatorConfig) -> harness.BlindnessReport:
-    result = harness.run_blindness_experiment(cfg)
-    checks.append(
-        {
-            "check": "blindness:preserving-kills",
-            "ok": not result.preserving_kills,
-            "detail": f"{len(result.preserving_kills)} rule-preserving mutants scaling-killed",
-        }
-    )
-    checks.append(
-        {
-            "check": "blindness:verdict",
-            "ok": result.verdict == "pass",
-            "detail": result.verdict,
-        }
-    )
-    checks.append(
-        {
-            "check": "blindness:concordance",
-            "ok": result.concordance_ok,
-            "detail": "; ".join(result.concordance_violations) or "clean",
-        }
-    )
-    checks.append(
-        {
-            "check": "blindness:baselines-green",
-            "ok": not result.matrix.excluded,
-            "detail": f"{len(result.matrix.excluded)} excluded",
-        }
-    )
-    return result
+def _check_blindness(result: harness.BlindnessReport) -> Iterator[Check]:
+    kills, excluded = len(result.preserving_kills), len(result.matrix.excluded)
+    yield "blindness:preserving-kills", not kills, f"{kills} rule-preserving mutants scaling-killed"
+    yield "blindness:verdict", result.verdict == "pass", result.verdict
+    violations = "; ".join(result.concordance_violations) or "clean"
+    yield "blindness:concordance", result.concordance_ok, violations
+    yield "blindness:baselines-green", not excluded, f"{excluded} excluded"
 
 
-def _check_relational(checks: List[Dict[str, object]], seed: int) -> None:
+def _check_relational(seed: int) -> Iterator[Check]:
     for mode, (evaluator, target) in REL_MODES.items():
         counts = relational.run_rel_mrs(seed, 100, evaluator)
         if target is None:
-            checks.append(
-                {
-                    "check": "relational:clean",
-                    "ok": all(f == 0 for _, f in counts.values()),
-                    "detail": "; ".join(f"{mr} {p}/{p + f}" for mr, (p, f) in counts.items()),
-                }
-            )
+            detail = "; ".join(f"{mr} {p}/{p + f}" for mr, (p, f) in counts.items())
+            yield "relational:clean", all(f == 0 for _, f in counts.values()), detail
         else:
-            checks.append(
-                {
-                    "check": f"relational:{mode}-detected",
-                    "ok": counts[target][1] > 0,
-                    "detail": f"{target} fails {counts[target][1]}/100",
-                }
-            )
+            fails = counts[target][1]
+            yield f"relational:{mode}-detected", fails > 0, f"{target} fails {fails}/100"
 
 
-def _check_stats(checks: List[Dict[str, object]]) -> None:
+def _check_stats() -> Iterator[Check]:
     for name, fn, expected, tol in STATS_GOLDENS:
         got = fn()
         ok = all(abs(g - e) <= tol for g, e in zip(got, expected))
-        checks.append(
-            {
-                "check": f"stats:{name}",
-                "ok": ok,
-                "detail": ",".join(f"{g:.6f}" for g in got),
-            }
-        )
-    rows = [
-        line.split("\t")
-        for line in zoo.fixture_text("fleiss_audit.tsv").splitlines()
-        if line.strip()
-    ]
-    kappa = stats.fleiss_kappa(rows)
-    checks.append(
-        {"check": "stats:fleiss-audit", "ok": abs(kappa - 0.857) <= 1e-3, "detail": f"{kappa:.6f}"}
-    )
+        yield f"stats:{name}", ok, ",".join(f"{g:.6f}" for g in got)
+    kappa = stats.fleiss_kappa(_tsv_rows(zoo.fixture_text("fleiss_audit.tsv")))
+    yield "stats:fleiss-audit", abs(kappa - 0.857) <= 1e-3, f"{kappa:.6f}"
 
 
-def _check_coverage(checks: List[Dict[str, object]]) -> None:
+def _check_coverage() -> Iterator[Check]:
     algebra = zoo.load_algebra("equivariant")
     for set_name, refs, expected in COVERAGE_SETS:
-        blocks = []
-        for ref in refs:
-            verdict = check_reachability(zoo.load_descriptor(ref), algebra)
-            blocks.append(verdict.assigned_block)
+        blocks = [check_reachability(zoo.load_descriptor(r), algebra).assigned_block for r in refs]
         score = harness.coverage(blocks, algebra)
-        checks.append(
-            {
-                "check": f"coverage:{set_name}",
-                "ok": score == expected,
-                "detail": f"{score} (expected {expected})",
-            }
-        )
+        yield f"coverage:{set_name}", score == expected, f"{score} (expected {expected})"
 
 
-def _check_sgd(checks: List[Dict[str, object]]) -> None:
+def _check_sgd() -> Iterator[Check]:
     eta = 1e-3
     traj, loss = zoo.default_sgd_fixture(eta)
     half, _ = zoo.default_sgd_fixture(eta / 2)
@@ -481,18 +382,11 @@ def _check_sgd(checks: List[Dict[str, object]]) -> None:
     r_half = zoo.sgd_roundtrip_residual(half, loss)
     r_zero = zoo.sgd_roundtrip_residual(frozen, loss)
     ratio = r_full / r_half if r_half else float("inf")
-    checks.append(
-        {
-            "check": "sgd:order",
-            "ok": 3.0 <= ratio <= 5.0 and r_zero == 0.0,
-            "detail": f"ratio {ratio:.4f}, zero-step residual {r_zero}",
-        }
-    )
+    ok = 3.0 <= ratio <= 5.0 and r_zero == 0.0
+    yield "sgd:order", ok, f"ratio {ratio:.4f}, zero-step residual {r_zero}"
 
 
-def _check_cost(checks: List[Dict[str, object]]) -> None:
-    from .derive import synthetic_algebra
-
+def _check_cost() -> Iterator[Check]:
     ok = True
     details = []
     for n in (10, 100, 1000):
@@ -501,7 +395,7 @@ def _check_cost(checks: List[Dict[str, object]]) -> None:
         bound = theorem2_bound(n)
         details.append(f"n={n}: {counter.total} <= {bound:.1f}")
         ok = ok and counter.total <= bound
-    checks.append({"check": "cost:bound", "ok": ok, "detail": "; ".join(details)})
+    yield "cost:bound", ok, "; ".join(details)
 
 
 def cmd_reproduce(args) -> int:
@@ -509,25 +403,24 @@ def cmd_reproduce(args) -> int:
     if args.tamper:
         patches = {**cfg.matrix_patches, ("MATH", BlockKind.L_STAR): "breaks"}
         cfg = replace(cfg, matrix_patches=patches)
-    checks: List[Dict[str, object]] = []
-    _check_derivations(checks)
-    _check_reachability(checks)
-    result = _check_blindness(checks, cfg)
-    _check_relational(checks, cfg.seed)
-    _check_stats(checks)
-    _check_coverage(checks)
-    _check_sgd(checks)
-    _check_cost(checks)
-    report = Report("reproduce", cfg.seed, [])
-    report.add("scaling kills per subject", _blindness_rows(result))
-    report.add("checks", checks)
-    failed = [c for c in checks if not c["ok"]]
-    report.add(
-        "summary",
-        [{"checks": len(checks), "failed": len(failed), "status": "green" if not failed else "red"}],
-    )
-    _emit(report, args)
-    return 0 if not failed else 1
+    result = harness.run_blindness_experiment(cfg)
+    checks = [
+        {"check": name, "ok": ok, "detail": detail}
+        for name, ok, detail in itertools.chain(
+            _check_derivations(),
+            _check_reachability(),
+            _check_blindness(result),
+            _check_relational(cfg.seed),
+            _check_stats(),
+            _check_coverage(),
+            _check_sgd(),
+            _check_cost(),
+        )
+    ]
+    failed = sum(not c["ok"] for c in checks)
+    summary = {"checks": len(checks), "failed": failed, "status": "red" if failed else "green"}
+    _emit(args, cfg.seed, {**_kills_section(result), "checks": checks, "summary": [summary]})
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rel", help="run the relational rewrite MRs")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument(
-        "--mutant",
-        choices=tuple(REL_MODES),
-        default="correct",
-    )
+    p.add_argument("--mutant", choices=tuple(REL_MODES), default="correct")
     common(p, seeded=True)
     p.set_defaults(fn=cmd_rel)
 
     p = sub.add_parser("stats", help="exact small-sample statistics")
-    p.add_argument("test", choices=("wilson", "mcnemar", "fisher", "fleiss"))
+    p.add_argument("test", choices=tuple(STATS_TESTS))
     p.add_argument("values", type=int, nargs="*")
     p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--matrix", default=None, help="label matrix path (fleiss)")
+    p.add_argument(
+        "--matrix", default="fleiss_audit", help="bundled label matrix name or .tsv path (fleiss)"
+    )
     common(p)
     p.set_defaults(fn=cmd_stats)
 
@@ -598,9 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ARG_COUNTS = {"wilson": 2, "mcnemar": 2, "fisher": 4, "fleiss": 0}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -608,14 +496,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if seed is not None and seed < 0:
         print(f"{args.command}: --seed must be nonnegative, got {seed}", file=sys.stderr)
         return 2
-    if args.command == "stats" and len(args.values) != _ARG_COUNTS[args.test]:
-        print(
-            f"stats {args.test}: expected {_ARG_COUNTS[args.test]} integers, got {len(args.values)}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         return args.fn(args)
+    except UnicodeDecodeError as exc:
+        print(f"noether: undecodable input: {exc}", file=sys.stderr)
+        return 2
     except (zoo.FixtureMissing, FileNotFoundError) as exc:
         print(f"noether: missing fixture or file: {exc}", file=sys.stderr)
         return 2

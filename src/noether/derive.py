@@ -68,10 +68,13 @@ class BlockInvariant:
 @dataclass(frozen=True)
 class MRTemplate:
     """Executable-MR recipe: tuple rule plus assertion shape, both fixed by
-    the block."""
+    the block of the invariant it was translated from."""
 
-    block: BlockKind
     provenance: BlockInvariant
+
+    @property
+    def block(self) -> BlockKind:
+        return self.provenance.block
 
     @property
     def tuple_rule(self) -> str:
@@ -94,9 +97,6 @@ class MetaPattern:
     def __post_init__(self):
         if not self.templates:
             raise ValueError(f"MetaPattern {self.label} must have templates")
-        for tpl in self.templates:
-            if tpl.block is not self.block:
-                raise ValueError(f"template block {tpl.block.tag} != pattern block {self.block.tag}")
 
     @property
     def members(self) -> FrozenSet[BlockInvariant]:
@@ -153,7 +153,7 @@ def translate(invariant: BlockInvariant, counter: Optional[CostCounter] = None) 
     """
     if counter is not None:
         counter.charge(1, "translate")
-    return MRTemplate(block=invariant.block, provenance=invariant)
+    return MRTemplate(provenance=invariant)
 
 
 def construct_mp(

@@ -392,7 +392,7 @@ def parse_sut_file(text: str) -> Tuple[SutDecl, ...]:
         header = _parse_sut_header(lineno, line, rest)
         i += 1
         body: List[Tuple[int, str]] = []
-        while i < len(lines) and not lines[i][1].startswith("sut "):
+        while i < len(lines) and not _is_sut_header(lines[i][1]):
             body.append(lines[i])
             i += 1
         decls.append(_assemble_sut(lineno, header, body))
@@ -403,6 +403,12 @@ def parse_sut_file(text: str) -> Tuple[SutDecl, ...]:
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise SpecSemanticError(dupes[0], "duplicate sut name")
     return tuple(decls)
+
+
+def _is_sut_header(line: str) -> bool:
+    """A body ends at the next `sut` line; `sut = ...` assigns a variable."""
+    keyword, rest = _split_keyword(line)
+    return keyword == "sut" and not rest.startswith("=")
 
 
 def _parse_sut_header(lineno: int, line: str, rest: str):
@@ -496,6 +502,8 @@ def parse_mutator_config(text: str) -> MutatorConfig:
             if seed_seen:
                 raise SpecSemanticError("seed", f"second seed line at {lineno}")
             seed = _parse_int(lineno, line, "seed", rest.strip())
+            if seed < 0:
+                raise SpecSemanticError("seed", f"negative seed {seed} on line {lineno}")
             seed_seen = True
         elif keyword == "suts":
             suts = _comma_list(rest)

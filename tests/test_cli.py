@@ -32,6 +32,9 @@ NEGATED_MIDPOINT_ZOO = (FIXTURES / "zoo.sut").read_text().replace(
     "return (a + b) / 2\n", "return -(-(a + b) / 2)\n"
 )
 
+# not UTF-8: 0xff never starts a character
+UNDECODABLE = HEADER.encode() + b"\n\xff\n"
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -98,6 +101,10 @@ class TestExitCodes:
             (["mutate", "midpoint"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
             (["kill"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
             (["reproduce"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
+            (["kill", "--config", "neg"], ("neg.cfg", f"{HEADER}\nseed -5\n")),
+            (["reproduce", "--config", "neg"], ("neg.cfg", f"{HEADER}\nseed -5\n")),
+            (["derive", "boltzmann"], ("boltzmann.alg", UNDECODABLE)),
+            (["mutate", "signum"], ("zoo.sut", UNDECODABLE)),
         ),
         ids=(
             "wilson-successes-above-n",
@@ -114,6 +121,10 @@ class TestExitCodes:
             "mutate-missing-override",
             "kill-missing-override",
             "reproduce-missing-override",
+            "kill-negative-config-seed",
+            "reproduce-negative-config-seed",
+            "derive-undecodable-fixture",
+            "mutate-undecodable-fixture",
         ),
     )
     def test_bad_input_is_one_line_exit_2(self, argv, fixture, tmp_path, monkeypatch, capsys):
@@ -122,8 +133,28 @@ class TestExitCodes:
         shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
         if fixture:
             name, text = fixture
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         monkeypatch.setenv("NOETHER_FIXTURES", str(tmp_path))
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["derive", "bad.alg"],
+            ["check-mr", "bad.mr", "--algebra", "boltzmann"],
+            ["kill", "--config", "bad.cfg"],
+            ["reproduce", "--config", "bad.cfg"],
+            ["stats", "fleiss", "--matrix", "bad.tsv"],
+        ),
+        ids=("derive", "check-mr", "kill", "reproduce", "stats-fleiss"),
+    )
+    def test_undecodable_file_is_one_line_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        bad = next(a for a in argv if a.startswith("bad."))
+        (tmp_path / bad).write_bytes(UNDECODABLE)
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
@@ -371,6 +402,20 @@ class TestSubcommands:
         (row,) = [r for r in machine_lines(out) if r.get("section") == "fleiss"]
         assert row["kappa"] == pytest.approx(0.856954, abs=1e-6)
 
+    def test_stats_fleiss_matrix_names_a_file_or_a_fixture(self, tmp_path, monkeypatch, capsys):
+        # a unanimous two-category matrix scores exactly 1, the bundled one 0.857;
+        # a bare name is the fixture whatever the working directory holds
+        for name in ("fleiss_audit.tsv", "fleiss_audit"):
+            (tmp_path / name).write_text("a\ta\nb\tb\n")
+        monkeypatch.chdir(tmp_path)
+        kappas = []
+        for ref in ("fleiss_audit.tsv", str(tmp_path / "fleiss_audit"), "fleiss_audit"):
+            code, out, err = run(["stats", "fleiss", "--matrix", ref, "--format", "machine"], capsys)
+            assert code == 0, err
+            kappas.append(machine_lines(out)[1]["kappa"])
+        assert kappas[:2] == [1.0, 1.0]
+        assert kappas[2] == pytest.approx(0.856954, abs=1e-6)
+
 
 @pytest.fixture(scope="module")
 def kill_run(tmp_path_factory):
@@ -500,3 +545,28 @@ class TestHumanFormat:
         code, out, _ = run(["check-mr", "rho_adj", "--algebra", "equivariant"], capsys)
         assert code == 0
         assert "yes" in out
+
+    def test_two_sections_render_exactly(self, capsys):
+        code, out, _ = run(
+            ["coverage", "--algebra", "equivariant", "--mr", "rho_rot", "--mr", "rho_train"], capsys
+        )
+        assert code == 0
+        assert out == (
+            "== members ==\n"
+            "  descriptor  block \n"
+            "  rho_rot     G     \n"
+            "  rho_train   L_star\n"
+            "\n"
+            "== coverage ==\n"
+            "  fraction  value\n"
+            "  2/5       0.4  \n"
+        )
+
+    def test_boolean_cell_renders_exactly(self, capsys):
+        code, out, _ = run(["check-mr", "rho_adj", "--algebra", "equivariant"], capsys)
+        assert code == 0
+        assert out == (
+            "== reachability ==\n"
+            "  descriptor  reachable  obstructions  assigned_block\n"
+            "  rho_adj     yes        -             T_star        \n"
+        )

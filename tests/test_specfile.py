@@ -57,6 +57,13 @@ class TestRoundTrips:
         text = f"{HEADER}\nsut t(x) blocks=O_le homogeneity=none\nreturn x < 1e999 ? -0 : -1e999\n"
         assert sut_file_to_text(parse_sut_file(text)) == text
 
+    @pytest.mark.parametrize("assignment", ("sut=x+1", "sut = x + 1"))
+    def test_sut_file_with_a_variable_named_sut(self, assignment):
+        text = f"{HEADER}\nsut f(x) blocks=G homogeneity=none\n{assignment}\nreturn sut\n"
+        decls = parse_sut_file(text)
+        assert [d.name for d in decls] == ["f"]
+        assert parse_sut_file(sut_file_to_text(decls)) == decls
+
     def test_mutator_config(self):
         cfg = parse_mutator_config(fixture_text("blindness.cfg"))
         assert parse_mutator_config(mutator_config_to_text(cfg)) == cfg
@@ -250,6 +257,10 @@ class TestMutatorParsing:
     def test_duplicate_seed(self):
         with pytest.raises(SpecSemanticError):
             parse_mutator_config(f"{HEADER}\nseed 1\nseed 2\n")
+
+    def test_negative_seed(self):
+        with pytest.raises(SpecSemanticError, match="line 2"):
+            parse_mutator_config(f"{HEADER}\nseed -5\n")
 
 
 def parse_with_every_parser(text):
