@@ -149,8 +149,7 @@ def _load(ref: str, ext: str, parse: Callable[[str], object]):
     """Parse the document `ref` names: the file `ref` when it ends in `ext`
     or contains a path separator, else the fixture `ref + ext`."""
     if ref.endswith(ext) or os.sep in ref:
-        with open(ref, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        return parse(zoo.read_text(ref))
     return parse(zoo.fixture_text(ref + ext))
 
 
@@ -498,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except UnicodeDecodeError as exc:
+    except zoo.UndecodableInput as exc:
         print(f"noether: undecodable input: {exc}", file=sys.stderr)
         return 2
     except (zoo.FixtureMissing, FileNotFoundError) as exc:

@@ -14,7 +14,7 @@ import sys
 import zlib
 from dataclasses import KW_ONLY, dataclass, field, replace
 from fractions import Fraction
-from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang, zoo
 from ._rng import Generator
@@ -26,15 +26,6 @@ from .specfile import SpecSemanticError, SutDecl
 
 DEFAULT_TOLERANCE = 100 * sys.float_info.epsilon
 DEFAULT_BUDGET = 64
-
-
-class BaselineRed(Exception):
-    """An MR failed on the unmutated subject."""
-
-    def __init__(self, mr_name: str, sut: str, detail: str = ""):
-        super().__init__(f"{mr_name} fails on baseline {sut}: {detail}")
-        self.mr_name = mr_name
-        self.sut = sut
 
 
 class EmptyMetaPatternSet(Exception):
@@ -58,12 +49,9 @@ class ExecutableMR:
     name: str
     decl: SutDecl
     _: KW_ONLY
-    tolerance: float = DEFAULT_TOLERANCE
     sample_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
         if self.sample_budget < 0:
             raise ValueError("sample budget must be nonnegative")
 
@@ -84,7 +72,7 @@ class ExecutableMR:
         return ""
 
     def _bound(self, values: Sequence[float]) -> float:
-        return self.tolerance * max(1.0, *(abs(v) for v in values))
+        return DEFAULT_TOLERANCE * max(1.0, *(abs(v) for v in values))
 
     def _rng(self, seed: int) -> Generator:
         return Generator([seed, zlib.crc32(self.name.encode())])
@@ -234,12 +222,6 @@ class KillMatrix:
     cells: Dict[Tuple[str, str], str]  # kills only: (mr, mutant) -> witness
     excluded: Tuple[Tuple[str, str, str], ...] = ()  # (mr, sut, reason)
 
-    def killed(self, mutant: str) -> bool:
-        return any((mr, mutant) in self.cells for mr in self.mr_names)
-
-    def kills_by(self, mr: str) -> int:
-        return sum(1 for m in self.mutant_ids if (mr, m) in self.cells)
-
 
 def run_kill_experiment(
     mrs: Sequence[ExecutableMR], mutants: Sequence[Mutant], seed: int
@@ -282,38 +264,21 @@ def run_kill_experiment(
     )
 
 
-def require_green(mr: ExecutableMR, seed: int) -> None:
-    """Raise BaselineRed instead of excluding (strict single-MR check)."""
-    fn = minilang.compile_program(mr.decl.program)
-    verdict = check_mr(mr, fn, generate_tuples(mr, seed))
-    if not verdict.passed:
-        raise BaselineRed(mr.name, mr.sut_name, verdict.failure)
-
-
 # ---------------------------------------------------------------------------
 # Coverage
 
 
-def _block_of(obj) -> BlockKind:
-    if isinstance(obj, BlockKind):
-        return obj
-    block = getattr(obj, "block", None)
-    if isinstance(block, BlockKind):
-        return block
-    raise TypeError(f"cannot determine a block for {obj!r}")
-
-
-def coverage(mrs: Iterable[object], algebra: OperatorAlgebra) -> Fraction:
-    """Fraction of the algebra's MetaPatterns hit by some MR's block.
+def coverage(blocks: Iterable[BlockKind], algebra: OperatorAlgebra) -> Fraction:
+    """Fraction of the algebra's MetaPatterns hit by one of the MRs' blocks.
 
     Each populated block contributes exactly one MetaPattern, so the
     patterns are counted by their blocks without being built.
     """
-    blocks = algebra.blocks.nonempty_blocks()
-    if not blocks:
+    populated = algebra.blocks.nonempty_blocks()
+    if not populated:
         raise EmptyMetaPatternSet(f"algebra {algebra.name} derives no MetaPatterns")
-    hit_blocks: Set[BlockKind] = {_block_of(mr) for mr in mrs}
-    return Fraction(sum(1 for block in blocks if block in hit_blocks), len(blocks))
+    hit = set(blocks)
+    return Fraction(sum(1 for block in populated if block in hit), len(populated))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +321,7 @@ def scaling_mr_name(sut: str) -> str:
 
 def concordance_check(
     mutants_by_sut: Mapping[str, Sequence[Mutant]],
-    matrix: KillMatrix,
+    scaling_kills: AbstractSet[str],
     active_cells: Mapping[Tuple[str, BlockKind], str],
     decls: Mapping[str, SutDecl],
 ) -> Tuple[bool, Tuple[str, ...]]:
@@ -366,29 +331,20 @@ def concordance_check(
     `preserves` must not have any rule-preserving mutant killed by the
     scaling relation; one that claims `breaks` must not have rule-preserving
     mutants on these subjects at all.  Case-dependent cells are exempt.
+    `scaling_kills` holds the ids of mutants their subject's scaling MR killed.
     """
     violations: List[str] = []
     scope = [s for s, d in decls.items() if d.homogeneity == "degree-1" and s in mutants_by_sut]
-    categories = sorted({c for (c, _b) in active_cells})
-    for category in categories:
+    for category in sorted({c for (c, _b) in active_cells}):
         cell = active_cells[(category, BlockKind.L_STAR)]
-        if cell == "case-dependent":
-            continue
         for sut in scope:
-            preserving = [
-                m
-                for m in mutants_by_sut[sut]
-                if m.category.name == category and m.homogeneity_effect == "preserving"
-            ]
-            if cell == "breaks" and preserving:
-                violations.extend(
-                    f"{mutant_id(m)}: rule-preserving under a breaks-cell" for m in preserving
-                )
-            elif cell == "preserves":
-                mr = scaling_mr_name(sut)
-                for m in preserving:
-                    if (mr, mutant_id(m)) in matrix.cells:
-                        violations.append(f"{mutant_id(m)}: killed despite a preserves-cell")
+            for m in mutants_by_sut[sut]:
+                if m.category.name != category or m.homogeneity_effect != "preserving":
+                    continue
+                if cell == "breaks":
+                    violations.append(f"{mutant_id(m)}: rule-preserving under a breaks-cell")
+                elif cell == "preserves" and mutant_id(m) in scaling_kills:
+                    violations.append(f"{mutant_id(m)}: killed despite a preserves-cell")
     return (not violations, tuple(violations))
 
 
@@ -403,39 +359,29 @@ def run_blindness_experiment(cfg=None) -> BlindnessReport:
     active_matrix = DEFAULT_MATRIX.with_config(cfg)
     chosen = {name: decls[name] for name in cfg.suts} if cfg.suts else dict(decls)
     categories = [MutatorCategory[c] for c in cfg.categories]
-    mutants_by_sut: Dict[str, Tuple[Mutant, ...]] = {}
-    for name in sorted(chosen):
-        mutants_by_sut[name] = derive_mutants(
-            chosen[name], categories, seed=cfg.seed, matrix=active_matrix
-        )
-    mrs = build_standard_mrs(chosen)
-    all_mutants = [m for name in sorted(chosen) for m in mutants_by_sut[name]]
-    kill_matrix = run_kill_experiment(mrs, all_mutants, seed=cfg.seed)
-
+    mutants_by_sut = {
+        name: derive_mutants(chosen[name], categories, seed=cfg.seed, matrix=active_matrix)
+        for name in sorted(chosen)
+    }
+    all_mutants = [m for mutants in mutants_by_sut.values() for m in mutants]
+    kill_matrix = run_kill_experiment(build_standard_mrs(chosen), all_mutants, seed=cfg.seed)
+    # the one read of the cells: ids of mutants their own subject's scaling MR killed
+    scaling_kills = {
+        mutant_id(m)
+        for m in all_mutants
+        if (scaling_mr_name(m.base), mutant_id(m)) in kill_matrix.cells
+    }
     summaries: Dict[str, KillSummary] = {}
     preserving_kills: List[str] = []
-    for name in sorted(chosen):
-        mr = scaling_mr_name(name)
-        kills = 0
-        all_breaking = True
-        for m in mutants_by_sut[name]:
-            mid = mutant_id(m)
-            if (mr, mid) in kill_matrix.cells:
-                kills += 1
-                if m.homogeneity_effect != "breaking":
-                    all_breaking = False
-                    preserving_kills.append(mid)
-        summaries[name] = KillSummary(
-            sut=name,
-            kills=kills,
-            mutants=len(mutants_by_sut[name]),
-            all_killed_breaking=all_breaking,
-        )
-    verdict = falsification_verdict(summaries.values())
-    ok, violations = concordance_check(mutants_by_sut, kill_matrix, active_matrix.cells, chosen)
+    for name, mutants in mutants_by_sut.items():
+        killed = [m for m in mutants if mutant_id(m) in scaling_kills]
+        kept = [mutant_id(m) for m in killed if m.homogeneity_effect != "breaking"]
+        summaries[name] = KillSummary(name, len(killed), len(mutants), all_killed_breaking=not kept)
+        preserving_kills.extend(kept)
+    ok, violations = concordance_check(mutants_by_sut, scaling_kills, active_matrix.cells, chosen)
     return BlindnessReport(
         summaries=summaries,
-        verdict=verdict,
+        verdict=falsification_verdict(summaries.values()),
         preserving_kills=tuple(preserving_kills),
         concordance_ok=ok,
         concordance_violations=violations,
@@ -462,7 +408,7 @@ def k_sweep_audit(
     for factor in K_SWEEP_FACTORS:
         scaled = [replace(mr, sample_budget=mr.sample_budget * factor) for mr in mrs]
         matrix = run_kill_experiment(scaled, mutants, seed)
-        killed = sum(1 for m in matrix.mutant_ids if matrix.killed(m))
+        killed = len({mid for _, mid in matrix.cells})
         rates[factor] = Fraction(killed, len(matrix.mutant_ids)) if matrix.mutant_ids else Fraction(0)
     values = list(rates.values())
     stable = (max(values) - min(values)) <= K_SWEEP_BAND

@@ -142,9 +142,6 @@ class Mutant:
         """D1 exactly when some populated block breaks, else D2."""
         return "D1" if self.broken_blocks else "D2"
 
-    def describe(self) -> str:
-        return f"{mutant_id(self)} -> {minilang.to_source(self.replacement)}"
-
 
 def mutant_id(mutant: Mutant) -> str:
     """Stable id `base/CATEGORY@stmt:path`; the path is `root` when empty."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang
 from .algebra import (
@@ -297,7 +297,16 @@ def algebra_to_text(algebra: OperatorAlgebra) -> str:
 # ---------------------------------------------------------------------------
 # MR descriptor documents
 
-_MR_KEYS = ("output", "form", "diff_order", "directions", "adjoint", "tolerance")
+# .mr key -> (MRDescriptor field, value parser); a key the file omits keeps the field's default
+_MR_KEYS: Dict[str, Tuple[str, Optional[Callable[..., object]]]] = {
+    "output": ("output_domain", None),
+    "form": ("relation_form", None),
+    "diff_order": ("difference_order", _parse_int),
+    "directions": ("parameter_directions", _parse_int),
+    "adjoint": ("adjoint_indexing", None),
+    "tolerance": ("tolerance", _parse_float),
+    "unit": ("unit", None),
+}
 
 
 def parse_mr_descriptor(text: str) -> MRDescriptor:
@@ -319,34 +328,20 @@ def parse_mr_descriptor(text: str) -> MRDescriptor:
             raise SpecSyntaxError(lineno, 1, "the mr declaration first", keyword)
         if "=" not in line:
             raise SpecSyntaxError(lineno, 1, "key=value", line[:40])
-        tokens = line.split()
-        attrs = _parse_attrs(lineno, line, tokens, _MR_KEYS + ("unit",))
-        for key, value in attrs.items():
-            if key in fields:
+        for key, value in _parse_attrs(lineno, line, line.split(), tuple(_MR_KEYS)).items():
+            field_name, parse = _MR_KEYS[key]
+            if field_name in fields:
                 raise SpecSemanticError(name, f"duplicate field {key!r} on line {lineno}")
-            if key == "diff_order" or key == "directions":
-                fields[key] = _parse_int(lineno, line, key, value)
-            elif key == "tolerance":
-                fields[key] = _parse_float(lineno, line, key, value)
-            else:
-                fields[key] = value
+            fields[field_name] = parse(lineno, line, key, value) if parse else value
     if name is None:
         raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "an mr declaration", "end of document")
-    kwargs = dict(
-        output_domain=fields.get("output", "program-output"),
-        relation_form=fields.get("form", "equivariance"),
-        difference_order=fields.get("diff_order", 1),
-        parameter_directions=fields.get("directions", 1),
-        adjoint_indexing=fields.get("adjoint", "fixed"),
-        tolerance=fields.get("tolerance", 1e-9),
-        unit=fields.get("unit", "absolute"),
-    )
-    if kwargs["relation_form"] == "mixed-difference" and kwargs["difference_order"] < 2:
-        raise SpecSemanticError(name, "mixed-difference form needs diff_order >= 2")
     try:
-        return MRDescriptor(name=name, **kwargs)  # type: ignore[arg-type]
+        mr = MRDescriptor(name=name, **fields)  # type: ignore[arg-type]
     except ValueError as exc:
         raise SpecSemanticError(name, str(exc))
+    if mr.relation_form == "mixed-difference" and mr.difference_order < 2:
+        raise SpecSemanticError(name, "mixed-difference form needs diff_order >= 2")
+    return mr
 
 
 def descriptor_to_text(mr: MRDescriptor) -> str:
@@ -485,7 +480,7 @@ def parse_mutator_config(text: str) -> MutatorConfig:
     categories: Optional[Tuple[str, ...]] = None
     seed = 0
     seed_seen = False
-    suts: Tuple[str, ...] = ()
+    suts: Optional[Tuple[str, ...]] = None
     matrix_patches: Dict = {}
     overrides: Dict = {}
     for lineno, line in lines:
@@ -506,6 +501,8 @@ def parse_mutator_config(text: str) -> MutatorConfig:
                 raise SpecSemanticError("seed", f"negative seed {seed} on line {lineno}")
             seed_seen = True
         elif keyword == "suts":
+            if suts is not None:
+                raise SpecSemanticError("suts", f"second suts line at {lineno}")
             suts = _comma_list(rest)
         elif keyword == "matrix":
             cat, block, effect = _parse_cell(lineno, line, rest, with_sut=False)[1:]
@@ -524,7 +521,7 @@ def parse_mutator_config(text: str) -> MutatorConfig:
     return MutatorConfig(
         categories=categories if categories is not None else MUTATOR_CATEGORY_NAMES,
         seed=seed,
-        suts=suts,
+        suts=suts or (),
         matrix_patches=matrix_patches,
         overrides=overrides,
     )

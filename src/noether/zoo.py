@@ -45,6 +45,19 @@ class FixtureMissing(FileNotFoundError):
     """A named bundled/override fixture could not be found."""
 
 
+class UndecodableInput(Exception):
+    """A document that is not UTF-8; the message names its path."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{path}: {exc}") from None
+
+
 def fixture_text(filename: str) -> str:
     """Load a fixture by name.
 
@@ -56,12 +69,10 @@ def fixture_text(filename: str) -> str:
     if override_dir:
         candidate = os.path.join(override_dir, filename)
         if os.path.isfile(candidate):
-            with open(candidate, "r", encoding="utf-8") as fh:
-                return fh.read()
+            return read_text(candidate)
         raise FixtureMissing(f"fixture {filename!r} not in NOETHER_FIXTURES={override_dir!r}")
-    node = resources.files(__package__) / "fixtures" / filename
     try:
-        return node.read_text(encoding="utf-8")
+        return read_text(resources.files(__package__) / "fixtures" / filename)
     except (FileNotFoundError, NotADirectoryError):
         raise FixtureMissing(f"fixture {filename!r} is not bundled")
 

@@ -148,17 +148,20 @@ class TestExitCodes:
             ["kill", "--config", "bad.cfg"],
             ["reproduce", "--config", "bad.cfg"],
             ["stats", "fleiss", "--matrix", "bad.tsv"],
+            ["check-mr", "good.mr", "--algebra", "bad.alg"],
         ),
-        ids=("derive", "check-mr", "kill", "reproduce", "stats-fleiss"),
+        ids=("derive", "check-mr", "kill", "reproduce", "stats-fleiss", "check-mr-second-file"),
     )
     def test_undecodable_file_is_one_line_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         bad = next(a for a in argv if a.startswith("bad."))
         (tmp_path / bad).write_bytes(UNDECODABLE)
+        shutil.copy(FIXTURES / "rho_rot.mr", tmp_path / "good.mr")
         monkeypatch.chdir(tmp_path)
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"noether: undecodable input: {bad}: "), err
 
 
 class TestMachineFormat:

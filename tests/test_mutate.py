@@ -6,6 +6,8 @@ from dataclasses import replace
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noether import minilang
 from noether.algebra import BlockKind
@@ -28,6 +30,7 @@ from noether.mutate import (
     classify,
     homogeneity_effect_of,
     is_trivially_equivalent,
+    mutant_id,
     mutate,
     syntactic_degree,
 )
@@ -202,7 +205,7 @@ class TestMutantCensus:
 
     def test_describe_format(self):
         (m,) = mutate(ZOO["midpoint"], categories=[MutatorCategory.RETURN_VALS], seed=SEED)
-        assert m.describe().startswith("midpoint/RETURN_VALS@0:root")
+        assert mutant_id(m) == "midpoint/RETURN_VALS@0:root"
 
 
 class TestSurvivorSoundness:
@@ -224,9 +227,9 @@ class TestSurvivorSoundness:
         base_out = outcomes(base_fn)
         for m in mutate(ZOO[name], seed=SEED):
             fresh = outcomes(compile_program(m.decl.program))
-            assert fresh != base_out, m.describe()
+            assert fresh != base_out, mutant_id(m)
             # the stored function is the mutant's own program, compiled
-            assert list(map(repr, outcomes(m.fn))) == list(map(repr, fresh)), m.describe()
+            assert list(map(repr, outcomes(m.fn))) == list(map(repr, fresh)), mutant_id(m)
             assert not is_trivially_equivalent(subject(decl), subject(m.decl))
 
     @pytest.mark.parametrize("name", ("midpoint", "clamp", "gcdSig", "lcmSig", "signum"))
@@ -237,9 +240,7 @@ class TestSurvivorSoundness:
         for m in mutate(base, seed=SEED):
             if m.homogeneity_effect != "preserving":
                 continue
-            assert check_homogeneity(m.decl, LAMBDA_SAMPLES, points, 1e-6), (
-                m.describe()
-            )
+            assert check_homogeneity(m.decl, LAMBDA_SAMPLES, points, 1e-6), mutant_id(m)
 
     def test_no_hypothesis_means_breaking(self):
         # exactLog2 declares homogeneity=none: nothing can be tagged preserving
@@ -426,3 +427,67 @@ class TestCertificateExactness:
                 for base in bases:
                     scaled = m.fn(*(lam * a for a in base))
                     assert scaled.hex() == (lam * m.fn(*base)).hex(), (m.site, lam, base)
+
+
+# Random degree-1 bodies over x, y from + - % min max abs sqrt ?:, each
+# operand of degree 1 by construction, so the base is always certified.
+@st.composite
+def degree_one_expr(draw, names, depth):
+    if depth == 0:
+        return draw(st.sampled_from(names))
+    shape = draw(st.sampled_from(("var", "+", "-", "%", "min", "max", "abs", "sqrt", "?:")))
+    if shape == "var":
+        return draw(st.sampled_from(names))
+    a, b = (draw(degree_one_expr(names, depth - 1)) for _ in range(2))
+    if shape in ("+", "-", "%"):
+        return f"({a} {shape} {b})"
+    if shape in ("min", "max"):
+        return f"{shape}({a}, {b})"
+    if shape == "abs":
+        return f"abs({a})"
+    if shape == "sqrt":
+        return f"sqrt({a} * {a} + {b} * {b})"
+    c, d = (draw(degree_one_expr(names, depth - 1)) for _ in range(2))
+    return f"({a} {draw(st.sampled_from(('<', '<=')))} {b} ? {c} : {d})"
+
+
+@st.composite
+def degree_one_subject(draw):
+    names, lines = ["x", "y"], []
+    for k in range(draw(st.integers(0, 2))):
+        lines.append(f"t{k} = {draw(degree_one_expr(tuple(names), 2))}")
+        names.append(f"t{k}")
+    lines.append(f"return {draw(degree_one_expr(tuple(names), 3))}")
+    head = "sut p(x, y) blocks=L_star homogeneity=degree-1"
+    return parse_sut_file("\n".join([HEADER, head, *lines]) + "\n")[0]
+
+
+class TestCertificateProperty:
+    @given(degree_one_subject())
+    @settings(max_examples=60, deadline=None)
+    def test_preserving_mutants_commute_with_power_of_two_scaling(self, decl):
+        """On any certified degree-1 subject, every preserving-tagged mutant
+        satisfies f(lam.x) = lam.f(x) bit for bit at power-of-two lam."""
+        assert syntactic_degree(decl.program) == 1
+        overrides = {
+            (decl.name, cat, block): PRESERVES
+            for (cat, block), effect in DEFAULT_CELLS.items()
+            if block is BlockKind.L_STAR and effect == CASE
+        }
+        mutants = mutate(decl, seed=SEED, matrix=CompatibilityMatrix(overrides=overrides))
+        base_fn = compile_program(decl.program)
+        points = []
+        for point in scaling_points(decl, SEED, SCALING_BUDGET):
+            try:
+                base_fn(*point)
+            except DomainError:
+                continue
+            points.append(point)
+        for m in mutants:
+            if m.homogeneity_effect != "preserving":
+                continue
+            for point in points:
+                value = m.fn(*point)
+                for lam in (0.5, 2.0, 4.0):
+                    scaled = m.fn(*(lam * a for a in point))
+                    assert repr(scaled) == repr(lam * value), (mutant_id(m), lam, point)

@@ -258,6 +258,10 @@ class TestMutatorParsing:
         with pytest.raises(SpecSemanticError):
             parse_mutator_config(f"{HEADER}\nseed 1\nseed 2\n")
 
+    def test_duplicate_suts(self):
+        with pytest.raises(SpecSemanticError, match="second suts line at 3"):
+            parse_mutator_config(f"{HEADER}\nsuts clamp\nsuts midpoint\n")
+
     def test_negative_seed(self):
         with pytest.raises(SpecSemanticError, match="line 2"):
             parse_mutator_config(f"{HEADER}\nseed -5\n")
