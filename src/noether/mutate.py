@@ -283,20 +283,21 @@ class _Subject:
 # Trivial-equivalence filter: two independent routes, either may discard
 
 
-def _same_outcomes(left: Sequence[object], right: Sequence[object]) -> bool:
-    """Pointwise equality that counts two NaNs at one point as equal."""
-    if left == right:
-        return True
-    return len(left) == len(right) and all(
-        a == b or (a != a and b != b) for a, b in zip(left, right)
-    )
-
-
 def is_trivially_equivalent(base: _Subject, mutant: _Subject) -> bool:
-    """Equal after constant folding, or equal outcomes on the base's grid."""
+    """Equal after constant folding, or the same outcome at every point of
+    the base's grid: equal values, two NaNs, or two DomainErrors.  The grid
+    stops at the first point where the outcomes differ."""
     if base.folded == mutant.folded:
         return True
-    return _same_outcomes(base.grid_outcomes, _outcomes(mutant.fn, base.grid))
+    fn = mutant.fn
+    for point, b in zip(base.grid, base.grid_outcomes):
+        try:
+            m = fn(*point)
+        except DomainError:
+            m = _DOMAIN_ERROR
+        if not (m == b or (m != m and b != b)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

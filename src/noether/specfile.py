@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import minilang
 from .algebra import (
     ActsOn,
     BlockKind,
@@ -30,8 +29,13 @@ from .algebra import (
     block_from_tag,
     canonical_sorted,
 )
-from .reachability import MRDescriptor
-from .relational import RewriteRule, parse_guard, parse_pattern
+
+# Each parser imports what it builds only when it runs (relational for .alg
+# rewrite lines, minilang for .sut bodies, reachability for .mr documents), so
+# reading an algebra or a descriptor loads neither evaluator.
+if TYPE_CHECKING:
+    from . import minilang
+    from .reachability import MRDescriptor
 
 HEADER = "#noether-spec v1"
 
@@ -98,34 +102,47 @@ def _split_keyword(line: str) -> Tuple[str, str]:
     return parts[0], parts[1] if len(parts) > 1 else ""
 
 
-def _parse_attrs(lineno: int, line: str, tokens: Sequence[str], allowed: Sequence[str]) -> Dict[str, str]:
-    attrs: Dict[str, str] = {}
-    for tok in tokens:
-        if "=" not in tok:
-            col = line.find(tok) + 1
-            raise SpecSyntaxError(lineno, col, "key=value attribute", tok)
-        key, value = tok.split("=", 1)
+_WORD = re.compile(r"\S+")
+# the items `_comma_list` returns, found with their offsets
+_LIST_ITEM = re.compile(r"[^,\s](?:[^,]*[^,\s])?")
+
+
+def _column(line: str, words: Sequence[str], index: int) -> int:
+    """1-based column of words[index], where `words` is the `str.split` of a
+    suffix of `line`.
+
+    Counted from the end of the line: the suffix's last words are the line's,
+    and its first word may be the tail of a longer one (`f(x)blocks=G`), but
+    they end where the line's words end.  Only error paths call this."""
+    ends = [m.end() for m in _WORD.finditer(line)]
+    return ends[len(ends) - len(words) + index] - len(words[index]) + 1
+
+
+# attribute key -> value type (int or float), or None for a value kept as text
+_Keys = Mapping[str, Optional[type]]
+_TYPE_NAMES = {int: "integer", float: "decimal"}
+
+
+def _parse_attrs(lineno: int, line: str, words: Sequence[str], allowed: _Keys) -> Dict[str, object]:
+    """key -> value for each `key=value` word; `words` split a suffix of `line`."""
+    attrs: Dict[str, object] = {}
+    for i, word in enumerate(words):
+        if "=" not in word:
+            col = _column(line, words, i)
+            raise SpecSyntaxError(lineno, col, "key=value attribute", word)
+        key, value = word.split("=", 1)
         if key not in allowed:
-            col = line.find(tok) + 1
+            col = _column(line, words, i)
             raise SpecSyntaxError(lineno, col, f"one of {', '.join(allowed)}", key)
         if key in attrs:
             raise SpecSemanticError(key, f"duplicate attribute on line {lineno}")
-        attrs[key] = value
+        kind = allowed[key]
+        try:
+            attrs[key] = kind(value) if kind else value
+        except ValueError:
+            col = _column(line, words, i) + len(key) + 1
+            raise SpecSyntaxError(lineno, col, f"{_TYPE_NAMES[kind]} for {key}", value)
     return attrs
-
-
-def _parse_int(lineno: int, line: str, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise SpecSyntaxError(lineno, line.find(value) + 1 if value else 1, f"integer for {key}", value)
-
-
-def _parse_float(lineno: int, line: str, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise SpecSyntaxError(lineno, line.find(value) + 1 if value else 1, f"decimal for {key}", value)
 
 
 def _block_list(lineno: int, line: str, value: str) -> Tuple[BlockKind, ...]:
@@ -195,12 +212,15 @@ def parse_algebra(text: str) -> OperatorAlgebra:
         raise SpecSemanticError(name, str(exc))
 
 
+_OPERATOR_KEYS: _Keys = {"acts": None, "blocks": None, "regime": None, "size": int, "cost": int}
+
+
 def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
     tokens = rest.split()
     if not tokens:
         raise SpecSyntaxError(lineno, len(line) + 1, "an operator name")
     op_name = tokens[0]
-    attrs = _parse_attrs(lineno, line, tokens[1:], ("acts", "blocks", "regime", "size", "cost"))
+    attrs = _parse_attrs(lineno, line, tokens[1:], _OPERATOR_KEYS)
     if "acts" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "acts=<input|output|both|param>")
     if "blocks" not in attrs:
@@ -217,22 +237,22 @@ def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
         regime = Regime(attrs["regime"])
         if "size" not in attrs:
             raise SpecSyntaxError(lineno, len(line) + 1, "size=<int> alongside regime")
-    size = _parse_int(lineno, line, "size", attrs["size"]) if "size" in attrs else None
-    cost = _parse_int(lineno, line, "cost", attrs["cost"]) if "cost" in attrs else 1
     try:
         return Operator(
             name=op_name,
             acts_on=acts,
             block_tags=frozenset(blocks),
             regime=regime,
-            group_order_or_dim=size,
-            cost_hint=cost,
+            group_order_or_dim=attrs.get("size"),
+            cost_hint=attrs.get("cost", 1),
         )
     except ValueError as exc:
         raise SpecSemanticError(op_name, str(exc))
 
 
 def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteDecl:
+    from .relational import RewriteRule, parse_guard, parse_pattern
+
     tokens = rest.split(None, 1)
     if not tokens:
         raise SpecSyntaxError(lineno, len(line) + 1, "a rewrite rule name")
@@ -297,19 +317,22 @@ def algebra_to_text(algebra: OperatorAlgebra) -> str:
 # ---------------------------------------------------------------------------
 # MR descriptor documents
 
-# .mr key -> (MRDescriptor field, value parser); a key the file omits keeps the field's default
-_MR_KEYS: Dict[str, Tuple[str, Optional[Callable[..., object]]]] = {
-    "output": ("output_domain", None),
-    "form": ("relation_form", None),
-    "diff_order": ("difference_order", _parse_int),
-    "directions": ("parameter_directions", _parse_int),
-    "adjoint": ("adjoint_indexing", None),
-    "tolerance": ("tolerance", _parse_float),
-    "unit": ("unit", None),
+# .mr key -> MRDescriptor field; a key the file omits keeps the field's default
+_MR_FIELDS = {
+    "output": "output_domain",
+    "form": "relation_form",
+    "diff_order": "difference_order",
+    "directions": "parameter_directions",
+    "adjoint": "adjoint_indexing",
+    "tolerance": "tolerance",
+    "unit": "unit",
 }
+_MR_KEYS: _Keys = {**dict.fromkeys(_MR_FIELDS), "diff_order": int, "directions": int, "tolerance": float}
 
 
 def parse_mr_descriptor(text: str) -> MRDescriptor:
+    from .reachability import MRDescriptor
+
     lines = _content_lines(text)
     if not lines:
         raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "an mr declaration", "end of document")
@@ -328,11 +351,11 @@ def parse_mr_descriptor(text: str) -> MRDescriptor:
             raise SpecSyntaxError(lineno, 1, "the mr declaration first", keyword)
         if "=" not in line:
             raise SpecSyntaxError(lineno, 1, "key=value", line[:40])
-        for key, value in _parse_attrs(lineno, line, line.split(), tuple(_MR_KEYS)).items():
-            field_name, parse = _MR_KEYS[key]
+        for key, value in _parse_attrs(lineno, line, line.split(), _MR_KEYS).items():
+            field_name = _MR_FIELDS[key]
             if field_name in fields:
                 raise SpecSemanticError(name, f"duplicate field {key!r} on line {lineno}")
-            fields[field_name] = parse(lineno, line, key, value) if parse else value
+            fields[field_name] = value
     if name is None:
         raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "an mr declaration", "end of document")
     try:
@@ -406,6 +429,9 @@ def _is_sut_header(line: str) -> bool:
     return keyword == "sut" and not rest.startswith("=")
 
 
+_SUT_KEYS: _Keys = dict.fromkeys(("blocks", "homogeneity", "domain"))
+
+
 def _parse_sut_header(lineno: int, line: str, rest: str):
     open_paren = rest.find("(")
     close_paren = rest.find(")")
@@ -414,12 +440,13 @@ def _parse_sut_header(lineno: int, line: str, rest: str):
     sut_name = rest[:open_paren].strip()
     if not sut_name:
         raise SpecSyntaxError(lineno, line.find("(") + 1, "a sut name before (")
-    params = _comma_list(rest[open_paren + 1 : close_paren])
-    for p in params:
-        if not p.isidentifier():
-            raise SpecSyntaxError(lineno, line.find(p) + 1 if p in line else 1, "a parameter identifier", p)
-    tokens = rest[close_paren + 1 :].split()
-    attrs = _parse_attrs(lineno, line, tokens, ("blocks", "homogeneity", "domain"))
+    rest_start = len(line) - len(rest)
+    items = list(_LIST_ITEM.finditer(line, rest_start + open_paren + 1, rest_start + close_paren))
+    for m in items:
+        if not m.group().isidentifier():
+            raise SpecSyntaxError(lineno, m.start() + 1, "a parameter identifier", m.group())
+    params = tuple(m.group() for m in items)
+    attrs = _parse_attrs(lineno, line, rest[close_paren + 1 :].split(), _SUT_KEYS)
     if "blocks" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "blocks=<comma-list>")
     blocks = frozenset(_block_list(lineno, line, attrs["blocks"]))
@@ -433,6 +460,8 @@ def _parse_sut_header(lineno: int, line: str, rest: str):
 
 
 def _assemble_sut(header_lineno: int, header, body: List[Tuple[int, str]]) -> SutDecl:
+    from . import minilang
+
     sut_name, params, blocks, homogeneity, domain = header
     statements = []
     for lineno, line in body:
@@ -446,10 +475,12 @@ def _assemble_sut(header_lineno: int, header, body: List[Tuple[int, str]]) -> Su
         program = minilang.assemble_program(sut_name, params, statements)
     except (minilang.TypeCheckError, minilang.ArityError) as exc:
         raise SpecSemanticError(sut_name, str(exc))
-    return SutDecl(sut_name, tuple(params), blocks, homogeneity, domain, program)
+    return SutDecl(sut_name, params, blocks, homogeneity, domain, program)
 
 
 def sut_file_to_text(decls: Sequence[SutDecl]) -> str:
+    from . import minilang
+
     out = [HEADER]
     for d in decls:
         parts = [f"sut {d.name}({', '.join(d.params)})"]
@@ -496,7 +527,10 @@ def parse_mutator_config(text: str) -> MutatorConfig:
         elif keyword == "seed":
             if seed_seen:
                 raise SpecSemanticError("seed", f"second seed line at {lineno}")
-            seed = _parse_int(lineno, line, "seed", rest.strip())
+            try:
+                seed = int(rest)
+            except ValueError:
+                raise SpecSyntaxError(lineno, len(line) - len(rest) + 1, "integer for seed", rest)
             if seed < 0:
                 raise SpecSemanticError("seed", f"negative seed {seed} on line {lineno}")
             seed_seen = True
@@ -539,7 +573,8 @@ def _parse_cell(lineno: int, line: str, rest: str, with_sut: bool):
         raise SpecSemanticError(cat, f"unknown mutator category on line {lineno}")
     cell = tokens[-1]
     if "=" not in cell:
-        raise SpecSyntaxError(lineno, line.find(cell) + 1, "<BLOCK>=<preserves|breaks>", cell)
+        col = _column(line, tokens, want - 1)
+        raise SpecSyntaxError(lineno, col, "<BLOCK>=<preserves|breaks>", cell)
     tag, effect = cell.split("=", 1)
     try:
         block = block_from_tag(tag)

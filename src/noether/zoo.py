@@ -13,12 +13,10 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from operator import add, mul, sub
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import minilang
 from ._rng import Generator
 from .algebra import OperatorAlgebra
-from .reachability import MRDescriptor
 from .specfile import (
     MutatorConfig,
     SutDecl,
@@ -27,6 +25,9 @@ from .specfile import (
     parse_mutator_config,
     parse_sut_file,
 )
+
+if TYPE_CHECKING:
+    from .reachability import MRDescriptor
 
 BUNDLED_ALGEBRAS = ("boltzmann", "equivariant", "sort", "relational", "ffn", "pwr")
 
@@ -230,6 +231,8 @@ def check_homogeneity(
     subjects must satisfy f(lam*x) = f(x).  Both to absolute tolerance tau,
     for every (lambda, point) combination.
     """
+    from . import minilang
+
     if decl.homogeneity == "none":
         raise ValueError(f"{decl.name} declares no homogeneity hypothesis")
     invariant = decl.homogeneity == "positive-scale-invariant"

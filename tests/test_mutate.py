@@ -1,6 +1,7 @@
 """Mutation-engine tests: matrix rows, strata, tagging, survivor censuses."""
 
 import builtins
+import math
 from collections import Counter
 from dataclasses import replace
 from types import ModuleType
@@ -26,6 +27,7 @@ from noether.mutate import (
     PRESERVES,
     _Subject,
     _candidates,
+    _rebuild,
     _statement_exprs,
     classify,
     homogeneity_effect_of,
@@ -370,6 +372,96 @@ class TestNonFiniteOutputs:
         scaling = ScalingMR("n:L_scale", base)
         groups = generate_tuples(scaling, SEED)
         assert not check_mr(scaling, compile_program(mutant.program), groups).passed
+
+
+def full_grid_same(base, mutant):
+    """The filter's grid route as a full-grid comparison: every outcome of
+    both programs, then pointwise equal, both NaN, or both DomainError."""
+
+    def outcomes(fn):
+        out = []
+        for point in base.grid:
+            try:
+                out.append(fn(*point))
+            except DomainError:
+                out.append("domain-error")
+        return out
+
+    left, right = outcomes(base.fn), outcomes(mutant.fn)
+    return all(a == b or (a != a and b != b) for a, b in zip(left, right))
+
+
+def domain_error_below_zero(value):
+    def fn(x):
+        if x < 0:
+            raise DomainError("negative")
+        return value
+
+    return fn
+
+
+def grid_only(sub):
+    """`sub` with folded statements no program has, so only the grid can match."""
+    return _Subject(sub.decl, sub.seed, ("unfoldable",), sub.fn)
+
+
+class TestEarlyExitFilter:
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_agrees_with_the_full_grid_on_every_candidate(self, name):
+        decl = ZOO[name]
+        base = subject(decl)
+        exprs = _statement_exprs(decl.program)
+        candidates = _candidates(decl, tuple(MutatorCategory))
+        assert candidates
+        for _, k, path, new in candidates:
+            cand = subject(_rebuild(decl, k, minilang.replace_at(exprs[k], path, new)))
+            full = base.folded == cand.folded or full_grid_same(base, cand)
+            assert is_trivially_equivalent(base, cand) == full
+            assert is_trivially_equivalent(base, grid_only(cand)) == full_grid_same(base, cand)
+
+    @staticmethod
+    def _pair(base_fn, mutant_fn):
+        decl = parse_sut_file(f"{HEADER}\nsut h(x) blocks=O_le\nreturn x\n")[0]
+        return _Subject(decl, SEED, ("base",), base_fn), _Subject(decl, SEED, ("mutant",), mutant_fn)
+
+    @pytest.mark.parametrize(
+        "base_fn,mutant_fn,same",
+        (
+            (lambda x: math.nan, lambda x: math.nan, True),
+            (lambda x: 0.0, lambda x: -0.0, True),
+            (lambda x: x, lambda x: math.nan if x == 8 else x, False),
+            (lambda x: math.nan if x == -8 else x, lambda x: x, False),
+            (domain_error_below_zero(1.0), domain_error_below_zero(1.0), True),
+            (domain_error_below_zero(1.0), lambda x: math.nan if x < 0 else 1.0, False),
+            (lambda x: 1.0, domain_error_below_zero(1.0), False),
+            (domain_error_below_zero(0.0), domain_error_below_zero(-0.0), True),
+        ),
+        ids=(
+            "nan-everywhere",
+            "signed-zero",
+            "nan-at-the-last-point",
+            "nan-at-the-first-point",
+            "same-domain-errors",
+            "domain-error-against-nan",
+            "value-against-domain-error",
+            "domain-errors-and-signed-zero",
+        ),
+    )
+    def test_hand_built_outcomes(self, base_fn, mutant_fn, same):
+        base, mutant = self._pair(base_fn, mutant_fn)
+        assert full_grid_same(base, mutant) is same
+        assert is_trivially_equivalent(base, mutant) is same
+
+    def test_stops_at_the_first_differing_point(self):
+        calls = []
+
+        def mutant_fn(x):
+            calls.append(x)
+            return x + 1.0
+
+        base, mutant = self._pair(lambda x: x, mutant_fn)
+        assert not is_trivially_equivalent(base, mutant)
+        assert calls == [base.grid[0][0]]
 
 
 class TestDegreeCertificate:

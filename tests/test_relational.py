@@ -375,12 +375,19 @@ class TestRewriteRules:
         ]
 
     def test_bundled_rules_reuse_the_parsed_rules(self, monkeypatch):
-        def parse_again(text):
-            raise AssertionError(f"pattern {text!r} parsed a second time")
+        # reading the .alg parses each lhs and rhs once; the rules come from
+        # that parse, not from a second one
+        fields = [text for d in load_algebra("relational").semiring_rules for text in (d.lhs, d.rhs)]
+        parsed = []
 
-        monkeypatch.setattr(relational, "parse_pattern", parse_again)
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_pattern(text)
+
+        monkeypatch.setattr(relational, "parse_pattern", counting_parse)
         rules = bundled_rules()
         assert len(rules) == 4 and all(isinstance(r, relational.RewriteRule) for r in rules)
+        assert len(parsed) == 8 and sorted(parsed) == sorted(fields)
 
     def test_parsed_rule_travels_with_its_declaration(self):
         for rule, decl in zip(bundled_rules(), load_algebra("relational").semiring_rules):

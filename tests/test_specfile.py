@@ -1,5 +1,11 @@
 """Document-format tests: fixture round-trips, rejection paths, fuzz totality."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +271,87 @@ class TestMutatorParsing:
     def test_negative_seed(self):
         with pytest.raises(SpecSemanticError, match="line 2"):
             parse_mutator_config(f"{HEADER}\nseed -5\n")
+
+
+class TestErrorColumns:
+    """A syntax error points at its own word, not at the first equal text on the line."""
+
+    @pytest.mark.parametrize(
+        "parse,prefix,line,col",
+        (
+            (parse_algebra, "algebra t", "operator op1 op", 14),
+            (parse_algebra, "algebra t", "operator gen acts=input blocks=G regime=finite size=2 cost=ge", 60),
+            (parse_algebra, "algebra t", "operator gen acts=input blocks=G regime=finite size=", 53),
+            (parse_algebra, "algebra t", "operator acts acts=input blocks=G acts", 35),
+            (parse_mr_descriptor, "mr rho_x", "tolerance=1e-9 directions=1e", 27),
+            (parse_mr_descriptor, "mr rho_x", "unit=absolute diff_order=", 26),
+            (parse_sut_file, "", "sut f(a1x, 1x) blocks=G", 12),
+            (parse_sut_file, "", "sut f(blocks) blocks=G blocks", 24),
+            (parse_mutator_config, "", "matrix MATH MATH", 13),
+            (parse_mutator_config, "", "override MATH MATH MATH", 20),
+            (parse_mutator_config, "", "seed s", 6),
+            (parse_mutator_config, "", "seed", 5),
+        ),
+        ids=(
+            "attribute-inside-keyword",
+            "value-inside-earlier-word",
+            "empty-size",
+            "attribute-equal-to-operator-name",
+            "mr-value-inside-earlier-value",
+            "empty-mr-value",
+            "parameter-inside-earlier-parameter",
+            "attribute-equal-to-parameter",
+            "matrix-cell-equal-to-category",
+            "override-cell-equal-to-sut",
+            "seed-inside-keyword",
+            "empty-seed",
+        ),
+    )
+    def test_column_of_the_offending_word(self, parse, prefix, line, col):
+        head = [HEADER, prefix] if prefix else [HEADER]
+        body = ["return 1"] if parse is parse_sut_file else []
+        with pytest.raises(SpecSyntaxError) as info:
+            parse("\n".join(head + [line] + body) + "\n")
+        assert (info.value.line, info.value.col) == (len(head) + 1, col)
+
+
+def _noether_modules_after(code: str) -> set:
+    """The noether modules a fresh interpreter holds after running `code`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'noether'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(out.stdout.strip()))
+
+
+class TestImportsFollowUse:
+    """Reading a document loads the evaluators only where it needs them."""
+
+    def test_algebras_and_descriptors_load_neither_evaluator(self):
+        loaded = _noether_modules_after(
+            "from noether import zoo\n"
+            "for name in zoo.BUNDLED_ALGEBRAS:\n"
+            "    if name != 'relational': zoo.load_algebra(name)\n"
+            f"for name in {[f[:-3] for f in MR_FIXTURES]!r}: zoo.load_descriptor(name)\n"
+        )
+        assert "noether.reachability" in loaded
+        assert not loaded & {"noether.minilang", "noether.relational"}
+
+    def test_rewrite_lines_load_the_relational_parser(self):
+        loaded = _noether_modules_after("from noether import zoo; zoo.load_algebra('relational')")
+        assert "noether.relational" in loaded
+
+    def test_subjects_and_config_load_no_relational_or_reachability(self):
+        loaded = _noether_modules_after("from noether import zoo; zoo.load_zoo(); zoo.load_mutator_config()")
+        assert "noether.minilang" in loaded
+        assert not loaded & {"noether.relational", "noether.reachability"}
+
+    def test_cli_import_loads_every_module(self):
+        # the benchmark tracer patches every module after `import noether.cli`
+        package = Path(__file__).resolve().parents[1] / "src" / "noether"
+        modules = {"noether"} | {f"noether.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+        assert len(modules) == 13
+        assert _noether_modules_after("import noether.cli") == modules
 
 
 def parse_with_every_parser(text):
