@@ -6,6 +6,11 @@ the lazy ternary `?:`, unary minus, and four builtins (sqrt, abs, min, max).
 A two-type discipline separates numbers from booleans: comparisons may only
 appear as ternary guards.
 
+An expression is a `Const`, a `Var` or an `Op`: one operator name (`neg`
+for unary minus, `?:` for the ternary, otherwise the operator or builtin as
+written) applied to a tuple of operands in source order.  `ARITY` gives
+each operator's operand count.
+
 Numeric semantics are IEEE-754 doubles.  `%` is the floored-division
 remainder (sign of the divisor) and is total: `a % 0 == a`, matching the
 behavior of a guarded loop that never divides by zero.  `/ 0` and
@@ -70,40 +75,19 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Bin:
+class Op:
+    """`op` applied to `args`: (left, right), (operand,) for `neg`,
+    (test, then, other) for `?:`, or a builtin's arguments."""
+
     op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Cond:
-    test: "Expr"
-    then: "Expr"
-    other: "Expr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
     args: Tuple["Expr", ...]
 
 
-Expr = Union[Const, Var, Bin, Cmp, Cond, Neg, Call]
+Expr = Union[Const, Var, Op]
 
 BUILTIN_ARITY = {"sqrt": 1, "abs": 1, "min": 2, "max": 2}
+COMPARISONS = ("<", "<=", "==")
+ARITY = {**dict.fromkeys(("+", "-", "*", "/", "%", *COMPARISONS), 2), "neg": 1, "?:": 3, **BUILTIN_ARITY}
 
 # Deepest expression tree the parser and the compiler accept (a leaf is one
 # level).  It bounds every recursive walk over a tree, and the generated
@@ -135,51 +119,20 @@ class Program:
 # Generic traversal helpers (used by the mutation engine)
 
 
-def children(node: Expr) -> Tuple[Expr, ...]:
-    if isinstance(node, (Const, Var)):
-        return ()
-    if isinstance(node, (Bin, Cmp)):
-        return (node.left, node.right)
-    if isinstance(node, Cond):
-        return (node.test, node.then, node.other)
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Call):
-        return node.args
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def with_children(node: Expr, new: Sequence[Expr]) -> Expr:
-    if isinstance(node, (Const, Var)):
-        if new:
-            raise ValueError("leaf nodes take no children")
-        return node
-    if isinstance(node, Bin):
-        return Bin(node.op, new[0], new[1])
-    if isinstance(node, Cmp):
-        return Cmp(node.op, new[0], new[1])
-    if isinstance(node, Cond):
-        return Cond(new[0], new[1], new[2])
-    if isinstance(node, Neg):
-        return Neg(new[0])
-    if isinstance(node, Call):
-        return Call(node.fn, tuple(new))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def walk(node: Expr, path: Tuple[int, ...] = ()) -> Iterator[Tuple[Tuple[int, ...], Expr]]:
-    """Preorder (path, node) pairs; paths are child-index tuples."""
+    """Preorder (path, node) pairs; paths are operand-index tuples."""
     yield path, node
-    for i, child in enumerate(children(node)):
-        yield from walk(child, path + (i,))
+    if isinstance(node, Op):
+        for i, arg in enumerate(node.args):
+            yield from walk(arg, path + (i,))
 
 
 def replace_at(node: Expr, path: Tuple[int, ...], new_node: Expr) -> Expr:
     if not path:
         return new_node
-    kids = list(children(node))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new_node)
-    return with_children(node, kids)
+    args = list(node.args)
+    args[path[0]] = replace_at(args[path[0]], path[1:], new_node)
+    return Op(node.op, tuple(args))
 
 
 def _check_depth(node: Expr, col: int) -> None:
@@ -189,7 +142,8 @@ def _check_depth(node: Expr, col: int) -> None:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise _too_deep(col)
-        stack.extend((c, depth + 1) for c in children(node))
+        if isinstance(node, Op):
+            stack.extend((a, depth + 1) for a in node.args)
 
 
 def _too_deep(col: int) -> ExprSyntaxError:
@@ -204,22 +158,22 @@ def fold_constants(node: Expr) -> Expr:
     """Evaluate constant subtrees; leaves anything that would raise alone.
 
     Constant nodes are computed by the functions the compiled code calls,
-    so folding and evaluation share one statement of the semantics.
+    so folding and evaluation share one statement of the semantics.  A
+    comparison folds only as the test of a `?:`, which it then selects.
     """
-    kids = [fold_constants(c) for c in children(node)]
-    node = with_children(node, kids) if kids else node
-    try:
-        if isinstance(node, Neg) and _all_const(kids):
-            return Const(-kids[0].value)
-        if isinstance(node, (Bin, Call)) and _all_const(kids):
-            op = node.fn if isinstance(node, Call) else node.op
-            return Const(_OPS[op](*(k.value for k in kids)))
-        if isinstance(node, Cond) and isinstance(node.test, Cmp) and _all_const(children(node.test)):
-            test = node.test
-            return node.then if _OPS[test.op](test.left.value, test.right.value) else node.other
-    except DomainError:
-        pass
-    return node
+    if not isinstance(node, Op):
+        return node
+    args = tuple(fold_constants(a) for a in node.args)
+    if node.op == "?:":
+        test = args[0]
+        if isinstance(test, Op) and test.op in COMPARISONS and _all_const(test.args):
+            return args[1] if _OPS[test.op](*(a.value for a in test.args)) else args[2]
+    elif node.op not in COMPARISONS and _all_const(args):
+        try:
+            return Const(_OPS[node.op](*(a.value for a in args)))
+        except DomainError:
+            pass
+    return Op(node.op, args)
 
 
 # ---------------------------------------------------------------------------
@@ -293,30 +247,30 @@ class _Parser:
             self.next()
             then = self.parse_expr()
             self.expect_op(":")
-            node = Cond(node, then, self.parse_expr())
+            node = Op("?:", (node, then, self.parse_expr()))
         self.level -= 1
         return node
 
     def parse_comparison(self) -> Expr:
         left = self.parse_additive()
-        if self.at_op("<", "<=", "=="):
+        if self.at_op(*COMPARISONS):
             _, op, _ = self.next()
             right = self.parse_additive()
-            return Cmp(op, left, right)
+            return Op(op, (left, right))
         return left
 
     def parse_additive(self) -> Expr:
         node = self.parse_multiplicative()
         while self.at_op("+", "-"):
             _, op, _ = self.next()
-            node = Bin(op, node, self.parse_multiplicative())
+            node = Op(op, (node, self.parse_multiplicative()))
         return node
 
     def parse_multiplicative(self) -> Expr:
         node = self.parse_unary()
         while self.at_op("*", "/", "%"):
             _, op, _ = self.next()
-            node = Bin(op, node, self.parse_unary())
+            node = Op(op, (node, self.parse_unary()))
         return node
 
     def parse_unary(self) -> Expr:
@@ -326,9 +280,9 @@ class _Parser:
             inner = self.parse_unary()
             self.level -= 1
             if isinstance(inner, Const):
-                # literal negatives fold to constants; no Neg node survives
+                # literal negatives fold to constants; no `neg` of a Const survives
                 return Const(-inner.value)
-            return Neg(inner)
+            return Op("neg", (inner,))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
@@ -356,7 +310,7 @@ class _Parser:
         self.expect_op(")")
         if len(args) != BUILTIN_ARITY[fn]:
             raise ArityError(f"{fn} takes {BUILTIN_ARITY[fn]} argument(s), got {len(args)}")
-        return Call(fn, tuple(args))
+        return Op(fn, tuple(args))
 
     def finish(self, node: Expr, col: int) -> Expr:
         """Require the end of input and a tree no deeper than MAX_DEPTH."""
@@ -374,17 +328,17 @@ def parse_expr(text: str) -> Expr:
 
 
 def parse_statement(text: str) -> Union[Assign, Expr]:
-    """One body line: `name = expr` gives Assign, `return expr` gives Expr."""
-    stripped = text.strip()
-    if stripped.startswith("return") and (len(stripped) == 6 or not stripped[6].isalnum() and stripped[6] != "_"):
-        return parse_expr(stripped[6:])
+    """One body line: `name = expr` gives Assign, `return expr` gives Expr.
+
+    Columns count from the start of `text`, the keyword included."""
     p = _Parser(text)
     kind, name, col = p.next()
     if kind != "ident":
         raise ExprSyntaxError(f"unexpected {name or 'end of input'!r}", col, "an identifier")
-    p.expect_op("=")
-    col = p.peek()[2]
-    return Assign(name, p.finish(p.parse_expr(), col))
+    if name != "return":
+        p.expect_op("=")
+    expr = p.finish(p.parse_expr(), p.peek()[2])
+    return expr if name == "return" else Assign(name, expr)
 
 
 def assemble_program(name: str, params: Sequence[str], statements: Sequence[Union[Assign, Expr]]) -> Program:
@@ -419,32 +373,17 @@ def expr_type(node: Expr, scope: set) -> str:
         if node.name not in scope:
             raise TypeCheckError(f"undefined variable {node.name!r}")
         return "num"
-    if isinstance(node, Bin):
-        if expr_type(node.left, scope) != "num" or expr_type(node.right, scope) != "num":
-            raise TypeCheckError(f"arithmetic {node.op!r} needs numeric operands")
-        return "num"
-    if isinstance(node, Cmp):
-        if expr_type(node.left, scope) != "num" or expr_type(node.right, scope) != "num":
-            raise TypeCheckError(f"comparison {node.op!r} needs numeric operands")
-        return "bool"
-    if isinstance(node, Cond):
-        if expr_type(node.test, scope) != "bool":
+    op, args = node.op, node.args
+    if len(args) != ARITY[op]:
+        raise ArityError(f"{op} takes {ARITY[op]} argument(s)")
+    if op == "?:":
+        if expr_type(args[0], scope) != "bool":
             raise TypeCheckError("ternary guard must be a comparison")
-        if expr_type(node.then, scope) != "num" or expr_type(node.other, scope) != "num":
-            raise TypeCheckError("ternary branches must be numeric")
-        return "num"
-    if isinstance(node, Neg):
-        if expr_type(node.operand, scope) != "num":
-            raise TypeCheckError("negation needs a numeric operand")
-        return "num"
-    if isinstance(node, Call):
-        if len(node.args) != BUILTIN_ARITY[node.fn]:
-            raise ArityError(f"{node.fn} takes {BUILTIN_ARITY[node.fn]} argument(s)")
-        for a in node.args:
-            if expr_type(a, scope) != "num":
-                raise TypeCheckError(f"{node.fn} needs numeric arguments")
-        return "num"
-    raise TypeError(f"not an expression node: {node!r}")
+        args = args[1:]
+    for a in args:
+        if expr_type(a, scope) != "num":
+            raise TypeCheckError(f"operands of {op!r} must be numeric")
+    return "bool" if op in COMPARISONS else "num"
 
 
 def type_check(prog: Program) -> None:
@@ -492,7 +431,7 @@ _INFIX = {
     "==": operator.eq,
 }
 _CALLED = {"/": _div, "%": _mod, "sqrt": _sqrt, "abs": abs, "min": min, "max": max}
-_OPS = {**_INFIX, **_CALLED}
+_OPS = {**_INFIX, **_CALLED, "neg": operator.neg}
 _NAMESPACE = {f.__name__: f for f in (*_CALLED.values(), _arity_error)}
 
 
@@ -510,13 +449,13 @@ def _emit(node: Expr, local: Mapping[str, str], consts: Dict[str, float], depth:
         return name
     if isinstance(node, Var):
         return local[node.name]
-    args = [_emit(c, local, consts, depth + 1) for c in children(node)]
-    if isinstance(node, Neg):
+    args = [_emit(a, local, consts, depth + 1) for a in node.args]
+    op = node.op
+    if op == "neg":
         return f"(-{args[0]})"
-    if isinstance(node, Cond):
+    if op == "?:":
         test, then, other = args
         return f"({then} if {test} else {other})"  # lazy, like `?:`
-    op = node.fn if isinstance(node, Call) else node.op
     if op in _INFIX:
         return f"({args[0]} {op} {args[1]})"
     return f"{_CALLED[op].__name__}({', '.join(args)})"
@@ -610,17 +549,17 @@ _LEVEL_COND = 1
 _LEVEL_CMP = 2
 _LEVEL_ADD = 3
 _LEVEL_MUL = 4
-_LEVEL_ATOM = 5
+_LEVEL_ATOM = 5  # leaves, `neg` and calls
+_LEVEL = {
+    "?:": _LEVEL_COND,
+    **dict.fromkeys(COMPARISONS, _LEVEL_CMP),
+    **dict.fromkeys("+-", _LEVEL_ADD),
+    **dict.fromkeys("*/%", _LEVEL_MUL),
+}
 
 
 def _level(node: Expr) -> int:
-    if isinstance(node, Cond):
-        return _LEVEL_COND
-    if isinstance(node, Cmp):
-        return _LEVEL_CMP
-    if isinstance(node, Bin):
-        return _LEVEL_ADD if node.op in ("+", "-") else _LEVEL_MUL
-    return _LEVEL_ATOM
+    return _LEVEL.get(node.op, _LEVEL_ATOM) if isinstance(node, Op) else _LEVEL_ATOM
 
 
 def _fmt_const(v: float) -> str:
@@ -647,27 +586,20 @@ def to_source(node: Expr) -> str:
         return _fmt_const(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Bin):
-        lvl = _level(node)
-        left = _child(node.left, lvl)
-        # left-associative: equal-level right children need parens
-        right = _child(node.right, lvl + 1)
-        return f"{left} {node.op} {right}"
-    if isinstance(node, Cmp):
-        return f"{_child(node.left, _LEVEL_ADD)} {node.op} {_child(node.right, _LEVEL_ADD)}"
-    if isinstance(node, Cond):
-        test = _child(node.test, _LEVEL_CMP)
-        then = _child(node.then, _LEVEL_CMP)
-        other = _child(node.other, _LEVEL_COND)  # right-assoc chain stays bare
-        return f"{test} ? {then} : {other}"
-    if isinstance(node, Neg):
-        inner = to_source(node.operand)
-        if _level(node.operand) < _LEVEL_ATOM:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(to_source(a) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    op, args = node.op, node.args
+    if op == "?:":
+        test, then, other = args
+        # a right-associative chain stays bare
+        return f"{_child(test, _LEVEL_CMP)} ? {_child(then, _LEVEL_CMP)} : {_child(other, _LEVEL_COND)}"
+    if op == "neg":
+        return f"-{_child(args[0], _LEVEL_ATOM)}"
+    if op in BUILTIN_ARITY:
+        return f"{op}({', '.join(map(to_source, args))})"
+    lvl = _LEVEL[op]
+    left, right = args
+    # comparisons do not chain; arithmetic is left-associative, so an
+    # equal-level right operand needs parentheses
+    return f"{_child(left, _LEVEL_ADD if lvl == _LEVEL_CMP else lvl)} {op} {_child(right, lvl + 1)}"
 
 
 def statement_to_source(stmt: Union[Assign, Expr]) -> str:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 from . import minilang, zoo
 from .algebra import CANONICAL_ORDER, BlockKind
-from .minilang import Assign, Bin, Call, Cmp, Cond, Const, DomainError, Expr, Neg, Program, Var
+from .minilang import BUILTIN_ARITY, COMPARISONS, Assign, Const, DomainError, Expr, Op, Program, Var
 from .specfile import MUTATOR_CATEGORY_NAMES, MutatorConfig, SutDecl
 
 
@@ -30,6 +30,7 @@ BREAKS = "breaks"
 CASE = "case-dependent"
 
 _MATH_SWAP = {"+": "-", "-": "+", "*": "/", "/": "*", "%": "*"}
+_BOUNDARY_FLIP = {"<": "<=", "<=": "<"}
 
 
 class MissingOverride(Exception):
@@ -173,52 +174,41 @@ def _is_integral_const(node: Expr) -> bool:
     return isinstance(node, Const) and float(node.value).is_integer()
 
 
+def _sites(category: MutatorCategory, node: Expr) -> List[Tuple[Tuple[int, ...], Expr]]:
+    """(path below `node`, replacement) for each site `category` finds at `node`."""
+    if not isinstance(node, Op):
+        return []
+    op, args = node.op, node.args
+    if category is MutatorCategory.CONDITIONALS_BOUNDARY and op in _BOUNDARY_FLIP:
+        return [((), Op(_BOUNDARY_FLIP[op], args))]
+    if category is MutatorCategory.INCREMENTS and op in COMPARISONS:
+        # only comparison-threshold constants are increment sites
+        return [((i,), Const(float(a.value) + 1.0)) for i, a in enumerate(args) if _is_integral_const(a)]
+    if category is MutatorCategory.INVERT_NEGS and op == "neg":
+        return [((), args[0])]
+    if category is MutatorCategory.MATH and op in _MATH_SWAP:
+        return [((), Op(_MATH_SWAP[op], args))]
+    if category is MutatorCategory.NEGATE_CONDITIONALS and op == "?:":
+        test, then, other = args
+        return [((), Op(op, (test, other, then)))]
+    if category is MutatorCategory.CALL_REMOVAL and op in BUILTIN_ARITY:
+        return [((), Const(1.0))]
+    return []
+
+
 def _candidates(
     decl: SutDecl, categories: Sequence[MutatorCategory]
 ) -> List[Tuple[MutatorCategory, int, Tuple[int, ...], Expr]]:
     """(category, stmt, path, replacement) in deterministic order."""
     out = []
     exprs = _statement_exprs(decl.program)
-    result_index = len(exprs) - 1
     for category in categories:
         if category is MutatorCategory.RETURN_VALS:
-            out.append((category, result_index, (), Const(0.0)))
+            out.append((category, len(exprs) - 1, (), Const(0.0)))
             continue
         for stmt_index, root in enumerate(exprs):
             for path, node in minilang.walk(root):
-                if category is MutatorCategory.CONDITIONALS_BOUNDARY:
-                    if isinstance(node, Cmp) and node.op in ("<", "<="):
-                        flipped = "<=" if node.op == "<" else "<"
-                        out.append((category, stmt_index, path, Cmp(flipped, node.left, node.right)))
-                elif category is MutatorCategory.INCREMENTS:
-                    # only comparison-threshold constants are increment sites
-                    if isinstance(node, Cmp):
-                        for child_index, child in enumerate((node.left, node.right)):
-                            if _is_integral_const(child):
-                                out.append(
-                                    (
-                                        category,
-                                        stmt_index,
-                                        path + (child_index,),
-                                        Const(float(child.value) + 1.0),
-                                    )
-                                )
-                elif category is MutatorCategory.INVERT_NEGS:
-                    if isinstance(node, Neg):
-                        out.append((category, stmt_index, path, node.operand))
-                elif category is MutatorCategory.MATH:
-                    if isinstance(node, Bin):
-                        out.append(
-                            (category, stmt_index, path, Bin(_MATH_SWAP[node.op], node.left, node.right))
-                        )
-                elif category is MutatorCategory.NEGATE_CONDITIONALS:
-                    if isinstance(node, Cond):
-                        out.append(
-                            (category, stmt_index, path, Cond(node.test, node.other, node.then))
-                        )
-                elif category is MutatorCategory.CALL_REMOVAL:
-                    if isinstance(node, Call):
-                        out.append((category, stmt_index, path, Const(1.0)))
+                out.extend((category, stmt_index, path + sub, new) for sub, new in _sites(category, node))
     return out
 
 
@@ -328,46 +318,36 @@ def _expr_degree(expr: Expr, env: Dict[str, object]):
         return _POLY if float(expr.value) == 0.0 else 0
     if isinstance(expr, Var):
         return env[expr.name]
-    if isinstance(expr, Neg):
-        return _expr_degree(expr.operand, env)
-    if isinstance(expr, Bin):
-        dl = _expr_degree(expr.left, env)
-        dr = _expr_degree(expr.right, env)
-        if expr.op in ("+", "-"):
-            return _unify(dl, dr)
-        if expr.op == "*":
-            if dl is _POLY or dr is _POLY:
-                return _POLY
-            return dl + dr
-        if expr.op == "/":
-            if dl is _POLY:
-                return _POLY
-            if dr is _POLY:
-                raise _CertFail()  # division by a syntactic zero
-            return dl - dr
-        # floored mod is scale-equivariant at equal operand degree
-        return _unify(dl, dr)
-    if isinstance(expr, Cmp):
-        # comparisons are scale-stable only between same-degree operands
-        _unify(_expr_degree(expr.left, env), _expr_degree(expr.right, env))
-        return "bool"
-    if isinstance(expr, Cond):
-        if _expr_degree(expr.test, env) != "bool":
+    op, args = expr.op, expr.args
+    if op == "?:":
+        if _expr_degree(args[0], env) != "bool":
             raise _CertFail()
-        return _unify(_expr_degree(expr.then, env), _expr_degree(expr.other, env))
-    if isinstance(expr, Call):
-        degrees = [_expr_degree(a, env) for a in expr.args]
-        if expr.fn == "sqrt":
-            d = degrees[0]
-            if d is _POLY:
-                return _POLY
-            if d % 2:
-                raise _CertFail()
-            return d // 2
-        if expr.fn == "abs":
-            return degrees[0]
-        return _unify(degrees[0], degrees[1])  # min/max, monotone for lam > 0
-    raise _CertFail()
+        return _unify(_expr_degree(args[1], env), _expr_degree(args[2], env))
+    degrees = [_expr_degree(a, env) for a in args]
+    if op in ("neg", "abs"):
+        return degrees[0]
+    if op == "sqrt":
+        d = degrees[0]
+        if d is _POLY:
+            return _POLY
+        if d % 2:
+            raise _CertFail()
+        return d // 2
+    if op == "*":
+        dl, dr = degrees
+        return _POLY if dl is _POLY or dr is _POLY else dl + dr
+    if op == "/":
+        dl, dr = degrees
+        if dl is _POLY:
+            return _POLY
+        if dr is _POLY:
+            raise _CertFail()  # division by a syntactic zero
+        return dl - dr
+    # + - and floored % are scale-equivariant at equal operand degree, and
+    # min/max are monotone for lam > 0; comparisons are scale-stable only
+    # between same-degree operands
+    degree = _unify(*degrees)
+    return "bool" if op in COMPARISONS else degree
 
 
 def syntactic_degree(program: Program) -> Optional[object]:

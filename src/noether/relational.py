@@ -536,13 +536,14 @@ class RelTrial:
     detail: str = ""
 
 
-def _safe_bag_equal(evaluator, q1, q2, db, modulo=False) -> Tuple[bool, str]:
+def _safe_bag_equal(evaluator, q1, q2, db) -> Tuple[bool, str]:
+    """Whether two plans give the same bag on `db`, modulo column order."""
     try:
         left = evaluator.eval(q1, db)
         right = evaluator.eval(q2, db)
     except (SchemaMismatch, UnknownRelation) as exc:
         return False, f"evaluation error: {exc}"
-    if bag_equal(left, right, modulo_column_order=modulo):
+    if bag_equal(left, right, modulo_column_order=True):
         return True, ""
     return False, f"bags differ: {left.schema}:{left.size} vs {right.schema}:{right.size}"
 
@@ -551,7 +552,7 @@ _R, _S, _T = Base("R"), Base("S"), Base("T")
 
 
 def _plans_agree(q1, q2, db, rng, rules, evaluator) -> Tuple[bool, str]:
-    return _safe_bag_equal(evaluator, q1, q2, db, modulo=True)
+    return _safe_bag_equal(evaluator, q1, q2, db)
 
 
 def _select_push(db, rng, rules, evaluator) -> Tuple[bool, str]:

@@ -76,25 +76,34 @@ class SpecSemanticError(Exception):
 
 
 def _content_lines(text: str) -> List[Tuple[int, str]]:
-    """(lineno, stripped-line) pairs after header/comment/blank filtering."""
+    """(lineno, line) pairs after header/comment/blank filtering.
+
+    Only trailing whitespace is stripped, so every column a parser computes
+    from a line counts from the start of the raw line."""
     raw = text.splitlines()
     lines = []
     header_seen = False
     for i, line in enumerate(raw, start=1):
-        stripped = line.strip()
+        line = line.rstrip()
+        stripped = line.lstrip()
         if not stripped:
             continue
         if not header_seen:
             if stripped != HEADER:
-                raise SpecSyntaxError(i, 1, f"header {HEADER!r}", stripped[:40])
+                raise SpecSyntaxError(i, _first_column(line), f"header {HEADER!r}", stripped[:40])
             header_seen = True
             continue
         if stripped.startswith("#"):
             continue
-        lines.append((i, stripped))
+        lines.append((i, line))
     if not header_seen:
         raise SpecSyntaxError(1, 1, f"header {HEADER!r}", "end of document")
     return lines
+
+
+def _first_column(line: str) -> int:
+    """1-based column of the line's first word."""
+    return len(line) - len(line.lstrip()) + 1
 
 
 def _split_keyword(line: str) -> Tuple[str, str]:
@@ -195,7 +204,7 @@ def parse_algebra(text: str) -> OperatorAlgebra:
             labels[block] = text_label
         else:
             raise SpecSyntaxError(
-                lineno, 1, "algebra, operator, generators, rewrite or label", keyword
+                lineno, _first_column(line), "algebra, operator, generators, rewrite or label", keyword
             )
 
     if name is None:
@@ -348,9 +357,9 @@ def parse_mr_descriptor(text: str) -> MRDescriptor:
             name = rest.split()[0]
             continue
         if name is None:
-            raise SpecSyntaxError(lineno, 1, "the mr declaration first", keyword)
+            raise SpecSyntaxError(lineno, _first_column(line), "the mr declaration first", keyword)
         if "=" not in line:
-            raise SpecSyntaxError(lineno, 1, "key=value", line[:40])
+            raise SpecSyntaxError(lineno, _first_column(line), "key=value", line.lstrip()[:40])
         for key, value in _parse_attrs(lineno, line, line.split(), _MR_KEYS).items():
             field_name = _MR_FIELDS[key]
             if field_name in fields:
@@ -406,7 +415,7 @@ def parse_sut_file(text: str) -> Tuple[SutDecl, ...]:
         lineno, line = lines[i]
         keyword, rest = _split_keyword(line)
         if keyword != "sut":
-            raise SpecSyntaxError(lineno, 1, "a sut declaration", keyword)
+            raise SpecSyntaxError(lineno, _first_column(line), "a sut declaration", keyword)
         header = _parse_sut_header(lineno, line, rest)
         i += 1
         body: List[Tuple[int, str]] = []
@@ -551,7 +560,7 @@ def parse_mutator_config(text: str) -> MutatorConfig:
                 raise SpecSemanticError(cat, f"duplicate override at line {lineno}")
             overrides[key] = effect
         else:
-            raise SpecSyntaxError(lineno, 1, "mutators, seed, suts, matrix or override", keyword)
+            raise SpecSyntaxError(lineno, _first_column(line), "mutators, seed, suts, matrix or override", keyword)
     return MutatorConfig(
         categories=categories if categories is not None else MUTATOR_CATEGORY_NAMES,
         seed=seed,

@@ -257,17 +257,18 @@ def check_homogeneity(
 class SgdTrajectory:
     theta0: Tuple[float, ...]
     eta: float
-    steps: int
     batch_order: Tuple[int, ...]
 
     def __post_init__(self):
         # eta=0 is the documented no-motion case, so nonnegative not positive
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if len(self.batch_order) != self.steps:
-            raise ValueError("batch_order length must equal steps")
+        if not self.batch_order:
+            raise ValueError("batch_order must be nonempty")
+
+    @property
+    def steps(self) -> int:
+        return len(self.batch_order)
 
 
 @dataclass(frozen=True)
@@ -322,5 +323,5 @@ def default_sgd_fixture(eta: float = 1e-3) -> Tuple[SgdTrajectory, QuadraticLoss
     centers = ((1.0, -2.0), (-0.5, 0.75))
     loss = QuadraticLoss(matrices=matrices, centers=centers)
     order = tuple(i % 2 for i in range(10))
-    traj = SgdTrajectory(theta0=(3.0, -1.0), eta=eta, steps=len(order), batch_order=order)
+    traj = SgdTrajectory(theta0=(3.0, -1.0), eta=eta, batch_order=order)
     return traj, loss

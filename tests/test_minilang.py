@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from noether.minilang import (
     ArityError,
     Assign,
-    Bin,
-    Call,
-    Cmp,
-    Cond,
     Const,
     DomainError,
     MAX_DEPTH,
     ExprSyntaxError,
-    Neg,
+    Op,
     Program,
     TypeCheckError,
     Var,
@@ -48,26 +44,23 @@ _CONSTS = st.one_of(
 
 
 def _neg(e):
-    # parse folds -<literal> into the constant, so Neg(Const) cannot round-trip
-    return Neg(e) if not isinstance(e, Const) else Neg(Var("x"))
+    # parse folds -<literal> into the constant, so a `neg` of a Const cannot round-trip
+    return Op("neg", (e if not isinstance(e, Const) else Var("x"),))
+
+
+def _op(t):
+    """(op, arg, ...) as an Op node."""
+    return Op(t[0], tuple(t[1:]))
 
 
 def _extend(children):
     return st.one_of(
-        st.tuples(st.sampled_from(("+", "-", "*", "/", "%")), children, children).map(
-            lambda t: Bin(*t)
-        ),
-        st.tuples(st.sampled_from(("<", "<=", "==")), children, children).map(
-            lambda t: Cmp(*t)
-        ),
-        st.tuples(children, children, children).map(lambda t: Cond(*t)),
+        st.tuples(st.sampled_from(("+", "-", "*", "/", "%")), children, children).map(_op),
+        st.tuples(st.sampled_from(("<", "<=", "==")), children, children).map(_op),
+        st.tuples(st.just("?:"), children, children, children).map(_op),
         children.map(_neg),
-        st.tuples(st.sampled_from(("sqrt", "abs")), children).map(
-            lambda t: Call(t[0], (t[1],))
-        ),
-        st.tuples(st.sampled_from(("min", "max")), children, children).map(
-            lambda t: Call(t[0], (t[1], t[2]))
-        ),
+        st.tuples(st.sampled_from(("sqrt", "abs")), children).map(_op),
+        st.tuples(st.sampled_from(("min", "max")), children, children).map(_op),
     )
 
 
@@ -78,19 +71,13 @@ _TOTAL_LEAF = st.one_of(_CONSTS, _VARS)
 
 
 def _extend_total(children):
-    guard = st.tuples(st.sampled_from(("<", "<=", "==")), children, children).map(
-        lambda t: Cmp(*t)
-    )
+    guard = st.tuples(st.sampled_from(("<", "<=", "==")), children, children).map(_op)
     return st.one_of(
-        st.tuples(st.sampled_from(("+", "-", "*")), children, children).map(
-            lambda t: Bin(*t)
-        ),
-        st.tuples(guard, children, children).map(lambda t: Cond(*t)),
+        st.tuples(st.sampled_from(("+", "-", "*")), children, children).map(_op),
+        st.tuples(st.just("?:"), guard, children, children).map(_op),
         children.map(_neg),
-        children.map(lambda e: Call("abs", (e,))),
-        st.tuples(st.sampled_from(("min", "max")), children, children).map(
-            lambda t: Call(t[0], (t[1], t[2]))
-        ),
+        children.map(lambda e: Op("abs", (e,))),
+        st.tuples(st.sampled_from(("min", "max")), children, children).map(_op),
     )
 
 
@@ -103,35 +90,35 @@ def reference_eval(node, env):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, Cond):
-        branch = node.then if reference_eval(node.test, env) else node.other
-        return reference_eval(branch, env)
-    if isinstance(node, Neg):
-        return -reference_eval(node.operand, env)
-    if isinstance(node, (Bin, Cmp)):
-        a, b = reference_eval(node.left, env), reference_eval(node.right, env)
-        if node.op == "/":
-            if b == 0:
-                raise DomainError("division by zero")
-            return a / b
-        if node.op == "%":
-            return a if b == 0 else a % b
-        return {
-            "+": lambda: a + b,
-            "-": lambda: a - b,
-            "*": lambda: a * b,
-            "<": lambda: a < b,
-            "<=": lambda: a <= b,
-            "==": lambda: a == b,
-        }[node.op]()
+    if node.op == "?:":
+        test, then, other = node.args
+        return reference_eval(then if reference_eval(test, env) else other, env)
     vals = [reference_eval(a, env) for a in node.args]
-    if node.fn == "sqrt":
+    if node.op == "neg":
+        return -vals[0]
+    if node.op == "sqrt":
         if vals[0] < 0:
             raise DomainError("sqrt of a negative number")
         return math.sqrt(vals[0])
-    if node.fn == "abs":
+    if node.op == "abs":
         return abs(vals[0])
-    return min(vals) if node.fn == "min" else max(vals)
+    if node.op in ("min", "max"):
+        return min(vals) if node.op == "min" else max(vals)
+    a, b = vals
+    if node.op == "/":
+        if b == 0:
+            raise DomainError("division by zero")
+        return a / b
+    if node.op == "%":
+        return a if b == 0 else a % b
+    return {
+        "+": lambda: a + b,
+        "-": lambda: a - b,
+        "*": lambda: a * b,
+        "<": lambda: a < b,
+        "<=": lambda: a <= b,
+        "==": lambda: a == b,
+    }[node.op]()
 
 
 def outcome(thunk):
@@ -167,10 +154,10 @@ class TestParsePrint:
 
     @pytest.mark.parametrize("value", (math.inf, -math.inf, -0.0, 0.0, 1e15, -2.5))
     def test_roundtrip_is_bit_exact(self, value):
-        for tree in (Const(value), Bin("*", Var("x"), Const(value))):
+        for tree in (Const(value), Op("*", (Var("x"), Const(value)))):
             back = parse_expr(to_source(tree))
             assert back == tree
-            const = back if isinstance(back, Const) else back.right
+            const = back if isinstance(back, Const) else back.args[1]
             assert math.copysign(1.0, const.value) == math.copysign(1.0, value)
 
     def test_nan_has_no_literal(self):
@@ -178,26 +165,20 @@ class TestParsePrint:
             to_source(Const(math.nan))
 
     def test_precedence(self):
-        assert parse_expr("1 + 2 * 3") == Bin(
-            "+", Const(1.0), Bin("*", Const(2.0), Const(3.0))
-        )
-        assert parse_expr("(1 + 2) * 3") == Bin(
-            "*", Bin("+", Const(1.0), Const(2.0)), Const(3.0)
-        )
+        assert parse_expr("1 + 2 * 3") == Op("+", (Const(1.0), Op("*", (Const(2.0), Const(3.0)))))
+        assert parse_expr("(1 + 2) * 3") == Op("*", (Op("+", (Const(1.0), Const(2.0))), Const(3.0)))
 
     def test_left_associative(self):
-        assert parse_expr("8 - 3 - 2") == Bin(
-            "-", Bin("-", Const(8.0), Const(3.0)), Const(2.0)
-        )
+        assert parse_expr("8 - 3 - 2") == Op("-", (Op("-", (Const(8.0), Const(3.0))), Const(2.0)))
 
     def test_ternary_right_associative(self):
         e = parse_expr("x < 0 ? 1 : x < 5 ? 2 : 3")
-        assert isinstance(e, Cond) and isinstance(e.other, Cond)
+        assert e.op == "?:" and e.args[2].op == "?:"
 
     def test_negative_literal_folds_to_const(self):
         assert parse_expr("-5") == Const(-5.0)
         assert parse_expr("--5") == Const(5.0)
-        assert parse_expr("-x") == Neg(Var("x"))
+        assert parse_expr("-x") == Op("neg", (Var("x"),))
 
     @pytest.mark.parametrize(
         "src",
@@ -208,12 +189,16 @@ class TestParsePrint:
             parse_expr(src)
 
     def test_statement_forms(self):
-        assert parse_statement("u = x + 1") == Assign(
-            "u", Bin("+", Var("x"), Const(1.0))
-        )
+        assert parse_statement("u = x + 1") == Assign("u", Op("+", (Var("x"), Const(1.0))))
         assert parse_statement("return x") == Var("x")
         # "returned" is an identifier, not the keyword plus a tail
         assert parse_statement("returned = 2") == Assign("returned", Const(2.0))
+
+    @pytest.mark.parametrize("line,col", (("return x + )", 12), ("  return x + )", 14), ("return", 7)))
+    def test_return_columns_count_from_the_line_start(self, line, col):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_statement(line)
+        assert info.value.col == col
 
     @given(st.text(max_size=30))
     @settings(max_examples=200)
@@ -296,7 +281,7 @@ class TestEval:
     @pytest.mark.parametrize("value", (-0.0, math.inf, -math.inf, math.nan))
     def test_constants_without_a_literal_compile(self, value):
         # folding makes these; the generated code binds them by name
-        fn = compile_program(Program("t", (), (), Bin("+", Const(value), Const(-0.0))))
+        fn = compile_program(Program("t", (), (), Op("+", (Const(value), Const(-0.0)))))
         assert same_outcome(fn(), value + -0.0)
 
     def test_depth_limit_is_shared_by_parser_and_compiler(self):
@@ -307,7 +292,7 @@ class TestEval:
             parse_expr(chain + " % x")
         deep = Var("x")
         for _ in range(MAX_DEPTH):
-            deep = Neg(deep)
+            deep = Op("neg", (deep,))
         with pytest.raises(ExprSyntaxError):
             compile_program(Program("t", ("x",), (), deep))
 
@@ -323,7 +308,7 @@ def _deep(depth):
     """A tree exactly `depth` levels deep."""
     node = Var("y")
     for _ in range(depth - 1):
-        node = Neg(node)
+        node = Op("neg", (node,))
     return node
 
 
@@ -390,7 +375,7 @@ class TestVariants:
         # 3,000 variants of one statement; a flat if/elif chain this long
         # exceeds CPython's compiler recursion limit
         prog = assemble_program("t", ("x",), [parse_statement("return x")])
-        fns = compile_variants(prog, [(0, Bin("+", Var("x"), Const(float(i)))) for i in range(3000)])
+        fns = compile_variants(prog, [(0, Op("+", (Var("x"), Const(float(i))))) for i in range(3000)])
         assert [fns[i](1.0) for i in (0, 1, 1499, 2999)] == [1.0, 2.0, 1500.0, 3000.0]
 
     def test_unknown_statement_is_refused(self):
@@ -410,7 +395,7 @@ class TestTypes:
             assemble_program("t", ("a",), [parse_expr("a < 2")])
         with pytest.raises(TypeCheckError):
             # guard must be a comparison, not a number
-            assemble_program("t", ("a",), [Cond(Var("a"), Const(1.0), Const(0.0))])
+            assemble_program("t", ("a",), [Op("?:", (Var("a"), Const(1.0), Const(0.0)))])
 
     def test_undefined_variable(self):
         with pytest.raises(TypeCheckError):
@@ -437,13 +422,11 @@ class TestFold:
 
     def test_folds_only_constant_subtrees(self):
         got = fold_constants(parse_expr("x + (6 - 2)"))
-        assert got == Bin("+", Var("x"), Const(4.0))
+        assert got == Op("+", (Var("x"), Const(4.0)))
 
     def test_leaves_raising_subtrees_alone(self):
-        assert fold_constants(parse_expr("1 / 0")) == Bin("/", Const(1.0), Const(0.0))
-        assert fold_constants(parse_expr("sqrt(0 - 4)")) == Call(
-            "sqrt", (Const(-4.0),)
-        )
+        assert fold_constants(parse_expr("1 / 0")) == Op("/", (Const(1.0), Const(0.0)))
+        assert fold_constants(parse_expr("sqrt(0 - 4)")) == Op("sqrt", (Const(-4.0),))
 
     @given(TOTAL_EXPR)
     @settings(max_examples=150)

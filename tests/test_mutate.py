@@ -1,6 +1,7 @@
 """Mutation-engine tests: matrix rows, strata, tagging, survivor censuses."""
 
 import builtins
+import hashlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noether import minilang
+from noether import cli, minilang
 from noether.algebra import BlockKind
 from noether.harness import ScalingMR, check_mr, generate_tuples
-from noether.minilang import Call, Cmp, Const, DomainError, compile_program
+from noether.minilang import Const, DomainError, Op, Var, compile_program
 from noether.mutate import (
     BREAKS,
     BUNDLED_OVERRIDES,
@@ -36,7 +37,7 @@ from noether.mutate import (
     mutate,
     syntactic_degree,
 )
-from noether.specfile import HEADER, MutatorConfig, parse_sut_file
+from noether.specfile import HEADER, MutatorConfig, parse_sut_file, sut_file_to_text
 from noether.zoo import (
     LAMBDA_SAMPLES,
     SCALING_BUDGET,
@@ -179,6 +180,49 @@ CENSUS = {
 }
 
 
+# First 16 hex digits of the SHA-256 of `mutate <subject> --format machine
+# --seed <seed>`, one row per mutant: id, category, strata, effect and broken
+# blocks.  Recorded before the expression tree became Const | Var | Op.
+CENSUS_DIGESTS = {
+    (0, "midpoint"): "302534b65ba3e398",
+    (0, "exactLog2"): "a598fe4a02878eba",
+    (0, "isSequence"): "ba1693908c11965e",
+    (0, "clamp"): "f2366880d6bb4f91",
+    (0, "signum"): "92f8a71872ce279f",
+    (0, "caddSig"): "6751eb2a5f1ae2c2",
+    (0, "gcdSig"): "1c288317c97fa1d1",
+    (0, "lcmSig"): "94654d9523658286",
+    (0, "hypotSig"): "ba37e657c9c3c89d",
+    (0, "powerSig"): "c64fa80551568f10",
+    (SEED, "midpoint"): "2eb2170197784ad8",
+    (SEED, "exactLog2"): "4fdfb813f9ee8a27",
+    (SEED, "isSequence"): "5a4da8b2da8bcf7a",
+    (SEED, "clamp"): "4920b61bcad24cf1",
+    (SEED, "signum"): "095cea8c8f86ed9a",
+    (SEED, "caddSig"): "3214b438828d4ab9",
+    (SEED, "gcdSig"): "10cb8a27e82b96be",
+    (SEED, "lcmSig"): "43a807ed1d103c80",
+    (SEED, "hypotSig"): "6b797c0ad1f2cc29",
+    (SEED, "powerSig"): "1c340848db8a7301",
+}
+# the same digest of `sut_file_to_text` over the bundled zoo, in file order
+ZOO_TEXT_DIGEST = "e9d78b1c1ec85a57"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestCensusRows:
+    @pytest.mark.parametrize("seed,name", sorted(CENSUS_DIGESTS, key=str))
+    def test_machine_rows_are_pinned(self, seed, name, capsys):
+        assert cli.main(["mutate", name, "--format", "machine", "--seed", str(seed)]) == 0
+        assert _digest(capsys.readouterr().out) == CENSUS_DIGESTS[seed, name]
+
+    def test_zoo_prints_as_pinned(self):
+        assert _digest(sut_file_to_text(list(ZOO.values()))) == ZOO_TEXT_DIGEST
+
+
 class TestMutantCensus:
     @pytest.mark.parametrize("name,expected", sorted(CENSUS.items()))
     def test_frozen_counts(self, name, expected):
@@ -269,7 +313,7 @@ class TestSiteRules:
             "return x < 3 ? 0 : 1", categories=[MutatorCategory.CONDITIONALS_BOUNDARY]
         )
         (m,) = mutants
-        assert isinstance(m.replacement, Cmp) and m.replacement.op == "<="
+        assert m.replacement == Op("<=", (Var("x"), Const(3.0)))
 
     def test_call_removal_pins_to_one(self):
         mutants = self._single(
@@ -277,9 +321,7 @@ class TestSiteRules:
         )
         (m,) = mutants
         assert m.replacement == Const(1.0)
-        assert isinstance(
-            ZOO["hypotSig"].program.result, Call
-        )  # the zoo exercises the same site rule
+        assert ZOO["hypotSig"].program.result.op == "sqrt"  # the zoo exercises the same site rule
 
     def test_equivalent_candidates_are_filtered(self):
         # negating a symmetric guard changes nothing observable: x*0 == 0*x

@@ -291,6 +291,10 @@ class TestErrorColumns:
             (parse_mutator_config, "", "override MATH MATH MATH", 20),
             (parse_mutator_config, "", "seed s", 6),
             (parse_mutator_config, "", "seed", 5),
+            (parse_algebra, "algebra t", "   operator op1 op", 17),
+            (parse_sut_file, "", "  bogus line", 3),
+            (parse_sut_file, "sut f(x) blocks=G", "    y = x + )", 13),
+            (parse_sut_file, "sut f(x) blocks=G", "  return x + )", 14),
         ),
         ids=(
             "attribute-inside-keyword",
@@ -305,6 +309,10 @@ class TestErrorColumns:
             "override-cell-equal-to-sut",
             "seed-inside-keyword",
             "empty-seed",
+            "indented-attribute",
+            "indented-keyword",
+            "indented-body-line",
+            "indented-return-line",
         ),
     )
     def test_column_of_the_offending_word(self, parse, prefix, line, col):

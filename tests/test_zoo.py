@@ -244,14 +244,13 @@ class TestSgdRoundTrip:
             centers=((0.0, 0.0), (0.0, 0.0)),
             linear_terms=((0.3, -0.7), (1.1, 0.2)),
         )
-        traj = SgdTrajectory(theta0=(1.0, 2.0), eta=0.05, steps=6, batch_order=(0, 1, 0, 1, 0, 1))
+        traj = SgdTrajectory(theta0=(1.0, 2.0), eta=0.05, batch_order=(0, 1, 0, 1, 0, 1))
+        assert traj.steps == 6
         assert sgd_roundtrip_residual(traj, loss) == 0.0
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
-            SgdTrajectory(theta0=(0.0,), eta=-0.1, steps=1, batch_order=(0,))
+            SgdTrajectory(theta0=(0.0,), eta=-0.1, batch_order=(0,))
         with pytest.raises(ValueError):
-            SgdTrajectory(theta0=(0.0,), eta=0.1, steps=0, batch_order=())
-        with pytest.raises(ValueError):
-            SgdTrajectory(theta0=(0.0,), eta=0.1, steps=2, batch_order=(0,))
+            SgdTrajectory(theta0=(0.0,), eta=0.1, batch_order=())
 
