@@ -167,7 +167,7 @@ class RewriteDecl:
     The relational evaluator interprets lhs/rhs in its tiny prefix notation;
     the algebra layer only carries them.  `rule` is their executable form
     when `parse_algebra` built the declaration, and None when it is built
-    by hand (`relational.compile_rule` parses the fields then).
+    by hand.
     """
 
     name: str

@@ -232,7 +232,9 @@ def cmd_mutate(args) -> int:
         return 2
     try:
         categories = (
-            [MutatorCategory[c] for c in args.categories.split(",")] if args.categories else None
+            None
+            if args.categories is None
+            else [MutatorCategory[c] for c in args.categories.split(",")]
         )
     except KeyError as exc:
         print(f"mutate: unknown mutator category {exc}", file=sys.stderr)

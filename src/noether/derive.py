@@ -47,7 +47,8 @@ class CostCounter:
 
 @dataclass(frozen=True)
 class BlockInvariant:
-    """A (block, operator-set, relation-form, arity) certificate."""
+    """A (block, operator-set, arity) certificate; the block fixes its
+    relation form."""
 
     block: BlockKind
     phi: FrozenSet[str]
@@ -59,15 +60,10 @@ class BlockInvariant:
         if self.arity < 1:
             raise ValueError("arity must be positive")
 
-    @property
-    def pi_template(self) -> str:
-        """The relation form, the one its block certifies."""
-        return self.block.relation_form
-
 
 @dataclass(frozen=True)
 class MRTemplate:
-    """Executable-MR recipe: tuple rule plus assertion shape, both fixed by
+    """Executable-MR recipe: its tuple rule and relation form are fixed by
     the block of the invariant it was translated from."""
 
     provenance: BlockInvariant
@@ -79,10 +75,6 @@ class MRTemplate:
     @property
     def tuple_rule(self) -> str:
         return self.block.tuple_rule
-
-    @property
-    def assertion_form(self) -> str:
-        return self.block.relation_form
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 import zlib
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,18 +42,14 @@ class TupleGroup:
 
 @dataclass(frozen=True)
 class ExecutableMR:
-    """An MR bound to one subject; subclasses fix the block's rules."""
+    """An MR bound to one subject; subclasses fix the block's rules and
+    their sample budget."""
 
     block: ClassVar[BlockKind]
+    sample_budget: ClassVar[int] = DEFAULT_BUDGET
 
     name: str
     decl: SutDecl
-    _: KW_ONLY
-    sample_budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.sample_budget < 0:
-            raise ValueError("sample budget must be nonnegative")
 
     @property
     def sut_name(self) -> str:
@@ -141,10 +137,9 @@ class ScalingMR(ExecutableMR):
 
     block: ClassVar[BlockKind] = BlockKind.L_STAR
     # the tagger's budget: both judge mutants on the same points
-    sample_budget: int = field(default=zoo.SCALING_BUDGET, kw_only=True)
+    sample_budget: ClassVar[int] = zoo.SCALING_BUDGET
 
     def __post_init__(self):
-        super().__post_init__()
         if self.decl.homogeneity == "none":
             raise ValueError(f"{self.name}: scaling MR needs a homogeneity declaration")
 
@@ -218,7 +213,6 @@ def build_standard_mrs(decls: Mapping[str, SutDecl]) -> List[ExecutableMR]:
 @dataclass
 class KillMatrix:
     mr_names: Tuple[str, ...]
-    mutant_ids: Tuple[str, ...]
     cells: Dict[Tuple[str, str], str]  # kills only: (mr, mutant) -> witness
     excluded: Tuple[Tuple[str, str, str], ...] = ()  # (mr, sut, reason)
 
@@ -248,17 +242,14 @@ def run_kill_experiment(
         else:
             excluded.append((mr.name, sut, verdict.failure))
     cells: Dict[Tuple[str, str], str] = {}
-    ids: List[str] = []
     for mutant in mutants:
         mid = mutant_id(mutant)
-        ids.append(mid)
         for mr, groups in green_by_sut.get(mutant.base, ()):
             verdict = check_mr(mr, mutant.fn, groups)
             if not verdict.passed:
                 cells[(mr.name, mid)] = verdict.failure
     return KillMatrix(
         mr_names=tuple(mr.name for mr in green),
-        mutant_ids=tuple(ids),
         cells=cells,
         excluded=tuple(excluded),
     )
@@ -388,29 +379,3 @@ def run_blindness_experiment(cfg=None) -> BlindnessReport:
         matrix=kill_matrix,
         mutants_by_sut=mutants_by_sut,
     )
-
-
-# ---------------------------------------------------------------------------
-# Orbit-budget stability audit
-
-
-# the paper's orbit budgets {K, 2K, 4K} and its five-point stability band
-K_SWEEP_FACTORS = (1, 2, 4)
-K_SWEEP_BAND = Fraction(5, 100)
-
-
-def k_sweep_audit(
-    mrs: Sequence[ExecutableMR], mutants: Sequence[Mutant], seed: int
-) -> Tuple[Dict[int, Fraction], bool]:
-    """Detection rate at each budget multiple of K_SWEEP_FACTORS; stable if
-    the spread stays inside K_SWEEP_BAND."""
-    rates: Dict[int, Fraction] = {}
-    for factor in K_SWEEP_FACTORS:
-        scaled = [replace(mr, sample_budget=mr.sample_budget * factor) for mr in mrs]
-        matrix = run_kill_experiment(scaled, mutants, seed)
-        killed = len({mid for _, mid in matrix.cells})
-        rates[factor] = Fraction(killed, len(matrix.mutant_ids)) if matrix.mutant_ids else Fraction(0)
-    values = list(rates.values())
-    stable = (max(values) - min(values)) <= K_SWEEP_BAND
-    return rates, stable
-

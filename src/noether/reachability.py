@@ -19,19 +19,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import (
     BlockKind,
-    CANONICAL_ORDER,
     OperatorAlgebra,
     RELATION_FORMS,
     canonical_max,
 )
-
-
-class NotRejected(Exception):
-    """exhaust_blocks called on a descriptor that is actually derivable."""
 
 
 class Obstruction(enum.Enum):
@@ -121,35 +116,3 @@ def check_reachability(mr: MRDescriptor, algebra: OperatorAlgebra) -> Reachabili
     if not admitting:
         return ReachabilityVerdict(False, None, frozenset())
     return ReachabilityVerdict(True, canonical_max(admitting), frozenset())
-
-
-def _block_reason(kind: BlockKind, mr: MRDescriptor, populated: bool) -> str:
-    if not populated:
-        return "block empty for this algebra"
-    form = kind.relation_form
-    if kind is BlockKind.O_LE and mr.relation_form == "mixed-difference":
-        return (
-            "template mismatch: a monotone pair is a two-point relation, but a "
-            "second-order mixed difference is structurally a four-point rectangle"
-        )
-    if mr.relation_form == form:
-        # form matches but an intrinsic obstruction blocks derivation
-        tags = ", ".join(sorted(o.value for o in structural_obstructions(mr)))
-        return f"template matches ({form}) but structural obstructions remain: {tags}"
-    return (
-        f"template mismatch: block certifies {form!r}, "
-        f"descriptor asserts {mr.relation_form!r}"
-    )
-
-
-def exhaust_blocks(mr: MRDescriptor, algebra: OperatorAlgebra) -> Dict[BlockKind, str]:
-    """Per-block rejection reasons for an underivable descriptor.
-
-    Mirrors the proof-by-enumeration structure: every block gets an entry,
-    vacuous (empty) blocks included.
-    """
-    verdict = check_reachability(mr, algebra)
-    if verdict.reachable:
-        raise NotRejected(f"{mr.name} is derivable (block {verdict.assigned_block})")
-    populated = algebra.blocks.nonempty_blocks()
-    return {kind: _block_reason(kind, mr, kind in populated) for kind in CANONICAL_ORDER}

@@ -20,7 +20,6 @@ from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._rng import Generator
-from .algebra import RewriteDecl
 from .minilang import MAX_DEPTH
 
 EMPTY_NAME = "EMPTY"  # every generated database carries an empty relation
@@ -411,13 +410,6 @@ def _variables(pat: Pattern) -> set:
     if pat.name:
         return {pat.name}
     return set().union(*map(_variables, pat.children))
-
-
-def compile_rule(decl: RewriteDecl) -> RewriteRule:
-    """Parse the rule's three fields into its executable form."""
-    return RewriteRule(
-        decl.name, parse_pattern(decl.lhs), parse_pattern(decl.rhs), parse_guard(decl.guard)
-    )
 
 
 def _match(pat: Pattern, expr, bindings: Dict[str, object]) -> bool:

@@ -377,6 +377,7 @@ def parse_mr_descriptor(text: str) -> MRDescriptor:
 
 
 def descriptor_to_text(mr: MRDescriptor) -> str:
+    """Test oracle: the `.mr` round-trip tests parse what this prints."""
     return "\n".join(
         [
             HEADER,
@@ -447,9 +448,10 @@ def _parse_sut_header(lineno: int, line: str, rest: str):
     if open_paren < 0 or close_paren < open_paren:
         raise SpecSyntaxError(lineno, len(line) + 1, "sut <name>(<params>)")
     sut_name = rest[:open_paren].strip()
-    if not sut_name:
-        raise SpecSyntaxError(lineno, line.find("(") + 1, "a sut name before (")
     rest_start = len(line) - len(rest)
+    # mutant ids and `.cfg` lines name a subject by this word
+    if not sut_name.isidentifier():
+        raise SpecSyntaxError(lineno, rest_start + 1, "a sut name identifier", sut_name)
     items = list(_LIST_ITEM.finditer(line, rest_start + open_paren + 1, rest_start + close_paren))
     for m in items:
         if not m.group().isidentifier():
@@ -488,6 +490,8 @@ def _assemble_sut(header_lineno: int, header, body: List[Tuple[int, str]]) -> Su
 
 
 def sut_file_to_text(decls: Sequence[SutDecl]) -> str:
+    """Test oracle: the `.sut` round-trip tests parse what this prints, and
+    `TestCensusRows` pins its digest over the bundled zoo."""
     from . import minilang
 
     out = [HEADER]
@@ -529,6 +533,8 @@ def parse_mutator_config(text: str) -> MutatorConfig:
             if categories is not None:
                 raise SpecSemanticError("mutators", f"second mutators line at {lineno}")
             cats = _comma_list(rest)
+            if not cats:
+                raise SpecSemanticError("mutators", f"no mutator category on line {lineno}")
             for c in cats:
                 if c not in MUTATOR_CATEGORY_NAMES:
                     raise SpecSemanticError(c, f"unknown mutator category on line {lineno}")
@@ -595,6 +601,7 @@ def _parse_cell(lineno: int, line: str, rest: str, with_sut: bool):
 
 
 def mutator_config_to_text(cfg: MutatorConfig) -> str:
+    """Test oracle: the `.cfg` round-trip test parses what this prints."""
     out = [HEADER, "mutators " + ",".join(cfg.categories), f"seed {cfg.seed}"]
     if cfg.suts:
         out.append("suts " + ",".join(cfg.suts))

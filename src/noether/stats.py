@@ -10,7 +10,6 @@ matters; all APIs speak proportions, never percents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Sequence, Tuple
@@ -18,31 +17,6 @@ from typing import Sequence, Tuple
 
 class DegenerateCategories(Exception):
     """Fleiss' kappa is undefined: every rating falls in one category."""
-
-
-@dataclass(frozen=True)
-class PairedCounts:
-    """Paired-outcome bookkeeping for two MR sets over the same mutants.
-
-    a_only / b_only are the discordant counts fed to the McNemar test.
-    """
-
-    both: int
-    a_only: int
-    b_only: int
-    neither: int
-
-    def __post_init__(self):
-        for fname in ("both", "a_only", "b_only", "neither"):
-            if getattr(self, fname) < 0:
-                raise ValueError(f"{fname} must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.both + self.a_only + self.b_only + self.neither
-
-    def mcnemar(self) -> float:
-        return mcnemar_exact(self.a_only, self.b_only)
 
 
 def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
@@ -144,16 +118,3 @@ def fleiss_kappa(labels: Sequence[Sequence[object]]) -> float:
     if p_bar == 1:
         return 1.0
     return float((p_bar - p_e) / (1 - p_e))
-
-
-def holm_thresholds(alpha: float, m: int) -> Tuple[float, ...]:
-    """Step-down significance thresholds for m sorted p-values.
-
-    The i-th smallest p-value is compared against alpha/(m-i); this is the
-    threshold ladder only, no decision machinery.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return tuple(alpha / (m - i) for i in range(m))

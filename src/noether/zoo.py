@@ -12,8 +12,8 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
-from operator import add, mul, sub
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import mul, sub
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ._rng import Generator
 from .algebra import OperatorAlgebra
@@ -229,7 +229,9 @@ def check_homogeneity(
 
     Degree-1 subjects must satisfy f(lam*x) = lam*f(x); scale-invariant
     subjects must satisfy f(lam*x) = f(x).  Both to absolute tolerance tau,
-    for every (lambda, point) combination.
+    for every (lambda, point) combination.  Test oracle: it checks every
+    pair independently of `harness.ScalingMR`, and the zoo tests and
+    mutate's certified-preserver test compare against it.
     """
     from . import minilang
 
@@ -266,30 +268,20 @@ class SgdTrajectory:
         if not self.batch_order:
             raise ValueError("batch_order must be nonempty")
 
-    @property
-    def steps(self) -> int:
-        return len(self.batch_order)
-
 
 @dataclass(frozen=True)
 class QuadraticLoss:
-    """Per-batch affine gradients grad_i(theta) = A_i (theta - c_i) + b_i.
+    """Per-batch quadratic-loss gradients grad_i(theta) = A_i (theta - c_i).
 
-    Vectors are float tuples and each A_i is a tuple of rows.  b_i defaults
-    to zero (pure quadratic); a linear loss is A_i = 0 with a constant
-    gradient b_i.
+    Vectors are float tuples and each A_i is a tuple of rows.
     """
 
     matrices: Tuple[Tuple[Tuple[float, ...], ...], ...]
     centers: Tuple[Tuple[float, ...], ...]
-    linear_terms: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     def gradient(self, batch: int, theta: Sequence[float]) -> Tuple[float, ...]:
         offset = [t - c for t, c in zip(theta, self.centers[batch])]
-        g = tuple(sum(map(mul, row, offset)) for row in self.matrices[batch])
-        if self.linear_terms is not None:
-            g = tuple(map(add, g, self.linear_terms[batch]))
-        return g
+        return tuple(sum(map(mul, row, offset)) for row in self.matrices[batch])
 
 
 def _sgd_leg(

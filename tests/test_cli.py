@@ -89,6 +89,8 @@ class TestExitCodes:
         (
             (["stats", "wilson", "5", "3"], None),
             (["mutate", "signum", "--categories", "FOO"], None),
+            (["mutate", "midpoint", "--categories", ""], None),
+            (["kill", "--config", "empty"], ("empty.cfg", f"{HEADER}\nmutators\n")),
             (["rel", "--trials", "0"], None),
             (["kill", "--config", "unknown_sut"], ("unknown_sut.cfg", f"{HEADER}\nsuts nosuch\n")),
             (["mutate", "signum", "--seed", "-1"], None),
@@ -109,6 +111,8 @@ class TestExitCodes:
         ids=(
             "wilson-successes-above-n",
             "unknown-category",
+            "mutate-empty-categories",
+            "kill-empty-categories",
             "zero-trials",
             "unknown-sut",
             "mutate-negative-seed",

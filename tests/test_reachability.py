@@ -1,16 +1,14 @@
-"""Reachability tests: fixture verdicts, obstruction logic, enumeration proofs."""
+"""Reachability tests: fixture verdicts, obstruction logic, admission."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noether.algebra import BlockKind, CANONICAL_ORDER
+from noether.algebra import BlockKind
 from noether.reachability import (
     MRDescriptor,
-    NotRejected,
     Obstruction,
     check_reachability,
-    exhaust_blocks,
     structural_obstructions,
 )
 from noether.zoo import load_algebra, load_descriptor
@@ -133,32 +131,3 @@ class TestAdmission:
         # equivariance is certified only by the group block
         verdict = check_reachability(MRDescriptor("x"), load_algebra("equivariant"))
         assert verdict.reachable and verdict.assigned_block is BlockKind.G
-
-
-class TestExhaustBlocks:
-    def test_covers_every_block_with_a_reason(self):
-        mr = load_descriptor("rho_mtc_bor")
-        reasons = exhaust_blocks(mr, load_algebra("boltzmann"))
-        assert set(reasons) == set(CANONICAL_ORDER)
-        assert all(isinstance(r, str) and r for r in reasons.values())
-        # boltzmann leaves B_rel empty; that block is rejected vacuously
-        assert reasons[BlockKind.B_REL] == "block empty for this algebra"
-        # the order block names the two-point vs four-point mismatch
-        assert "rectangle" in reasons[BlockKind.O_LE]
-
-    def test_matching_form_blames_the_obstructions(self):
-        reasons = exhaust_blocks(load_descriptor("only_o1"), load_algebra("boltzmann"))
-        mr = load_descriptor("only_o1")
-        form_block = [
-            k
-            for k in CANONICAL_ORDER
-            if k is not BlockKind.B_REL  # populated in boltzmann
-        ]
-        # only_o1 asserts a plain form certified by some populated block;
-        # that block's reason must cite O1 rather than a template mismatch
-        cited = [k for k in form_block if "O1" in reasons[k]]
-        assert cited, reasons
-
-    def test_derivable_descriptor_refuses_enumeration(self):
-        with pytest.raises(NotRejected):
-            exhaust_blocks(load_descriptor("rho_rot"), load_algebra("equivariant"))

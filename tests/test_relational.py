@@ -23,6 +23,7 @@ from noether.relational import (
     Predicate,
     Project,
     Relation,
+    RewriteRule,
     Select,
     SchemaMismatch,
     TRUE,
@@ -31,9 +32,9 @@ from noether.relational import (
     apply_rule,
     bag_equal,
     bundled_rules,
-    compile_rule,
     eval_query,
     gen_database,
+    parse_guard,
     parse_pattern,
     rewrite_once,
     run_rel_mrs,
@@ -392,7 +393,10 @@ class TestRewriteRules:
     def test_parsed_rule_travels_with_its_declaration(self):
         for rule, decl in zip(bundled_rules(), load_algebra("relational").semiring_rules):
             by_hand = RewriteDecl(decl.name, decl.lhs, decl.rhs, decl.guard)
-            assert decl.rule == rule == compile_rule(by_hand)
+            parsed = RewriteRule(
+                decl.name, parse_pattern(decl.lhs), parse_pattern(decl.rhs), parse_guard(decl.guard)
+            )
+            assert decl.rule == rule == parsed
             assert decl == by_hand  # the carried rule takes no part in equality
 
     def test_pattern_parse_shapes(self):
@@ -444,7 +448,12 @@ class TestRewriteRules:
         assert got == Base(EMPTY_NAME)
 
     def test_project_rules_fire_below_the_root(self):
-        rule = compile_rule(RewriteDecl("project_idem", "project(A,project(A,R))", "project(A,R)"))
+        rule = RewriteRule(
+            "project_idem",
+            parse_pattern("project(A,project(A,R))"),
+            parse_pattern("project(A,R)"),
+            parse_guard(""),
+        )
         attrs = ("a",)
         plan = Distinct(Project(attrs, Project(attrs, Base("R"))))
         assert rewrite_once(plan, [rule], DB) == Distinct(Project(attrs, Base("R")))

@@ -250,6 +250,11 @@ class TestMutatorParsing:
         with pytest.raises(SpecSemanticError):
             parse_mutator_config(f"{HEADER}\nmutators FROBNICATE\n")
 
+    @pytest.mark.parametrize("line", ("mutators", "mutators ,"))
+    def test_empty_category_list(self, line):
+        with pytest.raises(SpecSemanticError, match="no mutator category on line 2"):
+            parse_mutator_config(f"{HEADER}\n{line}\n")
+
     def test_effect_vocabulary(self):
         with pytest.raises(SpecSemanticError):
             parse_mutator_config(f"{HEADER}\nmatrix MATH G=sometimes\n")
@@ -295,6 +300,9 @@ class TestErrorColumns:
             (parse_sut_file, "", "  bogus line", 3),
             (parse_sut_file, "sut f(x) blocks=G", "    y = x + )", 13),
             (parse_sut_file, "sut f(x) blocks=G", "  return x + )", 14),
+            (parse_sut_file, "", "sut my f/x(x) blocks=G", 5),
+            (parse_sut_file, "", "  sut a-b(x) blocks=G", 7),
+            (parse_sut_file, "", "sut (x) blocks=G", 5),
         ),
         ids=(
             "attribute-inside-keyword",
@@ -313,6 +321,9 @@ class TestErrorColumns:
             "indented-keyword",
             "indented-body-line",
             "indented-return-line",
+            "sut-name-with-space-and-slash",
+            "indented-sut-name-with-dash",
+            "missing-sut-name",
         ),
     )
     def test_column_of_the_offending_word(self, parse, prefix, line, col):

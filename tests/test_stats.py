@@ -4,8 +4,6 @@ scipy appears here only as an independent second route; the library itself
 never imports it.
 """
 
-import math
-
 import pytest
 import scipy.stats
 from hypothesis import given, settings
@@ -13,10 +11,8 @@ from hypothesis import strategies as st
 
 from noether.stats import (
     DegenerateCategories,
-    PairedCounts,
     fisher_exact_2x2,
     fleiss_kappa,
-    holm_thresholds,
     mcnemar_exact,
     wilson_interval,
 )
@@ -139,15 +135,3 @@ class TestFleiss:
             fleiss_kappa([["a", "b"]])  # one item
         with pytest.raises(ValueError):
             fleiss_kappa([["a"], ["b"]])  # one rater
-
-
-class TestSupport:
-    def test_paired_counts_rejects_negatives(self):
-        PairedCounts(both=1, a_only=0, b_only=2, neither=3)
-        with pytest.raises(ValueError):
-            PairedCounts(both=-1, a_only=0, b_only=0, neither=0)
-
-    def test_holm_thresholds(self):
-        got = holm_thresholds(0.05, 3)
-        assert got == pytest.approx((0.05 / 3, 0.05 / 2, 0.05))
-        assert math.isclose(holm_thresholds(0.05, 1)[0], 0.05)

@@ -18,7 +18,6 @@ from noether.zoo import (
     check_homogeneity,
     default_sgd_fixture,
     load_zoo,
-    QuadraticLoss,
     sample_args,
     scaling_points,
     scaling_sample,
@@ -236,17 +235,6 @@ class TestSgdRoundTrip:
 
     def test_zero_step_size_has_zero_residual(self):
         assert sgd_roundtrip_residual(*default_sgd_fixture(eta=0.0)) == 0.0
-
-    def test_constant_gradients_cancel_exactly(self):
-        zero = ((0.0, 0.0), (0.0, 0.0))
-        loss = QuadraticLoss(
-            matrices=(zero, zero),
-            centers=((0.0, 0.0), (0.0, 0.0)),
-            linear_terms=((0.3, -0.7), (1.1, 0.2)),
-        )
-        traj = SgdTrajectory(theta0=(1.0, 2.0), eta=0.05, batch_order=(0, 1, 0, 1, 0, 1))
-        assert traj.steps == 6
-        assert sgd_roundtrip_residual(traj, loss) == 0.0
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
