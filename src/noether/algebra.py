@@ -5,7 +5,9 @@ more of eight block kinds (symmetry group, order/monotonicity, self-adjoint
 pairing, reversal involution, parametric limit, qualitative dynamics,
 method comparison, rewrite equality).  Decomposing an algebra along the
 blocks is the first step of the derivation pipeline; the canonical block
-order resolves multi-block ambiguity everywhere downstream.
+order resolves multi-block ambiguity everywhere downstream.  A model that
+fails validation raises ValueError with the reason alone; `specfile` names
+the algebra or operator when it reports one.
 """
 
 from __future__ import annotations
@@ -41,32 +43,30 @@ class BlockKind(enum.Enum):
 
     Each member carries its own facts, written once in its row: the ASCII
     tag used in algebra files, the one relation form the block certifies,
-    its canonical tuple-generation rule, its default MetaPattern label, and
-    its fixed tuple arity (None for G, whose arity is its sampled orbit).
+    its default MetaPattern label, and its fixed tuple arity (None for G,
+    whose arity is its sampled orbit).
     Comparisons implement the strict total order G > O_LE > T_STAR > T_REV
     > L_STAR > D_STAR > E_STAR > B_REL, the declaration order.
     """
 
-    G = ("G", "equivariance", "group-orbit", "m_inv", None)
-    O_LE = ("O_le", "monotonicity", "order-pair", "m_mono", 2)
-    T_STAR = ("T_star", "self-adjoint-pairing", "inner-product-pair", "m_adj", 2)
-    T_REV = ("T_rev", "involution", "involution-pair", "m_rev", 2)
-    L_STAR = ("L_star", "convergence-rate", "parametric-sequence", "m_conv", 3)
-    D_STAR = ("D_star", "qualitative-feature", "trajectory", "m_dyn", 3)
-    E_STAR = ("E_star", "method-order", "method-pair", "m_cmp", 2)
-    B_REL = ("B_rel", "rewrite-equality", "rewrite-pair", "m_rel", 2)
+    G = ("G", "equivariance", "m_inv", None)
+    O_LE = ("O_le", "monotonicity", "m_mono", 2)
+    T_STAR = ("T_star", "self-adjoint-pairing", "m_adj", 2)
+    T_REV = ("T_rev", "involution", "m_rev", 2)
+    L_STAR = ("L_star", "convergence-rate", "m_conv", 3)
+    D_STAR = ("D_star", "qualitative-feature", "m_dyn", 3)
+    E_STAR = ("E_star", "method-order", "m_cmp", 2)
+    B_REL = ("B_rel", "rewrite-equality", "m_rel", 2)
 
     def __init__(
         self,
         tag: str,
         relation_form: str,
-        tuple_rule: str,
         default_label: str,
         fixed_arity: Optional[int],
     ):
         self.tag = tag
         self.relation_form = relation_form
-        self.tuple_rule = tuple_rule
         self.default_label = default_label
         self.fixed_arity = fixed_arity
         # rank under the canonical order, larger wins: minus the number of
@@ -142,39 +142,22 @@ class Operator:
         object.__setattr__(self, "block_tags", tags)
         for t in tags:
             if not isinstance(t, BlockKind):
-                raise ValueError(f"operator {self.name!r}: bad block tag {t!r}")
+                raise ValueError(f"bad block tag {t!r}")
         has_group = BlockKind.G in tags
         has_regime = self.regime is not Regime.NONE
         if has_group != has_regime:
             raise ValueError(
-                f"operator {self.name!r}: regime must be given exactly when "
-                f"the G block is tagged (regime={self.regime.value})"
+                "regime must be given exactly when the G block is tagged "
+                f"(regime={self.regime.value})"
             )
         if has_regime:
             if self.group_order_or_dim is None or self.group_order_or_dim < 0:
                 raise ValueError(
-                    f"operator {self.name!r}: group-block operators need a "
-                    f"nonnegative size (|group|, Lie dimension, or truncation)"
+                    "group-block operators need a nonnegative size "
+                    "(|group|, Lie dimension, or truncation)"
                 )
         if self.cost_hint < 1:
-            raise ValueError(f"operator {self.name!r}: cost_hint must be >= 1")
-
-
-@dataclass(frozen=True)
-class RewriteDecl:
-    """One identity-preserving rewrite rule, patterns kept as opaque text.
-
-    The relational evaluator interprets lhs/rhs in its tiny prefix notation;
-    the algebra layer only carries them.  `rule` is their executable form
-    when `parse_algebra` built the declaration, and None when it is built
-    by hand.
-    """
-
-    name: str
-    lhs: str
-    rhs: str
-    guard: str = ""
-    rule: Optional["RewriteRule"] = field(default=None, compare=False, repr=False)
+            raise ValueError("cost_hint must be >= 1")
 
 
 class _LabelMap(dict):
@@ -200,8 +183,10 @@ class _LabelMap(dict):
 class OperatorAlgebra:
     """A named operator set with a generating subset.
 
-    semiring_rules holds the rewrite rules attached to the rewrite block and
-    must be nonempty exactly when some operator is tagged B_rel.
+    semiring_rules holds the rewrite rules attached to the rewrite block,
+    each a `relational.RewriteRule` as parsed, and must be nonempty exactly
+    when some operator is tagged B_rel; `rho_select-push` fires them at the
+    plan root.
     label_overrides maps block kinds to custom MetaPattern labels for this
     algebra (each block's default label applies otherwise); the eight
     effective labels must be distinct, so a label names one MetaPattern.
@@ -210,7 +195,7 @@ class OperatorAlgebra:
     name: str
     operators: Tuple[Operator, ...]
     generators: Tuple[str, ...]
-    semiring_rules: Tuple[RewriteDecl, ...] = ()
+    semiring_rules: Tuple[RewriteRule, ...] = ()
     label_overrides: Mapping[BlockKind, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -221,26 +206,22 @@ class OperatorAlgebra:
         names = [op.name for op in self.operators]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"algebra {self.name!r}: duplicate operator names {dupes}")
+            raise ValueError(f"duplicate operator names {dupes}")
         labels = [self.label_overrides.get(kind, kind.default_label) for kind in BlockKind]
         if len(set(labels)) != len(labels):
             dupes = sorted({n for n in labels if labels.count(n) > 1})
-            raise ValueError(f"algebra {self.name!r}: duplicate MetaPattern labels {dupes}")
+            raise ValueError(f"duplicate MetaPattern labels {dupes}")
         name_set = set(names)
         for g in self.generators:
             if g not in name_set:
-                raise ValueError(f"algebra {self.name!r}: generator {g!r} not declared")
+                raise ValueError(f"generator {g!r} not declared")
         if self.operators and not self.generators:
-            raise ValueError(f"algebra {self.name!r}: generators must be nonempty")
+            raise ValueError("generators must be nonempty")
         has_rewrite_block = any(BlockKind.B_REL in op.block_tags for op in self.operators)
         if has_rewrite_block and not self.semiring_rules:
-            raise ValueError(
-                f"algebra {self.name!r}: a B_rel-tagged operator requires semiring rules"
-            )
+            raise ValueError("a B_rel-tagged operator requires semiring rules")
         if self.semiring_rules and not has_rewrite_block:
-            raise ValueError(
-                f"algebra {self.name!r}: semiring rules given but no operator is B_rel-tagged"
-            )
+            raise ValueError("semiring rules given but no operator is B_rel-tagged")
 
     @functools.cached_property
     def blocks(self) -> BlockDecomposition:

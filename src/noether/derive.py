@@ -1,9 +1,10 @@
 """MetaPattern derivation.
 
 Pipeline: read the algebra's block decomposition, extract one invariant
-per (operator, block) pair, translate each invariant into an executable MR
-template via the block's canonical tuple rule, and aggregate one
-MetaPattern per nonempty block that keeps its templates.
+per (operator, block) pair, translate each invariant into an MR template
+that records the block it came from, and aggregate one MetaPattern per
+nonempty block that keeps its templates.  The harness's MR classes
+implement each block's tuple rule.
 
 An instrumented cost counter makes the advertised near-linear complexity
 checkable: extraction charges each operator's cost hint once per tagged
@@ -63,18 +64,14 @@ class BlockInvariant:
 
 @dataclass(frozen=True)
 class MRTemplate:
-    """Executable-MR recipe: its tuple rule and relation form are fixed by
-    the block of the invariant it was translated from."""
+    """MR recipe: its relation form is fixed by the block of the invariant
+    it was translated from."""
 
     provenance: BlockInvariant
 
     @property
     def block(self) -> BlockKind:
         return self.provenance.block
-
-    @property
-    def tuple_rule(self) -> str:
-        return self.block.tuple_rule
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ def extract_invariants(
 
 
 def translate(invariant: BlockInvariant, counter: Optional[CostCounter] = None) -> MRTemplate:
-    """Step 2: invariant -> executable template, tuple rule fixed by block.
+    """Step 2: invariant -> template, which keeps the invariant as provenance.
 
     Structurally equal invariants translate to equal templates because the
     invariant itself is the template's provenance (phi is a frozen set, so

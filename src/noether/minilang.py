@@ -348,15 +348,15 @@ def assemble_program(name: str, params: Sequence[str], statements: Sequence[Unio
     rebind earlier names (straight-line SSA is not required).
     """
     if not statements:
-        raise TypeCheckError(f"{name}: empty body")
+        raise TypeCheckError("empty body")
     *assigns, result = statements
     if isinstance(result, Assign):
-        raise TypeCheckError(f"{name}: last body line must be a return")
+        raise TypeCheckError("last body line must be a return")
     for a in assigns:
         if not isinstance(a, Assign):
-            raise TypeCheckError(f"{name}: return before the end of the body")
+            raise TypeCheckError("return before the end of the body")
     if len(set(params)) != len(params):
-        raise TypeCheckError(f"{name}: duplicate parameter names")
+        raise TypeCheckError("duplicate parameter names")
     prog = Program(name, tuple(params), tuple(assigns), result)
     type_check(prog)
     return prog
@@ -390,7 +390,7 @@ def type_check(prog: Program) -> None:
     scope = set(prog.params)
     for a in prog.assigns:
         if expr_type(a.expr, scope) != "num":
-            raise TypeCheckError(f"{prog.name}: assignment to {a.name!r} must be numeric")
+            raise TypeCheckError(f"assignment to {a.name!r} must be numeric")
         scope.add(a.name)
     if expr_type(prog.result, scope) != "num":
         raise TypeCheckError(f"{prog.name}: return value must be numeric")

@@ -42,7 +42,8 @@ class Obstruction(enum.Enum):
 
 @dataclass(frozen=True)
 class MRDescriptor:
-    """Structural fingerprint of one MR."""
+    """Structural fingerprint of one MR; a ValueError on bad fields gives
+    the reason alone, and `specfile` names the MR when it reports one."""
 
     name: str
     output_domain: str = "program-output"
@@ -55,17 +56,19 @@ class MRDescriptor:
 
     def __post_init__(self):
         if self.output_domain not in ("program-output", "operator-spectrum"):
-            raise ValueError(f"{self.name}: bad output domain {self.output_domain!r}")
+            raise ValueError(f"bad output domain {self.output_domain!r}")
         if self.relation_form not in RELATION_FORMS:
-            raise ValueError(f"{self.name}: bad relation form {self.relation_form!r}")
+            raise ValueError(f"bad relation form {self.relation_form!r}")
         if self.difference_order < 1:
-            raise ValueError(f"{self.name}: difference order must be >= 1")
+            raise ValueError("difference order must be >= 1")
         if self.parameter_directions < 1:
-            raise ValueError(f"{self.name}: parameter directions must be >= 1")
+            raise ValueError("parameter directions must be >= 1")
         if self.adjoint_indexing not in ("fixed", "configuration-indexed"):
-            raise ValueError(f"{self.name}: bad adjoint indexing {self.adjoint_indexing!r}")
+            raise ValueError(f"bad adjoint indexing {self.adjoint_indexing!r}")
         if not self.tolerance > 0:  # also rejects NaN
-            raise ValueError(f"{self.name}: tolerance must be positive")
+            raise ValueError("tolerance must be positive")
+        if self.relation_form == "mixed-difference" and self.difference_order < 2:
+            raise ValueError("mixed-difference form needs diff_order >= 2")
 
 
 @dataclass(frozen=True)

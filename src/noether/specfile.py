@@ -25,7 +25,6 @@ from .algebra import (
     Operator,
     OperatorAlgebra,
     Regime,
-    RewriteDecl,
     block_from_tag,
     canonical_sorted,
 )
@@ -36,6 +35,7 @@ from .algebra import (
 if TYPE_CHECKING:
     from . import minilang
     from .reachability import MRDescriptor
+    from .relational import RewriteRule
 
 HEADER = "#noether-spec v1"
 
@@ -178,7 +178,7 @@ def parse_algebra(text: str) -> OperatorAlgebra:
     name: Optional[str] = None
     operators: List[Operator] = []
     generators: Optional[Tuple[str, ...]] = None
-    rewrites: List[RewriteDecl] = []
+    rewrites: List[RewriteRule] = []
     labels: Dict[BlockKind, str] = {}
 
     for lineno, line in lines:
@@ -259,7 +259,7 @@ def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
         raise SpecSemanticError(op_name, str(exc))
 
 
-def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteDecl:
+def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteRule:
     from .relational import RewriteRule, parse_guard, parse_pattern
 
     tokens = rest.split(None, 1)
@@ -282,9 +282,10 @@ def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteDecl:
         except ValueError:
             col = len(line) - len(tail) + m.start(group) + 1
             raise SpecSyntaxError(lineno, col, f"a rewrite {what}", m.group(group)[:40])
-    # SpecSemanticError on a variable that lhs does not bind
-    rule = RewriteRule(rule_name, *parsed)
-    return RewriteDecl(rule_name, m.group(1), m.group(2), m.group(3).strip(), rule)
+    try:
+        return RewriteRule(rule_name, *parsed)
+    except ValueError as exc:  # a variable that lhs does not bind
+        raise SpecSemanticError(rule_name, str(exc))
 
 
 def _parse_label(lineno: int, line: str, rest: str) -> Tuple[BlockKind, str]:
@@ -316,8 +317,10 @@ def algebra_to_text(algebra: OperatorAlgebra) -> str:
         out.append(" ".join(parts))
     if algebra.generators:
         out.append("generators " + ",".join(algebra.generators))
-    for rule in algebra.semiring_rules:
-        out.append(f"rewrite {rule.name} lhs={rule.lhs} rhs={rule.rhs} guard={rule.guard}")
+    if algebra.semiring_rules:
+        from .relational import rule_to_text
+
+        out.extend(f"rewrite {rule_to_text(rule)}" for rule in algebra.semiring_rules)
     for block in canonical_sorted(algebra.label_overrides):
         out.append(f"label {block.tag}={algebra.label_overrides[block]}")
     return "\n".join(out) + "\n"
@@ -368,12 +371,9 @@ def parse_mr_descriptor(text: str) -> MRDescriptor:
     if name is None:
         raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "an mr declaration", "end of document")
     try:
-        mr = MRDescriptor(name=name, **fields)  # type: ignore[arg-type]
+        return MRDescriptor(name=name, **fields)  # type: ignore[arg-type]
     except ValueError as exc:
         raise SpecSemanticError(name, str(exc))
-    if mr.relation_form == "mixed-difference" and mr.difference_order < 2:
-        raise SpecSemanticError(name, "mixed-difference form needs diff_order >= 2")
-    return mr
 
 
 def descriptor_to_text(mr: MRDescriptor) -> str:

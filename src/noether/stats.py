@@ -28,7 +28,6 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> Tuple[f
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    phat = successes / n
     denom = n + z * z
     center = (successes + z * z / 2.0) / denom
     half = z * math.sqrt(successes * (n - successes) / n + z * z / 4.0) / denom

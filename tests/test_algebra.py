@@ -17,12 +17,12 @@ from noether.algebra import (
     Operator,
     OperatorAlgebra,
     Regime,
-    RewriteDecl,
     UnassignedOperator,
     block_from_tag,
     canonical_max,
     decompose,
 )
+from noether.relational import RewriteRule, parse_guard, parse_pattern
 from noether.zoo import BUNDLED_ALGEBRAS, load_algebra
 
 BLOCKS = list(BlockKind)
@@ -106,7 +106,7 @@ class TestAlgebraValidation:
         rel = op("w", BlockKind.B_REL)
         with pytest.raises(ValueError):
             OperatorAlgebra(name="bad", operators=(rel,), generators=("w",))
-        rule = RewriteDecl("r", "select(true,R)", "R")
+        rule = RewriteRule("r", parse_pattern("select(true,R)"), parse_pattern("R"), parse_guard("none"))
         with pytest.raises(ValueError):
             OperatorAlgebra(
                 name="bad",

@@ -25,6 +25,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 UNBOUND_RULE_ALGEBRA = (FIXTURES / "relational.alg").read_text().replace(
     "rhs=select(p,R) guard=none", "rhs=select(p,Q) guard=none"
 )
+# the bundled query-plan algebra with a pushdown guard that reads the
+# attributes of a plan, where a predicate belongs
+PLAN_GUARD_ALGEBRA = (FIXTURES / "relational.alg").read_text().replace(
+    "guard=attrs(p) subset attrs(R)", "guard=attrs(R) subset attrs(S)"
+)
+# the bundled query-plan algebra with the pushdown rule's guard dropped
+GUARDLESS_RULE_ALGEBRA = (FIXTURES / "relational.alg").read_text().replace(
+    "guard=attrs(p) subset attrs(R)", "guard=none"
+)
 # the bundled zoo with midpoint's body behind two negations: its INVERT_NEGS
 # mutants populate the case-dependent (INVERT_NEGS, G) and (INVERT_NEGS,
 # L_star) cells, for which no override exists
@@ -100,6 +109,7 @@ class TestExitCodes:
             (["check-mr", "nosuch", "--algebra", "boltzmann"], None),
             (["coverage", "--algebra", "equivariant", "--mr", "nosuch"], None),
             (["rel"], ("relational.alg", UNBOUND_RULE_ALGEBRA)),
+            (["rel"], ("relational.alg", PLAN_GUARD_ALGEBRA)),
             (["mutate", "midpoint"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
             (["kill"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
             (["reproduce"], ("zoo.sut", NEGATED_MIDPOINT_ZOO)),
@@ -122,6 +132,7 @@ class TestExitCodes:
             "check-mr-unknown-descriptor",
             "coverage-unknown-descriptor",
             "rel-unbound-rule-variable",
+            "rel-guard-on-a-plan",
             "mutate-missing-override",
             "kill-missing-override",
             "reproduce-missing-override",
@@ -395,6 +406,28 @@ class TestSubcommands:
         assert code == 1
         (row,) = [r for r in machine_lines(out) if r.get("mr") == "rho_join-comm"]
         assert row["fails"] == 20
+
+    def test_rel_fires_the_algebras_own_rules(self, tmp_path, monkeypatch, capsys):
+        # with its guard dropped from relational.alg, the pushdown moves a
+        # predicate on S's column into R even under the correct evaluator
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "relational.alg").write_text(GUARDLESS_RULE_ALGEBRA)
+        monkeypatch.setenv("NOETHER_FIXTURES", str(tmp_path))
+        code, out, _ = run(
+            ["rel", "--trials", "200", "--seed", str(SEED), "--mutant", "correct", "--format", "machine"],
+            capsys,
+        )
+        assert code == 1
+        fails = {r["mr"]: r["fails"] for r in machine_lines(out) if "mr" in r}
+        assert fails["rho_select-push"] > 0
+        assert [mr for mr, f in fails.items() if f] == ["rho_select-push"]
+
+    def test_spec_error_names_its_subject_once(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bogus.mr").write_text(f"{HEADER}\nmr rho_x\noutput=bogus\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["check-mr", "bogus.mr", "--algebra", "boltzmann"], capsys)
+        assert code == 2 and out == ""
+        assert err == "noether: spec file rejected: rho_x: bad output domain 'bogus'\n"
 
     def test_stats_wilson(self, capsys):
         code, out, _ = run(["stats", "wilson", "7", "20", "--format", "machine"], capsys)

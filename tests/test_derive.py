@@ -302,11 +302,7 @@ class TestTranslate:
                 t1, t2 = translate(inv), translate(inv)
                 assert t1 == t2
                 assert t1.block is block
-                assert t1.tuple_rule == block.tuple_rule
                 assert t1.provenance == inv
-
-    def test_tuple_rules_are_a_bijection(self):
-        assert len({block.tuple_rule for block in CANONICAL_ORDER}) == len(CANONICAL_ORDER)
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

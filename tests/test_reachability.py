@@ -82,7 +82,7 @@ class TestObstructionLogic:
     @settings(max_examples=300)
     def test_obstruction_set_is_pointwise(self, out, form, diff, dirs, adj):
         if form == "mixed-difference" and diff < 2:
-            diff = 2  # the parser enforces this pairing; keep descriptors legal
+            diff = 2  # the descriptor enforces this pairing; keep descriptors legal
         mr = MRDescriptor(
             "x",
             output_domain=out,
@@ -115,6 +115,11 @@ class TestObstructionLogic:
             MRDescriptor("x", adjoint_indexing="sometimes")
         with pytest.raises(ValueError):
             MRDescriptor("x", tolerance=0.0)
+
+    def test_mixed_difference_needs_second_order(self):
+        with pytest.raises(ValueError, match="mixed-difference form needs diff_order >= 2"):
+            MRDescriptor("x", relation_form="mixed-difference", difference_order=1)
+        assert MRDescriptor("x", relation_form="mixed-difference", difference_order=2).difference_order == 2
 
 
 class TestAdmission:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from noether import relational
 from noether._rng import Generator
-from noether.algebra import RewriteDecl
 from noether.cli import REL_MODES
 from noether.relational import (
     CORRECT,
@@ -29,7 +28,7 @@ from noether.relational import (
     TRUE,
     UnionAll,
     UnknownRelation,
-    apply_rule,
+    Var,
     bag_equal,
     bundled_rules,
     eval_query,
@@ -37,11 +36,12 @@ from noether.relational import (
     parse_guard,
     parse_pattern,
     rewrite_once,
+    rule_to_text,
     run_rel_mrs,
     run_rel_trial,
     schema_of,
 )
-from noether.zoo import load_algebra
+from noether.zoo import fixture_text, load_algebra
 
 SEED = 20260816
 
@@ -54,8 +54,8 @@ def check_rules_on_db(db, seed=0):
     """Violations of `eval(lhs) == eval(rhs)` for every bundled rule on db.
 
     Each rule's lhs is instantiated with concrete bindings drawn over the
-    database's base relations and a sampled predicate, then rewritten by
-    `apply_rule`, so the guard is honored.
+    database's base relations and a sampled predicate, then rewritten at
+    its root by the correct evaluator, so the guard is honored.
     """
     rng = Generator(seed)
     violations = []
@@ -69,8 +69,8 @@ def check_rules_on_db(db, seed=0):
                     "p": relational._random_predicate(rng, schema_of(Base(left_name), db)),
                 }
                 lhs = relational._instantiate(rule.lhs, bindings)
-                rhs = apply_rule(rule, lhs, db)
-                if rhs is None:  # the guard does not hold
+                rhs = CORRECT.optimize(lhs, [rule], db)
+                if rhs == lhs:  # the guard does not hold
                     continue
                 try:
                     left = CORRECT.eval(lhs, db)
@@ -350,20 +350,45 @@ class TestFastPathDifferential:
 class TestOptimizer:
     def test_guarded_pushdown_fires_when_contained(self):
         q = Select(Predicate("eq", "a", 1), Join(Base("R"), Base("S")))
-        pushed = CORRECT.optimize(q, DB)
+        pushed = CORRECT.optimize(q, bundled_rules(), DB)
         assert pushed == Join(Select(Predicate("eq", "a", 1), Base("R")), Base("S"))
         assert bag_equal(eval_query(q, DB), eval_query(pushed, DB))
 
     def test_guarded_pushdown_refuses_cross_references(self):
         q = Select(Predicate("eq", "c", "oak"), Join(Base("R"), Base("S")))
-        assert CORRECT.optimize(q, DB) == q
+        assert CORRECT.optimize(q, bundled_rules(), DB) is q
 
     def test_guardless_pushdown_breaks_schemas(self):
         q = Select(Predicate("eq", "c", "oak"), Join(Base("R"), Base("S")))
-        wrong = Evaluator(pushdown_guard=False).optimize(q, DB)
+        wrong = Evaluator(pushdown_guard=False).optimize(q, bundled_rules(), DB)
         assert wrong != q
         with pytest.raises(SchemaMismatch):
             eval_query(wrong, DB)
+
+    def test_only_the_given_rules_fire(self):
+        q = Select(Predicate("eq", "a", 1), Join(Base("R"), Base("S")))
+        rules = {r.name: r for r in bundled_rules()}
+        for evaluator in (CORRECT, Evaluator(pushdown_guard=False)):
+            assert evaluator.optimize(q, (), DB) is q
+            assert evaluator.optimize(q, [rules["select_idem"], rules["join_empty"]], DB) is q
+
+    def test_the_first_rule_that_fires_wins(self):
+        swap = RewriteRule("swap", parse_pattern("join(R,S)"), parse_pattern("join(S,R)"), parse_guard(""))
+        rules = {r.name: r for r in bundled_rules()}
+        q = Join(Base("R"), Base(EMPTY_NAME))
+        assert CORRECT.optimize(q, [swap, rules["join_empty"]], DB) == Join(Base(EMPTY_NAME), Base("R"))
+        assert CORRECT.optimize(q, [rules["join_empty"], swap], DB) == Base(EMPTY_NAME)
+
+    def test_select_push_fires_the_rules_it_is_given(self):
+        # without its guard the bundled pushdown breaks the correct evaluator's
+        # plans whose predicate reads S's column
+        pushdown = bundled_rules()[0]
+        guardless = RewriteRule(pushdown.name, pushdown.lhs, pushdown.rhs, parse_guard("none"))
+        outcomes = [
+            run_rel_trial("rho_select-push", gen_database(SEED + k), Generator([SEED, k]), [guardless]).passed
+            for k in range(50)
+        ]
+        assert not all(outcomes) and any(outcomes)
 
 
 class TestRewriteRules:
@@ -378,7 +403,8 @@ class TestRewriteRules:
     def test_bundled_rules_reuse_the_parsed_rules(self, monkeypatch):
         # reading the .alg parses each lhs and rhs once; the rules come from
         # that parse, not from a second one
-        fields = [text for d in load_algebra("relational").semiring_rules for text in (d.lhs, d.rhs)]
+        fields = [text for rule in bundled_rules() for text in rule_to_text(rule).split()[1:3]]
+        fields = [text.split("=", 1)[1] for text in fields]
         parsed = []
 
         def counting_parse(text):
@@ -391,25 +417,55 @@ class TestRewriteRules:
         assert len(parsed) == 8 and sorted(parsed) == sorted(fields)
 
     def test_parsed_rule_travels_with_its_declaration(self):
-        for rule, decl in zip(bundled_rules(), load_algebra("relational").semiring_rules):
-            by_hand = RewriteDecl(decl.name, decl.lhs, decl.rhs, decl.guard)
-            parsed = RewriteRule(
-                decl.name, parse_pattern(decl.lhs), parse_pattern(decl.rhs), parse_guard(decl.guard)
-            )
-            assert decl.rule == rule == parsed
-            assert decl == by_hand  # the carried rule takes no part in equality
+        # the algebra holds the parsed rules; each equals the rule built from
+        # its `.alg` line by hand, and prints back as that line
+        lines = [
+            line.split(None, 1)[1]
+            for line in fixture_text("relational.alg").splitlines()
+            if line.startswith("rewrite ")
+        ]
+        assert bundled_rules() == load_algebra("relational").semiring_rules
+        for rule, line in zip(bundled_rules(), lines, strict=True):
+            name, lhs, rhs, guard = [word.split("=", 1)[-1] for word in line.split(None, 3)]
+            by_hand = RewriteRule(name, parse_pattern(lhs), parse_pattern(rhs), parse_guard(guard))
+            assert rule == by_hand
+            assert rule_to_text(rule) == line
 
     def test_pattern_parse_shapes(self):
         pat = parse_pattern("select(p, join(R, S))")
-        assert pat.head == "select"
-        assert pat.children[0].head == "predvar"
-        assert pat.children[1].head == "join"
-        assert pat.children[1].children[1].name == "S"
-        assert parse_pattern("empty").head == "empty"
-        assert parse_pattern("true").head == "true"
-        assert parse_pattern("join(R1,S)").children[0].name == "R1"
+        assert pat == Select(Var("p"), Join(Var("R"), Var("S")))
+        assert parse_pattern("empty") == Base(EMPTY_NAME)
+        assert parse_pattern("true") is TRUE
+        assert parse_pattern("join(R1,S)").left == Var("R1")
+        assert parse_pattern("project(A,distinct(union(R,S)))") == Project(
+            Var("A"), Distinct(UnionAll(Var("R"), Var("S")))
+        )
         with pytest.raises(ValueError):
             parse_pattern("select(p, join(R, S)) extra")
+
+    def test_unbound_variables_are_a_value_error(self):
+        lhs = parse_pattern("select(p,R)")
+        with pytest.raises(ValueError, match="uses Q, which lhs does not bind"):
+            RewriteRule("r", lhs, parse_pattern("select(p,Q)"), parse_guard("none"))
+        with pytest.raises(ValueError, match="uses S, which lhs does not bind"):
+            RewriteRule("r", lhs, lhs, parse_guard("attrs(p) subset attrs(S)"))
+
+    def test_p_stands_only_for_a_predicate(self):
+        def swap(var):
+            lhs, rhs = parse_pattern(f"join({var},S)"), parse_pattern(f"join(S,{var})")
+            return RewriteRule("swap", lhs, rhs, parse_guard("none"))
+
+        with pytest.raises(ValueError, match="^p stands for both a predicate and a plan$"):
+            swap("p")
+        q = Join(Base("R"), Base("S"))
+        assert CORRECT.optimize(q, [swap("X")], DB) == Join(Base("S"), Base("R"))
+
+    def test_a_repeated_variable_matches_equal_parts_only(self):
+        idem = {r.name: r for r in bundled_rules()}["select_idem"]
+        same, other = Predicate("eq", "b", 2), Predicate("eq", "b", 3)
+        assert CORRECT.optimize(Select(same, Select(same, Base("S"))), [idem], DB) == Select(same, Base("S"))
+        q = Select(other, Select(same, Base("S")))
+        assert CORRECT.optimize(q, [idem], DB) is q
 
     @pytest.mark.parametrize(
         "text",
@@ -459,12 +515,13 @@ class TestRewriteRules:
         assert rewrite_once(plan, [rule], DB) == Distinct(Project(attrs, Base("R")))
 
     def test_pushdown_guard_respected_by_rule(self):
-        rules = {r.name: r for r in bundled_rules()}
+        pushdown = [{r.name: r for r in bundled_rules()}["pushdown"]]
         ok = Select(Predicate("eq", "a", 1), Join(Base("R"), Base("S")))
-        fired = apply_rule(rules["pushdown"], ok, DB)
+        fired = CORRECT.optimize(ok, pushdown, DB)
         assert fired == Join(Select(Predicate("eq", "a", 1), Base("R")), Base("S"))
         crossing = Select(Predicate("eq", "c", "oak"), Join(Base("R"), Base("S")))
-        assert apply_rule(rules["pushdown"], crossing, DB) is None
+        assert CORRECT.optimize(crossing, pushdown, DB) is crossing
+        assert rewrite_once(crossing, pushdown, DB) == crossing
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rules_hold_on_generated_databases(self, seed):

@@ -43,6 +43,10 @@ MR_FIXTURES = (
 )
 
 
+OPERATOR_F = "operator f acts=input blocks=O_le"
+PUSHDOWN = "lhs=select(p,join(R,S)) rhs=join(select(p,R),S)"
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
     def test_algebra(self, name):
@@ -69,6 +73,13 @@ class TestRoundTrips:
         decls = parse_sut_file(text)
         assert [d.name for d in decls] == ["f"]
         assert parse_sut_file(sut_file_to_text(decls)) == decls
+
+    def test_rewrite_lines_print_as_written(self):
+        text = fixture_text("relational.alg")
+        printed = algebra_to_text(parse_algebra(text)).splitlines()
+        written = [line for line in text.splitlines() if line.startswith("rewrite ")]
+        assert len(written) == 4
+        assert [line for line in printed if line.startswith("rewrite ")] == written
 
     def test_mutator_config(self):
         cfg = parse_mutator_config(fixture_text("blindness.cfg"))
@@ -180,6 +191,78 @@ generators spin,gauge
         text = f"{HEADER}\nalgebra t\noperator a acts=input blocks=B_rel\ngenerators a\n"
         with pytest.raises(SpecSemanticError, match="lhs does not bind"):
             parse_algebra(f"{text}rewrite r {rule}\n")
+
+    @pytest.mark.parametrize(
+        "rule,message",
+        (
+            (f"{PUSHDOWN} guard=attrs(R) subset attrs(S)", "R stands for both a plan and a predicate"),
+            (f"{PUSHDOWN} guard=attrs(p) subset attrs(p)", "p stands for both a predicate and a plan"),
+            ("lhs=select(p,R) rhs=join(p,R) guard=none", "p stands for both a predicate and a plan"),
+            ("lhs=select(q,join(p,R)) rhs=R guard=none", "p stands for both a predicate and a plan"),
+            (
+                "lhs=project(A,R) rhs=select(A,R) guard=none",
+                "A stands for both projected attributes and a predicate",
+            ),
+            ("lhs=select(p,R) rhs=join(true,R) guard=none", "true stands for both a predicate and a plan"),
+            ("lhs=R rhs=select(empty,R) guard=none", "empty stands for both a plan and a predicate"),
+        ),
+        ids=(
+            "guard-on-two-plans",
+            "guard-on-two-predicates",
+            "predicate-as-plan",
+            "p-as-plan-in-lhs",
+            "attributes-as-predicate",
+            "true-as-plan",
+            "empty-as-predicate",
+        ),
+    )
+    def test_rule_leaves_keep_their_kind(self, rule, message):
+        # a rule that fires must build a plan the evaluator can run and a
+        # guard it can check
+        text = f"{HEADER}\nalgebra t\noperator a acts=input blocks=B_rel\ngenerators a\n"
+        with pytest.raises(SpecSemanticError, match=f"^r: {message}$"):
+            parse_algebra(f"{text}rewrite r {rule}\n")
+
+
+class TestSemanticErrorSubjects:
+    """A semantic error names its subject once: the parser names it, the
+    model's ValueError gives the reason alone."""
+
+    @pytest.mark.parametrize(
+        "parse,body,message",
+        (
+            (
+                parse_algebra,
+                f"algebra a\n{OPERATOR_F}\n{OPERATOR_F}\ngenerators f",
+                "a: duplicate operator names ['f']",
+            ),
+            (parse_algebra, f"algebra a\n{OPERATOR_F} cost=0\ngenerators f", "f: cost_hint must be >= 1"),
+            (parse_algebra, f"algebra a\n{OPERATOR_F}\ngenerators g", "a: generator 'g' not declared"),
+            (parse_mr_descriptor, "mr rho_x\noutput=bogus", "rho_x: bad output domain 'bogus'"),
+            (parse_mr_descriptor, "mr rho_x\ndiff_order=0", "rho_x: difference order must be >= 1"),
+            (
+                parse_mr_descriptor,
+                "mr rho_x\nform=mixed-difference diff_order=1",
+                "rho_x: mixed-difference form needs diff_order >= 2",
+            ),
+            (parse_sut_file, "sut f(x) blocks=G\nt = x", "f: last body line must be a return"),
+            (parse_sut_file, "sut f(x, x) blocks=G\nreturn x", "f: duplicate parameter names"),
+        ),
+        ids=(
+            "duplicate-operator",
+            "zero-cost",
+            "undeclared-generator",
+            "bad-output-domain",
+            "zero-difference-order",
+            "first-order-mixed-difference",
+            "no-return",
+            "duplicate-parameter",
+        ),
+    )
+    def test_subject_named_once(self, parse, body, message):
+        with pytest.raises(SpecSemanticError) as exc:
+            parse(f"{HEADER}\n{body}\n")
+        assert str(exc.value) == message
 
 
 class TestDescriptorParsing:
@@ -364,6 +447,21 @@ class TestImportsFollowUse:
         loaded = _noether_modules_after("from noether import zoo; zoo.load_zoo(); zoo.load_mutator_config()")
         assert "noether.minilang" in loaded
         assert not loaded & {"noether.relational", "noether.reachability"}
+
+    def test_rewrite_rules_are_checked_without_the_spec_parser(self):
+        # an unbound variable is the rule's own ValueError; only the `.alg`
+        # parser turns it into a SpecSemanticError
+        loaded = _noether_modules_after(
+            "from noether.relational import RewriteRule, parse_guard, parse_pattern as pat\n"
+            "try:\n"
+            "    RewriteRule('r', pat('select(p,R)'), pat('select(p,Q)'), parse_guard('none'))\n"
+            "except ValueError as exc:\n"
+            "    assert 'Q, which lhs does not bind' in str(exc), exc\n"
+            "else:\n"
+            "    raise SystemExit('an unbound rhs variable was accepted')\n"
+        )
+        assert "noether.relational" in loaded
+        assert "noether.specfile" not in loaded
 
     def test_cli_import_loads_every_module(self):
         # the benchmark tracer patches every module after `import noether.cli`
