@@ -21,11 +21,7 @@ if TYPE_CHECKING:
     from .relational import RewriteRule
 
 
-class AlgebraError(Exception):
-    """Base class for algebra-model violations."""
-
-
-class UnassignedOperator(AlgebraError):
+class UnassignedOperator(Exception):
     """An operator relevant to MR derivation carries no block tag."""
 
     def __init__(self, name: str):
@@ -33,7 +29,7 @@ class UnassignedOperator(AlgebraError):
         self.name = name
 
 
-class EmptyInput(AlgebraError):
+class EmptyInput(Exception):
     """canonical_max called with nothing to choose from."""
 
 
@@ -43,32 +39,24 @@ class BlockKind(enum.Enum):
 
     Each member carries its own facts, written once in its row: the ASCII
     tag used in algebra files, the one relation form the block certifies,
-    its default MetaPattern label, and its fixed tuple arity (None for G,
-    whose arity is its sampled orbit).
+    and its default MetaPattern label.
     Comparisons implement the strict total order G > O_LE > T_STAR > T_REV
     > L_STAR > D_STAR > E_STAR > B_REL, the declaration order.
     """
 
-    G = ("G", "equivariance", "m_inv", None)
-    O_LE = ("O_le", "monotonicity", "m_mono", 2)
-    T_STAR = ("T_star", "self-adjoint-pairing", "m_adj", 2)
-    T_REV = ("T_rev", "involution", "m_rev", 2)
-    L_STAR = ("L_star", "convergence-rate", "m_conv", 3)
-    D_STAR = ("D_star", "qualitative-feature", "m_dyn", 3)
-    E_STAR = ("E_star", "method-order", "m_cmp", 2)
-    B_REL = ("B_rel", "rewrite-equality", "m_rel", 2)
+    G = ("G", "equivariance", "m_inv")
+    O_LE = ("O_le", "monotonicity", "m_mono")
+    T_STAR = ("T_star", "self-adjoint-pairing", "m_adj")
+    T_REV = ("T_rev", "involution", "m_rev")
+    L_STAR = ("L_star", "convergence-rate", "m_conv")
+    D_STAR = ("D_star", "qualitative-feature", "m_dyn")
+    E_STAR = ("E_star", "method-order", "m_cmp")
+    B_REL = ("B_rel", "rewrite-equality", "m_rel")
 
-    def __init__(
-        self,
-        tag: str,
-        relation_form: str,
-        default_label: str,
-        fixed_arity: Optional[int],
-    ):
+    def __init__(self, tag: str, relation_form: str, default_label: str):
         self.tag = tag
         self.relation_form = relation_form
         self.default_label = default_label
-        self.fixed_arity = fixed_arity
         # rank under the canonical order, larger wins: minus the number of
         # members declared before this one
         self.priority = -len(type(self).__members__)

@@ -3,8 +3,8 @@
 Pipeline: read the algebra's block decomposition, extract one invariant
 per (operator, block) pair, translate each invariant into an MR template
 that records the block it came from, and aggregate one MetaPattern per
-nonempty block that keeps its templates.  The harness's MR classes
-implement each block's tuple rule.
+nonempty block that keeps its templates.  The block fixes a template's
+relation form; the harness's MR classes build and check its tuples.
 
 An instrumented cost counter makes the advertised near-linear complexity
 checkable: extraction charges each operator's cost hint once per tagged
@@ -30,36 +30,28 @@ from .algebra import (
     Regime,
 )
 
-# the group block samples its orbit up to this cap
-_ORBIT_CAP = 8
-
 
 class CostCounter:
     """Abstract cost-unit meter for the derivation pipeline."""
 
     def __init__(self):
         self.total = 0
-        self.by_step: Dict[str, int] = {}
 
-    def charge(self, units: int, step: str) -> None:
+    def charge(self, units: int) -> None:
         self.total += units
-        self.by_step[step] = self.by_step.get(step, 0) + units
 
 
 @dataclass(frozen=True)
 class BlockInvariant:
-    """A (block, operator-set, arity) certificate; the block fixes its
-    relation form."""
+    """A (block, operator-set) certificate; the block fixes its relation
+    form."""
 
     block: BlockKind
     phi: FrozenSet[str]
-    arity: int
 
     def __post_init__(self):
         if not self.phi:
             raise ValueError("invariant needs at least one operator")
-        if self.arity < 1:
-            raise ValueError("arity must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,15 +85,6 @@ class MetaPattern:
         return frozenset(tpl.provenance for tpl in self.templates)
 
 
-def _arity_for(block: BlockKind, op: Operator) -> int:
-    if block.fixed_arity is not None:
-        return block.fixed_arity
-    size = op.group_order_or_dim or 0
-    if op.regime is Regime.FINITE and size >= 2:
-        return min(size, _ORBIT_CAP)
-    return 4  # sampled orbit for Lie / truncated / degenerate groups
-
-
 def extract_invariants(
     decomposition: BlockDecomposition,
     algebra: OperatorAlgebra,
@@ -119,16 +102,9 @@ def extract_invariants(
     for block in decomposition.nonempty_blocks():
         invariants: List[BlockInvariant] = []
         for op_name in decomposition.operators_in(block):
-            op = by_name[op_name]
             if counter is not None:
-                counter.charge(op.cost_hint, "extract")
-            invariants.append(
-                BlockInvariant(
-                    block=block,
-                    phi=frozenset({op.name}),
-                    arity=_arity_for(block, op),
-                )
-            )
+                counter.charge(by_name[op_name].cost_hint)
+            invariants.append(BlockInvariant(block=block, phi=frozenset({op_name})))
         out[block] = tuple(invariants)
     return out
 
@@ -141,7 +117,7 @@ def translate(invariant: BlockInvariant, counter: Optional[CostCounter] = None) 
     operator orderings cannot distinguish equivalent inputs).
     """
     if counter is not None:
-        counter.charge(1, "translate")
+        counter.charge(1)
     return MRTemplate(provenance=invariant)
 
 
@@ -156,8 +132,8 @@ def construct_mp(
         if counter is not None:
             # the quotient's log-sized insertion fee; it has nothing to merge
             fee = sum(math.ceil(math.log2(i + 2)) for i in range(len(invariants)))
-            counter.charge(fee, "quotient")
-            counter.charge(1, "aggregate")
+            counter.charge(fee)
+            counter.charge(1)
         label = algebra.label_overrides.get(block, block.default_label)
         patterns.append(MetaPattern(block=block, label=label, templates=templates))
     return tuple(patterns)

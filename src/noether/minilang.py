@@ -110,10 +110,6 @@ class Program:
     assigns: Tuple[Assign, ...]
     result: Expr
 
-    @property
-    def arity(self) -> int:
-        return len(self.params)
-
 
 # ---------------------------------------------------------------------------
 # Generic traversal helpers (used by the mutation engine)

@@ -1,11 +1,13 @@
 """Bag-semantics relational mini-evaluator and its rewrite-equality MRs.
 
 Relations are multisets of tuples over distinct named columns (NULL-free;
-values are small ints and three-letter strings).  Query plans are tiny trees of select,
-project, natural join, union and distinct over base relations.  The rewrite
-rules come from the bundled query-plan algebra in a prefix pattern notation,
-e.g. `select(p,join(R,S)) -> join(select(p,R),S)` guarded by attribute
-containment; a pattern is a plan whose leaves may be variables (`Var`).
+values are small ints and three-letter strings).  Query plans are tiny trees
+of select, natural join and distinct over base relations, the heads the
+rewrite MRs build.  The rewrite rules come from the bundled query-plan
+algebra in a prefix pattern notation, e.g. `select(p,join(R,S)) ->
+join(select(p,R),S)` guarded by attribute containment; a pattern is a plan
+whose leaves may be variables (`Var`), and each leaf is a predicate or a
+plan.
 `rho_select-push` fires the algebra's own rules at the plan root.  Two
 deliberately broken evaluation modes exist so the rewrite MRs have something
 to catch: a join evaluated as a left-biased semi-join, and rules fired
@@ -64,10 +66,6 @@ class Relation:
         rel.__dict__.update(schema=schema, rows=rows)
         return rel
 
-    @property
-    def size(self) -> int:
-        return sum(self.rows.values())
-
     def reordered(self, new_schema: Sequence[str]) -> "Relation":
         if set(new_schema) != set(self.schema) or len(new_schema) != len(self.schema):
             raise SchemaMismatch(f"cannot reorder {self.schema} as {tuple(new_schema)}")
@@ -83,14 +81,14 @@ def _row_getter(index: Sequence[int]):
     return itemgetter(*index) if index else lambda row: ()
 
 
-def bag_equal(left: Relation, right: Relation, modulo_column_order: bool = False) -> bool:
-    """Same schema and same bag; modulo column order, the right side is first
-    reordered into the left's columns when both hold the same column names."""
-    if modulo_column_order and left.schema != right.schema:
+def bag_equal(left: Relation, right: Relation) -> bool:
+    """Same column names and same bag, modulo column order: the right side is
+    first reordered into the left's columns."""
+    if left.schema != right.schema:
         if set(left.schema) != set(right.schema):
             return False
         right = right.reordered(left.schema)
-    return left.schema == right.schema and left.rows == right.rows
+    return left.rows == right.rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +138,7 @@ class Select:
 
 
 @dataclass(frozen=True)
-class Project:
-    attrs: Tuple[str, ...]
-    child: "QueryExpr"
-
-
-@dataclass(frozen=True)
 class Join:
-    left: "QueryExpr"
-    right: "QueryExpr"
-
-
-@dataclass(frozen=True)
-class UnionAll:
     left: "QueryExpr"
     right: "QueryExpr"
 
@@ -162,11 +148,11 @@ class Distinct:
     child: "QueryExpr"
 
 
-QueryExpr = Union[Base, Select, Project, Join, UnionAll, Distinct]
+QueryExpr = Union[Base, Select, Join, Distinct]
 
 # The one list of plan heads: rewrite patterns name plan nodes by these keys,
 # and each head takes one argument per field of its class.
-_HEADS = {"select": Select, "join": Join, "project": Project, "union": UnionAll, "distinct": Distinct}
+_HEADS = {"select": Select, "join": Join, "distinct": Distinct}
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _HEADS.values()}
 
 
@@ -208,18 +194,6 @@ def _select(ev: "Evaluator", q: Select, db) -> Relation:
     return Relation._trusted(schema, {r: n for r, n in child.rows.items() if holds(schema, r)})
 
 
-def _project(ev: "Evaluator", q: Project, db) -> Relation:
-    child = ev.eval(q.child, db)
-    attrs = tuple(q.attrs)
-    if not set(attrs) <= set(child.schema) or len(set(attrs)) != len(attrs):
-        raise SchemaMismatch(f"cannot project {child.schema} onto {attrs}")
-    get = _row_getter([child.schema.index(a) for a in attrs])
-    rows = Counter()
-    for row, count in child.rows.items():
-        rows[get(row)] += count
-    return Relation._trusted(attrs, rows)
-
-
 @lru_cache(maxsize=256)
 def _join_plan(left: Tuple[str, ...], right: Tuple[str, ...]):
     """(output schema, left key, right key, right extras) of the natural join
@@ -249,21 +223,12 @@ def _join(ev: "Evaluator", q: Join, db) -> Relation:
     return Relation._trusted(schema, rows)
 
 
-def _union(ev: "Evaluator", q: UnionAll, db) -> Relation:
-    left, right = ev.eval(q.left, db), ev.eval(q.right, db)
-    if left.schema != right.schema:
-        raise SchemaMismatch(f"union schemas differ: {left.schema} vs {right.schema}")
-    return Relation._trusted(left.schema, left.rows + right.rows)
-
-
 def _distinct(ev: "Evaluator", q: Distinct, db) -> Relation:
     child = ev.eval(q.child, db)
     return Relation._trusted(child.schema, dict.fromkeys(child.rows, 1))
 
 
-_EVAL = {
-    Base: _base, Select: _select, Project: _project, Join: _join, UnionAll: _union, Distinct: _distinct
-}
+_EVAL = {Base: _base, Select: _select, Join: _join, Distinct: _distinct}
 
 
 @dataclass(frozen=True)
@@ -401,10 +366,10 @@ class RewriteRule:
     """A rewrite rule: lhs and rhs are plans whose leaves may be `Var`s.
 
     ValueError if rhs or guard uses a variable that lhs does not bind, or if
-    a leaf stands in two kinds of place (predicate, projected attributes,
-    plan); `p` and `true` stand for predicates, `empty` for a plan, and a
-    guard reads a predicate and a plan.  So a rule that fires builds a plan
-    the evaluator runs and a guard it can check."""
+    a leaf stands for both a predicate and a plan; `p` and `true` stand for
+    predicates, `empty` for a plan, and a guard reads a predicate and a plan.
+    So a rule that fires builds a plan the evaluator runs and a guard it can
+    check."""
 
     name: str
     lhs: QueryExpr
@@ -434,7 +399,7 @@ def rule_to_text(rule: RewriteRule) -> str:
 
 
 # The kind of place a leaf sits in: the field it fills, or "plan"
-_SLOT_NAMES = {"pred": "a predicate", "attrs": "projected attributes", "plan": "a plan"}
+_SLOT_NAMES = {"pred": "a predicate", "plan": "a plan"}
 
 
 def _leaves(pat, slot: str = "plan"):
@@ -548,7 +513,7 @@ def _same_bag(evaluator, q1, q2, db) -> bool:
         right = evaluator.eval(q2, db)
     except (SchemaMismatch, UnknownRelation):
         return False
-    return bag_equal(left, right, modulo_column_order=True)
+    return bag_equal(left, right)
 
 
 _R, _S, _T = Base("R"), Base("S"), Base("T")

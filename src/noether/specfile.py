@@ -154,14 +154,20 @@ def _parse_attrs(lineno: int, line: str, words: Sequence[str], allowed: _Keys) -
     return attrs
 
 
-def _block_list(lineno: int, line: str, value: str) -> Tuple[BlockKind, ...]:
+def _block(subject: str, tag: str, lineno: int) -> BlockKind:
+    """The block kind `tag` names; the error names `subject` and the tag,
+    even an empty one."""
+    try:
+        return block_from_tag(tag)
+    except KeyError:
+        raise SpecSemanticError(subject, f"unknown block tag {tag!r} on line {lineno}")
+
+
+def _block_list(subject: str, lineno: int, value: str) -> Tuple[BlockKind, ...]:
+    # a loop, not a generator: a 10,000-operator algebra looks up ~17,000 tags
     kinds = []
     for tag in value.split(","):
-        tag = tag.strip()
-        try:
-            kinds.append(block_from_tag(tag))
-        except KeyError:
-            raise SpecSemanticError(tag, f"unknown block tag on line {lineno}")
+        kinds.append(_block(subject, tag.strip(), lineno))
     return tuple(kinds)
 
 
@@ -238,7 +244,7 @@ def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
         acts = ActsOn(attrs["acts"])
     except ValueError:
         raise SpecSemanticError(op_name, f"unknown acts value {attrs['acts']!r} on line {lineno}")
-    blocks = _block_list(lineno, line, attrs["blocks"])
+    blocks = _block_list(op_name, lineno, attrs["blocks"])
     regime = Regime.NONE
     if "regime" in attrs:
         if attrs["regime"] not in ("finite", "lie", "trunc"):
@@ -292,12 +298,8 @@ def _parse_label(lineno: int, line: str, rest: str) -> Tuple[BlockKind, str]:
     if "=" not in rest:
         raise SpecSyntaxError(lineno, len(line) + 1, "<block-tag>=<label>")
     tag, label = rest.split("=", 1)
-    tag = tag.strip()
+    block = _block("label", tag.strip(), lineno)
     label = label.strip()
-    try:
-        block = block_from_tag(tag)
-    except KeyError:
-        raise SpecSemanticError(tag, f"unknown block tag on line {lineno}")
     if not label:
         raise SpecSyntaxError(lineno, len(line) + 1, "a nonempty label")
     return block, label
@@ -346,8 +348,6 @@ def parse_mr_descriptor(text: str) -> MRDescriptor:
     from .reachability import MRDescriptor
 
     lines = _content_lines(text)
-    if not lines:
-        raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "an mr declaration", "end of document")
     name: Optional[str] = None
     fields: Dict[str, object] = {}
     for lineno, line in lines:
@@ -460,7 +460,7 @@ def _parse_sut_header(lineno: int, line: str, rest: str):
     attrs = _parse_attrs(lineno, line, rest[close_paren + 1 :].split(), _SUT_KEYS)
     if "blocks" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "blocks=<comma-list>")
-    blocks = frozenset(_block_list(lineno, line, attrs["blocks"]))
+    blocks = frozenset(_block_list(sut_name, lineno, attrs["blocks"]))
     homogeneity = attrs.get("homogeneity", "none")
     if homogeneity not in HOMOGENEITY_TAGS:
         raise SpecSemanticError(sut_name, f"unknown homogeneity tag {homogeneity!r} on line {lineno}")
@@ -553,6 +553,8 @@ def parse_mutator_config(text: str) -> MutatorConfig:
             if suts is not None:
                 raise SpecSemanticError("suts", f"second suts line at {lineno}")
             suts = _comma_list(rest)
+            if not suts:
+                raise SpecSemanticError("suts", f"no subject on line {lineno}")
         elif keyword == "matrix":
             cat, block, effect = _parse_cell(lineno, line, rest, with_sut=False)[1:]
             key = (cat, block)
@@ -591,10 +593,7 @@ def _parse_cell(lineno: int, line: str, rest: str, with_sut: bool):
         col = _column(line, tokens, want - 1)
         raise SpecSyntaxError(lineno, col, "<BLOCK>=<preserves|breaks>", cell)
     tag, effect = cell.split("=", 1)
-    try:
-        block = block_from_tag(tag)
-    except KeyError:
-        raise SpecSemanticError(tag, f"unknown block tag on line {lineno}")
+    block = _block(cat, tag, lineno)
     if effect not in ("preserves", "breaks"):
         raise SpecSemanticError(cat, f"effect must be preserves or breaks, got {effect!r}")
     return sut, cat, block, effect

@@ -2,10 +2,14 @@
 
 Walks the AST of each `src/noether/*.py` module and fails on any non-dunder
 `def` or `class` whose name no package module and no `perfbench/` script
-references.  A reference is a name, an attribute or an imported name, so
-the check is by bare name: a method shares its fate with every attribute
-of the same spelling.  Code that only tests call is deleted with its tests,
-unless it is an oracle a test compares against; those are listed below.
+references.  A module-level or local definition is referenced by a name, an
+attribute or an imported name of its spelling.  A class member is referenced
+only by an attribute (`x.size`) or by a name in its own class body
+(`__setitem__ = _read_only`), so a local variable or parameter of the same
+spelling does not hide it.  The check is still by bare name: two members
+that share an attribute name share their fate.  Code that only tests call is
+deleted with its tests, unless it is an oracle a test compares against;
+those are listed below.
 """
 
 import ast
@@ -25,37 +29,52 @@ ORACLES = {
 
 
 def _references(paths):
-    names = set()
+    """(names and imported names, attributes) read anywhere in `paths`."""
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
-    return names
+    return names, attributes
 
 
-def _definitions(node, prefix=""):
-    """(qualified name, bare name) of every def and class under `node`."""
+def _class_body_names(cls):
+    """The names read in a class body outside its defs: its own members."""
+    return {
+        node.id
+        for stmt in cls.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name)
+    }
+
+
+def _definitions(node, prefix="", class_names=None):
+    """(qualified name, bare name, the names of the enclosing class body, or
+    None outside a class body) of every def and class under `node`."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield prefix + child.name, child.name
-            yield from _definitions(child, prefix + child.name + ".")
+            yield prefix + child.name, child.name, class_names
+            inner = _class_body_names(child) if isinstance(child, ast.ClassDef) else None
+            yield from _definitions(child, prefix + child.name + ".", inner)
         else:
-            yield from _definitions(child, prefix)
+            yield from _definitions(child, prefix, class_names)
 
 
 def _uncalled():
     modules = sorted(PACKAGE.glob("*.py"))
-    callers = _references(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    names, attributes = _references(modules + sorted((ROOT / "perfbench").glob("*.py")))
     found = {}
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualified, name in _definitions(tree):
+        for qualified, name, class_names in _definitions(tree):
             dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and name not in callers:
+            by_name = names if class_names is None else class_names
+            if not dunder and name not in attributes and name not in by_name:
                 found[f"{path.stem}.{qualified}"] = name
     return found
 

@@ -102,6 +102,7 @@ class TestExitCodes:
             (["kill", "--config", "empty"], ("empty.cfg", f"{HEADER}\nmutators\n")),
             (["rel", "--trials", "0"], None),
             (["kill", "--config", "unknown_sut"], ("unknown_sut.cfg", f"{HEADER}\nsuts nosuch\n")),
+            (["kill", "--config", "no_sut"], ("no_sut.cfg", f"{HEADER}\nsuts ,\n")),
             (["mutate", "signum", "--seed", "-1"], None),
             (["kill", "--seed", "-1"], None),
             (["reproduce", "--seed", "-1"], None),
@@ -125,6 +126,7 @@ class TestExitCodes:
             "kill-empty-categories",
             "zero-trials",
             "unknown-sut",
+            "kill-empty-suts",
             "mutate-negative-seed",
             "kill-negative-seed",
             "reproduce-negative-seed",

@@ -306,24 +306,7 @@ class TestTranslate:
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
-            BlockInvariant(BlockKind.G, frozenset(), 2)
-        with pytest.raises(ValueError):
-            BlockInvariant(BlockKind.G, frozenset({"a"}), 0)
-
-    def test_group_orbit_arity(self):
-        ops = (
-            Operator("small", ActsOn.INPUT, frozenset({BlockKind.G}), Regime.FINITE, 3),
-            Operator("big", ActsOn.INPUT, frozenset({BlockKind.G}), Regime.FINITE, 24),
-            Operator("lie", ActsOn.INPUT, frozenset({BlockKind.G}), Regime.LIE, 3),
-            Operator("pair", ActsOn.PARAM, frozenset({BlockKind.O_LE})),
-        )
-        alg = OperatorAlgebra("t", ops, tuple(o.name for o in ops))
-        arity = {
-            next(iter(inv.phi)): inv.arity
-            for invs in extract_invariants(decompose(alg), alg).values()
-            for inv in invs
-        }
-        assert arity == {"small": 3, "big": 8, "lie": 4, "pair": 2}
+            BlockInvariant(BlockKind.G, frozenset())
 
 
 # --- cost accounting ----------------------------------------------------------
@@ -351,7 +334,6 @@ class TestCost:
         counter = CostCounter()
         construct_mp(alg, counter)
         assert counter.total == expected_cost(alg)
-        assert counter.total == sum(counter.by_step.values())
 
     @pytest.mark.parametrize("n,measured", [(10, 40), (100, 530), (1000, 8278)])
     def test_synthetic_totals_stay_under_ceiling(self, n, measured):

@@ -20,13 +20,11 @@ from noether.relational import (
     Evaluator,
     Join,
     Predicate,
-    Project,
     Relation,
     RewriteRule,
     Select,
     SchemaMismatch,
     TRUE,
-    UnionAll,
     UnknownRelation,
     Var,
     bag_equal,
@@ -80,11 +78,11 @@ def check_rules_on_db(db, seed=0):
                     continue
                 # identities like R join EMPTY = EMPTY change the schema but
                 # not the (empty) bag; emptiness on both sides counts as equal
-                both_empty = left.size == 0 and right.size == 0
-                if not both_empty and not bag_equal(left, right, modulo_column_order=True):
+                both_empty = not left.rows and not right.rows
+                if not both_empty and not bag_equal(left, right):
                     violations.append(
                         f"{rule.name} on ({left_name},{right_name}): "
-                        f"bags differ {left.schema}:{left.size} vs {right.schema}:{right.size}"
+                        f"bags differ {left.schema}:{dict(left.rows)} vs {right.schema}:{dict(right.rows)}"
                     )
     return violations
 
@@ -107,9 +105,6 @@ class TestRelationBasics:
         with pytest.raises(SchemaMismatch):
             Relation(("a", "a"), Counter({(1, 2): 1}))
 
-    def test_size_counts_multiplicity(self):
-        assert R.size == 3
-
     def test_reordered_permutes_columns(self):
         flipped = R.reordered(("b", "a"))
         assert flipped.schema == ("b", "a")
@@ -119,10 +114,9 @@ class TestRelationBasics:
 
     def test_bag_equal_modulo_column_order(self):
         flipped = R.reordered(("b", "a"))
-        assert not bag_equal(R, flipped)
-        assert bag_equal(R, flipped, modulo_column_order=True)
+        assert bag_equal(R, flipped)
         other = Relation(("a", "c"), Counter({(1, 2): 2, (3, 2): 1}))
-        assert not bag_equal(R, other, modulo_column_order=True)
+        assert not bag_equal(R, other)
 
     def test_predicates(self):
         assert TRUE.holds(("a",), (9,))
@@ -143,19 +137,6 @@ class TestEvaluator:
     def test_select_true_is_identity(self):
         assert bag_equal(eval_query(Select(TRUE, Base("R")), DB), R)
 
-    def test_project_keeps_multiplicity(self):
-        got = eval_query(Project(("b",), Base("R")), DB)
-        assert got.schema == ("b",)
-        assert got.rows == Counter({(2,): 3})
-
-    def test_project_absent_attribute(self):
-        with pytest.raises(SchemaMismatch):
-            eval_query(Project(("z",), Base("R")), DB)
-
-    def test_project_repeated_attribute(self):
-        with pytest.raises(SchemaMismatch):
-            eval_query(Project(("a", "a"), Base("R")), DB)
-
     def test_unknown_relation(self):
         with pytest.raises(UnknownRelation):
             eval_query(Base("Q"), DB)
@@ -168,18 +149,8 @@ class TestEvaluator:
 
     def test_join_with_empty_is_empty(self):
         got = eval_query(Join(Base("R"), Base(EMPTY_NAME)), DB)
-        assert got.size == 0
+        assert not got.rows
         assert got.schema == ("a", "b", "e")  # disjoint schemas cross
-
-    def test_project_over_empty(self):
-        got = eval_query(Project(("e",), Base(EMPTY_NAME)), DB)
-        assert got.size == 0 and got.schema == ("e",)
-
-    def test_union_all_adds_bags(self):
-        got = eval_query(UnionAll(Base("R"), Base("R")), DB)
-        assert got.rows == Counter({(1, 2): 4, (3, 2): 2})
-        with pytest.raises(SchemaMismatch):
-            eval_query(UnionAll(Base("R"), Base("S")), DB)
 
     def test_distinct_collapses_and_is_idempotent(self):
         once = eval_query(Distinct(Base("R")), DB)
@@ -191,15 +162,10 @@ class TestEvaluator:
         for q in (
             Base("R"),
             Select(TRUE, Base("S")),
-            Project(("a",), Base("R")),
             Join(Base("R"), Base("S")),
             Distinct(Base("S")),
-            UnionAll(Base("R"), Base("R")),
             Base("Q"),
-            Project(("z",), Base("R")),
-            Project(("a", "a"), Base("R")),
-            UnionAll(Base("R"), Base("S")),
-            Join(Base("R"), Project(("z",), Base("S"))),
+            Join(Base("R"), Distinct(Base("Q"))),
         ):
             assert outcome(lambda: schema_of(q, DB)) == outcome(lambda: eval_query(q, DB).schema)
 
@@ -224,16 +190,6 @@ def reference_eval(ev, q, db):
             if q.pred.holds(child.schema, row):
                 rows[row] += count
         return Relation(child.schema, rows)
-    if isinstance(q, Project):
-        child = reference_eval(ev, q.child, db)
-        missing = [a for a in q.attrs if a not in child.schema]
-        if missing:
-            raise SchemaMismatch(f"projection of absent attributes {missing}")
-        index = [child.schema.index(a) for a in q.attrs]
-        rows = Counter()
-        for row, count in child.rows.items():
-            rows[tuple(row[i] for i in index)] += count
-        return Relation(tuple(q.attrs), rows)
     if isinstance(q, Join):
         left, right = reference_eval(ev, q.left, db), reference_eval(ev, q.right, db)
         shared = [a for a in left.schema if a in right.schema]
@@ -253,11 +209,6 @@ def reference_eval(ev, q, db):
             for rrow, rcount in by_key.get(tuple(lrow[i] for i in left_idx), ()):
                 rows[lrow + tuple(rrow[i] for i in extra)] += lcount * rcount
         return Relation(left.schema + tuple(right.schema[i] for i in extra), rows)
-    if isinstance(q, UnionAll):
-        left, right = reference_eval(ev, q.left, db), reference_eval(ev, q.right, db)
-        if left.schema != right.schema:
-            raise SchemaMismatch(f"union schemas differ: {left.schema} vs {right.schema}")
-        return Relation(left.schema, left.rows + right.rows)
     if isinstance(q, Distinct):
         child = reference_eval(ev, q.child, db)
         return Relation(child.schema, Counter(dict.fromkeys(child.rows, 1)))
@@ -285,9 +236,7 @@ def plans(heads):
     return st.one_of(
         bases,
         st.builds(Select, PREDICATES, sub),
-        st.builds(Project, st.lists(st.sampled_from(ATTRS), max_size=3).map(tuple), sub),
         st.builds(Join, sub, sub),
-        st.builds(UnionAll, sub, sub),
         st.builds(Distinct, sub),
     )
 
@@ -344,7 +293,7 @@ class TestFastPathDifferential:
             right = left.reordered(perm)
         else:
             right = relation(perm if kind == "same columns" else columns())
-        assert bag_equal(left, right, modulo_column_order=True) == sorted_bag_equal(left, right)
+        assert bag_equal(left, right) == sorted_bag_equal(left, right)
 
 
 class TestOptimizer:
@@ -437,8 +386,8 @@ class TestRewriteRules:
         assert parse_pattern("empty") == Base(EMPTY_NAME)
         assert parse_pattern("true") is TRUE
         assert parse_pattern("join(R1,S)").left == Var("R1")
-        assert parse_pattern("project(A,distinct(union(R,S)))") == Project(
-            Var("A"), Distinct(UnionAll(Var("R"), Var("S")))
+        assert parse_pattern("distinct(select(true,join(R,empty)))") == Distinct(
+            Select(TRUE, Join(Var("R"), Base(EMPTY_NAME)))
         )
         with pytest.raises(ValueError):
             parse_pattern("select(p, join(R, S)) extra")
@@ -503,16 +452,12 @@ class TestRewriteRules:
         got = rewrite_once(Join(Base("R"), Base(EMPTY_NAME)), rules, DB)
         assert got == Base(EMPTY_NAME)
 
-    def test_project_rules_fire_below_the_root(self):
-        rule = RewriteRule(
-            "project_idem",
-            parse_pattern("project(A,project(A,R))"),
-            parse_pattern("project(A,R)"),
-            parse_guard(""),
-        )
-        attrs = ("a",)
-        plan = Distinct(Project(attrs, Project(attrs, Base("R"))))
-        assert rewrite_once(plan, [rule], DB) == Distinct(Project(attrs, Base("R")))
+    def test_rules_fire_below_the_root(self):
+        idem = {r.name: r for r in bundled_rules()}["select_idem"]
+        pred = Predicate("eq", "b", 2)
+        plan = Distinct(Select(pred, Select(pred, Base("R"))))
+        assert CORRECT.optimize(plan, [idem], DB) is plan
+        assert rewrite_once(plan, [idem], DB) == Distinct(Select(pred, Base("R")))
 
     def test_pushdown_guard_respected_by_rule(self):
         pushdown = [{r.name: r for r in bundled_rules()}["pushdown"]]
@@ -549,9 +494,9 @@ class TestGeneratedDatabases:
         assert db["R"].schema == ("a", "b")
         assert db["S"].schema == ("b", "c")
         assert db["T"].schema == ("c", "d")
-        assert db[EMPTY_NAME].size == 0
+        assert not db[EMPTY_NAME].rows
         for name in ("R", "S", "T"):
-            assert 1 <= db[name].size <= 4
+            assert 1 <= sum(db[name].rows.values()) <= 4
 
     def test_deterministic(self):
         assert gen_database(9) == gen_database(9)

@@ -162,6 +162,8 @@ generators spin,gauge
             ("lhs=selct(p,R) rhs=R guard=none", 15),
             ("lhs=join(R) rhs=R guard=none", 15),
             ("lhs=distinct(R) rhs=distinct(R,R) guard=none", 31),
+            ("lhs=project(A,R) rhs=R guard=none", 15),
+            ("lhs=union(R,S) rhs=R guard=none", 15),
         ),
         ids=(
             "truncated-lhs",
@@ -171,6 +173,8 @@ generators spin,gauge
             "unknown-head",
             "join-arity",
             "distinct-arity",
+            "project-head",
+            "union-head",
         ),
     )
     def test_bad_rewrite_rules_rejected_at_parse_time(self, rule, col):
@@ -199,10 +203,6 @@ generators spin,gauge
             (f"{PUSHDOWN} guard=attrs(p) subset attrs(p)", "p stands for both a predicate and a plan"),
             ("lhs=select(p,R) rhs=join(p,R) guard=none", "p stands for both a predicate and a plan"),
             ("lhs=select(q,join(p,R)) rhs=R guard=none", "p stands for both a predicate and a plan"),
-            (
-                "lhs=project(A,R) rhs=select(A,R) guard=none",
-                "A stands for both projected attributes and a predicate",
-            ),
             ("lhs=select(p,R) rhs=join(true,R) guard=none", "true stands for both a predicate and a plan"),
             ("lhs=R rhs=select(empty,R) guard=none", "empty stands for both a plan and a predicate"),
         ),
@@ -211,7 +211,6 @@ generators spin,gauge
             "guard-on-two-predicates",
             "predicate-as-plan",
             "p-as-plan-in-lhs",
-            "attributes-as-predicate",
             "true-as-plan",
             "empty-as-predicate",
         ),
@@ -247,6 +246,28 @@ class TestSemanticErrorSubjects:
             ),
             (parse_sut_file, "sut f(x) blocks=G\nt = x", "f: last body line must be a return"),
             (parse_sut_file, "sut f(x, x) blocks=G\nreturn x", "f: duplicate parameter names"),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input blocks=\ngenerators f",
+                "f: unknown block tag '' on line 3",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input blocks=O_le,,G\ngenerators f",
+                "f: unknown block tag '' on line 3",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input blocks=O_le,Q\ngenerators f",
+                "f: unknown block tag 'Q' on line 3",
+            ),
+            (
+                parse_algebra,
+                f"algebra a\n{OPERATOR_F}\ngenerators f\nlabel =x",
+                "label: unknown block tag '' on line 5",
+            ),
+            (parse_mutator_config, "seed 1\nmatrix MATH =breaks", "MATH: unknown block tag '' on line 3"),
+            (parse_sut_file, "sut f(x) blocks=\nreturn x", "f: unknown block tag '' on line 2"),
         ),
         ids=(
             "duplicate-operator",
@@ -257,6 +278,12 @@ class TestSemanticErrorSubjects:
             "first-order-mixed-difference",
             "no-return",
             "duplicate-parameter",
+            "operator-empty-blocks",
+            "operator-empty-block-in-list",
+            "operator-unknown-block",
+            "label-empty-block",
+            "matrix-empty-block",
+            "sut-empty-blocks",
         ),
     )
     def test_subject_named_once(self, parse, body, message):
@@ -351,6 +378,12 @@ class TestMutatorParsing:
     def test_duplicate_seed(self):
         with pytest.raises(SpecSemanticError):
             parse_mutator_config(f"{HEADER}\nseed 1\nseed 2\n")
+
+    @pytest.mark.parametrize("line", ("suts", "suts ,"))
+    def test_empty_sut_list(self, line):
+        # an empty list would otherwise mean every subject
+        with pytest.raises(SpecSemanticError, match="^suts: no subject on line 2$"):
+            parse_mutator_config(f"{HEADER}\n{line}\n")
 
     def test_duplicate_suts(self):
         with pytest.raises(SpecSemanticError, match="second suts line at 3"):
