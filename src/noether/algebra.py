@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Tuple
+
+from ._record import field, record
 
 if TYPE_CHECKING:
     from .relational import RewriteRule
@@ -112,7 +113,7 @@ class Regime(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@record
 class Operator:
     """One named operator with its block tags and extraction-cost hint."""
 
@@ -167,7 +168,7 @@ class _LabelMap(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-@dataclass(frozen=True)
+@record
 class OperatorAlgebra:
     """A named operator set with a generating subset.
 
@@ -220,7 +221,7 @@ class OperatorAlgebra:
         return decompose(self)
 
 
-@dataclass(frozen=True)
+@record
 class BlockDecomposition:
     """Operators grouped by block tag, built only by `decompose`.
 

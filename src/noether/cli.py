@@ -14,11 +14,11 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import harness, relational, stats, zoo
+from ._record import replace
 from .algebra import BlockKind
 from .derive import CostCounter, construct_mp, synthetic_algebra, theorem2_bound
 from .mutate import MissingOverride, MutatorCategory, mutant_id, mutate

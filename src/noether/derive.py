@@ -17,9 +17,9 @@ one operator and names are unique, so no two invariants of a block merge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from ._record import record
 from .algebra import (
     ActsOn,
     BlockDecomposition,
@@ -41,7 +41,7 @@ class CostCounter:
         self.total += units
 
 
-@dataclass(frozen=True)
+@record
 class BlockInvariant:
     """A (block, operator-set) certificate; the block fixes its relation
     form."""
@@ -54,7 +54,7 @@ class BlockInvariant:
             raise ValueError("invariant needs at least one operator")
 
 
-@dataclass(frozen=True)
+@record
 class MRTemplate:
     """MR recipe: its relation form is fixed by the block of the invariant
     it was translated from."""
@@ -66,7 +66,7 @@ class MRTemplate:
         return self.provenance.block
 
 
-@dataclass(frozen=True)
+@record
 class MetaPattern:
     """One populated block's MR templates, one per tagged operator in
     declaration order."""

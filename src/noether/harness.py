@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import sys
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang, zoo
+from ._record import field, record
 from ._rng import Generator
 from .algebra import BlockKind, OperatorAlgebra
 from .minilang import DomainError
@@ -32,7 +32,7 @@ class EmptyMetaPatternSet(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TupleGroup:
     """One assertion unit: the argument tuples plus rule metadata."""
 
@@ -40,7 +40,7 @@ class TupleGroup:
     scale: Optional[float] = None  # scaling-rule lambda
 
 
-@dataclass(frozen=True)
+@record
 class ExecutableMR:
     """An MR bound to one subject; subclasses fix the block's rules and
     their sample budget."""
@@ -74,7 +74,7 @@ class ExecutableMR:
         return Generator([seed, zlib.crc32(self.name.encode())])
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryMR(ExecutableMR):
     """f(g.x) = f(x), or -f(x) for an output-negating action."""
 
@@ -106,7 +106,7 @@ class SymmetryMR(ExecutableMR):
         return "" if ok else f"equivariance gap {gap!r} at {group.members}"
 
 
-@dataclass(frozen=True)
+@record
 class OrderMR(ExecutableMR):
     """f is nondecreasing in one coordinate inside the sampling cone."""
 
@@ -131,7 +131,7 @@ class OrderMR(ExecutableMR):
         return "" if ok else f"order violated: {lo!r} > {hi!r} at {group.members}"
 
 
-@dataclass(frozen=True)
+@record
 class ScalingMR(ExecutableMR):
     """f(lam.x) = lam.f(x) (degree 1) or f(x) (scale invariant)."""
 
@@ -169,7 +169,7 @@ def generate_tuples(mr: ExecutableMR, seed: int) -> List[TupleGroup]:
     return mr.tuples(seed)
 
 
-@dataclass(frozen=True)
+@record
 class MRCheck:
     passed: bool
     failure: str = ""
@@ -210,7 +210,7 @@ def build_standard_mrs(decls: Mapping[str, SutDecl]) -> List[ExecutableMR]:
 # Kill experiment
 
 
-@dataclass
+@record
 class KillMatrix:
     mr_names: Tuple[str, ...]
     cells: Dict[Tuple[str, str], str]  # kills only: (mr, mutant) -> witness
@@ -276,7 +276,7 @@ def coverage(blocks: Iterable[BlockKind], algebra: OperatorAlgebra) -> Fraction:
 # Falsification verdict and the scaling-blindness experiment
 
 
-@dataclass(frozen=True)
+@record
 class KillSummary:
     sut: str
     kills: int
@@ -295,7 +295,7 @@ def falsification_verdict(summaries: Iterable[KillSummary]) -> str:
     return "falsified" if len(unrescued) > 1 else "pass"
 
 
-@dataclass
+@record
 class BlindnessReport:
     summaries: Dict[str, KillSummary]
     verdict: str

@@ -31,8 +31,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+
+from ._record import record
 
 
 class MiniLangError(Exception):
@@ -64,17 +65,17 @@ class ArityError(MiniLangError):
 # AST
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Op:
     """`op` applied to `args`: (left, right), (operand,) for `neg`,
     (test, then, other) for `?:`, or a builtin's arguments."""
@@ -95,13 +96,13 @@ ARITY = {**dict.fromkeys(("+", "-", "*", "/", "%", *COMPARISONS), 2), "neg": 1, 
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
+@record
 class Assign:
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     """Assignments in order, then one result expression."""
 

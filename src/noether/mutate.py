@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang, zoo
+from ._record import field, record, replace
 from .algebra import CANONICAL_ORDER, BlockKind
 from .minilang import BUILTIN_ARITY, COMPARISONS, Assign, Const, DomainError, Expr, Op, Program, Var
 from .specfile import MUTATOR_CATEGORY_NAMES, MutatorConfig, SutDecl
@@ -87,7 +87,7 @@ BUNDLED_OVERRIDES: Mapping[Tuple[str, str, BlockKind], str] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CompatibilityMatrix:
     cells: Mapping[Tuple[str, BlockKind], str] = field(default_factory=lambda: dict(DEFAULT_CELLS))
     overrides: Mapping[Tuple[str, str, BlockKind], str] = field(
@@ -127,16 +127,15 @@ class CompatibilityMatrix:
 DEFAULT_MATRIX = CompatibilityMatrix()
 
 
-@dataclass(frozen=True)
+@record
 class Mutant:
     base: str
     category: MutatorCategory
     site: Tuple[int, Tuple[int, ...]]  # (statement index, path within it)
-    replacement: Expr
     broken_blocks: FrozenSet[BlockKind]
     homogeneity_effect: str  # preserving | breaking
-    decl: SutDecl = field(compare=False, repr=False)
-    fn: Callable[..., float] = field(compare=False, repr=False)  # decl.program, compiled
+    decl: SutDecl = field(compare=False)
+    fn: Callable[..., float] = field(compare=False)  # decl.program, compiled
 
     @property
     def strata(self) -> str:
@@ -436,7 +435,7 @@ def mutate(
     variants = [(k, minilang.replace_at(exprs[k], path, new)) for _, k, path, new in candidates]
     fns = minilang.compile_variants(decl.program, variants)
     out: List[Mutant] = []
-    for (category, _, path, replacement), (stmt_index, stmt), fn in zip(candidates, variants, fns):
+    for (category, _, path, _), (stmt_index, stmt), fn in zip(candidates, variants, fns):
         folded = list(base.folded)
         folded[stmt_index] = minilang.fold_constants(stmt)
         mutated = _Subject(_rebuild(decl, stmt_index, stmt), seed, tuple(folded), fn)
@@ -447,7 +446,6 @@ def mutate(
                 base=decl.name,
                 category=category,
                 site=(stmt_index, path),
-                replacement=replacement,
                 broken_blocks=classify(decl.name, category.name, matrix, decl.blocks),
                 homogeneity_effect=homogeneity_effect_of(base, mutated),
                 decl=mutated.decl,

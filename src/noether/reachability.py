@@ -18,9 +18,9 @@ block of the target algebra certifies its relation form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from ._record import field, record
 from .algebra import (
     BlockKind,
     OperatorAlgebra,
@@ -40,7 +40,7 @@ class Obstruction(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class MRDescriptor:
     """Structural fingerprint of one MR; a ValueError on bad fields gives
     the reason alone, and `specfile` names the MR when it reports one."""
@@ -71,7 +71,7 @@ class MRDescriptor:
             raise ValueError("mixed-difference form needs diff_order >= 2")
 
 
-@dataclass(frozen=True)
+@record
 class ReachabilityVerdict:
     reachable: bool
     assigned_block: Optional[BlockKind]

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
+from ._record import field, fields, record
 from ._rng import Generator
 from .minilang import MAX_DEPTH
 
@@ -42,7 +42,7 @@ class SchemaMismatch(Exception):
 # Relations
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     schema: Tuple[str, ...]
     rows: Counter = field(default_factory=Counter)
@@ -95,7 +95,7 @@ def bag_equal(left: Relation, right: Relation) -> bool:
 # Predicates and query plans
 
 
-@dataclass(frozen=True)
+@record
 class Predicate:
     """Single comparison of one attribute against a constant; or truth."""
 
@@ -126,24 +126,24 @@ class Predicate:
 TRUE = Predicate("true")
 
 
-@dataclass(frozen=True)
+@record
 class Base:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Select:
     pred: Predicate
     child: "QueryExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Join:
     left: "QueryExpr"
     right: "QueryExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Distinct:
     child: "QueryExpr"
 
@@ -231,7 +231,7 @@ def _distinct(ev: "Evaluator", q: Distinct, db) -> Relation:
 _EVAL = {Base: _base, Select: _select, Join: _join, Distinct: _distinct}
 
 
-@dataclass(frozen=True)
+@record
 class Evaluator:
     """Evaluation pipeline under test.
 
@@ -272,7 +272,7 @@ def eval_query(q: QueryExpr, db: Mapping[str, Relation]) -> Relation:
 # Rewrite rules: patterns are plans whose leaves may be variables
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     """A pattern variable: it matches whatever sits at its position, the
     same value each time it recurs.  `p` may only stand for a predicate."""
@@ -343,7 +343,7 @@ def _pattern_text(pat) -> str:
     return f"{_HEAD_NAMES[cls]}({','.join(_pattern_text(getattr(pat, f)) for f in _FIELDS[cls])})"
 
 
-@dataclass(frozen=True)
+@record
 class Guard:
     """attrs(<predvar>) subset attrs(<relvar>); or nothing."""
 
@@ -361,7 +361,7 @@ def parse_guard(text: str) -> Guard:
     return Guard(pred_var=m.group(1), rel_var=m.group(2))
 
 
-@dataclass(frozen=True)
+@record
 class RewriteRule:
     """A rewrite rule: lhs and rhs are plans whose leaves may be `Var`s.
 
@@ -500,7 +500,7 @@ def _random_predicate(rng: Generator, over: Sequence[str]) -> Predicate:
 # The four rewrite MRs
 
 
-@dataclass
+@record
 class RelTrial:
     mr: str
     passed: bool

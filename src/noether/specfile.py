@@ -16,9 +16,9 @@ SpecSemanticError with line/column diagnostics, never anything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ._record import field, record
 from .algebra import (
     ActsOn,
     BlockKind,
@@ -396,7 +396,7 @@ def descriptor_to_text(mr: MRDescriptor) -> str:
 # SUT documents
 
 
-@dataclass(frozen=True)
+@record
 class SutDecl:
     """One parsed SUT: header metadata plus the type-checked program."""
 
@@ -510,7 +510,7 @@ def sut_file_to_text(decls: Sequence[SutDecl]) -> str:
 # Mutator configuration documents
 
 
-@dataclass(frozen=True)
+@record
 class MutatorConfig:
     categories: Tuple[str, ...] = MUTATOR_CATEGORY_NAMES
     seed: int = 0

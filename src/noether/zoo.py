@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from importlib import resources
 from operator import mul, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from ._record import record
 from ._rng import Generator
 from .algebra import OperatorAlgebra
 from .specfile import (
@@ -108,7 +108,7 @@ def load_zoo() -> Dict[str, SutDecl]:
 # output negation.
 
 
-@dataclass(frozen=True)
+@record
 class GAction:
     name: str
     flips: Tuple[int, ...] = ()
@@ -121,7 +121,7 @@ class GAction:
         return tuple(-a if i in self.flips else a for i, a in enumerate(args))
 
 
-@dataclass(frozen=True)
+@record
 class OrderSpec:
     """Monotone (nondecreasing) coordinate plus its sampling cone."""
 
@@ -255,7 +255,7 @@ def check_homogeneity(
 # Toy SGD round-trip
 
 
-@dataclass(frozen=True)
+@record
 class SgdTrajectory:
     theta0: Tuple[float, ...]
     eta: float
@@ -269,7 +269,7 @@ class SgdTrajectory:
             raise ValueError("batch_order must be nonempty")
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticLoss:
     """Per-batch quadratic-loss gradients grad_i(theta) = A_i (theta - c_i).
 

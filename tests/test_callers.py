@@ -2,12 +2,15 @@
 
 Walks the AST of each `src/noether/*.py` module and fails on any non-dunder
 `def` or `class` whose name no package module and no `perfbench/` script
-references.  A module-level or local definition is referenced by a name, an
-attribute or an imported name of its spelling.  A class member is referenced
-only by an attribute (`x.size`) or by a name in its own class body
+references, and on any field of a `@record` class that none of them reads.
+A module-level or local definition is referenced by a name, an attribute or
+an imported name of its spelling.  A class member is referenced only by an
+attribute (`x.size`) or by a name in its own class body
 (`__setitem__ = _read_only`), so a local variable or parameter of the same
-spelling does not hide it.  The check is still by bare name: two members
-that share an attribute name share their fate.  Code that only tests call is
+spelling does not hide it.  A record field is referenced only by an
+attribute: constructing a record names its fields, but keeping a value
+nobody reads is waste.  The check is still by bare name: two members that
+share an attribute name share their fate.  Code that only tests call is
 deleted with its tests, unless it is an oracle a test compares against;
 those are listed below.
 """
@@ -25,6 +28,9 @@ ORACLES = {
     "sut_file_to_text": "the .sut round-trip tests and the TestCensusRows zoo digest",
     "check_homogeneity": "test_zoo and mutate's certified-preserver test; it checks "
     "every (lambda, point) pair independently of ScalingMR",
+    "mr_names": "KillMatrix's green MRs, read by A-11 and test_harness's kill-matrix tests",
+    "mutants_by_sut": "BlindnessReport's roster, read by A-05, A-11 and test_harness's "
+    "concordance tests",
 }
 
 
@@ -65,6 +71,17 @@ def _definitions(node, prefix="", class_names=None):
             yield from _definitions(child, prefix, class_names)
 
 
+def _record_fields(tree):
+    """(qualified name, field name) of each annotated field of a `@record` class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+            isinstance(d, ast.Name) and d.id == "record" for d in cls.decorator_list
+        ):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and not ast.unparse(stmt.annotation).startswith("ClassVar"):
+                    yield f"{cls.name}.{stmt.target.id}", stmt.target.id
+
+
 def _uncalled():
     modules = sorted(PACKAGE.glob("*.py"))
     names, attributes = _references(modules + sorted((ROOT / "perfbench").glob("*.py")))
@@ -75,6 +92,9 @@ def _uncalled():
             dunder = name.startswith("__") and name.endswith("__")
             by_name = names if class_names is None else class_names
             if not dunder and name not in attributes and name not in by_name:
+                found[f"{path.stem}.{qualified}"] = name
+        for qualified, name in _record_fields(tree):
+            if name not in attributes:
                 found[f"{path.stem}.{qualified}"] = name
     return found
 

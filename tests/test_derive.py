@@ -1,6 +1,5 @@
 """Derivation pipeline tests: goldens, uniqueness laws, cost accounting."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from noether import algebra as algebra_module
 from noether import zoo
+from noether._record import FrozenInstanceError
 from noether.algebra import (
     ActsOn,
     BlockKind,
@@ -264,9 +264,9 @@ class TestStoredDecomposition:
 
     def test_algebra_is_frozen(self):
         alg = load_algebra("sort")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             alg.name = "other"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             alg.operators = ()
 
     def test_untagged_operator_raises_on_every_use(self):

@@ -1,12 +1,12 @@
 """Harness tests: tuple generation, kill experiments, coverage, verdicts."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noether._record import replace
 from noether.algebra import BlockKind, CANONICAL_ORDER, OperatorAlgebra
 from noether.harness import (
     DEFAULT_BUDGET,
@@ -67,7 +67,7 @@ class TestGenerateTuples:
 
     def test_scaling_tuples_are_name_independent_and_shared_with_the_tagger(self):
         mr = standard_mr("midpoint:L_scale")
-        renamed = dataclasses.replace(mr, name="anything-else")
+        renamed = replace(mr, name="anything-else")
         assert generate_tuples(mr, SEED) == generate_tuples(renamed, SEED)
         pairs = scaling_sample(ZOO["midpoint"], SEED, mr.sample_budget)
         got = generate_tuples(mr, SEED)
@@ -103,7 +103,7 @@ class TestGenerateTuples:
         with pytest.raises(ValueError, match="homogeneity"):
             ScalingMR("q", no_hyp)
         with pytest.raises(ValueError, match="homogeneity"):
-            dataclasses.replace(standard_mr("midpoint:L_scale"), decl=no_hyp)
+            replace(standard_mr("midpoint:L_scale"), decl=no_hyp)
 
     def test_bindings_are_required_at_construction(self):
         decl = ZOO["midpoint"]
@@ -118,8 +118,8 @@ class TestGenerateTuples:
         # the budget is the type's, not the caller's
         with pytest.raises(TypeError):
             SymmetryMR("q", ZOO["midpoint"], SUT_G_ACTIONS["midpoint"][0], sample_budget=-1)
-        with pytest.raises(TypeError):
-            dataclasses.replace(standard_mr("midpoint:L_scale"), sample_budget=20)
+        with pytest.raises(TypeError, match="ScalingMR has no field sample_budget"):
+            replace(standard_mr("midpoint:L_scale"), sample_budget=20)
         assert SymmetryMR.sample_budget == OrderMR.sample_budget == DEFAULT_BUDGET
 
     def test_each_type_declares_its_block(self):
@@ -359,7 +359,7 @@ class TestBlindness:
 
     def test_tampered_matrix_breaks_concordance(self):
         cfg = load_mutator_config()
-        tampered = dataclasses.replace(
+        tampered = replace(
             cfg, matrix_patches={("MATH", BlockKind.L_STAR): "breaks"}
         )
         report = run_blindness_experiment(cfg=tampered)

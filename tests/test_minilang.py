@@ -233,6 +233,22 @@ class TestEval:
         assert f(-7, 3) == -7 % 3  # floored, matches Python
         assert f(7.5, 2) == 7.5 % 2
 
+    @pytest.mark.parametrize("shape", ("var-var", "var-const", "const-var", "const-const", "nested"))
+    def test_mod_matches_the_reference_on_special_operands(self, shape):
+        # leaf and nested operands against the tree-walking reference
+        values = (7.5, -3.0, 0.0, -0.0, math.inf, -math.inf, math.nan)
+        for n in values:
+            for d in values:
+                left = Var("x") if shape in ("var-var", "var-const") else Const(n)
+                right = Var("y") if shape in ("var-var", "const-var") else Const(d)
+                if shape == "nested":
+                    left = Op("+", (Var("x"), Const(0.0)))
+                    right = Op("neg", (Op("neg", (Var("y"),)),))
+                expr = Op("%", (left, right))
+                fn = compile_program(Program("t", ("x", "y"), (), expr))
+                got = outcome(lambda: fn(n, d))
+                assert same_outcome(got, outcome(lambda: reference_eval(expr, {"x": n, "y": d}))), (shape, n, d)
+
     def test_division_by_zero_raises(self):
         f = make_fn("return a / b")
         assert f(1, 4) == 0.25

@@ -99,9 +99,11 @@ class TestAgainstNumpy:
 
 
 def test_import_loads_no_numpy():
-    """`import noether.cli` in a fresh interpreter leaves NumPy unloaded."""
+    """`import noether.cli` in a fresh interpreter leaves NumPy unloaded, and
+    `dataclasses` with the `inspect` machinery it pulls in."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, noether.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    unwanted = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, noether.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

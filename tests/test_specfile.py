@@ -500,7 +500,7 @@ class TestImportsFollowUse:
         # the benchmark tracer patches every module after `import noether.cli`
         package = Path(__file__).resolve().parents[1] / "src" / "noether"
         modules = {"noether"} | {f"noether.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
-        assert len(modules) == 13
+        assert len(modules) == 14
         assert _noether_modules_after("import noether.cli") == modules
 
 
