@@ -15,7 +15,7 @@ import zlib
 from fractions import Fraction
 from typing import AbstractSet, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import minilang, zoo
+from . import zoo
 from ._record import field, record
 from ._rng import Generator
 from .algebra import BlockKind, OperatorAlgebra
@@ -42,11 +42,9 @@ class TupleGroup:
 
 @record
 class ExecutableMR:
-    """An MR bound to one subject; subclasses fix the block's rules and
-    their sample budget."""
+    """An MR bound to one subject; subclasses fix the block's rules."""
 
     block: ClassVar[BlockKind]
-    sample_budget: ClassVar[int] = DEFAULT_BUDGET
 
     name: str
     decl: SutDecl
@@ -85,7 +83,7 @@ class SymmetryMR(ExecutableMR):
         rng = self._rng(seed)
         decl, action = self.decl, self.action
         groups = []
-        for _ in range(self.sample_budget):
+        for _ in range(DEFAULT_BUDGET):
             # sample away from the action's fixed points: a fixed point
             # satisfies any equivariance vacuously, and some mutants are
             # only well-defined off it
@@ -117,7 +115,7 @@ class OrderMR(ExecutableMR):
         rng = self._rng(seed)
         decl, coord = self.decl, self.order.coordinate
         groups = []
-        for _ in range(self.sample_budget):
+        for _ in range(DEFAULT_BUDGET):
             base = list(zoo.sample_args(decl, rng, cone=self.order.cone))
             bumped = list(base)
             delta = rng.integers(1, 11) if decl.domain == "int" else rng.uniform(0.1, 5.0)
@@ -136,18 +134,15 @@ class ScalingMR(ExecutableMR):
     """f(lam.x) = lam.f(x) (degree 1) or f(x) (scale invariant)."""
 
     block: ClassVar[BlockKind] = BlockKind.L_STAR
-    # the tagger's budget: both judge mutants on the same points
-    sample_budget: ClassVar[int] = zoo.SCALING_BUDGET
 
     def __post_init__(self):
         if self.decl.homogeneity == "none":
             raise ValueError(f"{self.name}: scaling MR needs a homogeneity declaration")
 
     def tuples(self, seed: int) -> List[TupleGroup]:
-        pairs = zoo.scaling_sample(self.decl, seed, self.sample_budget)
         return [
-            TupleGroup(members=(base, tuple(lam * a for a in base)), scale=lam)
-            for base, lam in pairs
+            TupleGroup(members=(base, scaled), scale=lam)
+            for base, scaled, lam in zoo.scaling_sample(self.decl, seed)
         ]
 
     def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
@@ -229,13 +224,10 @@ def run_kill_experiment(
     green: List[ExecutableMR] = []
     green_by_sut: Dict[str, List[Tuple[ExecutableMR, List[TupleGroup]]]] = {}
     excluded: List[Tuple[str, str, str]] = []
-    baseline_fns: Dict[str, object] = {}
     for mr in mrs:
         sut = mr.sut_name
-        if sut not in baseline_fns:
-            baseline_fns[sut] = minilang.compile_program(mr.decl.program)
         groups = generate_tuples(mr, seed)
-        verdict = check_mr(mr, baseline_fns[sut], groups)
+        verdict = check_mr(mr, mr.decl.fn, groups)
         if verdict.passed:
             green.append(mr)
             green_by_sut.setdefault(sut, []).append((mr, groups))

@@ -247,9 +247,9 @@ class _Subject:
 
     @classmethod
     def of(cls, decl: SutDecl, seed: int) -> "_Subject":
-        """Fold every statement of `decl` and compile it on its own."""
+        """Fold every statement of `decl`; the function is `decl.fn`."""
         folded = tuple(minilang.fold_constants(e) for e in _statement_exprs(decl.program))
-        return cls(decl, seed, folded, minilang.compile_program(decl.program))
+        return cls(decl, seed, folded, decl.fn)
 
     @cached_property
     def grid(self) -> List[Tuple[float, ...]]:
@@ -261,7 +261,11 @@ class _Subject:
 
     @cached_property
     def scaling_points(self) -> List[Tuple[float, ...]]:
-        return zoo.scaling_points(self.decl, self.seed, zoo.SCALING_BUDGET)
+        """Bases, then scaled points, of the scaling MR's sample: a mutant
+        erring or degenerating anywhere the relation looks is tagged
+        breaking, so rule-blind kills stay in the breaking stratum."""
+        sample = zoo.scaling_sample(self.decl, self.seed)
+        return [base for base, _, _ in sample] + [scaled for _, scaled, _ in sample]
 
     @cached_property
     def scaling_outcomes(self) -> List[object]:

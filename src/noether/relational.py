@@ -24,7 +24,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from ._record import field, fields, record
 from ._rng import Generator
-from .minilang import MAX_DEPTH
 
 EMPTY_NAME = "EMPTY"  # every generated database carries an empty relation
 STRING_POOL = ("oak", "elm", "fir", "yew")
@@ -287,13 +286,17 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\S")
 _END = "end of pattern"  # follows the last token; never itself a token
 
+# Deepest head nesting `parse_pattern` accepts: it recurses once per level,
+# so the bound keeps a hostile pattern inside Python's recursion limit.
+MAX_PATTERN_DEPTH = 100
+
 
 def parse_pattern(text: str) -> QueryExpr:
     """Prefix notation, e.g. `join(R,S)`, as a plan: `true` is `TRUE`,
     `empty` is `Base(EMPTY_NAME)` and any other leaf name is a `Var`.
     ValueError on a character outside names, `(),` and whitespace, an
     unknown head, a wrong number of arguments, or heads nested deeper than
-    `minilang.MAX_DEPTH`."""
+    `MAX_PATTERN_DEPTH`."""
     tokens = _TOKEN.findall(text) + [_END]
     pos = 0
 
@@ -312,8 +315,8 @@ def parse_pattern(text: str) -> QueryExpr:
             return _LEAVES[tok] if tok in _LEAVES else Var(tok)
         children = []
         if tokens[pos] == "(":
-            if depth > MAX_DEPTH:
-                raise fail(f"nesting deeper than {MAX_DEPTH} levels")
+            if depth > MAX_PATTERN_DEPTH:
+                raise fail(f"nesting deeper than {MAX_PATTERN_DEPTH} levels")
             sep = ","
             while sep == ",":
                 pos += 1
@@ -502,7 +505,6 @@ def _random_predicate(rng: Generator, over: Sequence[str]) -> Predicate:
 
 @record
 class RelTrial:
-    mr: str
     passed: bool
 
 
@@ -561,7 +563,7 @@ def run_rel_trial(
     trial = _REL_MRS.get(mr)
     if trial is None:
         raise ValueError(f"unknown relational MR {mr!r}")
-    return RelTrial(mr, trial(db, rng, rules, evaluator))
+    return RelTrial(trial(db, rng, rules, evaluator))
 
 
 def run_rel_mrs(

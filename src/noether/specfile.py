@@ -15,8 +15,9 @@ SpecSemanticError with line/column diagnostics, never anything else.
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import field, record
 from .algebra import (
@@ -406,6 +407,13 @@ class SutDecl:
     homogeneity: str
     domain: str
     program: minilang.Program
+
+    @functools.cached_property
+    def fn(self) -> Callable[..., float]:
+        """The program, compiled on first use; not a field, so `==` and repr ignore it."""
+        from . import minilang
+
+        return minilang.compile_program(self.program)
 
 
 def parse_sut_file(text: str) -> Tuple[SutDecl, ...]:

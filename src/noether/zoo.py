@@ -35,8 +35,8 @@ BUNDLED_ALGEBRAS = ("boltzmann", "equivariant", "sort", "relational", "ffn", "pw
 # integer-subject arithmetic stays exact
 LAMBDA_SAMPLES: Tuple[float, ...] = (0.5, 2.0, 7.0)
 
-# scaling relation draws this many (base, lambda) pairs -> 200 evaluation
-# points, the fixed seeded sample the homogeneity tagger shares
+# the scaling sample draws this many (base, lambda) pairs -> 200 evaluation
+# points, which the scaling MR and the homogeneity tagger share
 SCALING_BUDGET = 100
 
 _INT_RANGE = 60  # unrolled Euclid depth 12 is safe well past this magnitude
@@ -181,28 +181,16 @@ def sample_args(
     return tuple(args)
 
 
-def scaling_sample(decl: SutDecl, seed: int, budget: int) -> List[Tuple[Tuple[float, ...], float]]:
-    """(base args, lambda) pairs for the scaling relation."""
+def scaling_sample(decl: SutDecl, seed: int) -> List[Tuple[Tuple[float, ...], Tuple[float, ...], float]]:
+    """(base args, scaled args, lambda) triples: the one scaling sample,
+    which the scaling MR asserts on and the homogeneity tagger judges on."""
     rng = Generator(seed ^ 0x5CA1E)
     out = []
-    for k in range(budget):
+    for k in range(SCALING_BUDGET):
         base = sample_args(decl, rng, nonzero=False)
-        out.append((base, LAMBDA_SAMPLES[k % len(LAMBDA_SAMPLES)]))
+        lam = LAMBDA_SAMPLES[k % len(LAMBDA_SAMPLES)]
+        out.append((base, tuple(lam * a for a in base), lam))
     return out
-
-
-def scaling_points(decl: SutDecl, seed: int, budget: int) -> List[Tuple[float, ...]]:
-    """Every argument tuple the scaling relation will evaluate.
-
-    This flat list (bases followed by scaled bases) is the tagging sample:
-    a mutant erring or degenerating anywhere the scaling relation can look
-    is tagged breaking, which keeps rule-blind kills inside the breaking
-    stratum by construction.
-    """
-    pairs = scaling_sample(decl, seed, budget)
-    points = [base for base, _ in pairs]
-    points.extend(tuple(lam * a for a in base) for base, lam in pairs)
-    return points
 
 
 def small_int_grid(arity: int) -> List[Tuple[float, ...]]:
@@ -233,12 +221,10 @@ def check_homogeneity(
     pair independently of `harness.ScalingMR`, and the zoo tests and
     mutate's certified-preserver test compare against it.
     """
-    from . import minilang
-
     if decl.homogeneity == "none":
         raise ValueError(f"{decl.name} declares no homogeneity hypothesis")
     invariant = decl.homogeneity == "positive-scale-invariant"
-    fn = minilang.compile_program(decl.program)
+    fn = decl.fn
     for lam in lambda_samples:
         if lam <= 0:
             raise ValueError("scale factors must be positive")

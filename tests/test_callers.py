@@ -9,10 +9,12 @@ attribute (`x.size`) or by a name in its own class body
 (`__setitem__ = _read_only`), so a local variable or parameter of the same
 spelling does not hide it.  A record field is referenced only by an
 attribute: constructing a record names its fields, but keeping a value
-nobody reads is waste.  The check is still by bare name: two members that
-share an attribute name share their fate.  Code that only tests call is
-deleted with its tests, unless it is an oracle a test compares against;
-those are listed below.
+nobody reads is waste.  An attribute read off the name `args`, which in
+`cli.py` is the argparse namespace (`args.mr`), is an option, not a field,
+so it does not count as reading one.  The check is still by bare name:
+two members that share an attribute name share their fate.  Code that only
+tests call is deleted with its tests, unless it is an oracle a test
+compares against; those are listed below.
 """
 
 import ast
@@ -35,17 +37,20 @@ ORACLES = {
 
 
 def _references(paths):
-    """(names and imported names, attributes) read anywhere in `paths`."""
-    names, attributes = set(), set()
+    """(names and imported names, attributes, attributes not read off the
+    name `args`) read anywhere in `paths`."""
+    names, attributes, field_reads = set(), set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                if not (isinstance(node.value, ast.Name) and node.value.id == "args"):
+                    field_reads.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
-    return names, attributes
+    return names, attributes, field_reads
 
 
 def _class_body_names(cls):
@@ -84,7 +89,7 @@ def _record_fields(tree):
 
 def _uncalled():
     modules = sorted(PACKAGE.glob("*.py"))
-    names, attributes = _references(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    names, attributes, field_reads = _references(modules + sorted((ROOT / "perfbench").glob("*.py")))
     found = {}
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -94,7 +99,7 @@ def _uncalled():
             if not dunder and name not in attributes and name not in by_name:
                 found[f"{path.stem}.{qualified}"] = name
         for qualified, name in _record_fields(tree):
-            if name not in attributes:
+            if name not in field_reads:
                 found[f"{path.stem}.{qualified}"] = name
     return found
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noether import minilang
 from noether._record import replace
 from noether.algebra import BlockKind, CANONICAL_ORDER, OperatorAlgebra
 from noether.harness import (
@@ -28,7 +29,7 @@ from noether.harness import (
     scaling_mr_name,
 )
 from noether.minilang import compile_program
-from noether.mutate import MutatorCategory, mutate
+from noether.mutate import MutatorCategory, _Subject, mutate
 from noether.reachability import check_reachability
 from noether.specfile import HEADER, parse_sut_file
 from noether.zoo import (
@@ -69,11 +70,17 @@ class TestGenerateTuples:
         mr = standard_mr("midpoint:L_scale")
         renamed = replace(mr, name="anything-else")
         assert generate_tuples(mr, SEED) == generate_tuples(renamed, SEED)
-        pairs = scaling_sample(ZOO["midpoint"], SEED, mr.sample_budget)
-        got = generate_tuples(mr, SEED)
-        assert [(g.members[0], g.scale) for g in got] == pairs
-        for g in got:
+        for g in generate_tuples(mr, SEED):
             assert g.members[1] == tuple(g.scale * a for a in g.members[0])
+        scaling_mrs = [mr for mr in build_standard_mrs(ZOO) if isinstance(mr, ScalingMR)]
+        assert {mr.sut_name for mr in scaling_mrs} == {
+            name for name, decl in ZOO.items() if decl.homogeneity != "none"
+        }
+        for mr in scaling_mrs:
+            groups = generate_tuples(mr, SEED)
+            tagged = _Subject.of(mr.decl, SEED).scaling_points
+            # the tagger's points: every base, then every scaled point
+            assert tagged == [g.members[0] for g in groups] + [g.members[1] for g in groups]
 
     def test_flip_actions_sample_away_from_fixed_points(self):
         mr = standard_mr("signum:G:sign-flip")
@@ -120,7 +127,8 @@ class TestGenerateTuples:
             SymmetryMR("q", ZOO["midpoint"], SUT_G_ACTIONS["midpoint"][0], sample_budget=-1)
         with pytest.raises(TypeError, match="ScalingMR has no field sample_budget"):
             replace(standard_mr("midpoint:L_scale"), sample_budget=20)
-        assert SymmetryMR.sample_budget == OrderMR.sample_budget == DEFAULT_BUDGET
+        assert len(generate_tuples(standard_mr("midpoint:G:negate-all"), SEED)) == DEFAULT_BUDGET
+        assert len(generate_tuples(standard_mr("midpoint:O_le"), SEED)) == DEFAULT_BUDGET
 
     def test_each_type_declares_its_block(self):
         assert standard_mr("midpoint:G:negate-all").block is BlockKind.G
@@ -158,7 +166,9 @@ class TestCheckMr:
 
     def test_scaling_budget_is_the_shared_one(self):
         mr = standard_mr("gcdSig:L_scale")
-        assert mr.sample_budget == ScalingMR.sample_budget == SCALING_BUDGET
+        groups = mr.tuples(SEED)
+        assert len(groups) == SCALING_BUDGET
+        assert [(*g.members, g.scale) for g in groups] == scaling_sample(ZOO["gcdSig"], SEED)
 
     def test_constant_output_fails_the_scaling_relation(self):
         decl = sut_from(
@@ -214,6 +224,21 @@ class TestKillExperiment:
             fn = compile_program(mutants[mid].decl.program)
             groups = generate_tuples(mrs[name], SEED)
             assert witness and check_mr(mrs[name], fn, groups).failure == witness
+
+    def test_each_subject_compiles_once_per_experiment(self, monkeypatch):
+        # the tagger and the baseline checks share `decl.fn`; mutants are
+        # compiled together by `compile_variants`
+        compiled = []
+        real_compile = minilang.compile_program
+
+        def counting_compile(prog):
+            compiled.append(prog.name)
+            return real_compile(prog)
+
+        monkeypatch.setattr(minilang, "compile_program", counting_compile)
+        run_blindness_experiment()
+        assert len(compiled) == 6
+        assert sorted(compiled) == sorted(load_mutator_config().suts)
 
 
 # --- coverage ----------------------------------------------------------------------

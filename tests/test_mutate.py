@@ -40,11 +40,9 @@ from noether.mutate import (
 from noether.specfile import HEADER, MutatorConfig, parse_sut_file, sut_file_to_text
 from noether.zoo import (
     LAMBDA_SAMPLES,
-    SCALING_BUDGET,
     check_homogeneity,
     load_mutator_config,
     load_zoo,
-    scaling_points,
     scaling_sample,
     small_int_grid,
 )
@@ -287,7 +285,8 @@ class TestSurvivorSoundness:
     def test_preserving_tags_are_certified(self, name):
         """Rule-tagged preservers really satisfy the scaling hypothesis."""
         base = ZOO[name]
-        points = scaling_points(base, SEED, 40)
+        sample = scaling_sample(base, SEED)[:40]
+        points = [b for b, _, _ in sample] + [scaled for _, scaled, _ in sample]
         for m in mutate(base, seed=SEED):
             if m.homogeneity_effect != "preserving":
                 continue
@@ -372,9 +371,10 @@ class TestSchemaCost:
             finally:
                 depth[0] -= 1
 
+        decl = load_zoo()["gcdSig"]  # fresh: `ZOO`'s may already hold its compiled `fn`
         monkeypatch.setattr(builtins, "compile", counting_compile)
         monkeypatch.setattr(minilang, "fold_constants", counting_fold)
-        mutants = mutate(ZOO["gcdSig"], seed=SEED)
+        mutants = mutate(decl, seed=SEED)
         monkeypatch.undo()
         # the subject on its own, then the schema of all its candidates
         assert compiles == ["<minilang gcdSig>", "<minilang gcdSig>"]
@@ -560,7 +560,7 @@ class TestCertificateExactness:
             m for m in mutate(decl, seed=SEED, matrix=matrix) if m.homogeneity_effect == "preserving"
         ]
         assert len(preserving) == 5
-        bases = [base for base, _ in scaling_sample(decl, SEED, SCALING_BUDGET)]
+        bases = [base for base, _, _ in scaling_sample(decl, SEED)]
         for m in preserving:
             for lam in (0.5, 2.0, 4.0):
                 for base in bases:
@@ -614,11 +614,10 @@ class TestCertificateProperty:
             if block is BlockKind.L_STAR and effect == CASE
         }
         mutants = mutate(decl, seed=SEED, matrix=CompatibilityMatrix(overrides=overrides))
-        base_fn = compile_program(decl.program)
         points = []
-        for point in scaling_points(decl, SEED, SCALING_BUDGET):
+        for point in subject(decl).scaling_points:
             try:
-                base_fn(*point)
+                decl.fn(*point)
             except DomainError:
                 continue
             points.append(point)

@@ -13,6 +13,7 @@ from noether.cli import REL_MODES
 from noether.relational import (
     CORRECT,
     EMPTY_NAME,
+    MAX_PATTERN_DEPTH,
     REL_MR_NAMES,
     STRING_POOL,
     Base,
@@ -436,6 +437,17 @@ class TestRewriteRules:
     def test_truncated_or_misplaced_input_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="bad pattern"):
             parse_pattern(text)
+
+    def test_heads_nest_at_most_max_pattern_depth(self):
+        def nested(depth):
+            return "distinct(" * depth + "R" + ")" * depth
+
+        plan = parse_pattern(nested(MAX_PATTERN_DEPTH))
+        for _ in range(MAX_PATTERN_DEPTH):
+            plan = plan.child
+        assert plan == Var("R")
+        with pytest.raises(ValueError, match=f"nesting deeper than {MAX_PATTERN_DEPTH} levels"):
+            parse_pattern(nested(MAX_PATTERN_DEPTH + 1))
 
     def test_select_idempotence_rewrite(self):
         rules = bundled_rules()

@@ -475,6 +475,7 @@ class TestImportsFollowUse:
     def test_rewrite_lines_load_the_relational_parser(self):
         loaded = _noether_modules_after("from noether import zoo; zoo.load_algebra('relational')")
         assert "noether.relational" in loaded
+        assert "noether.minilang" not in loaded
 
     def test_subjects_and_config_load_no_relational_or_reachability(self):
         loaded = _noether_modules_after("from noether import zoo; zoo.load_zoo(); zoo.load_mutator_config()")

@@ -19,7 +19,6 @@ from noether.zoo import (
     default_sgd_fixture,
     load_zoo,
     sample_args,
-    scaling_points,
     scaling_sample,
     sgd_roundtrip_residual,
     SgdTrajectory,
@@ -165,19 +164,17 @@ class TestSamplers:
 
     def test_scaling_points_are_bases_then_scaled(self):
         decl = ZOO["midpoint"]
-        pairs = scaling_sample(decl, 11, 6)
-        points = scaling_points(decl, 11, 6)
-        assert len(pairs) == 6 and len(points) == 12
-        assert points[:6] == [base for base, _ in pairs]
-        for (base, lam), scaled in zip(pairs, points[6:]):
+        sample = scaling_sample(decl, 11)
+        assert len(sample) == SCALING_BUDGET
+        for k, (base, scaled, lam) in enumerate(sample):
+            assert len(base) == len(decl.params)
             assert scaled == tuple(lam * a for a in base)
-        lams = [lam for _, lam in pairs]
-        assert set(lams) <= set(LAMBDA_SAMPLES)
+            assert lam == LAMBDA_SAMPLES[k % len(LAMBDA_SAMPLES)]
 
     def test_scaling_sample_deterministic_in_seed(self):
         decl = ZOO["hypotSig"]
-        assert scaling_sample(decl, 3, 20) == scaling_sample(decl, 3, 20)
-        assert scaling_sample(decl, 3, 20) != scaling_sample(decl, 4, 20)
+        assert scaling_sample(decl, 3)[:20] == scaling_sample(decl, 3)[:20]
+        assert scaling_sample(decl, 3)[:20] != scaling_sample(decl, 4)[:20]
 
     def test_small_int_grid_sizes(self):
         assert len(small_int_grid(1)) == 17
@@ -193,17 +190,22 @@ class TestSamplers:
 DEGREE_ONE = ("midpoint", "clamp", "gcdSig", "lcmSig", "hypotSig")
 
 
+def first_points(decl, k):
+    """The bases, then the scaled points, of the pinned-seed scaling
+    sample's first k draws: exactly the points of a k-draw sample."""
+    sample = scaling_sample(decl, 20260816)[:k]
+    return [base for base, _, _ in sample] + [scaled for _, scaled, _ in sample]
+
+
 class TestHomogeneity:
     @pytest.mark.parametrize("name", DEGREE_ONE)
     def test_degree_one_subjects_pass(self, name):
         decl = ZOO[name]
-        points = scaling_points(decl, 20260816, 40)
-        assert check_homogeneity(decl, LAMBDA_SAMPLES, points, 1e-6)
+        assert check_homogeneity(decl, LAMBDA_SAMPLES, first_points(decl, 40), 1e-6)
 
     def test_scale_invariant_subject_passes(self):
         decl = ZOO["signum"]
-        points = scaling_points(decl, 20260816, 40)
-        assert check_homogeneity(decl, LAMBDA_SAMPLES, points, 0.0)
+        assert check_homogeneity(decl, LAMBDA_SAMPLES, first_points(decl, 40), 0.0)
 
     def test_affine_offset_fails_degree_one(self):
         text = f"{HEADER}\nsut off(x) blocks=L_star homogeneity=degree-1\nreturn x + 1\n"
