@@ -17,7 +17,11 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import harness, relational, stats, zoo
+# Imported first: with no bytecode cache each process compiles every module
+# from source, and compiling these four before the rest leaves less free
+# malloc heap behind, so a lower peak resident set (measured, CHANGES.md).
+from . import minilang, relational, specfile, zoo  # noqa: F401
+from . import harness, stats
 from ._record import replace
 from .algebra import BlockKind
 from .derive import CostCounter, construct_mp, synthetic_algebra, theorem2_bound
@@ -139,8 +143,12 @@ def _emit(args, seed: Optional[int], sections: Dict[str, Rows]) -> None:
     """Write the report of `args.command` to --out, or else to stdout."""
     text = _render(args.command, seed, sections, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a plain OSError: `main` reports it as is, not as a missing input
+            raise OSError(f"cannot write report to {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

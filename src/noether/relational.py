@@ -40,29 +40,42 @@ class SchemaMismatch(Exception):
 # ---------------------------------------------------------------------------
 # Relations
 
+_set = object.__setattr__
+
 
 @record
 class Relation:
+    """A bag of rows over `schema`: `rows` maps each row to its multiplicity,
+    a positive count; the constructor drops zero counts and rejects negative
+    ones, so two relations hold the same bag exactly when their `rows` are
+    equal as dicts."""
+
     schema: Tuple[str, ...]
     rows: Counter = field(default_factory=Counter)
 
     def __post_init__(self):
-        object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "rows", Counter(self.rows))
-        if len(set(self.schema)) != len(self.schema):
-            raise SchemaMismatch(f"repeated column name in {self.schema}")
-        for row in self.rows:
-            if len(row) != len(self.schema):
-                raise SchemaMismatch(f"row arity {len(row)} != schema arity {len(self.schema)}")
+        schema = tuple(self.schema)
+        if len(set(schema)) != len(schema):
+            raise SchemaMismatch(f"repeated column name in {schema}")
+        rows = Counter(self.rows)
+        for row, n in rows.items():
+            if len(row) != len(schema):
+                raise SchemaMismatch(f"row arity {len(row)} != schema arity {len(schema)}")
+            if n < 0:
+                raise ValueError(f"negative multiplicity {n} of row {row!r}")
+        _set(self, "schema", schema)
+        _set(self, "rows", +rows)  # unary plus drops the zero counts
 
     @classmethod
     def _trusted(cls, schema: Tuple[str, ...], counts: Mapping[Tuple, int]) -> "Relation":
-        """Relation(schema, counts) unchecked, for relations built here from
-        valid ones; skips Counter.__init__, costly next to a few-row bag."""
+        """Relation(schema, counts) unchecked, for relations built here with
+        valid rows and positive counts; skips Counter.__init__, costly next
+        to a few-row bag."""
         rows = Counter.__new__(Counter)
         dict.update(rows, counts)
         rel = object.__new__(cls)
-        rel.__dict__.update(schema=schema, rows=rows)
+        _set(rel, "schema", schema)
+        _set(rel, "rows", rows)
         return rel
 
     def reordered(self, new_schema: Sequence[str]) -> "Relation":
@@ -73,21 +86,29 @@ class Relation:
         return Relation._trusted(tuple(new_schema), {get(row): n for row, n in self.rows.items()})
 
 
+def _key_getter(index: Sequence[int]):
+    """The function from a row to its join key on the columns at `index`:
+    the value of the one column, the tuple of several, or () for none."""
+    return itemgetter(*index) if index else lambda row: ()
+
+
 def _row_getter(index: Sequence[int]):
     """The function from a row to the tuple of its values at `index`."""
     if len(index) == 1:
         return lambda row, i=index[0]: (row[i],)
-    return itemgetter(*index) if index else lambda row: ()
+    return _key_getter(index)
 
 
 def bag_equal(left: Relation, right: Relation) -> bool:
     """Same column names and same bag, modulo column order: the right side is
-    first reordered into the left's columns."""
+    first reordered into the left's columns.  Counts are positive, so the
+    bags are equal exactly when the dicts are (`dict.__eq__` runs in C;
+    `Counter.__eq__` is a Python-level loop)."""
     if left.schema != right.schema:
         if set(left.schema) != set(right.schema):
             return False
         right = right.reordered(left.schema)
-    return left.rows == right.rows
+    return dict.__eq__(left.rows, right.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +217,17 @@ def _select(ev: "Evaluator", q: Select, db) -> Relation:
 @lru_cache(maxsize=256)
 def _join_plan(left: Tuple[str, ...], right: Tuple[str, ...]):
     """(output schema, left key, right key, right extras) of the natural join
-    of two schemas; each getter maps a row to a tuple."""
+    of two schemas; the extras getter maps a row to a tuple."""
     shared = [a for a in left if a in right]
     extra = [i for i, a in enumerate(right) if a not in left]
-    keys = [_row_getter([side.index(a) for a in shared]) for side in (left, right)]
+    keys = [_key_getter([side.index(a) for a in shared]) for side in (left, right)]
     return left + tuple(right[i] for i in extra), *keys, _row_getter(extra)
 
 
 def _join(ev: "Evaluator", q: Join, db) -> Relation:
     left, right = ev.eval(q.left, db), ev.eval(q.right, db)
     schema, left_key, right_key, extra = _join_plan(left.schema, right.schema)
-    by_key: Dict[Tuple, List[Tuple[Tuple, int]]] = {}
+    by_key: Dict[object, List[Tuple[Tuple, int]]] = {}
     for row, count in right.rows.items():
         by_key.setdefault(right_key(row), []).append((extra(row), count))
     if ev.join_mode == "left-semi":
@@ -471,23 +492,28 @@ def bundled_rules() -> Tuple[RewriteRule, ...]:
 # Database generation: R(a,b), S(b,c), T(c,d); at most 4 rows each;
 # values are ints 0..9 (0..4 on join columns b) and three-letter strings.
 
+# name -> (schema, the values each of its two columns draws from)
+_GENERATED = {
+    "R": (("a", "b"), range(10), range(5)),
+    "S": (("b", "c"), range(5), STRING_POOL),
+    "T": (("c", "d"), STRING_POOL, range(10)),
+}
+
 
 def gen_database(seed: int) -> Dict[str, Relation]:
-    rng = Generator(seed)
-
-    def rows(maker, count):
-        bag = Counter()
-        for _ in range(count):
-            bag[maker()] += 1
-        return bag
-
-    def s(pool=STRING_POOL):
-        return pool[rng.integers(0, len(pool))]
-
-    r = Relation(("a", "b"), rows(lambda: (rng.integers(0, 10), rng.integers(0, 5)), rng.integers(1, 5)))
-    s_rel = Relation(("b", "c"), rows(lambda: (rng.integers(0, 5), s()), rng.integers(1, 5)))
-    t = Relation(("c", "d"), rows(lambda: (s(), rng.integers(0, 10)), rng.integers(1, 5)))
-    return {"R": r, "S": s_rel, "T": t, EMPTY_NAME: Relation(("e",), Counter())}
+    """Each generated relation draws its row count in 1..4, then each row's
+    first and second value, uniformly from its columns' pools."""
+    draw = Generator(seed).integers
+    db = {}
+    for name, (schema, first, second) in _GENERATED.items():
+        bag: Dict[Tuple, int] = {}
+        n_first, n_second = len(first), len(second)
+        for _ in range(draw(1, 5)):
+            row = (first[draw(0, n_first)], second[draw(0, n_second)])
+            bag[row] = bag.get(row, 0) + 1
+        db[name] = Relation._trusted(schema, bag)
+    db[EMPTY_NAME] = Relation._trusted(("e",), {})
+    return db
 
 
 def _random_predicate(rng: Generator, over: Sequence[str]) -> Predicate:

@@ -82,6 +82,13 @@ class TestExitCodes:
         assert code == 2
         assert "unknown sut" in err
 
+    @pytest.mark.parametrize("argv", (["mutate", "gcdSig"], ["rel", "--trials", "1"]), ids=("mutate", "rel"))
+    def test_out_into_a_missing_directory_names_the_output(self, tmp_path, argv, capsys):
+        dest = tmp_path / "nodir" / "x"
+        code, out, err = run(argv + ["--out", str(dest)], capsys)
+        assert code == 2 and not out
+        assert err == f"noether: cannot write report to {dest}: No such file or directory\n"
+
     def test_stats_arity_guard(self, capsys):
         code, _, err = run(["stats", "wilson", "7"], capsys)
         assert code == 2

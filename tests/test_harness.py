@@ -391,6 +391,18 @@ class TestBlindness:
         assert not report.concordance_ok
         assert any("midpoint/MATH" in v for v in report.concordance_violations)
 
+    # seeds from a formula, not chosen by outcome; the preserving-tag count
+    # is not asserted, since the tagger's rules may vary it with the seed
+    @pytest.mark.parametrize("seed", [1000 + 37 * i for i in range(10)])
+    def test_science_gates_hold_at_other_seeds(self, seed):
+        cfg = replace(load_mutator_config(), seed=seed)
+        report = run_blindness_experiment(cfg=cfg)
+        assert report.preserving_kills == ()
+        assert report.concordance_ok
+        assert sum(len(ms) for ms in report.mutants_by_sut.values()) == 88
+        patches = {**cfg.matrix_patches, ("MATH", BlockKind.L_STAR): "breaks"}
+        assert not run_blindness_experiment(cfg=replace(cfg, matrix_patches=patches)).concordance_ok
+
     def test_concordance_breaks_cell_rejects_preserving_mutants(self, blindness_report):
         # hand the checker a fake active matrix claiming guard negation
         # breaks scaling; gcd's rule-preserving survivors must trip it

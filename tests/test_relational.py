@@ -4,7 +4,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noether import relational
@@ -105,6 +105,18 @@ class TestRelationBasics:
         # a sorted reorder maps both (1, 2) and (1, 3) over ("a", "a") to (1, 1)
         with pytest.raises(SchemaMismatch):
             Relation(("a", "a"), Counter({(1, 2): 1}))
+
+    def test_zero_multiplicities_are_dropped(self):
+        zero = Relation(("a",), Counter({(1,): 0, (2,): 1}))
+        assert zero == Relation(("a",), Counter({(2,): 1}))
+        assert type(zero.rows) is Counter and (1,) not in zero.rows
+        # a dropped row stays dropped under distinct
+        db = {"Z": Relation(("a",), Counter({(1,): 0})), "E": Relation(("a",), Counter())}
+        assert bag_equal(eval_query(Distinct(Base("Z")), db), eval_query(Distinct(Base("E")), db))
+
+    def test_negative_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            Relation(("a",), Counter({(1,): -1}))
 
     def test_reordered_permutes_columns(self):
         flipped = R.reordered(("b", "a"))
@@ -250,9 +262,17 @@ def sorted_bag_equal(left, right):
     return left.reordered(order).rows == right.reordered(order).rows
 
 
+# bags over ("a", "c") with zero counts, which the constructor drops
+BAGS = st.dictionaries(st.tuples(st.integers(0, 2), st.sampled_from("xy")), st.integers(0, 3), max_size=4)
+
+
 class TestFastPathDifferential:
     @settings(max_examples=300, deadline=None)
     @given(plan=plans(4), seed=st.integers(0, 2**32))
+    # joins on no shared column, on one (a scalar key) and on two (a tuple key)
+    @example(plan=Join(Base("R"), Base("T")), seed=1)
+    @example(plan=Join(Base("R"), Base("S")), seed=1)
+    @example(plan=Join(Base("R"), Base("R")), seed=1)
     def test_evaluators_match_the_reference(self, plan, seed):
         db = gen_database(seed)
         trusted = Relation.__dict__["_trusted"].__func__
@@ -276,6 +296,13 @@ class TestFastPathDifferential:
             assert shape == result.schema
         if isinstance(shape, type):
             assert isinstance(result, type)
+
+    @settings(max_examples=300, deadline=None)
+    @given(left=BAGS, right=BAGS)
+    def test_bag_equal_agrees_with_counter_equality(self, left, right):
+        schema = ("a", "c")
+        got = bag_equal(Relation(schema, Counter(left)), Relation(schema, Counter(right)))
+        assert got == (Counter(left) == Counter(right))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -499,7 +526,36 @@ class TestRewriteRules:
         assert check_rules_on_db(singleton) == []
 
 
+def reference_gen_database(seed):
+    """gen_database as closures that draw each row into a Counter, passed
+    through the validating constructor: the reference for the direct draw."""
+    rng = Generator(seed)
+
+    def rows(maker, count):
+        bag = Counter()
+        for _ in range(count):
+            bag[maker()] += 1
+        return bag
+
+    def s(pool=STRING_POOL):
+        return pool[rng.integers(0, len(pool))]
+
+    r = Relation(("a", "b"), rows(lambda: (rng.integers(0, 10), rng.integers(0, 5)), rng.integers(1, 5)))
+    s_rel = Relation(("b", "c"), rows(lambda: (rng.integers(0, 5), s()), rng.integers(1, 5)))
+    t = Relation(("c", "d"), rows(lambda: (s(), rng.integers(0, 10)), rng.integers(1, 5)))
+    return {"R": r, "S": s_rel, "T": t, EMPTY_NAME: Relation(("e",), Counter())}
+
+
 class TestGeneratedDatabases:
+    def test_matches_the_reference_draw(self):
+        for seed in range(200):
+            got, want = gen_database(seed), reference_gen_database(seed)
+            assert list(got) == list(want)
+            for name, rel in got.items():
+                assert rel.schema == want[name].schema and rel.rows == want[name].rows
+                assert type(rel.rows) is Counter
+                assert Relation(rel.schema, rel.rows) == rel
+
     def test_shape(self):
         db = gen_database(3)
         assert set(db) == {"R", "S", "T", EMPTY_NAME}
