@@ -34,9 +34,10 @@ class EmptyMetaPatternSet(Exception):
 
 @record
 class TupleGroup:
-    """One assertion unit: the argument tuples plus rule metadata."""
+    """One assertion unit: the pair of argument tuples whose two outputs
+    the relation compares, plus rule metadata."""
 
-    members: Tuple[Tuple[float, ...], ...]
+    members: Tuple[Tuple[float, ...], Tuple[float, ...]]
     scale: Optional[float] = None  # scaling-rule lambda
 
 
@@ -57,16 +58,17 @@ class ExecutableMR:
         """Canonical tuple groups for the block's rule; deterministic."""
         raise NotImplementedError
 
-    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
-        """Why one group's outputs break the relation; empty if they hold."""
+    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
+        """Why the outputs at a group's two members break the relation;
+        empty if they hold."""
         raise NotImplementedError
 
     def sample_violation(self, outputs: Sequence[float]) -> str:
         """Why the whole sample's outputs break the relation; empty if not."""
         return ""
 
-    def _bound(self, values: Sequence[float]) -> float:
-        return DEFAULT_TOLERANCE * max(1.0, *(abs(v) for v in values))
+    def _bound(self, first: float, second: float) -> float:
+        return DEFAULT_TOLERANCE * max(1.0, abs(first), abs(second))
 
     def _rng(self, seed: int) -> Generator:
         return Generator([seed, zlib.crc32(self.name.encode())])
@@ -95,12 +97,10 @@ class SymmetryMR(ExecutableMR):
             groups.append(TupleGroup(members=(base, action.apply(base, offset))))
         return groups
 
-    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
-        expected, got = values
-        if self.action.output == "negate":
-            expected = -expected
-        gap = got - expected
-        ok = abs(gap) <= self._bound(values)
+    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
+        expected = -f0 if self.action.output == "negate" else f0
+        gap = f1 - expected
+        ok = abs(gap) <= self._bound(f0, f1)
         return "" if ok else f"equivariance gap {gap!r} at {group.members}"
 
 
@@ -123,10 +123,9 @@ class OrderMR(ExecutableMR):
             groups.append(TupleGroup(members=(tuple(base), tuple(bumped))))
         return groups
 
-    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
-        lo, hi = values
-        ok = lo <= hi + self._bound(values)
-        return "" if ok else f"order violated: {lo!r} > {hi!r} at {group.members}"
+    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
+        ok = f0 <= f1 + self._bound(f0, f1)
+        return "" if ok else f"order violated: {f0!r} > {f1!r} at {group.members}"
 
 
 @record
@@ -145,11 +144,10 @@ class ScalingMR(ExecutableMR):
             for base, scaled, lam in zoo.scaling_sample(self.decl, seed)
         ]
 
-    def violation(self, group: TupleGroup, values: Sequence[float]) -> str:
-        f0, f1 = values
+    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
         invariant = self.decl.homogeneity == "positive-scale-invariant"
         gap = f1 - (f0 if invariant else group.scale * f0)
-        ok = abs(gap) <= self._bound(values)
+        ok = abs(gap) <= self._bound(f0, f1)
         return "" if ok else f"scaling gap {gap!r} at {group.members}"
 
     def sample_violation(self, outputs: Sequence[float]) -> str:
@@ -171,17 +169,20 @@ class MRCheck:
 
 
 def check_mr(mr: ExecutableMR, fn, groups: Sequence[TupleGroup]) -> MRCheck:
-    """Evaluate the MR's assertion on a compiled subject over its tuple groups."""
+    """Evaluate the MR's assertion on a compiled subject over its tuple groups,
+    each a pair of executions."""
     outputs: List[float] = []
     for group in groups:
+        first, second = group.members
         try:
-            values = [fn(*args) for args in group.members]
+            f0 = fn(*first)
+            f1 = fn(*second)
         except DomainError as exc:
             return MRCheck(False, f"domain error on {group.members}: {exc}")
-        failure = mr.violation(group, values)
+        failure = mr.violation(group, f0, f1)
         if failure:
             return MRCheck(False, failure)
-        outputs.extend(values)
+        outputs += f0, f1
     failure = mr.sample_violation(outputs)
     return MRCheck(not failure, failure)
 

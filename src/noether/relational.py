@@ -43,12 +43,29 @@ class SchemaMismatch(Exception):
 _set = object.__setattr__
 
 
+class _Rows(Counter):
+    """A read-only Counter that hashes, so the frozen relation holding it
+    does; made from a mapping of positive counts by `dict.__init__` in C."""
+
+    __slots__ = ()
+    __init__ = dict.__init__
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a relation's bag of rows is read-only")
+
+    __setitem__ = __delitem__ = __iadd__ = __isub__ = __ior__ = __iand__ = _read_only
+    clear = pop = popitem = setdefault = subtract = update = _read_only
+
+
 @record
 class Relation:
     """A bag of rows over `schema`: `rows` maps each row to its multiplicity,
     a positive count; the constructor drops zero counts and rejects negative
     ones, so two relations hold the same bag exactly when their `rows` are
-    equal as dicts."""
+    equal as dicts.  `rows` is read-only, so a relation hashes."""
 
     schema: Tuple[str, ...]
     rows: Counter = field(default_factory=Counter)
@@ -64,14 +81,14 @@ class Relation:
             if n < 0:
                 raise ValueError(f"negative multiplicity {n} of row {row!r}")
         _set(self, "schema", schema)
-        _set(self, "rows", +rows)  # unary plus drops the zero counts
+        _set(self, "rows", _Rows(+rows))  # unary plus drops the zero counts
 
     @classmethod
     def _trusted(cls, schema: Tuple[str, ...], counts: Mapping[Tuple, int]) -> "Relation":
         """Relation(schema, counts) unchecked, for relations built here with
-        valid rows and positive counts; skips Counter.__init__, costly next
-        to a few-row bag."""
-        rows = Counter.__new__(Counter)
+        valid rows and positive counts; skips the constructor's checks,
+        costly next to a few-row bag."""
+        rows = _Rows.__new__(_Rows)
         dict.update(rows, counts)
         rel = object.__new__(cls)
         _set(rel, "schema", schema)

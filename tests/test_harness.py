@@ -1,5 +1,6 @@
 """Harness tests: tuple generation, kill experiments, coverage, verdicts."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from noether.harness import (
     DEFAULT_TOLERANCE,
     EmptyMetaPatternSet,
     KillSummary,
+    MRCheck,
     OrderMR,
     ScalingMR,
     SymmetryMR,
@@ -28,7 +30,7 @@ from noether.harness import (
     run_kill_experiment,
     scaling_mr_name,
 )
-from noether.minilang import compile_program
+from noether.minilang import DomainError, compile_program
 from noether.mutate import MutatorCategory, _Subject, mutate
 from noether.reachability import check_reachability
 from noether.specfile import HEADER, parse_sut_file
@@ -192,6 +194,108 @@ class TestCheckMr:
         assert not check_mr(mr, compile_program(decl.program), generate_tuples(mr, SEED)).passed
 
 
+# --- the pair check against the sequence check it replaced -------------------------
+
+
+def sequence_bound(values):
+    return DEFAULT_TOLERANCE * max(1.0, *(abs(v) for v in values))
+
+
+def sequence_violation(mr, group, values):
+    """Each MR kind's assertion as it read a group's outputs as a sequence."""
+    if isinstance(mr, SymmetryMR):
+        expected, got = values
+        if mr.action.output == "negate":
+            expected = -expected
+        gap = got - expected
+        ok = abs(gap) <= sequence_bound(values)
+        return "" if ok else f"equivariance gap {gap!r} at {group.members}"
+    if isinstance(mr, OrderMR):
+        lo, hi = values
+        ok = lo <= hi + sequence_bound(values)
+        return "" if ok else f"order violated: {lo!r} > {hi!r} at {group.members}"
+    f0, f1 = values
+    invariant = mr.decl.homogeneity == "positive-scale-invariant"
+    gap = f1 - (f0 if invariant else group.scale * f0)
+    ok = abs(gap) <= sequence_bound(values)
+    return "" if ok else f"scaling gap {gap!r} at {group.members}"
+
+
+def sequence_check_mr(mr, fn, groups):
+    """The check as a loop over each group's members."""
+    outputs = []
+    for group in groups:
+        try:
+            values = [fn(*args) for args in group.members]
+        except DomainError as exc:
+            return MRCheck(False, f"domain error on {group.members}: {exc}")
+        failure = sequence_violation(mr, group, values)
+        if failure:
+            return MRCheck(False, failure)
+        outputs.extend(values)
+    failure = mr.sample_violation(outputs)
+    return MRCheck(not failure, failure)
+
+
+# every MR kind and output rule: flip/negate, flip/same, shift, order, and
+# scaling of degree 1 and scale invariance
+PAIR_MRS = (
+    standard_mr("midpoint:G:negate-all"),
+    standard_mr("gcdSig:G:flip-first"),
+    standard_mr("isSequence:G:shift-all"),
+    standard_mr("clamp:O_le"),
+    standard_mr("hypotSig:L_scale"),
+    standard_mr("signum:L_scale"),
+)
+EDGE_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1.0, -1.0)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestPairCheck:
+    @given(
+        st.sampled_from(PAIR_MRS),
+        st.integers(0, SCALING_BUDGET - 1),
+        EDGE_FLOATS,
+        EDGE_FLOATS,
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_violation_matches_the_sequence_formula(self, mr, k, f0, f1):
+        groups = generate_tuples(mr, SEED)
+        group = groups[k % len(groups)]
+        assert mr.violation(group, f0, f1) == sequence_violation(mr, group, [f0, f1])
+
+    def test_check_mr_matches_the_sequence_loop_on_every_bundled_mr(self):
+        mutants = {name: mutate(decl, seed=SEED) for name, decl in ZOO.items()}
+        outcomes = set()
+        for mr in build_standard_mrs(ZOO):
+            groups = generate_tuples(mr, SEED)
+            for fn in [mr.decl.fn] + [m.fn for m in mutants[mr.sut_name]]:
+                verdict = check_mr(mr, fn, groups)
+                assert verdict == sequence_check_mr(mr, fn, groups), mr.name
+                outcomes.add(verdict.failure.split(" ")[0])
+        # passes and every kind of failure witness are compared
+        assert outcomes == {"", "equivariance", "order", "scaling", "fixed", "domain"}
+
+    def test_domain_error_witness_matches_the_sequence_loop(self):
+        # both members of every group fail, each with its own message, so
+        # the witness shows which member runs first
+        decl = sut_from("sut both(x) blocks=G\nreturn 0 < x ? sqrt(0 - x) : 1 / 0")
+        mr = SymmetryMR("both:G:flip", decl, SUT_G_ACTIONS["signum"][0])
+        groups = generate_tuples(mr, SEED)
+        verdict = check_mr(mr, decl.fn, groups)
+        first = groups[0].members[0][0]
+        cause = "sqrt of a negative number" if first > 0 else "division by zero"
+        assert verdict.failure == f"domain error on {groups[0].members}: {cause}"
+        assert verdict == sequence_check_mr(mr, decl.fn, groups)
+
+    def test_every_group_is_a_pair(self):
+        for mr in build_standard_mrs(ZOO):
+            for seed in (SEED, 7):
+                assert all(len(g.members) == 2 for g in generate_tuples(mr, seed)), mr.name
+
+
 # --- kill experiment --------------------------------------------------------------
 
 
@@ -343,6 +447,32 @@ FROZEN_SUMMARIES = {
 @pytest.fixture(scope="module")
 def blindness_report():
     return run_blindness_experiment()
+
+
+# the one-statement subjects of the shallow kill experiment
+SHALLOW_SUTS = ("caddSig", "clamp", "exactLog2", "hypotSig", "isSequence", "midpoint", "powerSig", "signum")
+
+# sha256 of the sorted (mr, mutant id, witness) cells at seed 20260816; no
+# report prints a witness, so these pin the failure texts
+WITNESS_DIGESTS = {
+    "bundled": (66, "3e074f04edbadc51cefe4afa153277159d0b519736b4974d200cd50a5ceee92e"),
+    "shallow": (32, "9d88b266834d745a6907068a2cff0754c62097c92dba1e9104a500dfdf0ed7b9"),
+}
+
+
+def witness_digest(report):
+    cells = sorted((mr, mid, witness) for (mr, mid), witness in report.matrix.cells.items())
+    return len(cells), hashlib.sha256(repr(cells).encode()).hexdigest()
+
+
+class TestKillWitnesses:
+    def test_bundled_config(self, blindness_report):
+        assert load_mutator_config().seed == SEED
+        assert witness_digest(blindness_report) == WITNESS_DIGESTS["bundled"]
+
+    def test_shallow_subjects(self):
+        cfg = replace(load_mutator_config(), seed=SEED, suts=SHALLOW_SUTS)
+        assert witness_digest(run_blindness_experiment(cfg)) == WITNESS_DIGESTS["shallow"]
 
 
 class TestBlindness:

@@ -1,5 +1,7 @@
 """Relational mini-evaluator tests: bag semantics, rewrites, MR trials."""
 
+import copy
+import pickle
 from collections import Counter
 from unittest import mock
 
@@ -109,7 +111,9 @@ class TestRelationBasics:
     def test_zero_multiplicities_are_dropped(self):
         zero = Relation(("a",), Counter({(1,): 0, (2,): 1}))
         assert zero == Relation(("a",), Counter({(2,): 1}))
-        assert type(zero.rows) is Counter and (1,) not in zero.rows
+        assert isinstance(zero.rows, Counter) and (1,) not in zero.rows
+        with pytest.raises(TypeError):
+            zero.rows[(1,)] = 1
         # a dropped row stays dropped under distinct
         db = {"Z": Relation(("a",), Counter({(1,): 0})), "E": Relation(("a",), Counter())}
         assert bag_equal(eval_query(Distinct(Base("Z")), db), eval_query(Distinct(Base("E")), db))
@@ -124,6 +128,41 @@ class TestRelationBasics:
         assert flipped.rows == Counter({(2, 1): 2, (2, 3): 1})
         with pytest.raises(SchemaMismatch):
             R.reordered(("a", "z"))
+
+    def test_rows_refuse_every_write(self):
+        a, b = Relation(("a",), Counter({(1,): 2})), Relation(("a",), Counter({(1,): 2}))
+        rows = b.rows
+        writes = (
+            # a zero count would break `bag_equal`, a negative one the bag
+            lambda: rows.__setitem__((2,), 0),
+            lambda: rows.__setitem__((3,), -1),
+            lambda: rows.__delitem__((1,)),
+            lambda: rows.update({(2,): 1}),
+            lambda: rows.subtract({(1,): 1}),
+            lambda: rows.pop((1,)),
+            lambda: rows.popitem(),
+            lambda: rows.setdefault((2,), 1),
+            lambda: rows.clear(),
+            lambda: rows.__iadd__(Counter({(2,): 1})),
+            lambda: rows.__isub__(Counter({(1,): 1})),
+            lambda: rows.__ior__(Counter({(2,): 1})),
+            lambda: rows.__iand__(Counter()),
+        )
+        for write in writes:
+            with pytest.raises(TypeError, match="read-only"):
+                write()
+        assert bag_equal(a, b) and rows == Counter({(1,): 2})
+        # bag arithmetic still gives new, writable counters
+        assert rows + Counter({(1,): 1}) == Counter({(1,): 3})
+        assert rows.copy() == rows
+
+    def test_relations_hash(self):
+        a, b = Relation(("a",), Counter({(1,): 2, (2,): 1})), Relation(("a",), Counter({(2,): 1, (1,): 2}))
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+        flipped = R.reordered(("b", "a"))
+        assert hash(flipped.reordered(("a", "b"))) == hash(R)
+        assert len({rel for seed in range(20) for rel in gen_database(seed).values()}) > 1
 
     def test_bag_equal_modulo_column_order(self):
         flipped = R.reordered(("b", "a"))
@@ -287,7 +326,9 @@ class TestFastPathDifferential:
                 got = outcome(lambda: evaluator.eval(plan, db))
             assert got == outcome(lambda: reference_eval(evaluator, plan, db))
         for rel in built:
-            assert type(rel.schema) is tuple and type(rel.rows) is Counter
+            assert type(rel.schema) is tuple and isinstance(rel.rows, Counter)
+            with pytest.raises(TypeError):
+                rel.rows[()] = 1
             assert Relation(rel.schema, rel.rows) == rel
         # schema_of checks what eval checks short of the rows' values
         shape = outcome(lambda: schema_of(plan, db))
@@ -553,7 +594,9 @@ class TestGeneratedDatabases:
             assert list(got) == list(want)
             for name, rel in got.items():
                 assert rel.schema == want[name].schema and rel.rows == want[name].rows
-                assert type(rel.rows) is Counter
+                assert isinstance(rel.rows, Counter)
+                with pytest.raises(TypeError):
+                    rel.rows[()] = 1
                 assert Relation(rel.schema, rel.rows) == rel
 
     def test_shape(self):
