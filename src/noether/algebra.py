@@ -75,6 +75,7 @@ class BlockKind(enum.Enum):
 CANONICAL_ORDER: Tuple[BlockKind, ...] = tuple(BlockKind)
 
 _TAG_TO_KIND = {kind.tag: kind for kind in BlockKind}
+_KINDS = frozenset(BlockKind)
 
 # Descriptor-only vocabulary: legal in MR descriptors, certified by no block.
 DESCRIPTOR_ONLY_FORMS: Tuple[str, ...] = ("homomorphism-failure", "mixed-difference")
@@ -129,9 +130,9 @@ class Operator:
             raise ValueError("operator name must be nonempty")
         tags = frozenset(self.block_tags)
         object.__setattr__(self, "block_tags", tags)
-        for t in tags:
-            if not isinstance(t, BlockKind):
-                raise ValueError(f"bad block tag {t!r}")
+        if not tags <= _KINDS:
+            bad = next(t for t in tags if t not in _KINDS)
+            raise ValueError(f"bad block tag {bad!r}")
         has_group = BlockKind.G in tags
         has_regime = self.regime is not Regime.NONE
         if has_group != has_regime:
@@ -145,6 +146,9 @@ class Operator:
                     "group-block operators need a nonnegative size "
                     "(|group|, Lie dimension, or truncation)"
                 )
+        elif self.group_order_or_dim is not None:
+            # the printer writes a size only beside a regime
+            raise ValueError(f"size is only allowed together with a regime (size={self.group_order_or_dim})")
         if self.cost_hint < 1:
             raise ValueError("cost_hint must be >= 1")
 

@@ -12,6 +12,8 @@ block, translation charges one unit per invariant, the quotient charges a
 log-sized insertion fee, and aggregation charges one unit per block.  The
 quotient under structural equality is only that fee: each invariant names
 one operator and names are unique, so no two invariants of a block merge.
+Each step charges a block's units in one sum, once per block; the totals
+are those of one charge per operator and per invariant.
 """
 
 from __future__ import annotations
@@ -98,27 +100,32 @@ def extract_invariants(
     cost hint per tagged block.
     """
     out: Dict[BlockKind, Tuple[BlockInvariant, ...]] = {}
-    by_name = {op.name: op for op in algebra.operators}
+    cost_hint = {op.name: op.cost_hint for op in algebra.operators}
     for block in decomposition.nonempty_blocks():
-        invariants: List[BlockInvariant] = []
-        for op_name in decomposition.operators_in(block):
-            if counter is not None:
-                counter.charge(by_name[op_name].cost_hint)
-            invariants.append(BlockInvariant(block=block, phi=frozenset({op_name})))
-        out[block] = tuple(invariants)
+        names = decomposition.operators_in(block)
+        if counter is not None:
+            counter.charge(sum(map(cost_hint.__getitem__, names)))
+        out[block] = tuple([BlockInvariant(block, frozenset((name,))) for name in names])
     return out
 
 
-def translate(invariant: BlockInvariant, counter: Optional[CostCounter] = None) -> MRTemplate:
+def translate(invariant: BlockInvariant) -> MRTemplate:
     """Step 2: invariant -> template, which keeps the invariant as provenance.
 
     Structurally equal invariants translate to equal templates because the
     invariant itself is the template's provenance (phi is a frozen set, so
     operator orderings cannot distinguish equivalent inputs).
+    `construct_mp` charges its unit.
     """
-    if counter is not None:
-        counter.charge(1)
-    return MRTemplate(provenance=invariant)
+    return MRTemplate(invariant)
+
+
+def quotient_fee(n: int) -> int:
+    """The quotient's insertion fee for n invariants: the sum of
+    ceil(log2(i + 2)) for i < n, which is the sum of m.bit_length() for
+    1 <= m <= n, in closed form."""
+    width = n.bit_length()
+    return width * (n + 1) - (1 << width) + 1
 
 
 def construct_mp(
@@ -128,14 +135,13 @@ def construct_mp(
     extracted = extract_invariants(algebra.blocks, algebra, counter)
     patterns: List[MetaPattern] = []
     for block, invariants in extracted.items():
-        templates = tuple(translate(inv, counter) for inv in invariants)
         if counter is not None:
-            # the quotient's log-sized insertion fee; it has nothing to merge
-            fee = sum(math.ceil(math.log2(i + 2)) for i in range(len(invariants)))
-            counter.charge(fee)
-            counter.charge(1)
+            # one unit per translation, the quotient's fee (it has nothing to
+            # merge) and one unit for the aggregation
+            n = len(invariants)
+            counter.charge(n + quotient_fee(n) + 1)
         label = algebra.label_overrides.get(block, block.default_label)
-        patterns.append(MetaPattern(block=block, label=label, templates=templates))
+        patterns.append(MetaPattern(block, label, tuple(map(translate, invariants))))
     return tuple(patterns)
 
 

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 
 from ._record import field, record
 from .algebra import (
+    _TAG_TO_KIND,
     ActsOn,
     BlockKind,
     Operator,
@@ -137,18 +138,21 @@ def _parse_attrs(lineno: int, line: str, words: Sequence[str], allowed: _Keys) -
     """key -> value for each `key=value` word; `words` split a suffix of `line`."""
     attrs: Dict[str, object] = {}
     for i, word in enumerate(words):
-        if "=" not in word:
+        key, eq, value = word.partition("=")
+        if not eq:
             col = _column(line, words, i)
             raise SpecSyntaxError(lineno, col, "key=value attribute", word)
-        key, value = word.split("=", 1)
         if key not in allowed:
             col = _column(line, words, i)
             raise SpecSyntaxError(lineno, col, f"one of {', '.join(allowed)}", key)
         if key in attrs:
             raise SpecSemanticError(key, f"duplicate attribute on line {lineno}")
         kind = allowed[key]
+        if kind is None:
+            attrs[key] = value
+            continue
         try:
-            attrs[key] = kind(value) if kind else value
+            attrs[key] = kind(value)
         except ValueError:
             col = _column(line, words, i) + len(key) + 1
             raise SpecSyntaxError(lineno, col, f"{_TYPE_NAMES[kind]} for {key}", value)
@@ -164,16 +168,28 @@ def _block(subject: str, tag: str, lineno: int) -> BlockKind:
         raise SpecSemanticError(subject, f"unknown block tag {tag!r} on line {lineno}")
 
 
-def _block_list(subject: str, lineno: int, value: str) -> Tuple[BlockKind, ...]:
-    # a loop, not a generator: a 10,000-operator algebra looks up ~17,000 tags
+def _block_list(subject: str, lineno: int, value: str) -> frozenset:
+    """The block kinds of a comma list; `value` is one whitespace-free word."""
+    # a loop, not a generator: the 10,000-operator `derive-wide` algebra at
+    # seed 20260816 looks up 20,141 tags
     kinds = []
     for tag in value.split(","):
-        kinds.append(_block(subject, tag.strip(), lineno))
-    return tuple(kinds)
+        kinds.append(_TAG_TO_KIND.get(tag) or _block(subject, tag, lineno))
+    return frozenset(kinds)
+
+
+def _name_word(lineno: int, line: str, rest: str, what: str) -> str:
+    """The one word after a name line's keyword; a second word is an error."""
+    words = rest.split()
+    if not words:
+        raise SpecSyntaxError(lineno, len(line) + 1, f"an {what} name")
+    if len(words) > 1:
+        raise SpecSyntaxError(lineno, _column(line, words, 1), f"end of line after the {what} name", words[1])
+    return words[0]
 
 
 def _comma_list(value: str) -> Tuple[str, ...]:
-    return tuple(x.strip() for x in value.split(",") if x.strip())
+    return tuple(filter(None, map(str.strip, value.split(","))))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +209,7 @@ def parse_algebra(text: str) -> OperatorAlgebra:
         if keyword == "algebra":
             if name is not None:
                 raise SpecSemanticError(rest or "algebra", f"second algebra line at {lineno}")
-            if not rest:
-                raise SpecSyntaxError(lineno, len(line) + 1, "an algebra name")
-            name = rest.split()[0]
+            name = _name_word(lineno, line, rest, "algebra")
         elif keyword == "operator":
             operators.append(_parse_operator(lineno, line, rest))
         elif keyword == "generators":
@@ -229,6 +243,9 @@ def parse_algebra(text: str) -> OperatorAlgebra:
 
 
 _OPERATOR_KEYS: _Keys = {"acts": None, "blocks": None, "regime": None, "size": int, "cost": int}
+_ACTS = {a.value: a for a in ActsOn}
+# the regimes a file may name; Regime.NONE is what an omitted regime means
+_REGIMES = {r.value: r for r in Regime if r is not Regime.NONE}
 
 
 def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
@@ -241,27 +258,19 @@ def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
         raise SpecSyntaxError(lineno, len(line) + 1, "acts=<input|output|both|param>")
     if "blocks" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "blocks=<comma-list>")
-    try:
-        acts = ActsOn(attrs["acts"])
-    except ValueError:
+    acts = _ACTS.get(attrs["acts"])
+    if acts is None:
         raise SpecSemanticError(op_name, f"unknown acts value {attrs['acts']!r} on line {lineno}")
     blocks = _block_list(op_name, lineno, attrs["blocks"])
     regime = Regime.NONE
     if "regime" in attrs:
-        if attrs["regime"] not in ("finite", "lie", "trunc"):
+        regime = _REGIMES.get(attrs["regime"])
+        if regime is None:
             raise SpecSemanticError(op_name, f"unknown regime {attrs['regime']!r} on line {lineno}")
-        regime = Regime(attrs["regime"])
         if "size" not in attrs:
             raise SpecSyntaxError(lineno, len(line) + 1, "size=<int> alongside regime")
     try:
-        return Operator(
-            name=op_name,
-            acts_on=acts,
-            block_tags=frozenset(blocks),
-            regime=regime,
-            group_order_or_dim=attrs.get("size"),
-            cost_hint=attrs.get("cost", 1),
-        )
+        return Operator(op_name, acts, blocks, regime, attrs.get("size"), attrs.get("cost", 1))
     except ValueError as exc:
         raise SpecSemanticError(op_name, str(exc))
 
@@ -356,9 +365,7 @@ def parse_mr_descriptor(text: str) -> MRDescriptor:
         if keyword == "mr":
             if name is not None:
                 raise SpecSemanticError(rest or "mr", f"second mr line at {lineno}")
-            if not rest:
-                raise SpecSyntaxError(lineno, len(line) + 1, "an MR name")
-            name = rest.split()[0]
+            name = _name_word(lineno, line, rest, "MR")
             continue
         if name is None:
             raise SpecSyntaxError(lineno, _first_column(line), "the mr declaration first", keyword)
@@ -468,7 +475,7 @@ def _parse_sut_header(lineno: int, line: str, rest: str):
     attrs = _parse_attrs(lineno, line, rest[close_paren + 1 :].split(), _SUT_KEYS)
     if "blocks" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "blocks=<comma-list>")
-    blocks = frozenset(_block_list(sut_name, lineno, attrs["blocks"]))
+    blocks = _block_list(sut_name, lineno, attrs["blocks"])
     homogeneity = attrs.get("homogeneity", "none")
     if homogeneity not in HOMOGENEITY_TAGS:
         raise SpecSemanticError(sut_name, f"unknown homogeneity tag {homogeneity!r} on line {lineno}")

@@ -91,6 +91,17 @@ class TestOperatorValidation:
         with pytest.raises(ValueError):
             op("m", BlockKind.O_LE, cost=0)
 
+    @pytest.mark.parametrize("size", (0, 5))
+    def test_size_without_regime_rejected(self, size):
+        # the printed form writes a size only beside a regime, so it would be lost
+        with pytest.raises(ValueError, match=rf"^size is only allowed together with a regime \(size={size}\)$"):
+            op("m", BlockKind.O_LE, size=size)
+
+    @pytest.mark.parametrize("tags", ({"G"}, {BlockKind.O_LE, "G"}))
+    def test_bad_block_tag_named(self, tags):
+        with pytest.raises(ValueError, match=r"^bad block tag 'G'$"):
+            Operator(name="m", acts_on=ActsOn.INPUT, block_tags=tags)
+
 
 class TestAlgebraValidation:
     def test_duplicate_operator_names_rejected(self):

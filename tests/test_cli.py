@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, output formats, the reproduce driver."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -13,13 +14,12 @@ from noether import cli, zoo
 from noether.specfile import HEADER
 
 SEED = 20260816
-REFERENCE_REPORT = (
-    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "reproduce-20260816.jsonl"
-)
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_REPORT = ROOT / "perfbench" / "reference" / "reproduce-20260816.jsonl"
 
 
 FIXTURES = Path(zoo.__file__).with_name("fixtures")
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = ROOT / "src"
 # the bundled query-plan algebra with one rule whose rhs names a variable Q
 # that its lhs does not bind
 UNBOUND_RULE_ALGEBRA = (FIXTURES / "relational.alg").read_text().replace(
@@ -40,6 +40,13 @@ GUARDLESS_RULE_ALGEBRA = (FIXTURES / "relational.alg").read_text().replace(
 NEGATED_MIDPOINT_ZOO = (FIXTURES / "zoo.sut").read_text().replace(
     "return (a + b) / 2\n", "return -(-(a + b) / 2)\n"
 )
+
+OPERATOR_F = "operator f acts=input blocks=O_le"
+# sha256 of `derive --format machine` on the benchmark's generated algebras
+WIDE_DIGESTS = {
+    1000: "207851f62901d214034768416f68cbab3df74e55ce1dfbae77a4bb04239d98ba",
+    10000: "417aa43a1733f1102f24e03adc2d0e6413b0b7d65c7749382b5ff06e9b96a4ee",
+}
 
 # not UTF-8: 0xff never starts a character
 UNDECODABLE = HEADER.encode() + b"\n\xff\n"
@@ -125,6 +132,9 @@ class TestExitCodes:
             (["reproduce", "--config", "neg"], ("neg.cfg", f"{HEADER}\nseed -5\n")),
             (["derive", "boltzmann"], ("boltzmann.alg", UNDECODABLE)),
             (["mutate", "signum"], ("zoo.sut", UNDECODABLE)),
+            (["derive", "named"], ("named.alg", f"{HEADER}\nalgebra a extra\n{OPERATOR_F}\ngenerators f\n")),
+            (["check-mr", "named", "--algebra", "boltzmann"], ("named.mr", f"{HEADER}\nmr rho_x junk\n")),
+            (["derive", "sized"], ("sized.alg", f"{HEADER}\nalgebra a\n{OPERATOR_F} size=5\ngenerators f\n")),
         ),
         ids=(
             "wilson-successes-above-n",
@@ -149,6 +159,9 @@ class TestExitCodes:
             "reproduce-negative-config-seed",
             "derive-undecodable-fixture",
             "mutate-undecodable-fixture",
+            "derive-words-after-algebra-name",
+            "check-mr-words-after-mr-name",
+            "derive-size-without-regime",
         ),
     )
     def test_bad_input_is_one_line_exit_2(self, argv, fixture, tmp_path, monkeypatch, capsys):
@@ -205,6 +218,24 @@ class TestMachineFormat:
         c = run(["derive", "boltzmann", "--format", "machine"], capsys)
         d = run(["derive", "boltzmann", "--format", "machine"], capsys)
         assert c == d
+
+    def test_wide_algebras_derive_the_pinned_bytes(self, tmp_path, capsys):
+        """`derive-wide`'s 1,000- and 10,000-operator algebras at seed SEED,
+        generated by the benchmark's own code in a separate interpreter."""
+        script = (
+            "import pathlib, random, workloads\n"
+            f"out = pathlib.Path({str(tmp_path)!r})\n"
+            f"rng = random.Random({SEED})\n"
+            "for n in workloads.WIDE_SIZES:\n"
+            "    text, _ = workloads.wide_algebra(n, rng)\n"
+            "    (out / f'wide{n}.alg').write_text(text)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "perfbench"))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        for n, digest in WIDE_DIGESTS.items():
+            code, out, _ = run(["derive", str(tmp_path / f"wide{n}.alg"), "--format", "machine"], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
     def test_out_writes_file(self, tmp_path, capsys):
         dest = tmp_path / "report.jsonl"

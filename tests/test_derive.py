@@ -26,6 +26,7 @@ from noether.derive import (
     CostCounter,
     construct_mp,
     extract_invariants,
+    quotient_fee,
     synthetic_algebra,
     theorem2_bound,
     translate,
@@ -341,6 +342,14 @@ class TestCost:
         construct_mp(synthetic_algebra(n), counter)
         assert counter.total == measured  # frozen; drift means the meter changed
         assert counter.total <= theorem2_bound(n)
+
+    def test_quotient_fee_is_the_log_sum(self):
+        # the meter's integer fee against the log2 schedule `expected_cost` reads
+        log_sum = bit_sum = 0
+        for n in range(2**16 + 1):
+            assert quotient_fee(n) == log_sum == bit_sum
+            log_sum += math.ceil(math.log2(n + 2))
+            bit_sum += (n + 1).bit_length()
 
     def test_ceiling_formula(self):
         assert theorem2_bound(10) == pytest.approx(1.5 * 10 * math.log2(11))

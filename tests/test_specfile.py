@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from noether.algebra import ActsOn, BlockKind, Regime
 from noether.specfile import (
+    _OPERATOR_KEYS,
     HEADER,
     SpecSemanticError,
     SpecSyntaxError,
+    _parse_attrs,
     algebra_to_text,
     descriptor_to_text,
     mutator_config_to_text,
@@ -85,6 +87,24 @@ class TestRoundTrips:
         cfg = parse_mutator_config(fixture_text("blindness.cfg"))
         assert parse_mutator_config(mutator_config_to_text(cfg)) == cfg
 
+    @given(
+        st.lists(st.sampled_from(("G", "O_le", "T_rev", "E_star")), min_size=1, max_size=3, unique=True),
+        st.sampled_from(("", " regime=finite", " regime=lie", " regime=trunc")),
+        st.sampled_from(("", " size=0", " size=7")),
+        st.sampled_from(("", " cost=1", " cost=3")),
+    )
+    @settings(max_examples=100)
+    def test_every_accepted_operator_prints_back(self, tags, regime, size, cost):
+        """An operator line parses to an operator that prints to itself, or it
+        is rejected; no attribute is accepted and then lost by the printer."""
+        line = f"operator f acts=both blocks={','.join(tags)}{regime}{size}{cost}"
+        text = f"{HEADER}\nalgebra t\n{line}\ngenerators f\n"
+        try:
+            alg = parse_algebra(text)
+        except (SpecSyntaxError, SpecSemanticError):
+            return
+        assert parse_algebra(algebra_to_text(alg)) == alg
+
 
 class TestAlgebraParsing:
     def test_fields(self):
@@ -113,6 +133,21 @@ generators spin,gauge
             parse_algebra("algebra tiny\n")
         with pytest.raises(SpecSyntaxError):
             parse_algebra("")
+
+    @pytest.mark.parametrize(
+        "parse,line,col,what,found",
+        (
+            (parse_algebra, "algebra a extra words", 11, "algebra", "extra"),
+            (parse_algebra, "  algebra a  b", 14, "algebra", "b"),
+            (parse_mr_descriptor, "mr rho_x junk", 10, "MR", "junk"),
+        ),
+        ids=("algebra", "indented-algebra", "mr"),
+    )
+    def test_name_line_holds_one_word(self, parse, line, col, what, found):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse(f"{HEADER}\n{line}\n")
+        expected = f"end of line after the {what} name, found {found!r}"
+        assert str(exc.value) == f"line 2, column {col}: expected {expected}"
 
     def test_unknown_block_tag(self):
         with pytest.raises(SpecSemanticError):
@@ -267,6 +302,36 @@ class TestSemanticErrorSubjects:
                 "label: unknown block tag '' on line 5",
             ),
             (parse_mutator_config, "seed 1\nmatrix MATH =breaks", "MATH: unknown block tag '' on line 3"),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=sideways blocks=O_le\ngenerators f",
+                "f: unknown acts value 'sideways' on line 3",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=a=b blocks=O_le\ngenerators f",
+                "f: unknown acts value 'a=b' on line 3",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input blocks=G regime=none size=2\ngenerators f",
+                "f: unknown regime 'none' on line 3",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input blocks=G regime=NONE size=2\ngenerators f",
+                "f: unknown regime 'NONE' on line 3",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input blocks=G regime= size=2\ngenerators f",
+                "f: unknown regime '' on line 3",
+            ),
+            (
+                parse_algebra,
+                f"algebra a\n{OPERATOR_F} size=5\ngenerators f",
+                "f: size is only allowed together with a regime (size=5)",
+            ),
             (parse_sut_file, "sut f(x) blocks=\nreturn x", "f: unknown block tag '' on line 2"),
         ),
         ids=(
@@ -283,6 +348,12 @@ class TestSemanticErrorSubjects:
             "operator-unknown-block",
             "label-empty-block",
             "matrix-empty-block",
+            "unknown-acts",
+            "acts-with-equals",
+            "regime-none",
+            "regime-NONE",
+            "regime-empty",
+            "size-without-regime",
             "sut-empty-blocks",
         ),
     )
@@ -448,6 +519,21 @@ class TestErrorColumns:
         with pytest.raises(SpecSyntaxError) as info:
             parse("\n".join(head + [line] + body) + "\n")
         assert (info.value.line, info.value.col) == (len(head) + 1, col)
+
+    @pytest.mark.parametrize(
+        "word,message",
+        (
+            ("=x", "line 3, column 12: expected one of acts, blocks, regime, size, cost"),
+            ("cost=", "line 3, column 17: expected integer for cost"),
+            ("size=x=1", "line 3, column 17: expected integer for size, found 'x=1'"),
+        ),
+        ids=("empty-key", "empty-integer", "equals-in-integer"),
+    )
+    def test_attribute_errors(self, word, message):
+        line = f"operator f {word}"
+        with pytest.raises(SpecSyntaxError) as exc:
+            _parse_attrs(3, line, [word], _OPERATOR_KEYS)
+        assert str(exc.value) == message
 
 
 def _noether_modules_after(code: str) -> set:
