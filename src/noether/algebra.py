@@ -204,6 +204,9 @@ class OperatorAlgebra:
         if len(set(labels)) != len(labels):
             dupes = sorted({n for n in labels if labels.count(n) > 1})
             raise ValueError(f"duplicate MetaPattern labels {dupes}")
+        if len(set(self.generators)) != len(self.generators):
+            dupes = sorted({g for g in self.generators if self.generators.count(g) > 1})
+            raise ValueError(f"duplicate generator names {dupes}")
         name_set = set(names)
         for g in self.generators:
             if g not in name_set:

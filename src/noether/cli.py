@@ -194,7 +194,7 @@ def cmd_derive(args) -> int:
     counter = CostCounter()
     patterns = construct_mp(algebra, counter)
     rows = [
-        {"label": p.label, "block": p.block.tag, "invariants": len(p.templates)} for p in patterns
+        {"label": p.label, "block": p.block.tag, "invariants": len(p.invariants)} for p in patterns
     ]
     cost = [{"total_units": counter.total}]
     _emit(args, None, {f"MetaPatterns for {algebra.name}": rows, "cost": cost})

@@ -1,10 +1,12 @@
 """MetaPattern derivation.
 
 Pipeline: read the algebra's block decomposition, extract one invariant
-per (operator, block) pair, translate each invariant into an MR template
-that records the block it came from, and aggregate one MetaPattern per
-nonempty block that keeps its templates.  The block fixes a template's
-relation form; the harness's MR classes build and check its tuples.
+per (operator, block) pair (an operator's invariants share one `phi` set),
+and aggregate one MetaPattern per nonempty block that keeps the block's
+invariants.  A pattern translates its invariants into MR templates when its
+`templates` are read and stores none; a template records the invariant it
+came from, whose block fixes its relation form.  The harness's MR classes
+build and check its tuples.
 
 An instrumented cost counter makes the advertised near-linear complexity
 checkable: extraction charges each operator's cost hint once per tagged
@@ -70,16 +72,22 @@ class MRTemplate:
 
 @record
 class MetaPattern:
-    """One populated block's MR templates, one per tagged operator in
-    declaration order."""
+    """One populated block's invariants, one per tagged operator in
+    declaration order.  It keeps the invariants and translates them into
+    its MR templates on read."""
 
     block: BlockKind
     label: str
-    templates: Tuple[MRTemplate, ...]
+    invariants: Tuple[BlockInvariant, ...]
 
     def __post_init__(self):
-        if not self.templates:
+        if not self.invariants:
             raise ValueError(f"MetaPattern {self.label} must have templates")
+
+    @property
+    def templates(self) -> Tuple[MRTemplate, ...]:
+        """Step 2, run on read: one template per invariant, in order."""
+        return tuple(map(translate, self.invariants))
 
     @property
     def members(self) -> FrozenSet[BlockInvariant]:
@@ -97,25 +105,28 @@ def extract_invariants(
     One tuple per populated block, in canonical block order; within a block
     the invariants follow operator declaration order, and empty blocks are
     absent.  Extraction is schema-driven; each operator pays its declared
-    cost hint per tagged block.
+    cost hint per tagged block.  An operator's invariants share one `phi`.
     """
     out: Dict[BlockKind, Tuple[BlockInvariant, ...]] = {}
     cost_hint = {op.name: op.cost_hint for op in algebra.operators}
+    phi = {name: frozenset((name,)) for name in cost_hint}
     for block in decomposition.nonempty_blocks():
         names = decomposition.operators_in(block)
         if counter is not None:
             counter.charge(sum(map(cost_hint.__getitem__, names)))
-        out[block] = tuple([BlockInvariant(block, frozenset((name,))) for name in names])
+        out[block] = tuple([BlockInvariant(block, phi[name]) for name in names])
     return out
 
 
 def translate(invariant: BlockInvariant) -> MRTemplate:
-    """Step 2: invariant -> template, which keeps the invariant as provenance.
+    """Step 2: invariant -> template, which keeps the invariant as provenance;
+    `MetaPattern.templates` runs it on read.
 
     Structurally equal invariants translate to equal templates because the
     invariant itself is the template's provenance (phi is a frozen set, so
     operator orderings cannot distinguish equivalent inputs).
-    `construct_mp` charges its unit.
+    `construct_mp` charges its unit when it builds the pattern, so the meter
+    does not depend on whether templates are read.
     """
     return MRTemplate(invariant)
 
@@ -141,7 +152,7 @@ def construct_mp(
             n = len(invariants)
             counter.charge(n + quotient_fee(n) + 1)
         label = algebra.label_overrides.get(block, block.default_label)
-        patterns.append(MetaPattern(block, label, tuple(map(translate, invariants))))
+        patterns.append(MetaPattern(block, label, invariants))
     return tuple(patterns)
 
 

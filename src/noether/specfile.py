@@ -168,14 +168,22 @@ def _block(subject: str, tag: str, lineno: int) -> BlockKind:
         raise SpecSemanticError(subject, f"unknown block tag {tag!r} on line {lineno}")
 
 
+# Every tag set parsed so far, keyed by itself, so that equal tag sets share
+# one frozenset.  Its keys are non-empty sets of the eight block kinds, so it
+# holds at most 2**8 - 1 = 255 entries however many documents are parsed.
+_TAG_SETS: Dict[frozenset, frozenset] = {}
+
+
 def _block_list(subject: str, lineno: int, value: str) -> frozenset:
-    """The block kinds of a comma list; `value` is one whitespace-free word."""
+    """The block kinds of a comma list, as the one shared frozenset of that
+    set; `value` is one whitespace-free word."""
     # a loop, not a generator: the 10,000-operator `derive-wide` algebra at
     # seed 20260816 looks up 20,141 tags
     kinds = []
     for tag in value.split(","):
         kinds.append(_TAG_TO_KIND.get(tag) or _block(subject, tag, lineno))
-    return frozenset(kinds)
+    tags = frozenset(kinds)
+    return _TAG_SETS.setdefault(tags, tags)
 
 
 def _name_word(lineno: int, line: str, rest: str, what: str) -> str:

@@ -84,6 +84,13 @@ class TestExitCodes:
         assert code == 2
         assert "rejected" in err
 
+    def test_duplicate_generators(self, tmp_path, capsys):
+        bad = tmp_path / "bad.alg"
+        bad.write_text("#noether-spec v1\nalgebra x\noperator f acts=input blocks=O_le\ngenerators f,f\n")
+        code, out, err = run(["derive", str(bad)], capsys)
+        assert code == 2 and not out
+        assert "x: duplicate generator names ['f']" in err
+
     def test_mutate_unknown_sut(self, capsys):
         code, _, err = run(["mutate", "nonesuch"], capsys)
         assert code == 2

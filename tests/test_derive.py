@@ -1,5 +1,6 @@
 """Derivation pipeline tests: goldens, uniqueness laws, cost accounting."""
 
+import gc
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noether import algebra as algebra_module
+from noether import derive
 from noether import zoo
 from noether._record import FrozenInstanceError
 from noether.algebra import (
@@ -291,6 +293,75 @@ class TestTemplates:
             names = [next(iter(t.provenance.phi)) for t in p.templates]
             assert names == [op.name for op in alg.operators if p.block in op.block_tags]
             assert p.members == frozenset(t.provenance for t in p.templates)
+
+
+def _kept_objects(call):
+    """`call()` and the number of GC-tracked objects its result keeps alive."""
+    gc.collect()
+    before = len(gc.get_objects())
+    result = call()
+    gc.collect()
+    return result, len(gc.get_objects()) - before
+
+
+def _wide_algebra(n):
+    """n operators tagged with one to three of the non-rewrite blocks."""
+    ops = []
+    for i in range(n):
+        tags = frozenset(_NON_REWRITE[(i * k) % len(_NON_REWRITE)] for k in (1, 2, 3)[: 1 + i % 3])
+        group = BlockKind.G in tags
+        ops.append(
+            Operator(
+                f"op{i}",
+                ActsOn.INPUT,
+                tags,
+                Regime.FINITE if group else Regime.NONE,
+                2 if group else None,
+            )
+        )
+    return OperatorAlgebra("wide", tuple(ops), tuple(op.name for op in ops))
+
+
+class TestKeptObjects:
+    """A derivation keeps one tracked object per invariant and, per operator,
+    its `Operator` and one shared `phi`: no stored template, no `phi` per
+    invariant and no tag set per operator."""
+
+    SLACK = 64  # objects whose number does not grow with the operators
+
+    def test_construct_mp_keeps_the_invariants_and_one_phi_per_operator(self):
+        alg = synthetic_algebra(1000)
+        alg.blocks
+        patterns, kept = _kept_objects(lambda: construct_mp(alg))
+        invariants = sum(len(p.invariants) for p in patterns)
+        assert kept <= invariants + len(alg.operators) + self.SLACK
+
+    def test_a_parsed_algebra_keeps_one_object_per_operator(self):
+        text = algebra_to_text(_wide_algebra(1000))
+        parse_algebra(text)
+        alg, kept = _kept_objects(lambda: parse_algebra(text))
+        assert kept <= len(alg.operators) + self.SLACK
+        assert len({id(op.block_tags) for op in alg.operators}) == len({op.block_tags for op in alg.operators})
+
+    def test_patterns_hold_the_extracted_invariants_sharing_phi(self, monkeypatch):
+        alg = _wide_algebra(100)
+        extracted = []
+
+        def spy(*args):
+            extracted.append(extract_invariants(*args))
+            return extracted[-1]
+
+        monkeypatch.setattr(derive, "extract_invariants", spy)
+        patterns = construct_mp(alg)
+        (by_block,) = extracted
+        assert [p.block for p in patterns] == list(by_block)
+        for p in patterns:
+            assert p.invariants is by_block[p.block]
+        phis = {}
+        for p in patterns:
+            for inv in p.invariants:
+                assert phis.setdefault(next(iter(inv.phi)), inv.phi) is inv.phi
+        assert len(phis) == len(alg.operators)
 
 
 class TestTranslate:

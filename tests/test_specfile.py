@@ -270,6 +270,7 @@ class TestSemanticErrorSubjects:
                 f"algebra a\n{OPERATOR_F}\n{OPERATOR_F}\ngenerators f",
                 "a: duplicate operator names ['f']",
             ),
+            (parse_algebra, f"algebra a\n{OPERATOR_F}\ngenerators f,f", "a: duplicate generator names ['f']"),
             (parse_algebra, f"algebra a\n{OPERATOR_F} cost=0\ngenerators f", "f: cost_hint must be >= 1"),
             (parse_algebra, f"algebra a\n{OPERATOR_F}\ngenerators g", "a: generator 'g' not declared"),
             (parse_mr_descriptor, "mr rho_x\noutput=bogus", "rho_x: bad output domain 'bogus'"),
@@ -336,6 +337,7 @@ class TestSemanticErrorSubjects:
         ),
         ids=(
             "duplicate-operator",
+            "duplicate-generator",
             "zero-cost",
             "undeclared-generator",
             "bad-output-domain",
