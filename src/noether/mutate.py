@@ -295,8 +295,13 @@ def is_trivially_equivalent(base: _Subject, mutant: _Subject) -> bool:
 
 # ---------------------------------------------------------------------------
 # Homogeneity tagging: a four-rule decision list (equivalence is handled
-# before tagging).  Order matters: degenerate collapses must be caught
-# before the syntactic certificate, which the zero function passes.
+# before tagging).  The static rules come first: no hypothesis (rule 1) or
+# no syntactic degree certificate (rule 4) is "breaking" with no evaluation.
+# Only a certified mutant is run on the scaling sample, where a shrunk
+# domain, a non-finite output (rule 2) or a collapse to a constant (rule 3)
+# still overrides the certificate, which the zero function passes.  Every
+# rule but the certificate can only say "breaking", so the tag, "certified
+# and no sample rule fires", does not depend on the order they are asked in.
 
 
 class _CertFail(Exception):
@@ -369,11 +374,21 @@ def syntactic_degree(program: Program) -> Optional[object]:
 
 
 def homogeneity_effect_of(base: _Subject, mutant: _Subject) -> str:
-    """preserving/breaking by rule, on the base's seeded scaling sample."""
+    """preserving/breaking by rule, on the base's seeded scaling sample.
+
+    The degree certificate is asked before the sample: a mutant without
+    one is breaking and its function is never called.  A certified mutant
+    is preserving unless the sample shows it leaving the base's domain or
+    finite range, or collapsing to a constant while the base varies.
+    """
     homogeneity = base.decl.homogeneity
     if homogeneity == "none":
         # no hypothesis to preserve; refuse to certify preservation
         return "breaking"
+    target = 1 if homogeneity == "degree-1" else 0
+    degree = syntactic_degree(mutant.decl.program)
+    if degree is not _POLY and degree != target:
+        return "breaking"  # rule 4: no certificate
     base_vals: List[float] = []
     mut_vals: List[float] = []
     for point, b in zip(base.scaling_points, base.scaling_outcomes):
@@ -389,11 +404,7 @@ def homogeneity_effect_of(base: _Subject, mutant: _Subject) -> str:
         mut_vals.append(m)
     if len(set(mut_vals)) == 1 and len(set(base_vals)) > 1:
         return "breaking"  # rule 3: collapsed to a constant
-    target = 1 if homogeneity == "degree-1" else 0
-    degree = syntactic_degree(mutant.decl.program)
-    if degree is _POLY or degree == target:
-        return "preserving"  # rule 4: certificate
-    return "breaking"
+    return "preserving"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ plan.
 deliberately broken evaluation modes exist so the rewrite MRs have something
 to catch: a join evaluated as a left-biased semi-join, and rules fired
 without checking their guards, so the pushdown ignores attribute containment.
+`run_rel_modes` runs the four MRs under several evaluators over one draw of
+the seeded databases; `run_rel_mrs` is its one-evaluator case.
 """
 
 from __future__ import annotations
@@ -562,6 +564,8 @@ def _same_bag(evaluator, q1, q2, db) -> bool:
 
 
 _R, _S, _T = Base("R"), Base("S"), Base("T")
+_DISTINCT_S = Distinct(_S)
+_DISTINCT_TWICE_S = Distinct(_DISTINCT_S)
 
 
 def _plans_agree(q1, q2, db, rng, rules, evaluator) -> bool:
@@ -580,7 +584,7 @@ def _distinct_idem(db, rng, rules, evaluator) -> bool:
     return (
         rewrite_once(twice, rules, db) == once
         and _same_bag(evaluator, twice, once, db)
-        and _same_bag(evaluator, Distinct(Distinct(_S)), Distinct(_S), db)
+        and _same_bag(evaluator, _DISTINCT_TWICE_S, _DISTINCT_S, db)
     )
 
 
@@ -609,19 +613,34 @@ def run_rel_trial(
     return RelTrial(trial(db, rng, rules, evaluator))
 
 
+def run_rel_modes(
+    db_seed: int, trials: int, evaluators: Sequence[Evaluator]
+) -> List[Dict[str, Tuple[int, int]]]:
+    """Per-MR (passes, fails) over `trials` seeded databases for each of
+    `evaluators`, in their order: `[run_rel_mrs(db_seed, trials, e) for e
+    in evaluators]`, with each database drawn once for all of them.
+
+    Database k is `gen_database(db_seed + k)`; each evaluator runs the MRs
+    on it with a fresh `Generator([db_seed, k])`, so every evaluator sees
+    the draws a run of its own would.  Relations are read-only, so the
+    evaluators can share the database.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    runs = [(evaluator, {mr: [0, 0] for mr in REL_MR_NAMES}) for evaluator in evaluators]
+    rules = bundled_rules()
+    for k in range(trials):
+        db = gen_database(db_seed + k)
+        for evaluator, counts in runs:
+            rng = Generator([db_seed, k])
+            for mr in REL_MR_NAMES:
+                outcome = run_rel_trial(mr, db, rng, rules, evaluator)
+                counts[mr][0 if outcome.passed else 1] += 1
+    return [{mr: (p, f) for mr, (p, f) in counts.items()} for _, counts in runs]
+
+
 def run_rel_mrs(
     db_seed: int, trials: int, evaluator: Evaluator = CORRECT
 ) -> Dict[str, Tuple[int, int]]:
     """Per-MR (passes, fails) over `trials` seeded databases."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    counts = {mr: [0, 0] for mr in REL_MR_NAMES}
-    rules = bundled_rules()
-    for k in range(trials):
-        db = gen_database(db_seed + k)
-        rng = Generator([db_seed, k])
-        for mr in REL_MR_NAMES:
-            outcome = run_rel_trial(mr, db, rng, rules, evaluator)
-            counts[mr][0 if outcome.passed else 1] += 1
-    return {mr: (p, f) for mr, (p, f) in counts.items()}
-
+    return run_rel_modes(db_seed, trials, (evaluator,))[0]

@@ -26,6 +26,8 @@ from noether.mutate import (
     Mutant,
     MutatorCategory,
     PRESERVES,
+    _DOMAIN_ERROR,
+    _POLY,
     _Subject,
     _candidates,
     _rebuild,
@@ -629,3 +631,87 @@ class TestCertificateProperty:
                 for lam in (0.5, 2.0, 4.0):
                     scaled = m.fn(*(lam * a for a in point))
                     assert repr(scaled) == repr(lam * value), (mutant_id(m), lam, point)
+
+
+def sample_first_tag(base, mutant):
+    """The tagging decision list in its former order: the scaling sample
+    (rules 2 and 3) is run before the degree certificate (rule 4) is asked."""
+    homogeneity = base.decl.homogeneity
+    if homogeneity == "none":
+        return "breaking"
+    base_vals, mut_vals = [], []
+    for point, b in zip(base.scaling_points, base.scaling_outcomes):
+        if b is _DOMAIN_ERROR:
+            continue
+        try:
+            m = mutant.fn(*point)
+        except DomainError:
+            return "breaking"
+        if not math.isfinite(m) and math.isfinite(b):
+            return "breaking"
+        base_vals.append(b)
+        mut_vals.append(m)
+    if len(set(mut_vals)) == 1 and len(set(base_vals)) > 1:
+        return "breaking"
+    target = 1 if homogeneity == "degree-1" else 0
+    degree = syntactic_degree(mutant.decl.program)
+    if degree is _POLY or degree == target:
+        return "preserving"
+    return "breaking"
+
+
+class TestCertificateFirst:
+    """The tagger asks the degree certificate before it runs the scaling
+    sample; the tags are those of the sample-first order."""
+
+    @staticmethod
+    def _compare(decl, mutants, seed):
+        base = _Subject.of(decl, seed)
+        outcomes = set()
+        for m in mutants:
+            mutant = _Subject(m.decl, seed, (), m.fn)
+            want = sample_first_tag(base, mutant)
+            assert homogeneity_effect_of(base, mutant) == want == m.homogeneity_effect, mutant_id(m)
+            outcomes.add((syntactic_degree(m.decl.program) is not None, want))
+        return outcomes
+
+    def test_bundled_subjects_tag_as_sample_first(self):
+        outcomes = set()
+        for seed in range(10):
+            for decl in ZOO.values():
+                outcomes |= self._compare(decl, mutate(decl, seed=seed), seed)
+        # certified and uncertified mutants both occur, with both tags
+        assert {(True, "preserving"), (True, "breaking"), (False, "breaking")} <= outcomes
+
+    @given(degree_one_subject())
+    @settings(max_examples=40, deadline=None)
+    def test_random_subjects_tag_as_sample_first(self, decl):
+        overrides = {
+            (decl.name, cat, block): PRESERVES
+            for (cat, block), effect in DEFAULT_CELLS.items()
+            if block is BlockKind.L_STAR and effect == CASE
+        }
+        mutants = mutate(decl, seed=SEED, matrix=CompatibilityMatrix(overrides=overrides))
+        self._compare(decl, mutants, SEED)
+
+    @staticmethod
+    def _counted(body):
+        base = subject(parse_sut_file(f"{HEADER}\nsut q(x) blocks=L_star homogeneity=degree-1\nreturn x\n")[0])
+        decl = parse_sut_file(f"{HEADER}\nsut q(x) blocks=L_star homogeneity=degree-1\n{body}\n")[0]
+        calls = []
+
+        def fn(*args):
+            calls.append(args)
+            return decl.fn(*args)
+
+        return homogeneity_effect_of(base, _Subject(decl, SEED, (), fn)), calls, base
+
+    def test_uncertified_mutant_is_never_called(self):
+        tag, calls, _ = self._counted("return x * x")
+        assert tag == "breaking"
+        assert calls == []
+
+    def test_certified_mutant_runs_the_whole_sample(self):
+        tag, calls, base = self._counted("return x + x")
+        assert tag == "preserving"
+        assert calls == base.scaling_points

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noether import relational
+from noether import cli, relational
 from noether._rng import Generator
 from noether.cli import REL_MODES
 from noether.relational import (
@@ -38,6 +38,7 @@ from noether.relational import (
     parse_pattern,
     rewrite_once,
     rule_to_text,
+    run_rel_modes,
     run_rel_mrs,
     run_rel_trial,
     schema_of,
@@ -652,3 +653,43 @@ class TestTrials:
 
     def test_deterministic(self):
         assert run_rel_mrs(SEED, 25) == run_rel_mrs(SEED, 25)
+
+
+def reference_run_rel_mrs(db_seed, trials, evaluator):
+    """One evaluator's run drawing its own databases: the loop that
+    `run_rel_modes` shares across evaluators."""
+    counts = {mr: [0, 0] for mr in REL_MR_NAMES}
+    rules = bundled_rules()
+    for k in range(trials):
+        db, rng = gen_database(db_seed + k), Generator([db_seed, k])
+        for mr in REL_MR_NAMES:
+            counts[mr][0 if run_rel_trial(mr, db, rng, rules, evaluator).passed else 1] += 1
+    return {mr: tuple(pf) for mr, pf in counts.items()}
+
+
+class TestSharedDatabases:
+    """`run_rel_modes` draws each database once for all its evaluators."""
+
+    @pytest.mark.parametrize("seed", (0, 3, 11, SEED))
+    @pytest.mark.parametrize("trials", (1, 25, 100))
+    def test_matches_one_run_per_evaluator(self, seed, trials):
+        biased = REL_MODES["biased-join"][0]
+        evaluators = (CORRECT, biased, REL_MODES["guardless-pushdown"][0], biased)
+        got = run_rel_modes(seed, trials, evaluators)
+        assert got == [run_rel_mrs(seed, trials, e) for e in evaluators]
+        assert got == [reference_run_rel_mrs(seed, trials, e) for e in evaluators]
+
+    def test_reproduce_draws_each_database_once(self, monkeypatch, tmp_path):
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("gen_database", "bundled_rules"):
+            monkeypatch.setattr(relational, name, counted(getattr(relational, name)))
+        assert cli.main(["reproduce", "--format", "machine", "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert calls == {"gen_database": 100, "bundled_rules": 1}
