@@ -216,35 +216,40 @@ class KillMatrix:
 def run_kill_experiment(
     mrs: Sequence[ExecutableMR], mutants: Sequence[Mutant], seed: int
 ) -> KillMatrix:
-    """Two-pass kill matrix: baseline-red MRs are excluded up front.
+    """Kill matrix built one subject at a time: baseline-red MRs are excluded.
 
     Only an MR's own subject's mutants are checked against it, on the
-    tuple groups drawn once for its baseline check; each kill is stored
-    with the failure text that witnesses it.
+    tuple groups drawn for its baseline check; those groups are dropped
+    once the subject is done.  Each kill is stored with the failure text
+    that witnesses it.
     """
-    green: List[ExecutableMR] = []
-    green_by_sut: Dict[str, List[Tuple[ExecutableMR, List[TupleGroup]]]] = {}
-    excluded: List[Tuple[str, str, str]] = []
+    mrs_by_sut: Dict[str, List[ExecutableMR]] = {}
     for mr in mrs:
-        sut = mr.sut_name
-        groups = generate_tuples(mr, seed)
-        verdict = check_mr(mr, mr.decl.fn, groups)
-        if verdict.passed:
-            green.append(mr)
-            green_by_sut.setdefault(sut, []).append((mr, groups))
-        else:
-            excluded.append((mr.name, sut, verdict.failure))
-    cells: Dict[Tuple[str, str], str] = {}
+        mrs_by_sut.setdefault(mr.sut_name, []).append(mr)
+    mutants_by_sut: Dict[str, List[Mutant]] = {}
     for mutant in mutants:
-        mid = mutant_id(mutant)
-        for mr, groups in green_by_sut.get(mutant.base, ()):
-            verdict = check_mr(mr, mutant.fn, groups)
-            if not verdict.passed:
-                cells[(mr.name, mid)] = verdict.failure
+        mutants_by_sut.setdefault(mutant.base, []).append(mutant)
+    failures: Dict[int, str] = {}  # id(mr) -> its baseline failure
+    cells: Dict[Tuple[str, str], str] = {}
+    for sut, sut_mrs in mrs_by_sut.items():
+        green: List[Tuple[ExecutableMR, List[TupleGroup]]] = []
+        for mr in sut_mrs:
+            groups = generate_tuples(mr, seed)
+            verdict = check_mr(mr, mr.decl.fn, groups)
+            if verdict.passed:
+                green.append((mr, groups))
+            else:
+                failures[id(mr)] = verdict.failure
+        for mutant in mutants_by_sut.get(sut, ()):
+            mid = mutant_id(mutant)
+            for mr, groups in green:
+                verdict = check_mr(mr, mutant.fn, groups)
+                if not verdict.passed:
+                    cells[(mr.name, mid)] = verdict.failure
     return KillMatrix(
-        mr_names=tuple(mr.name for mr in green),
+        mr_names=tuple(mr.name for mr in mrs if id(mr) not in failures),
         cells=cells,
-        excluded=tuple(excluded),
+        excluded=tuple((mr.name, mr.sut_name, failures[id(mr)]) for mr in mrs if id(mr) in failures),
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from importlib import resources
 from operator import mul, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -40,6 +39,10 @@ LAMBDA_SAMPLES: Tuple[float, ...] = (0.5, 2.0, 7.0)
 SCALING_BUDGET = 100
 
 _INT_RANGE = 60  # unrolled Euclid depth 12 is safe well past this magnitude
+
+
+# read from the package directory, so a zipped install is not supported
+_BUNDLED = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 class FixtureMissing(FileNotFoundError):
@@ -73,7 +76,7 @@ def fixture_text(filename: str) -> str:
             return read_text(candidate)
         raise FixtureMissing(f"fixture {filename!r} not in NOETHER_FIXTURES={override_dir!r}")
     try:
-        return read_text(resources.files(__package__) / "fixtures" / filename)
+        return read_text(os.path.join(_BUNDLED, filename))
     except (FileNotFoundError, NotADirectoryError):
         raise FixtureMissing(f"fixture {filename!r} is not bundled")
 

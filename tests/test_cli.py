@@ -657,3 +657,76 @@ class TestHumanFormat:
             "  descriptor  reachable  obstructions  assigned_block\n"
             "  rho_adj     yes        -             T_star        \n"
         )
+
+
+LAZY_MODULES = ("minilang", "mutate", "harness", "reachability", "stats")
+# `derive` and `check-mr` read spec files and derive; `check-mr` also runs
+# `reachability`
+UNRUN_BY_DERIVE = {"minilang", "mutate", "harness", "stats"}
+
+
+def fresh_python(code, *flags, path=(SRC,)):
+    """The stdout of `code` run in a fresh interpreter that imports from `path`."""
+    env = {k: v for k, v in os.environ.items() if k != "NOETHER_FIXTURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*map(str, path), env.get("PYTHONPATH")]))
+    argv = [sys.executable, *flags, "-c", code]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+
+
+class TestCommandsLoadWhatTheyRun:
+    """`import noether.cli` registers every module; a command runs only the
+    ones it uses."""
+
+    @pytest.mark.parametrize(
+        "argv, unrun",
+        (
+            (["derive", "boltzmann"], UNRUN_BY_DERIVE),
+            (["derive", str(FIXTURES / "relational.alg")], UNRUN_BY_DERIVE),
+            (["check-mr", "rho_rot", "--algebra", "equivariant"], UNRUN_BY_DERIVE),
+            (["rel", "--trials", "3"], set(LAZY_MODULES)),
+        ),
+        ids=("derive", "derive-rewrite-lines", "check-mr", "rel"),
+    )
+    def test_command_runs_none_of_the_modules_it_does_not_use(self, argv, unrun):
+        # type() reads no attribute, so the check itself loads no module
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from noether import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main({argv!r})\n"
+            f"ran = [n for n in {LAZY_MODULES!r} if type(sys.modules['noether.' + n]) is type(sys)]\n"
+            "print(json.dumps([rc, ran]))\n"
+        )
+        rc, ran = json.loads(fresh_python(code))
+        assert rc == 0
+        assert not set(ran) & unrun
+
+    def test_package_attributes_are_the_registered_modules(self):
+        code = (
+            "import sys, noether, noether.cli\n"
+            "names = [n for n in sys.modules if n.startswith('noether.')]\n"
+            "print(len(names), all(getattr(noether, n[8:]) is sys.modules[n] for n in names))\n"
+            "import noether.minilang\n"
+            "print(noether.minilang.MAX_DEPTH > 0)\n"
+        )
+        assert fresh_python(code).split() == ["13", "True", "True"]
+
+    def test_tracer_installs_after_a_bare_cli_import(self):
+        code = (
+            "import noether.cli\n"
+            "from tracer import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "tracer.uninstall()\n"
+            "print('installed')\n"
+        )
+        assert fresh_python(code, path=(SRC, ROOT / "perfbench")).strip() == "installed"
+
+    def test_import_loads_no_archive_resource_or_number_machinery(self):
+        # -S: no site `.pth` file preloads any of these
+        unwanted = (
+            "importlib.resources", "tempfile", "shutil", "pathlib", "lzma", "bz2",
+            "urllib.parse", "ipaddress", "statistics", "fractions", "decimal",
+        )
+        code = f"import sys, noether.cli\nprint(sorted(m for m in {unwanted!r} if m in sys.modules))\n"
+        assert fresh_python(code, "-S").strip() == "[]"
