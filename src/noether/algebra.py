@@ -85,11 +85,6 @@ RELATION_FORMS: Tuple[str, ...] = (
 )
 
 
-def block_from_tag(tag: str) -> BlockKind:
-    """Look up a block kind by its file tag; raises KeyError on unknown tags."""
-    return _TAG_TO_KIND[tag]
-
-
 class ActsOn(enum.Enum):
     """Which space an operator acts on."""
 

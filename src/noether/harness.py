@@ -20,7 +20,7 @@ from ._record import field, record
 from ._rng import Generator
 from .algebra import BlockKind, OperatorAlgebra
 from .minilang import DomainError
-from .mutate import DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
+from .mutate import CASE, DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
 from .mutate import mutate as derive_mutants
 from .specfile import SpecSemanticError, SutDecl
 
@@ -337,6 +337,17 @@ def concordance_check(
     return (not violations, tuple(violations))
 
 
+def _check_overrides(cfg, decls, matrix) -> None:
+    """An override the matrix would never read is an error: the matrix reads
+    one only for a zoo subject's case-dependent cell."""
+    for sut, cat, block in cfg.overrides:
+        if sut not in decls:
+            raise SpecSemanticError("override", f"not in the zoo: {sut}")
+        effect = matrix.cells[(cat, block)]
+        if effect != CASE:
+            raise SpecSemanticError("override", f"({cat}, {block.tag}) is {effect}, not case-dependent")
+
+
 def run_blindness_experiment(cfg=None) -> BlindnessReport:
     """The full rule-blind scaling kill experiment on the configured suts."""
     if cfg is None:
@@ -346,6 +357,7 @@ def run_blindness_experiment(cfg=None) -> BlindnessReport:
     if unknown:
         raise SpecSemanticError("suts", f"not in the zoo: {', '.join(unknown)}")
     active_matrix = DEFAULT_MATRIX.with_config(cfg)
+    _check_overrides(cfg, decls, active_matrix)
     chosen = {name: decls[name] for name in cfg.suts} if cfg.suts else dict(decls)
     categories = [MutatorCategory[c] for c in cfg.categories]
     mutants_by_sut = {

@@ -9,6 +9,16 @@ comments, blank lines are ignored.
   .sut  mini-language programs    (parse_sut_file)
   .cfg  mutator configuration     (parse_mutator_config)
 
+One reader, `_read`, applies the rules the four share: each line starts
+with one of its document's keywords; `algebra`, `generators`, `mr`,
+`mutators`, `seed` and `suts` come at most once; and a document without its
+head line (`algebra`, `mr`, `sut`) is an error at its end.  `.mr` field
+lines and `.sut` body lines follow their head line and have no keyword.
+Each parser then only builds what its lines declare.  An attribute value
+chosen from a fixed set (`acts`, `regime`, `homogeneity`, `domain`, a block
+tag, a cell effect, a mutator category) is looked up in one table, and an
+unknown one reads `<subject>: unknown <key> '<value>' on line N`.
+
 Parsers are total: any input either parses or raises SpecSyntaxError /
 SpecSemanticError with line/column diagnostics, never anything else.
 """
@@ -17,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import field, record
 from .algebra import (
@@ -27,7 +37,6 @@ from .algebra import (
     Operator,
     OperatorAlgebra,
     Regime,
-    block_from_tag,
     canonical_sorted,
 )
 
@@ -40,8 +49,6 @@ if TYPE_CHECKING:
     from .relational import RewriteRule
 
 HEADER = "#noether-spec v1"
-
-HOMOGENEITY_TAGS = ("degree-1", "positive-scale-invariant", "none")
 
 # grammar-level category vocabulary; the mutation engine's enum is built from it
 MUTATOR_CATEGORY_NAMES = (
@@ -77,40 +84,61 @@ class SpecSemanticError(Exception):
         self.reason = reason
 
 
-def _content_lines(text: str) -> List[Tuple[int, str]]:
-    """(lineno, line) pairs after header/comment/blank filtering.
+# keywords a document holds at most once
+_ONCE = frozenset(("algebra", "generators", "mr", "mutators", "seed", "suts"))
+# head keyword -> what an error expects in place of a missing head line
+_HEADS = {"algebra": "an algebra declaration", "mr": "an mr declaration", "sut": "a sut declaration"}
+
+
+def _read(
+    text: str, keywords: Sequence[str], head: str = "", body: bool = False
+) -> Iterator[Tuple[int, str, Optional[str], str]]:
+    """(lineno, line, keyword, rest) for each line after the header that is
+    neither blank nor a comment.
 
     Only trailing whitespace is stripped, so every column a parser computes
-    from a line counts from the start of the raw line."""
-    raw = text.splitlines()
-    lines = []
+    from a line counts from the start of the raw line.  A line is a keyword
+    line when its first word is one of `keywords`.  With `body` set, the
+    `head` line comes first, and every other line after it is a body line,
+    yielded with keyword None, as is a keyword line that goes on with `=`
+    (it assigns a variable of that name).  A generator, so that no second
+    list of a 10,000-operator algebra's lines is kept."""
+    lines = text.splitlines()
     header_seen = False
-    for i, line in enumerate(raw, start=1):
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip()
         stripped = line.lstrip()
-        if not stripped:
-            continue
-        if not header_seen:
+        if not header_seen and stripped:
             if stripped != HEADER:
-                raise SpecSyntaxError(i, _first_column(line), f"header {HEADER!r}", stripped[:40])
+                raise SpecSyntaxError(lineno, _first_column(line), f"header {HEADER!r}", stripped[:40])
             header_seen = True
             continue
-        if stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        lines.append((i, line))
+        parts = stripped.split(None, 1)
+        keyword, rest = parts[0], parts[1] if len(parts) > 1 else ""
+        if keyword in keywords and not (body and rest.startswith("=")):
+            # one set test per line: the once-rule is asked only when a keyword repeats
+            if keyword not in seen:
+                seen.add(keyword)
+            elif keyword in _ONCE:
+                raise SpecSemanticError(keyword, f"second {keyword} line at {lineno}")
+            yield lineno, line, keyword, rest
+        elif body and head in seen:
+            yield lineno, line, None, rest
+        else:
+            expected = _HEADS[head] if body else f"{', '.join(keywords[:-1])} or {keywords[-1]}"
+            raise SpecSyntaxError(lineno, _first_column(line), expected, keyword)
     if not header_seen:
         raise SpecSyntaxError(1, 1, f"header {HEADER!r}", "end of document")
-    return lines
+    if head and head not in seen:
+        raise SpecSyntaxError(len(lines) + 1, 1, _HEADS[head], "end of document")
 
 
 def _first_column(line: str) -> int:
     """1-based column of the line's first word."""
     return len(line) - len(line.lstrip()) + 1
-
-
-def _split_keyword(line: str) -> Tuple[str, str]:
-    parts = line.split(None, 1)
-    return parts[0], parts[1] if len(parts) > 1 else ""
 
 
 _WORD = re.compile(r"\S+")
@@ -129,14 +157,20 @@ def _column(line: str, words: Sequence[str], index: int) -> int:
     return ends[len(ends) - len(words) + index] - len(words[index]) + 1
 
 
-# attribute key -> value type (int or float), or None for a value kept as text
-_Keys = Mapping[str, Optional[type]]
+# attribute key -> the value's type (int or float), None for a value kept as
+# text, or a dict from each text a file may write to the value it means
+_Keys = Mapping[str, object]
 _TYPE_NAMES = {int: "integer", float: "decimal"}
 
 
-def _parse_attrs(lineno: int, line: str, words: Sequence[str], allowed: _Keys) -> Dict[str, object]:
-    """key -> value for each `key=value` word; `words` split a suffix of `line`."""
-    attrs: Dict[str, object] = {}
+def _parse_attrs(
+    subject: str, lineno: int, line: str, words: Sequence[str], allowed: _Keys, attrs: Optional[Dict] = None
+) -> Dict[str, object]:
+    """key -> value for each `key=value` word, added to `attrs` (a new dict
+    by default); `words` split a suffix of `line`, and a semantic error
+    names `subject`."""
+    if attrs is None:
+        attrs = {}
     for i, word in enumerate(words):
         key, eq, value = word.partition("=")
         if not eq:
@@ -146,26 +180,28 @@ def _parse_attrs(lineno: int, line: str, words: Sequence[str], allowed: _Keys) -
             col = _column(line, words, i)
             raise SpecSyntaxError(lineno, col, f"one of {', '.join(allowed)}", key)
         if key in attrs:
-            raise SpecSemanticError(key, f"duplicate attribute on line {lineno}")
+            raise SpecSemanticError(subject, f"duplicate attribute {key!r} on line {lineno}")
         kind = allowed[key]
         if kind is None:
             attrs[key] = value
-            continue
-        try:
-            attrs[key] = kind(value)
-        except ValueError:
-            col = _column(line, words, i) + len(key) + 1
-            raise SpecSyntaxError(lineno, col, f"{_TYPE_NAMES[kind]} for {key}", value)
+        elif type(kind) is dict:
+            attrs[key] = kind.get(value) or _choose(subject, lineno, key, value, kind)
+        else:
+            try:
+                attrs[key] = kind(value)
+            except ValueError:
+                col = _column(line, words, i) + len(key) + 1
+                raise SpecSyntaxError(lineno, col, f"{_TYPE_NAMES[kind]} for {key}", value)
     return attrs
 
 
-def _block(subject: str, tag: str, lineno: int) -> BlockKind:
-    """The block kind `tag` names; the error names `subject` and the tag,
-    even an empty one."""
+def _choose(subject: str, lineno: int, key: str, value: str, choices: Mapping[str, object]):
+    """What the text `value` of `key` means; the error names `subject` and
+    quotes the value, even an empty one."""
     try:
-        return block_from_tag(tag)
+        return choices[value]
     except KeyError:
-        raise SpecSemanticError(subject, f"unknown block tag {tag!r} on line {lineno}")
+        raise SpecSemanticError(subject, f"unknown {key} {value!r} on line {lineno}")
 
 
 # Every tag set parsed so far, keyed by itself, so that equal tag sets share
@@ -181,7 +217,7 @@ def _block_list(subject: str, lineno: int, value: str) -> frozenset:
     # seed 20260816 looks up 20,141 tags
     kinds = []
     for tag in value.split(","):
-        kinds.append(_TAG_TO_KIND.get(tag) or _block(subject, tag, lineno))
+        kinds.append(_TAG_TO_KIND.get(tag) or _choose(subject, lineno, "block tag", tag, _TAG_TO_KIND))
     tags = frozenset(kinds)
     return _TAG_SETS.setdefault(tags, tags)
 
@@ -205,44 +241,31 @@ def _comma_list(value: str) -> Tuple[str, ...]:
 
 
 def parse_algebra(text: str) -> OperatorAlgebra:
-    lines = _content_lines(text)
-    name: Optional[str] = None
+    name = ""
     operators: List[Operator] = []
-    generators: Optional[Tuple[str, ...]] = None
+    generators: Tuple[str, ...] = ()
     rewrites: List[RewriteRule] = []
     labels: Dict[BlockKind, str] = {}
-
-    for lineno, line in lines:
-        keyword, rest = _split_keyword(line)
-        if keyword == "algebra":
-            if name is not None:
-                raise SpecSemanticError(rest or "algebra", f"second algebra line at {lineno}")
-            name = _name_word(lineno, line, rest, "algebra")
-        elif keyword == "operator":
+    keywords = ("algebra", "operator", "generators", "rewrite", "label")
+    for lineno, line, keyword, rest in _read(text, keywords, "algebra"):
+        if keyword == "operator":
             operators.append(_parse_operator(lineno, line, rest))
+        elif keyword == "algebra":
+            name = _name_word(lineno, line, rest, "algebra")
         elif keyword == "generators":
-            if generators is not None:
-                raise SpecSemanticError("generators", f"second generators line at {lineno}")
             generators = _comma_list(rest)
         elif keyword == "rewrite":
             rewrites.append(_parse_rewrite(lineno, line, rest))
-        elif keyword == "label":
+        else:
             block, text_label = _parse_label(lineno, line, rest)
             if block in labels:
                 raise SpecSemanticError(block.tag, f"duplicate label override at line {lineno}")
             labels[block] = text_label
-        else:
-            raise SpecSyntaxError(
-                lineno, _first_column(line), "algebra, operator, generators, rewrite or label", keyword
-            )
-
-    if name is None:
-        raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "an algebra declaration", "end of document")
     try:
         return OperatorAlgebra(
             name=name,
             operators=tuple(operators),
-            generators=generators or (),
+            generators=generators,
             semiring_rules=tuple(rewrites),
             label_overrides=labels,
         )
@@ -250,10 +273,14 @@ def parse_algebra(text: str) -> OperatorAlgebra:
         raise SpecSemanticError(name, str(exc))
 
 
-_OPERATOR_KEYS: _Keys = {"acts": None, "blocks": None, "regime": None, "size": int, "cost": int}
-_ACTS = {a.value: a for a in ActsOn}
-# the regimes a file may name; Regime.NONE is what an omitted regime means
-_REGIMES = {r.value: r for r in Regime if r is not Regime.NONE}
+_OPERATOR_KEYS: _Keys = {
+    "acts": {a.value: a for a in ActsOn},
+    "blocks": None,
+    # the regimes a file may name; Regime.NONE is what an omitted regime means
+    "regime": {r.value: r for r in Regime if r is not Regime.NONE},
+    "size": int,
+    "cost": int,
+}
 
 
 def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
@@ -261,24 +288,18 @@ def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
     if not tokens:
         raise SpecSyntaxError(lineno, len(line) + 1, "an operator name")
     op_name = tokens[0]
-    attrs = _parse_attrs(lineno, line, tokens[1:], _OPERATOR_KEYS)
+    attrs = _parse_attrs(op_name, lineno, line, tokens[1:], _OPERATOR_KEYS)
     if "acts" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "acts=<input|output|both|param>")
     if "blocks" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "blocks=<comma-list>")
-    acts = _ACTS.get(attrs["acts"])
-    if acts is None:
-        raise SpecSemanticError(op_name, f"unknown acts value {attrs['acts']!r} on line {lineno}")
     blocks = _block_list(op_name, lineno, attrs["blocks"])
-    regime = Regime.NONE
-    if "regime" in attrs:
-        regime = _REGIMES.get(attrs["regime"])
-        if regime is None:
-            raise SpecSemanticError(op_name, f"unknown regime {attrs['regime']!r} on line {lineno}")
-        if "size" not in attrs:
-            raise SpecSyntaxError(lineno, len(line) + 1, "size=<int> alongside regime")
+    if "regime" in attrs and "size" not in attrs:
+        raise SpecSyntaxError(lineno, len(line) + 1, "size=<int> alongside regime")
     try:
-        return Operator(op_name, acts, blocks, regime, attrs.get("size"), attrs.get("cost", 1))
+        return Operator(
+            op_name, attrs["acts"], blocks, attrs.get("regime", Regime.NONE), attrs.get("size"), attrs.get("cost", 1)
+        )
     except ValueError as exc:
         raise SpecSemanticError(op_name, str(exc))
 
@@ -316,7 +337,7 @@ def _parse_label(lineno: int, line: str, rest: str) -> Tuple[BlockKind, str]:
     if "=" not in rest:
         raise SpecSyntaxError(lineno, len(line) + 1, "<block-tag>=<label>")
     tag, label = rest.split("=", 1)
-    block = _block("label", tag.strip(), lineno)
+    block = _choose("label", lineno, "block tag", tag.strip(), _TAG_TO_KIND)
     label = label.strip()
     if not label:
         raise SpecSyntaxError(lineno, len(line) + 1, "a nonempty label")
@@ -365,29 +386,15 @@ _MR_KEYS: _Keys = {**dict.fromkeys(_MR_FIELDS), "diff_order": int, "directions":
 def parse_mr_descriptor(text: str) -> MRDescriptor:
     from .reachability import MRDescriptor
 
-    lines = _content_lines(text)
-    name: Optional[str] = None
-    fields: Dict[str, object] = {}
-    for lineno, line in lines:
-        keyword, rest = _split_keyword(line)
-        if keyword == "mr":
-            if name is not None:
-                raise SpecSemanticError(rest or "mr", f"second mr line at {lineno}")
+    name = ""
+    attrs: Dict[str, object] = {}
+    for lineno, line, keyword, rest in _read(text, ("mr",), "mr", body=True):
+        if keyword is None:
+            _parse_attrs(name, lineno, line, line.split(), _MR_KEYS, attrs)
+        else:
             name = _name_word(lineno, line, rest, "MR")
-            continue
-        if name is None:
-            raise SpecSyntaxError(lineno, _first_column(line), "the mr declaration first", keyword)
-        if "=" not in line:
-            raise SpecSyntaxError(lineno, _first_column(line), "key=value", line.lstrip()[:40])
-        for key, value in _parse_attrs(lineno, line, line.split(), _MR_KEYS).items():
-            field_name = _MR_FIELDS[key]
-            if field_name in fields:
-                raise SpecSemanticError(name, f"duplicate field {key!r} on line {lineno}")
-            fields[field_name] = value
-    if name is None:
-        raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "an mr declaration", "end of document")
     try:
-        return MRDescriptor(name=name, **fields)  # type: ignore[arg-type]
+        return MRDescriptor(name=name, **{_MR_FIELDS[key]: value for key, value in attrs.items()})
     except ValueError as exc:
         raise SpecSemanticError(name, str(exc))
 
@@ -432,40 +439,32 @@ class SutDecl:
 
 
 def parse_sut_file(text: str) -> Tuple[SutDecl, ...]:
-    lines = _content_lines(text)
-    decls: List[SutDecl] = []
-    i = 0
-    while i < len(lines):
-        lineno, line = lines[i]
-        keyword, rest = _split_keyword(line)
-        if keyword != "sut":
-            raise SpecSyntaxError(lineno, _first_column(line), "a sut declaration", keyword)
-        header = _parse_sut_header(lineno, line, rest)
-        i += 1
-        body: List[Tuple[int, str]] = []
-        while i < len(lines) and not _is_sut_header(lines[i][1]):
-            body.append(lines[i])
-            i += 1
-        decls.append(_assemble_sut(lineno, header, body))
-    if not decls:
-        raise SpecSyntaxError(len(text.splitlines()) + 1, 1, "a sut declaration", "end of document")
-    names = [d.name for d in decls]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise SpecSemanticError(dupes[0], "duplicate sut name")
-    return tuple(decls)
+    # (lineno, line, rest, body) of each `sut` line; its body runs to the next
+    suts = []
+    for lineno, line, keyword, rest in _read(text, ("sut",), "sut", body=True):
+        if keyword is None:
+            body.append((lineno, line))
+        else:
+            body: List[Tuple[int, str]] = []
+            suts.append((lineno, line, rest, body))
+    decls: Dict[str, SutDecl] = {}
+    for lineno, line, rest, body in suts:
+        decl = _assemble_sut(lineno, line, rest, body)
+        if decls.setdefault(decl.name, decl) is not decl:
+            raise SpecSemanticError(decl.name, f"duplicate sut name on line {lineno}")
+    return tuple(decls.values())
 
 
-def _is_sut_header(line: str) -> bool:
-    """A body ends at the next `sut` line; `sut = ...` assigns a variable."""
-    keyword, rest = _split_keyword(line)
-    return keyword == "sut" and not rest.startswith("=")
+_SUT_KEYS: _Keys = {
+    "blocks": None,
+    "homogeneity": {tag: tag for tag in ("degree-1", "positive-scale-invariant", "none")},
+    "domain": {"real": "real", "int": "int"},
+}
 
 
-_SUT_KEYS: _Keys = dict.fromkeys(("blocks", "homogeneity", "domain"))
+def _assemble_sut(lineno: int, line: str, rest: str, body: List[Tuple[int, str]]) -> SutDecl:
+    from . import minilang
 
-
-def _parse_sut_header(lineno: int, line: str, rest: str):
     open_paren = rest.find("(")
     close_paren = rest.find(")")
     if open_paren < 0 or close_paren < open_paren:
@@ -480,36 +479,24 @@ def _parse_sut_header(lineno: int, line: str, rest: str):
         if not m.group().isidentifier():
             raise SpecSyntaxError(lineno, m.start() + 1, "a parameter identifier", m.group())
     params = tuple(m.group() for m in items)
-    attrs = _parse_attrs(lineno, line, rest[close_paren + 1 :].split(), _SUT_KEYS)
+    attrs = _parse_attrs(sut_name, lineno, line, rest[close_paren + 1 :].split(), _SUT_KEYS)
     if "blocks" not in attrs:
         raise SpecSyntaxError(lineno, len(line) + 1, "blocks=<comma-list>")
     blocks = _block_list(sut_name, lineno, attrs["blocks"])
-    homogeneity = attrs.get("homogeneity", "none")
-    if homogeneity not in HOMOGENEITY_TAGS:
-        raise SpecSemanticError(sut_name, f"unknown homogeneity tag {homogeneity!r} on line {lineno}")
-    domain = attrs.get("domain", "real")
-    if domain not in ("real", "int"):
-        raise SpecSemanticError(sut_name, f"unknown domain tag {domain!r} on line {lineno}")
-    return sut_name, params, blocks, homogeneity, domain
-
-
-def _assemble_sut(header_lineno: int, header, body: List[Tuple[int, str]]) -> SutDecl:
-    from . import minilang
-
-    sut_name, params, blocks, homogeneity, domain = header
     statements = []
-    for lineno, line in body:
+    for body_lineno, body_line in body:
         try:
-            statements.append(minilang.parse_statement(line))
+            statements.append(minilang.parse_statement(body_line))
         except minilang.ExprSyntaxError as exc:
-            raise SpecSyntaxError(lineno, exc.col, exc.expected)
+            raise SpecSyntaxError(body_lineno, exc.col, exc.expected)
         except minilang.ArityError as exc:
-            raise SpecSemanticError(sut_name, f"line {lineno}: {exc}")
+            raise SpecSemanticError(sut_name, f"line {body_lineno}: {exc}")
     try:
         program = minilang.assemble_program(sut_name, params, statements)
     except (minilang.TypeCheckError, minilang.ArityError) as exc:
         raise SpecSemanticError(sut_name, str(exc))
-    return SutDecl(sut_name, params, blocks, homogeneity, domain, program)
+    homogeneity = attrs.get("homogeneity", "none")
+    return SutDecl(sut_name, params, blocks, homogeneity, attrs.get("domain", "real"), program)
 
 
 def sut_file_to_text(decls: Sequence[SutDecl]) -> str:
@@ -542,84 +529,56 @@ class MutatorConfig:
     overrides: Mapping = field(default_factory=dict)  # (sut, category, BlockKind) -> effect
 
 
+_CATEGORIES = {name: name for name in MUTATOR_CATEGORY_NAMES}
+_EFFECTS = {"preserves": "preserves", "breaks": "breaks"}
+
+
 def parse_mutator_config(text: str) -> MutatorConfig:
-    lines = _content_lines(text)
-    categories: Optional[Tuple[str, ...]] = None
+    categories = MUTATOR_CATEGORY_NAMES
     seed = 0
-    seed_seen = False
-    suts: Optional[Tuple[str, ...]] = None
-    matrix_patches: Dict = {}
-    overrides: Dict = {}
-    for lineno, line in lines:
-        keyword, rest = _split_keyword(line)
+    suts: Tuple[str, ...] = ()
+    cells: Dict[str, Dict] = {"matrix": {}, "override": {}}
+    for lineno, line, keyword, rest in _read(text, ("mutators", "seed", "suts", "matrix", "override")):
         if keyword == "mutators":
-            if categories is not None:
-                raise SpecSemanticError("mutators", f"second mutators line at {lineno}")
-            cats = _comma_list(rest)
-            if not cats:
+            names = _comma_list(rest)
+            categories = tuple(_choose(keyword, lineno, "mutator category", c, _CATEGORIES) for c in names)
+            if not categories:
                 raise SpecSemanticError("mutators", f"no mutator category on line {lineno}")
-            for c in cats:
-                if c not in MUTATOR_CATEGORY_NAMES:
-                    raise SpecSemanticError(c, f"unknown mutator category on line {lineno}")
-            categories = cats
         elif keyword == "seed":
-            if seed_seen:
-                raise SpecSemanticError("seed", f"second seed line at {lineno}")
             try:
                 seed = int(rest)
             except ValueError:
                 raise SpecSyntaxError(lineno, len(line) - len(rest) + 1, "integer for seed", rest)
             if seed < 0:
                 raise SpecSemanticError("seed", f"negative seed {seed} on line {lineno}")
-            seed_seen = True
         elif keyword == "suts":
-            if suts is not None:
-                raise SpecSemanticError("suts", f"second suts line at {lineno}")
             suts = _comma_list(rest)
             if not suts:
                 raise SpecSemanticError("suts", f"no subject on line {lineno}")
-        elif keyword == "matrix":
-            cat, block, effect = _parse_cell(lineno, line, rest, with_sut=False)[1:]
-            key = (cat, block)
-            if key in matrix_patches:
-                raise SpecSemanticError(cat, f"duplicate matrix patch at line {lineno}")
-            matrix_patches[key] = effect
-        elif keyword == "override":
-            sut, cat, block, effect = _parse_cell(lineno, line, rest, with_sut=True)
-            key = (sut, cat, block)
-            if key in overrides:
-                raise SpecSemanticError(cat, f"duplicate override at line {lineno}")
-            overrides[key] = effect
         else:
-            raise SpecSyntaxError(lineno, _first_column(line), "mutators, seed, suts, matrix or override", keyword)
-    return MutatorConfig(
-        categories=categories if categories is not None else MUTATOR_CATEGORY_NAMES,
-        seed=seed,
-        suts=suts or (),
-        matrix_patches=matrix_patches,
-        overrides=overrides,
-    )
+            key, effect = _parse_cell(lineno, line, keyword, rest)
+            if key in cells[keyword]:
+                raise SpecSemanticError(key[-2], f"duplicate {keyword} cell at line {lineno}")
+            cells[keyword][key] = effect
+    return MutatorConfig(categories, seed, suts, cells["matrix"], cells["override"])
 
 
-def _parse_cell(lineno: int, line: str, rest: str, with_sut: bool):
+def _parse_cell(lineno: int, line: str, keyword: str, rest: str):
+    """(key, effect) of a `matrix` or `override` line: the key is (category,
+    block), after the subject on an `override` line."""
     tokens = rest.split()
-    want = 3 if with_sut else 2
+    want = 3 if keyword == "override" else 2
     if len(tokens) != want:
-        shape = "<sut> <CATEGORY> <BLOCK>=<effect>" if with_sut else "<CATEGORY> <BLOCK>=<effect>"
+        shape = "<sut> <CATEGORY> <BLOCK>=<effect>" if want == 3 else "<CATEGORY> <BLOCK>=<effect>"
         raise SpecSyntaxError(lineno, len(line) + 1, shape)
-    sut = tokens[0] if with_sut else ""
-    cat = tokens[-2]
-    if cat not in MUTATOR_CATEGORY_NAMES:
-        raise SpecSemanticError(cat, f"unknown mutator category on line {lineno}")
+    cat = _choose(keyword, lineno, "mutator category", tokens[-2], _CATEGORIES)
     cell = tokens[-1]
     if "=" not in cell:
         col = _column(line, tokens, want - 1)
         raise SpecSyntaxError(lineno, col, "<BLOCK>=<preserves|breaks>", cell)
     tag, effect = cell.split("=", 1)
-    block = _block(cat, tag, lineno)
-    if effect not in ("preserves", "breaks"):
-        raise SpecSemanticError(cat, f"effect must be preserves or breaks, got {effect!r}")
-    return sut, cat, block, effect
+    block = _choose(cat, lineno, "block tag", tag, _TAG_TO_KIND)
+    return (*tokens[:-2], cat, block), _choose(cat, lineno, "effect", effect, _EFFECTS)
 
 
 def mutator_config_to_text(cfg: MutatorConfig) -> str:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from noether.algebra import (
+    _TAG_TO_KIND,
     CANONICAL_ORDER,
     DESCRIPTOR_ONLY_FORMS,
     RELATION_FORMS,
@@ -18,7 +19,6 @@ from noether.algebra import (
     OperatorAlgebra,
     Regime,
     UnassignedOperator,
-    block_from_tag,
     canonical_max,
     decompose,
 )
@@ -66,7 +66,7 @@ class TestBlockOrder:
 
     def test_tag_round_trip(self):
         for b in BLOCKS:
-            assert block_from_tag(b.tag) is b
+            assert _TAG_TO_KIND[b.tag] is b
 
 
 class TestOperatorValidation:

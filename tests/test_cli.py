@@ -142,6 +142,8 @@ class TestExitCodes:
             (["derive", "named"], ("named.alg", f"{HEADER}\nalgebra a extra\n{OPERATOR_F}\ngenerators f\n")),
             (["check-mr", "named", "--algebra", "boltzmann"], ("named.mr", f"{HEADER}\nmr rho_x junk\n")),
             (["derive", "sized"], ("sized.alg", f"{HEADER}\nalgebra a\n{OPERATOR_F} size=5\ngenerators f\n")),
+            (["kill", "--config", "ov"], ("ov.cfg", f"{HEADER}\nsuts clamp\noverride nosuch MATH O_le=breaks\n")),
+            (["kill", "--config", "ov"], ("ov.cfg", f"{HEADER}\nsuts clamp\noverride clamp MATH G=preserves\n")),
         ),
         ids=(
             "wilson-successes-above-n",
@@ -169,6 +171,8 @@ class TestExitCodes:
             "derive-words-after-algebra-name",
             "check-mr-words-after-mr-name",
             "derive-size-without-regime",
+            "kill-override-of-no-subject",
+            "kill-override-of-a-fixed-cell",
         ),
     )
     def test_bad_input_is_one_line_exit_2(self, argv, fixture, tmp_path, monkeypatch, capsys):

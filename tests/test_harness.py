@@ -33,7 +33,7 @@ from noether.harness import (
 from noether.minilang import DomainError, compile_program
 from noether.mutate import MutatorCategory, _Subject, mutate
 from noether.reachability import check_reachability
-from noether.specfile import HEADER, parse_sut_file
+from noether.specfile import HEADER, SpecSemanticError, parse_sut_file
 from noether.zoo import (
     SCALING_BUDGET,
     SUT_G_ACTIONS,
@@ -520,6 +520,22 @@ class TestBlindness:
         report = run_blindness_experiment(cfg=tampered)
         assert not report.concordance_ok
         assert any("midpoint/MATH" in v for v in report.concordance_violations)
+
+    @pytest.mark.parametrize(
+        "override,message",
+        (
+            (("nosuch", "MATH", BlockKind.O_LE), "override: not in the zoo: nosuch"),
+            (("clamp", "MATH", BlockKind.G), "override: (MATH, G) is breaks, not case-dependent"),
+            (("clamp", "MATH", BlockKind.L_STAR), "override: (MATH, L_star) is preserves, not case-dependent"),
+        ),
+        ids=("no-such-subject", "breaks-cell", "preserves-cell"),
+    )
+    def test_overrides_that_never_apply_are_rejected(self, override, message):
+        # the compatibility matrix reads an override only for a case-dependent cell
+        cfg = replace(load_mutator_config(), overrides={override: "preserves"})
+        with pytest.raises(SpecSemanticError) as exc:
+            run_blindness_experiment(cfg=cfg)
+        assert str(exc.value) == message
 
     # seeds from a formula, not chosen by outcome; the preserving-tag count
     # is not asserted, since the tagger's rules may vary it with the seed

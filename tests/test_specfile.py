@@ -306,12 +306,12 @@ class TestSemanticErrorSubjects:
             (
                 parse_algebra,
                 "algebra a\noperator f acts=sideways blocks=O_le\ngenerators f",
-                "f: unknown acts value 'sideways' on line 3",
+                "f: unknown acts 'sideways' on line 3",
             ),
             (
                 parse_algebra,
                 "algebra a\noperator f acts=a=b blocks=O_le\ngenerators f",
-                "f: unknown acts value 'a=b' on line 3",
+                "f: unknown acts 'a=b' on line 3",
             ),
             (
                 parse_algebra,
@@ -334,6 +334,19 @@ class TestSemanticErrorSubjects:
                 "f: size is only allowed together with a regime (size=5)",
             ),
             (parse_sut_file, "sut f(x) blocks=\nreturn x", "f: unknown block tag '' on line 2"),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input acts=output blocks=O_le\ngenerators f",
+                "f: duplicate attribute 'acts' on line 3",
+            ),
+            (parse_sut_file, "sut f(x) blocks=G blocks=G\nreturn x", "f: duplicate attribute 'blocks' on line 2"),
+            (parse_mr_descriptor, "mr m\nunit=a unit=b", "m: duplicate attribute 'unit' on line 3"),
+            (parse_mr_descriptor, "mr m\nunit=a\nunit=b", "m: duplicate attribute 'unit' on line 4"),
+            (
+                parse_sut_file,
+                "sut f(x) blocks=G\nreturn x\nsut g(x) blocks=G\nreturn x\nsut f(y) blocks=G\nreturn y",
+                "f: duplicate sut name on line 6",
+            ),
         ),
         ids=(
             "duplicate-operator",
@@ -357,11 +370,189 @@ class TestSemanticErrorSubjects:
             "regime-empty",
             "size-without-regime",
             "sut-empty-blocks",
+            "duplicate-operator-attribute",
+            "duplicate-sut-attribute",
+            "duplicate-mr-attribute",
+            "duplicate-mr-field",
+            "duplicate-sut-name",
         ),
     )
     def test_subject_named_once(self, parse, body, message):
         with pytest.raises(SpecSemanticError) as exc:
             parse(f"{HEADER}\n{body}\n")
+        assert str(exc.value) == message
+
+
+class TestExactMessages:
+    """The rules every document shares, and each document's choice and
+    duplicate checks, pinned to their exact text."""
+
+    @pytest.mark.parametrize(
+        "parse,body,kind,message",
+        (
+            (parse_algebra, "algebra a\nalgebra b", SpecSemanticError, "algebra: second algebra line at 3"),
+            (
+                parse_algebra,
+                f"algebra a\n{OPERATOR_F}\ngenerators f\ngenerators f",
+                SpecSemanticError,
+                "generators: second generators line at 5",
+            ),
+            (parse_mr_descriptor, "mr a\nmr b", SpecSemanticError, "mr: second mr line at 3"),
+            (
+                parse_mutator_config,
+                "mutators MATH\nmutators MATH",
+                SpecSemanticError,
+                "mutators: second mutators line at 3",
+            ),
+            (parse_mutator_config, "seed 1\nseed 2", SpecSemanticError, "seed: second seed line at 3"),
+            (parse_mutator_config, "suts a\nsuts b", SpecSemanticError, "suts: second suts line at 3"),
+            (
+                parse_algebra,
+                "algebra a\nfrob x",
+                SpecSyntaxError,
+                "line 3, column 1: expected algebra, operator, generators, rewrite or label, found 'frob'",
+            ),
+            (
+                parse_mutator_config,
+                "frob x",
+                SpecSyntaxError,
+                "line 2, column 1: expected mutators, seed, suts, matrix or override, found 'frob'",
+            ),
+            (
+                parse_algebra,
+                OPERATOR_F,
+                SpecSyntaxError,
+                "line 3, column 1: expected an algebra declaration, found 'end of document'",
+            ),
+            (
+                parse_mr_descriptor,
+                "",
+                SpecSyntaxError,
+                "line 3, column 1: expected an mr declaration, found 'end of document'",
+            ),
+            (
+                parse_sut_file,
+                "",
+                SpecSyntaxError,
+                "line 3, column 1: expected a sut declaration, found 'end of document'",
+            ),
+            (
+                parse_mr_descriptor,
+                "diff_order=2\nmr m",
+                SpecSyntaxError,
+                "line 2, column 1: expected an mr declaration, found 'diff_order=2'",
+            ),
+            (
+                parse_sut_file,
+                "return 1",
+                SpecSyntaxError,
+                "line 2, column 1: expected a sut declaration, found 'return'",
+            ),
+            (
+                parse_mr_descriptor,
+                "mr m\njunk words",
+                SpecSyntaxError,
+                "line 3, column 1: expected key=value attribute, found 'junk'",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=sideways blocks=O_le",
+                SpecSemanticError,
+                "f: unknown acts 'sideways' on line 3",
+            ),
+            (
+                parse_algebra,
+                "algebra a\noperator f acts=input blocks=G regime=x size=2",
+                SpecSemanticError,
+                "f: unknown regime 'x' on line 3",
+            ),
+            (
+                parse_sut_file,
+                "sut f(x) blocks=G homogeneity=cubic\nreturn x",
+                SpecSemanticError,
+                "f: unknown homogeneity 'cubic' on line 2",
+            ),
+            (
+                parse_sut_file,
+                "sut f(x) blocks=G domain=complex\nreturn x",
+                SpecSemanticError,
+                "f: unknown domain 'complex' on line 2",
+            ),
+            (
+                parse_mutator_config,
+                "matrix MATH G=sometimes",
+                SpecSemanticError,
+                "MATH: unknown effect 'sometimes' on line 2",
+            ),
+            (
+                parse_mutator_config,
+                "override clamp MATH G=sometimes",
+                SpecSemanticError,
+                "MATH: unknown effect 'sometimes' on line 2",
+            ),
+            (
+                parse_mutator_config,
+                "mutators MATH,FROB",
+                SpecSemanticError,
+                "mutators: unknown mutator category 'FROB' on line 2",
+            ),
+            (
+                parse_mutator_config,
+                "matrix FROB G=breaks",
+                SpecSemanticError,
+                "matrix: unknown mutator category 'FROB' on line 2",
+            ),
+            (
+                parse_algebra,
+                f"algebra a\n{OPERATOR_F}\nlabel G=x\nlabel G=y",
+                SpecSemanticError,
+                "G: duplicate label override at line 5",
+            ),
+            (
+                parse_mutator_config,
+                "matrix MATH G=breaks\nmatrix MATH G=preserves",
+                SpecSemanticError,
+                "MATH: duplicate matrix cell at line 3",
+            ),
+            (
+                parse_mutator_config,
+                "override clamp MATH G=breaks\noverride clamp MATH G=preserves",
+                SpecSemanticError,
+                "MATH: duplicate override cell at line 3",
+            ),
+        ),
+        ids=(
+            "second-algebra",
+            "second-generators",
+            "second-mr",
+            "second-mutators",
+            "second-seed",
+            "second-suts",
+            "algebra-unknown-keyword",
+            "config-unknown-keyword",
+            "algebra-end-of-document",
+            "mr-end-of-document",
+            "sut-end-of-document",
+            "mr-field-before-mr",
+            "sut-body-before-sut",
+            "mr-field-without-equals",
+            "unknown-acts",
+            "unknown-regime",
+            "unknown-homogeneity",
+            "unknown-domain",
+            "unknown-matrix-effect",
+            "unknown-override-effect",
+            "unknown-mutators-category",
+            "unknown-matrix-category",
+            "duplicate-label",
+            "duplicate-matrix-cell",
+            "duplicate-override-cell",
+        ),
+    )
+    def test_message(self, parse, body, kind, message):
+        with pytest.raises((SpecSyntaxError, SpecSemanticError)) as exc:
+            parse(f"{HEADER}\n{body}\n")
+        assert type(exc.value) is kind
         assert str(exc.value) == message
 
 
@@ -534,7 +725,7 @@ class TestErrorColumns:
     def test_attribute_errors(self, word, message):
         line = f"operator f {word}"
         with pytest.raises(SpecSyntaxError) as exc:
-            _parse_attrs(3, line, [word], _OPERATOR_KEYS)
+            _parse_attrs("f", 3, line, [word], _OPERATOR_KEYS)
         assert str(exc.value) == message
 
 
