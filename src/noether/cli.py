@@ -436,7 +436,7 @@ def _check_cost() -> Iterator[Check]:
 def cmd_reproduce(args) -> int:
     cfg = _mutator_config(args)
     if args.tamper:
-        patches = {**cfg.matrix_patches, ("MATH", BlockKind.L_STAR): "breaks"}
+        patches = {**cfg.matrix_patches, ("MATH", BlockKind.L_STAR): specfile.BREAKS}
         cfg = replace(cfg, matrix_patches=patches)
     # A-10 runs first: its large derivations then set the peak resident set
     # before the blindness run's heap is in place; its row stays last

@@ -22,7 +22,7 @@ from .algebra import BlockKind, OperatorAlgebra
 from .minilang import DomainError
 from .mutate import CASE, DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
 from .mutate import mutate as derive_mutants
-from .specfile import SpecSemanticError, SutDecl
+from .specfile import BREAKS, PRESERVES, SpecSemanticError, SutDecl
 
 DEFAULT_TOLERANCE = 100 * sys.float_info.epsilon
 DEFAULT_BUDGET = 64
@@ -330,19 +330,21 @@ def concordance_check(
             for m in mutants_by_sut[sut]:
                 if m.category.name != category or m.homogeneity_effect != "preserving":
                     continue
-                if cell == "breaks":
+                if cell == BREAKS:
                     violations.append(f"{mutant_id(m)}: rule-preserving under a breaks-cell")
-                elif cell == "preserves" and mutant_id(m) in scaling_kills:
+                elif cell == PRESERVES and mutant_id(m) in scaling_kills:
                     violations.append(f"{mutant_id(m)}: killed despite a preserves-cell")
     return (not violations, tuple(violations))
 
 
 def _check_overrides(cfg, decls, matrix) -> None:
     """An override the matrix would never read is an error: the matrix reads
-    one only for a zoo subject's case-dependent cell."""
+    one only for a case-dependent cell of a subject the run mutates."""
     for sut, cat, block in cfg.overrides:
         if sut not in decls:
             raise SpecSemanticError("override", f"not in the zoo: {sut}")
+        if cfg.suts and sut not in cfg.suts:
+            raise SpecSemanticError("override", f"not among the suts: {sut}")
         effect = matrix.cells[(cat, block)]
         if effect != CASE:
             raise SpecSemanticError("override", f"({cat}, {block.tag}) is {effect}, not case-dependent")

@@ -1,10 +1,11 @@
 """Mutation engine over the mini-language.
 
-Seven mutator categories generate one mutant per applicable (site,
-category) pair.  Each surviving mutant is classified D1/D2 against the
-category-by-block compatibility matrix (with per-subject overrides for
-case-dependent cells) and tagged homogeneity-preserving or -breaking by
-rule, never by running the kill experiment.
+Seven mutator categories generate one candidate per applicable (site,
+category) pair: the subject with one statement replaced.  A candidate the
+trivial-equivalence filter keeps is rebuilt into its program, classified
+D1/D2 against the category-by-block compatibility matrix (with per-subject
+overrides for case-dependent cells) and tagged homogeneity-preserving or
+-breaking by rule, never by running the kill experiment.
 """
 
 from __future__ import annotations
@@ -15,19 +16,17 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import minilang, zoo
-from ._record import field, record, replace
+from ._record import field, record
 from .algebra import CANONICAL_ORDER, BlockKind
 from .minilang import BUILTIN_ARITY, COMPARISONS, Assign, Const, DomainError, Expr, Op, Program, Var
-from .specfile import MUTATOR_CATEGORY_NAMES, MutatorConfig, SutDecl
+from .specfile import BREAKS, MUTATOR_CATEGORY_NAMES, PRESERVES, MutatorConfig, SutDecl
 
 
 MutatorCategory = enum.Enum(
     "MutatorCategory", [(name, name) for name in MUTATOR_CATEGORY_NAMES], module=__name__
 )
 
-PRESERVES = "preserves"
-BREAKS = "breaks"
-CASE = "case-dependent"
+CASE = "case-dependent"  # a default-matrix cell only; a `.cfg` file cannot write it
 
 _MATH_SWAP = {"+": "-", "-": "+", "*": "/", "/": "*", "%": "*"}
 _BOUNDARY_FLIP = {"<": "<=", "<=": "<"}
@@ -134,8 +133,7 @@ class Mutant:
     site: Tuple[int, Tuple[int, ...]]  # (statement index, path within it)
     broken_blocks: FrozenSet[BlockKind]
     homogeneity_effect: str  # preserving | breaking
-    decl: SutDecl = field(compare=False)
-    fn: Callable[..., float] = field(compare=False)  # decl.program, compiled
+    fn: Callable[..., float] = field(compare=False)  # the mutant's program, compiled
 
     @property
     def strata(self) -> str:
@@ -158,15 +156,15 @@ def _statement_exprs(program: Program) -> List[Expr]:
     return [a.expr for a in program.assigns] + [program.result]
 
 
-def _rebuild(decl: SutDecl, stmt_index: int, new_expr: Expr) -> SutDecl:
-    assigns = list(decl.program.assigns)
-    result = decl.program.result
+def _rebuild(program: Program, stmt_index: int, stmt: Expr) -> Program:
+    """`program` with statement `stmt_index` replaced by `stmt`."""
+    assigns = list(program.assigns)
+    result = program.result
     if stmt_index < len(assigns):
-        assigns[stmt_index] = Assign(assigns[stmt_index].name, new_expr)
+        assigns[stmt_index] = Assign(assigns[stmt_index].name, stmt)
     else:
-        result = new_expr
-    program = Program(decl.program.name, decl.program.params, tuple(assigns), result)
-    return replace(decl, program=program)
+        result = stmt
+    return Program(program.name, program.params, tuple(assigns), result)
 
 
 def _is_integral_const(node: Expr) -> bool:
@@ -198,7 +196,7 @@ def _sites(category: MutatorCategory, node: Expr) -> List[Tuple[Tuple[int, ...],
 def _candidates(
     decl: SutDecl, categories: Sequence[MutatorCategory]
 ) -> List[Tuple[MutatorCategory, int, Tuple[int, ...], Expr]]:
-    """(category, stmt, path, replacement) in deterministic order."""
+    """(category, stmt, path, replaced statement) in deterministic order."""
     out = []
     exprs = _statement_exprs(decl.program)
     for category in categories:
@@ -207,7 +205,9 @@ def _candidates(
             continue
         for stmt_index, root in enumerate(exprs):
             for path, node in minilang.walk(root):
-                out.extend((category, stmt_index, path + sub, new) for sub, new in _sites(category, node))
+                for sub, new in _sites(category, node):
+                    site = path + sub
+                    out.append((category, stmt_index, site, minilang.replace_at(root, site, new)))
     return out
 
 
@@ -229,27 +229,19 @@ def _outcomes(fn: Callable[..., float], points: Sequence[Tuple[float, ...]]) -> 
 
 
 class _Subject:
-    """A subject or candidate program with what the stages read of it.
+    """The subject with what the filter and the tagger read of it.
 
-    `mutate` makes one for its subject, shared by every candidate, and one
-    per candidate; each arrives with its folded statements and compiled
-    function.  The sample facts are computed on first use, so a subject's
-    own evaluations fall inside the stage that first needs them.
+    `mutate` makes one per subject, shared by all its candidates: it folds
+    every statement and takes the compiled `decl.fn` at once.  The sample
+    facts are computed on first use, so the subject's own evaluations fall
+    inside the stage that first needs them.
     """
 
-    def __init__(
-        self, decl: SutDecl, seed: int, folded: Tuple[Expr, ...], fn: Callable[..., float]
-    ):
+    def __init__(self, decl: SutDecl, seed: int):
         self.decl = decl
         self.seed = seed
-        self.folded = folded
-        self.fn = fn
-
-    @classmethod
-    def of(cls, decl: SutDecl, seed: int) -> "_Subject":
-        """Fold every statement of `decl`; the function is `decl.fn`."""
-        folded = tuple(minilang.fold_constants(e) for e in _statement_exprs(decl.program))
-        return cls(decl, seed, folded, decl.fn)
+        self.folded = tuple(minilang.fold_constants(e) for e in _statement_exprs(decl.program))
+        self.fn = decl.fn
 
     @cached_property
     def grid(self) -> List[Tuple[float, ...]]:
@@ -276,13 +268,13 @@ class _Subject:
 # Trivial-equivalence filter: two independent routes, either may discard
 
 
-def is_trivially_equivalent(base: _Subject, mutant: _Subject) -> bool:
-    """Equal after constant folding, or the same outcome at every point of
-    the base's grid: equal values, two NaNs, or two DomainErrors.  The grid
-    stops at the first point where the outcomes differ."""
-    if base.folded == mutant.folded:
+def is_trivially_equivalent(base: _Subject, k: int, stmt: Expr, fn: Callable[..., float]) -> bool:
+    """Statement `k` replaced by `stmt` (compiled as `fn`) is the base if
+    `stmt` folds to the base's statement `k`, or if `fn` has the base's
+    outcome at every grid point: equal values, two NaNs, or two
+    DomainErrors.  The grid stops at the first point where they differ."""
+    if minilang.fold_constants(stmt) == base.folded[k]:
         return True
-    fn = mutant.fn
     for point, b in zip(base.grid, base.grid_outcomes):
         try:
             m = fn(*point)
@@ -373,11 +365,12 @@ def syntactic_degree(program: Program) -> Optional[object]:
     return None if degree == "bool" else degree
 
 
-def homogeneity_effect_of(base: _Subject, mutant: _Subject) -> str:
-    """preserving/breaking by rule, on the base's seeded scaling sample.
+def homogeneity_effect_of(base: _Subject, program: Program, fn: Callable[..., float]) -> str:
+    """preserving/breaking for the mutant `program`, compiled as `fn`, by
+    rule, on the base's seeded scaling sample.
 
     The degree certificate is asked before the sample: a mutant without
-    one is breaking and its function is never called.  A certified mutant
+    one is breaking and `fn` is never called.  A certified mutant
     is preserving unless the sample shows it leaving the base's domain or
     finite range, or collapsing to a constant while the base varies.
     """
@@ -386,7 +379,7 @@ def homogeneity_effect_of(base: _Subject, mutant: _Subject) -> str:
         # no hypothesis to preserve; refuse to certify preservation
         return "breaking"
     target = 1 if homogeneity == "degree-1" else 0
-    degree = syntactic_degree(mutant.decl.program)
+    degree = syntactic_degree(program)
     if degree is not _POLY and degree != target:
         return "breaking"  # rule 4: no certificate
     base_vals: List[float] = []
@@ -395,7 +388,7 @@ def homogeneity_effect_of(base: _Subject, mutant: _Subject) -> str:
         if b is _DOMAIN_ERROR:
             continue  # outside the baseline's domain: not evidence
         try:
-            m = mutant.fn(*point)
+            m = fn(*point)
         except DomainError:
             return "breaking"  # rule 2: domain shrank
         if not math.isfinite(m) and math.isfinite(b):
@@ -445,26 +438,20 @@ def mutate(
     candidates = _candidates(decl, cats)
     if not candidates:
         return ()
-    base = _Subject.of(decl, seed)
-    exprs = _statement_exprs(decl.program)
-    variants = [(k, minilang.replace_at(exprs[k], path, new)) for _, k, path, new in candidates]
-    fns = minilang.compile_variants(decl.program, variants)
+    base = _Subject(decl, seed)
+    fns = minilang.compile_variants(decl.program, [(k, stmt) for _, k, _, stmt in candidates])
     out: List[Mutant] = []
-    for (category, _, path, _), (stmt_index, stmt), fn in zip(candidates, variants, fns):
-        folded = list(base.folded)
-        folded[stmt_index] = minilang.fold_constants(stmt)
-        mutated = _Subject(_rebuild(decl, stmt_index, stmt), seed, tuple(folded), fn)
-        if is_trivially_equivalent(base, mutated):
+    for (category, k, path, stmt), fn in zip(candidates, fns):
+        if is_trivially_equivalent(base, k, stmt, fn):
             continue
         out.append(
             Mutant(
                 base=decl.name,
                 category=category,
-                site=(stmt_index, path),
+                site=(k, path),
                 broken_blocks=classify(decl.name, category.name, matrix, decl.blocks),
-                homogeneity_effect=homogeneity_effect_of(base, mutated),
-                decl=mutated.decl,
-                fn=mutated.fn,
+                homogeneity_effect=homogeneity_effect_of(base, _rebuild(decl.program, k, stmt), fn),
+                fn=fn,
             )
         )
     return tuple(out)

@@ -60,6 +60,9 @@ MUTATOR_CATEGORY_NAMES = (
     "RETURN_VALS",
     "CALL_REMOVAL",
 )
+# the effects a compatibility-matrix cell may declare for a category on a block
+PRESERVES = "preserves"
+BREAKS = "breaks"
 
 
 class SpecSyntaxError(Exception):
@@ -530,7 +533,7 @@ class MutatorConfig:
 
 
 _CATEGORIES = {name: name for name in MUTATOR_CATEGORY_NAMES}
-_EFFECTS = {"preserves": "preserves", "breaks": "breaks"}
+_EFFECTS = {PRESERVES: PRESERVES, BREAKS: BREAKS}
 
 
 def parse_mutator_config(text: str) -> MutatorConfig:

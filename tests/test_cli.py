@@ -144,6 +144,7 @@ class TestExitCodes:
             (["derive", "sized"], ("sized.alg", f"{HEADER}\nalgebra a\n{OPERATOR_F} size=5\ngenerators f\n")),
             (["kill", "--config", "ov"], ("ov.cfg", f"{HEADER}\nsuts clamp\noverride nosuch MATH O_le=breaks\n")),
             (["kill", "--config", "ov"], ("ov.cfg", f"{HEADER}\nsuts clamp\noverride clamp MATH G=preserves\n")),
+            (["kill", "--config", "ov"], ("ov.cfg", f"{HEADER}\nsuts clamp\noverride midpoint MATH O_le=breaks\n")),
         ),
         ids=(
             "wilson-successes-above-n",
@@ -173,6 +174,7 @@ class TestExitCodes:
             "derive-size-without-regime",
             "kill-override-of-no-subject",
             "kill-override-of-a-fixed-cell",
+            "kill-override-of-a-subject-left-out",
         ),
     )
     def test_bad_input_is_one_line_exit_2(self, argv, fixture, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noether import minilang
-from noether._record import replace
+from noether._record import fields, replace
 from noether.algebra import BlockKind, CANONICAL_ORDER, OperatorAlgebra
 from noether.harness import (
     DEFAULT_BUDGET,
@@ -31,7 +31,7 @@ from noether.harness import (
     scaling_mr_name,
 )
 from noether.minilang import DomainError, compile_program
-from noether.mutate import MutatorCategory, _Subject, mutate
+from noether.mutate import MutatorCategory, _Subject, _rebuild, mutate
 from noether.reachability import check_reachability
 from noether.specfile import HEADER, SpecSemanticError, parse_sut_file
 from noether.zoo import (
@@ -44,6 +44,8 @@ from noether.zoo import (
     load_zoo,
     scaling_sample,
 )
+from test_minilang import reference_eval
+from test_mutate import program_of
 
 ZOO = load_zoo()
 SEED = 20260816
@@ -80,7 +82,7 @@ class TestGenerateTuples:
         }
         for mr in scaling_mrs:
             groups = generate_tuples(mr, SEED)
-            tagged = _Subject.of(mr.decl, SEED).scaling_points
+            tagged = _Subject(mr.decl, SEED).scaling_points
             # the tagger's points: every base, then every scaled point
             assert tagged == [g.members[0] for g in groups] + [g.members[1] for g in groups]
 
@@ -325,7 +327,7 @@ class TestKillExperiment:
         assert matrix.cells
         for (name, mid), witness in matrix.cells.items():
             # each witness is the failure text a rerun of the check reproduces
-            fn = compile_program(mutants[mid].decl.program)
+            fn = compile_program(program_of(mutants[mid]))
             groups = generate_tuples(mrs[name], SEED)
             assert witness and check_mr(mrs[name], fn, groups).failure == witness
 
@@ -527,11 +529,13 @@ class TestBlindness:
             (("nosuch", "MATH", BlockKind.O_LE), "override: not in the zoo: nosuch"),
             (("clamp", "MATH", BlockKind.G), "override: (MATH, G) is breaks, not case-dependent"),
             (("clamp", "MATH", BlockKind.L_STAR), "override: (MATH, L_star) is preserves, not case-dependent"),
+            (("powerSig", "MATH", BlockKind.O_LE), "override: not among the suts: powerSig"),
         ),
-        ids=("no-such-subject", "breaks-cell", "preserves-cell"),
+        ids=("no-such-subject", "breaks-cell", "preserves-cell", "subject-left-out"),
     )
     def test_overrides_that_never_apply_are_rejected(self, override, message):
-        # the compatibility matrix reads an override only for a case-dependent cell
+        # the compatibility matrix reads an override only for a case-dependent
+        # cell of a subject the run mutates
         cfg = replace(load_mutator_config(), overrides={override: "preserves"})
         with pytest.raises(SpecSemanticError) as exc:
             run_blindness_experiment(cfg=cfg)
@@ -575,3 +579,52 @@ class TestBlindness:
         assert not ok
         assert violations == tuple(f"{mid}: killed despite a preserves-cell" for mid in preserving)
         assert concordance_check(by_sut, set(), cells, decls) == (True, ())
+
+
+# --- the whole run against an independent interpreter ----------------------------------
+
+
+def interpreted(prog):
+    """`prog` run by test_minilang's tree-walking interpreter, not compiled."""
+
+    def run_reference(*args):
+        env = dict(zip(prog.params, map(float, args)))
+        for assign in prog.assigns:
+            env[assign.name] = reference_eval(assign.expr, env)
+        return reference_eval(prog.result, env)
+
+    return run_reference
+
+
+def interpreted_variants(prog, variants):
+    return [interpreted(_rebuild(prog, k, expr)) for k, expr in variants]
+
+
+class TestEndToEndOracle:
+    def test_interpreted_run_gives_the_shipped_report(self, monkeypatch):
+        """The bundled blindness run at seed 7, with every subject and mutant
+        run by the reference interpreter instead of generated code, gives the
+        shipped report field for field: summaries, verdict, kills and their
+        witnesses, concordance, exclusions and every mutant (its id, tag and
+        strata are what `Mutant` equality compares).  It checks what no unit test assembles: which function each
+        mutant carries, `SutDecl.fn` caching, the shared scaling sample and
+        the early-exit filter.
+
+        It catches a nearest-rounding remainder and a mutant schema that
+        selects the wrong statement.  It does not catch a truncated
+        (`math.fmod`) remainder at this seed: only candidates the filter
+        drops give `%` a negative operand, so the minilang unit tests stay
+        the guard for the sign of `%`.
+        """
+        cfg = replace(load_mutator_config(), seed=7)
+        assert {"gcdSig", "lcmSig"} <= set(cfg.suts)  # the deep bodies that use `%`
+        shipped = run_blindness_experiment(cfg)
+        monkeypatch.setattr(minilang, "compile_program", interpreted)
+        monkeypatch.setattr(minilang, "compile_variants", interpreted_variants)
+        oracle = run_blindness_experiment(cfg)
+        assert all(
+            m.fn.__name__ == "run_reference" for ms in oracle.mutants_by_sut.values() for m in ms
+        )
+        assert shipped.matrix.cells
+        for f in fields(shipped):
+            assert getattr(oracle, f.name) == getattr(shipped, f.name), f.name

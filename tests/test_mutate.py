@@ -54,13 +54,25 @@ SEED = 20260816
 
 
 def subject(decl):
-    return _Subject.of(decl, SEED)
+    return _Subject(decl, SEED)
 
 
-def replacement(m):
+def candidate_stmt(m, decl=None):
+    """The mutant's replaced statement, found again through `_candidates`
+    from its subject (the zoo's by default) and its site."""
+    decl = decl or ZOO[m.base]
+    (stmt,) = [s for _, k, path, s in _candidates(decl, [m.category]) if (k, path) == m.site]
+    return stmt
+
+
+def program_of(m, decl=None):
+    """The mutant's program, rebuilt on its own from its subject and site."""
+    return _rebuild((decl or ZOO[m.base]).program, m.site[0], candidate_stmt(m, decl))
+
+
+def replacement(m, decl=None):
     """The node at the mutant's site in its own program."""
-    stmt, path = m.site
-    return dict(minilang.walk(_statement_exprs(m.decl.program)[stmt]))[path]
+    return dict(minilang.walk(candidate_stmt(m, decl)))[m.site[1]]
 
 
 _COLUMNS = (
@@ -152,7 +164,6 @@ class TestClassify:
             site=(0, ()),
             broken_blocks=frozenset(),
             homogeneity_effect="breaking",
-            decl=ZOO["midpoint"],
             fn=compile_program(ZOO["midpoint"].program),
         )
         assert probe.strata == "D2"
@@ -277,11 +288,12 @@ class TestSurvivorSoundness:
 
         base_out = outcomes(base_fn)
         for m in mutate(ZOO[name], seed=SEED):
-            fresh = outcomes(compile_program(m.decl.program))
+            fn = compile_program(program_of(m))
+            fresh = outcomes(fn)
             assert fresh != base_out, mutant_id(m)
             # the stored function is the mutant's own program, compiled
             assert list(map(repr, outcomes(m.fn))) == list(map(repr, fresh)), mutant_id(m)
-            assert not is_trivially_equivalent(subject(decl), subject(m.decl))
+            assert not is_trivially_equivalent(subject(decl), m.site[0], candidate_stmt(m), fn)
 
     @pytest.mark.parametrize("name", ("midpoint", "clamp", "gcdSig", "lcmSig", "signum"))
     def test_preserving_tags_are_certified(self, name):
@@ -292,7 +304,8 @@ class TestSurvivorSoundness:
         for m in mutate(base, seed=SEED):
             if m.homogeneity_effect != "preserving":
                 continue
-            assert check_homogeneity(m.decl, LAMBDA_SAMPLES, points, 1e-6), mutant_id(m)
+            mutant = replace(base, program=program_of(m))
+            assert check_homogeneity(mutant, LAMBDA_SAMPLES, points, 1e-6), mutant_id(m)
 
     def test_no_hypothesis_means_breaking(self):
         # exactLog2 declares homogeneity=none: nothing can be tagged preserving
@@ -302,40 +315,61 @@ class TestSurvivorSoundness:
 
 class TestSiteRules:
     def _single(self, body, params=("x",), categories=None):
+        """The subject `tiny` with `body`, and its mutants."""
         text = f"{HEADER}\nsut tiny({', '.join(params)}) blocks=O_le\n{body}\n"
         decl = parse_sut_file(text)[0]
-        return mutate(decl, categories=categories, seed=SEED)
+        return decl, mutate(decl, categories=categories, seed=SEED)
 
     def test_increments_touch_only_comparison_thresholds(self):
-        mutants = self._single(
+        decl, mutants = self._single(
             "return x < 3 ? 0 : x + 2", categories=[MutatorCategory.INCREMENTS]
         )
         assert len(mutants) == 1  # the 3, not the 0 branch constant or the +2
         (m,) = mutants
-        assert replacement(m) == Const(4.0)
+        assert replacement(m, decl) == Const(4.0)
 
     def test_boundary_flips_strict_to_nonstrict(self):
-        mutants = self._single(
+        decl, mutants = self._single(
             "return x < 3 ? 0 : 1", categories=[MutatorCategory.CONDITIONALS_BOUNDARY]
         )
         (m,) = mutants
-        assert replacement(m) == Op("<=", (Var("x"), Const(3.0)))
+        assert replacement(m, decl) == Op("<=", (Var("x"), Const(3.0)))
 
     def test_call_removal_pins_to_one(self):
-        mutants = self._single(
+        decl, mutants = self._single(
             "return sqrt(x * x)", categories=[MutatorCategory.CALL_REMOVAL]
         )
         (m,) = mutants
-        assert replacement(m) == Const(1.0)
+        assert replacement(m, decl) == Const(1.0)
         assert ZOO["hypotSig"].program.result.op == "sqrt"  # the zoo exercises the same site rule
 
     def test_equivalent_candidates_are_filtered(self):
-        # negating a symmetric guard changes nothing observable: x*0 == 0*x
-        mutants = self._single(
+        _, mutants = self._single(
             "return x + 0", categories=[MutatorCategory.MATH]
         )
-        # x + 0 -> x - 0 folds to the same tree; the filter must drop it
+        # x + 0 -> x - 0: the folded trees differ, but the two agree at every
+        # grid point, so the grid route drops the candidate
         assert mutants == ()
+
+    def test_fold_equal_candidates_are_dropped_without_a_call(self, monkeypatch):
+        # abs(1) -> 1 gives x + 1, the very tree the base folds to: only the
+        # fold route can drop it before its function runs on the grid
+        calls = []
+        real_variants = minilang.compile_variants
+
+        def counted(fn):
+            def run(*args):
+                calls.append(args)
+                return fn(*args)
+
+            return run
+
+        monkeypatch.setattr(
+            minilang, "compile_variants", lambda prog, variants: list(map(counted, real_variants(prog, variants)))
+        )
+        _, mutants = self._single("return x + abs(1)", categories=[MutatorCategory.CALL_REMOVAL])
+        assert mutants == ()
+        assert calls == []
 
     @pytest.mark.parametrize("threshold", ("1e999", "-1e999"))
     def test_infinite_thresholds_are_not_increment_sites(self, threshold):
@@ -385,6 +419,28 @@ class TestSchemaCost:
         assert len(folds) == 27 + 70
         assert len(mutants) == CENSUS["gcdSig"][0]
 
+    # the bundled config's subjects, then the one-statement subjects of the shallow kill run
+    @pytest.mark.parametrize(
+        "suts,counts",
+        (
+            (None, (165, 88)),
+            (("caddSig", "clamp", "exactLog2", "hypotSig", "isSequence", "midpoint", "powerSig", "signum"), (56, 50)),
+        ),
+        ids=("bundled", "shallow"),
+    )
+    def test_only_survivors_are_rebuilt(self, suts, counts, monkeypatch):
+        cfg = load_mutator_config()
+        categories = [MutatorCategory[c] for c in cfg.categories]
+        rebuilt = []
+        real_rebuild = _rebuild
+        monkeypatch.setattr("noether.mutate._rebuild", lambda *args: rebuilt.append(args) or real_rebuild(*args))
+        candidates = survivors = 0
+        for name in suts or cfg.suts:
+            candidates += len(_candidates(ZOO[name], categories))
+            survivors += len(mutate(ZOO[name], categories, seed=cfg.seed))
+        assert (candidates, len(rebuilt)) == counts
+        assert survivors == len(rebuilt)
+
     def test_blindness_roster_filter_and_tag_counts(self):
         cfg = load_mutator_config()
         categories = [MutatorCategory[c] for c in cfg.categories]
@@ -406,10 +462,14 @@ class TestNonFiniteOutputs:
     def _decl(body):
         return parse_sut_file(f"{HEADER}\nsut n(x) blocks=L_star homogeneity=degree-1\n{body}\n")[0]
 
+    def _same(self, base_body, body):
+        """Whether the filter drops the one-statement `body` as the base's."""
+        other = self._decl(body)
+        return is_trivially_equivalent(subject(self._decl(base_body)), 0, other.program.result, other.fn)
+
     def test_nan_outcomes_count_as_equal_on_the_grid(self):
-        nan_body = subject(self._decl(self.NAN_BODY))
-        assert is_trivially_equivalent(nan_body, subject(self._decl(self.NAN_BODY + " + 0")))
-        assert not is_trivially_equivalent(nan_body, subject(self._decl("return x - x")))
+        assert self._same(self.NAN_BODY, self.NAN_BODY + " + 0")
+        assert not self._same(self.NAN_BODY, "return x - x")
 
     @pytest.mark.parametrize("body", (NAN_BODY, "return x * 1e308 * 10"))
     def test_non_finite_mutants_are_tagged_breaking(self, body):
@@ -417,15 +477,15 @@ class TestNonFiniteOutputs:
         # both: a preserving tag would be a preserving kill
         base, mutant = self._decl("return x"), self._decl(body)
         assert syntactic_degree(mutant.program) == 1
-        assert homogeneity_effect_of(subject(base), subject(mutant)) == "breaking"
+        assert homogeneity_effect_of(subject(base), mutant.program, mutant.fn) == "breaking"
         scaling = ScalingMR("n:L_scale", base)
         groups = generate_tuples(scaling, SEED)
         assert not check_mr(scaling, compile_program(mutant.program), groups).passed
 
 
-def full_grid_same(base, mutant):
+def full_grid_same(base, fn):
     """The filter's grid route as a full-grid comparison: every outcome of
-    both programs, then pointwise equal, both NaN, or both DomainError."""
+    the base and of `fn`, then pointwise equal, both NaN, or both DomainError."""
 
     def outcomes(fn):
         out = []
@@ -436,7 +496,7 @@ def full_grid_same(base, mutant):
                 out.append("domain-error")
         return out
 
-    left, right = outcomes(base.fn), outcomes(mutant.fn)
+    left, right = outcomes(base.fn), outcomes(fn)
     return all(a == b or (a != a and b != b) for a, b in zip(left, right))
 
 
@@ -449,29 +509,39 @@ def domain_error_below_zero(value):
     return fn
 
 
-def grid_only(sub):
-    """`sub` with folded statements no program has, so only the grid can match."""
-    return _Subject(sub.decl, sub.seed, ("unfoldable",), sub.fn)
+def grid_only(decl):
+    """The subject of `decl` with folded statements no statement folds to,
+    so only the grid can match."""
+    base = subject(decl)
+    base.folded = (UNFOLDABLE,) * len(base.folded)
+    return base
+
+
+UNFOLDABLE = Var("unfoldable")  # a statement that folds to no subject's statement
 
 
 class TestEarlyExitFilter:
     @pytest.mark.parametrize("name", sorted(ZOO))
     def test_agrees_with_the_full_grid_on_every_candidate(self, name):
         decl = ZOO[name]
-        base = subject(decl)
-        exprs = _statement_exprs(decl.program)
+        base, unfoldable = subject(decl), grid_only(decl)
         candidates = _candidates(decl, tuple(MutatorCategory))
         assert candidates
-        for _, k, path, new in candidates:
-            cand = subject(_rebuild(decl, k, minilang.replace_at(exprs[k], path, new)))
-            full = base.folded == cand.folded or full_grid_same(base, cand)
-            assert is_trivially_equivalent(base, cand) == full
-            assert is_trivially_equivalent(base, grid_only(cand)) == full_grid_same(base, cand)
+        for _, k, _, stmt in candidates:
+            program = _rebuild(decl.program, k, stmt)
+            fn = compile_program(program)
+            # the fold route must agree with comparing every folded statement
+            folded = tuple(minilang.fold_constants(e) for e in _statement_exprs(program))
+            full = base.folded == folded or full_grid_same(base, fn)
+            assert is_trivially_equivalent(base, k, stmt, fn) == full
+            assert is_trivially_equivalent(unfoldable, k, stmt, fn) == full_grid_same(base, fn)
 
     @staticmethod
-    def _pair(base_fn, mutant_fn):
-        decl = parse_sut_file(f"{HEADER}\nsut h(x) blocks=O_le\nreturn x\n")[0]
-        return _Subject(decl, SEED, ("base",), base_fn), _Subject(decl, SEED, ("mutant",), mutant_fn)
+    def _base(base_fn):
+        """A one-statement subject whose function is `base_fn`."""
+        base = subject(parse_sut_file(f"{HEADER}\nsut h(x) blocks=O_le\nreturn x\n")[0])
+        base.fn = base_fn
+        return base
 
     @pytest.mark.parametrize(
         "base_fn,mutant_fn,same",
@@ -497,9 +567,18 @@ class TestEarlyExitFilter:
         ),
     )
     def test_hand_built_outcomes(self, base_fn, mutant_fn, same):
-        base, mutant = self._pair(base_fn, mutant_fn)
-        assert full_grid_same(base, mutant) is same
-        assert is_trivially_equivalent(base, mutant) is same
+        base = self._base(base_fn)
+        assert full_grid_same(base, mutant_fn) is same
+        assert is_trivially_equivalent(base, 0, UNFOLDABLE, mutant_fn) is same
+
+    def test_fold_route_decides_without_a_call(self):
+        decl = parse_sut_file(f"{HEADER}\nsut h(x) blocks=O_le\nreturn x + abs(1)\n")[0]
+        ((_, k, _, stmt),) = _candidates(decl, [MutatorCategory.CALL_REMOVAL])
+
+        def never_called(*args):
+            raise AssertionError(f"called at {args}")
+
+        assert is_trivially_equivalent(subject(decl), k, stmt, never_called)
 
     def test_stops_at_the_first_differing_point(self):
         calls = []
@@ -508,8 +587,8 @@ class TestEarlyExitFilter:
             calls.append(x)
             return x + 1.0
 
-        base, mutant = self._pair(lambda x: x, mutant_fn)
-        assert not is_trivially_equivalent(base, mutant)
+        base = self._base(lambda x: x)
+        assert not is_trivially_equivalent(base, 0, UNFOLDABLE, mutant_fn)
         assert calls == [base.grid[0][0]]
 
 
@@ -633,7 +712,7 @@ class TestCertificateProperty:
                     assert repr(scaled) == repr(lam * value), (mutant_id(m), lam, point)
 
 
-def sample_first_tag(base, mutant):
+def sample_first_tag(base, program, fn):
     """The tagging decision list in its former order: the scaling sample
     (rules 2 and 3) is run before the degree certificate (rule 4) is asked."""
     homogeneity = base.decl.homogeneity
@@ -644,7 +723,7 @@ def sample_first_tag(base, mutant):
         if b is _DOMAIN_ERROR:
             continue
         try:
-            m = mutant.fn(*point)
+            m = fn(*point)
         except DomainError:
             return "breaking"
         if not math.isfinite(m) and math.isfinite(b):
@@ -654,7 +733,7 @@ def sample_first_tag(base, mutant):
     if len(set(mut_vals)) == 1 and len(set(base_vals)) > 1:
         return "breaking"
     target = 1 if homogeneity == "degree-1" else 0
-    degree = syntactic_degree(mutant.decl.program)
+    degree = syntactic_degree(program)
     if degree is _POLY or degree == target:
         return "preserving"
     return "breaking"
@@ -666,13 +745,13 @@ class TestCertificateFirst:
 
     @staticmethod
     def _compare(decl, mutants, seed):
-        base = _Subject.of(decl, seed)
+        base = _Subject(decl, seed)
         outcomes = set()
         for m in mutants:
-            mutant = _Subject(m.decl, seed, (), m.fn)
-            want = sample_first_tag(base, mutant)
-            assert homogeneity_effect_of(base, mutant) == want == m.homogeneity_effect, mutant_id(m)
-            outcomes.add((syntactic_degree(m.decl.program) is not None, want))
+            program = program_of(m, decl)
+            want = sample_first_tag(base, program, m.fn)
+            assert homogeneity_effect_of(base, program, m.fn) == want == m.homogeneity_effect, mutant_id(m)
+            outcomes.add((syntactic_degree(program) is not None, want))
         return outcomes
 
     def test_bundled_subjects_tag_as_sample_first(self):
@@ -704,7 +783,7 @@ class TestCertificateFirst:
             calls.append(args)
             return decl.fn(*args)
 
-        return homogeneity_effect_of(base, _Subject(decl, SEED, (), fn)), calls, base
+        return homogeneity_effect_of(base, decl.program, fn), calls, base
 
     def test_uncertified_mutant_is_never_called(self):
         tag, calls, _ = self._counted("return x * x")
