@@ -217,7 +217,7 @@ def cmd_derive(args) -> int:
     counter = CostCounter()
     patterns = construct_mp(algebra, counter)
     rows = [
-        {"label": p.label, "block": p.block.tag, "invariants": len(p.invariants)} for p in patterns
+        {"label": p.label, "block": p.block.tag, "invariants": len(p.operators)} for p in patterns
     ]
     cost = [{"total_units": counter.total}]
     _emit(args, None, {f"MetaPatterns for {algebra.name}": rows, "cost": cost})
@@ -438,8 +438,11 @@ def cmd_reproduce(args) -> int:
     if args.tamper:
         patches = {**cfg.matrix_patches, ("MATH", BlockKind.L_STAR): specfile.BREAKS}
         cfg = replace(cfg, matrix_patches=patches)
-    # A-10 runs first: its large derivations then set the peak resident set
-    # before the blindness run's heap is in place; its row stays last
+    # A-10 runs before the blindness run and its row stays last.  VmHWM marks
+    # after each stage read A-10 at about 0.1 MB over the loaded config and
+    # the blindness run, which compiles `minilang`, `mutate` and `harness`,
+    # at about 1 MB more, so the blindness run sets the peak; run after it,
+    # A-10 did not measure a lower peak at every checkout path length
     cost = list(_check_cost())
     result = harness.run_blindness_experiment(cfg)
     checks = [

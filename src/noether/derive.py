@@ -1,12 +1,12 @@
 """MetaPattern derivation.
 
-Pipeline: read the algebra's block decomposition, extract one invariant
-per (operator, block) pair (an operator's invariants share one `phi` set),
-and aggregate one MetaPattern per nonempty block that keeps the block's
-invariants.  A pattern translates its invariants into MR templates when its
-`templates` are read and stores none; a template records the invariant it
-came from, whose block fixes its relation form.  The harness's MR classes
-build and check its tuples.
+Pipeline: read the algebra's block decomposition and aggregate one
+MetaPattern per nonempty block that keeps the decomposition's own tuple of
+the block's operator names.  A pattern builds its invariants (one per name)
+and translates them into MR templates when they are read, and stores
+neither; a template records the invariant it came from, whose block fixes
+its relation form.  The harness's MR classes build and check its tuples.
+`extract_invariants` builds the same invariants eagerly, block by block.
 
 An instrumented cost counter makes the advertised near-linear complexity
 checkable: extraction charges each operator's cost hint once per tagged
@@ -14,8 +14,9 @@ block, translation charges one unit per invariant, the quotient charges a
 log-sized insertion fee, and aggregation charges one unit per block.  The
 quotient under structural equality is only that fee: each invariant names
 one operator and names are unique, so no two invariants of a block merge.
-Each step charges a block's units in one sum, once per block; the totals
-are those of one charge per operator and per invariant.
+`construct_mp` charges a block's units in two sums, whether or not its
+invariants are ever built; the totals are those of one charge per operator
+and per invariant.
 """
 
 from __future__ import annotations
@@ -72,17 +73,23 @@ class MRTemplate:
 
 @record
 class MetaPattern:
-    """One populated block's invariants, one per tagged operator in
-    declaration order.  It keeps the invariants and translates them into
-    its MR templates on read."""
+    """One populated block's operator names, in declaration order: the
+    block decomposition's own tuple.  It builds one invariant per name, and
+    translates them into its MR templates, on read."""
 
     block: BlockKind
     label: str
-    invariants: Tuple[BlockInvariant, ...]
+    operators: Tuple[str, ...]
 
     def __post_init__(self):
-        if not self.invariants:
+        if not self.operators:
             raise ValueError(f"MetaPattern {self.label} must have templates")
+
+    @property
+    def invariants(self) -> Tuple[BlockInvariant, ...]:
+        """Step 1, run on read: one invariant per operator, in order."""
+        block = self.block
+        return tuple([BlockInvariant(block, frozenset((name,))) for name in self.operators])
 
     @property
     def templates(self) -> Tuple[MRTemplate, ...]:
@@ -100,12 +107,13 @@ def extract_invariants(
     algebra: OperatorAlgebra,
     counter: Optional[CostCounter] = None,
 ) -> Dict[BlockKind, Tuple[BlockInvariant, ...]]:
-    """Step 1: one invariant per (operator, tagged block) pair.
+    """Step 1, all at once: one invariant per (operator, tagged block) pair.
 
-    One tuple per populated block, in canonical block order; within a block
-    the invariants follow operator declaration order, and empty blocks are
-    absent.  Extraction is schema-driven; each operator pays its declared
-    cost hint per tagged block.  An operator's invariants share one `phi`.
+    One tuple per populated block, equal to its pattern's `invariants`, in
+    canonical block order; within a block the invariants follow operator
+    declaration order, and empty blocks are absent.  Extraction is
+    schema-driven; each operator pays its declared cost hint per tagged
+    block.  An operator's invariants share one `phi`.
     """
     out: Dict[BlockKind, Tuple[BlockInvariant, ...]] = {}
     cost_hint = {op.name: op.cost_hint for op in algebra.operators}
@@ -142,17 +150,27 @@ def quotient_fee(n: int) -> int:
 def construct_mp(
     algebra: OperatorAlgebra, counter: Optional[CostCounter] = None
 ) -> Tuple[MetaPattern, ...]:
-    """Steps 1-4: the full MetaPattern set, in canonical block order."""
-    extracted = extract_invariants(algebra.blocks, algebra, counter)
+    """Steps 1-4: the full MetaPattern set, in canonical block order.
+
+    Each pattern keeps its block's names from `algebra.blocks` uncopied; the
+    counter is charged what extracting, translating, quotienting and
+    aggregating them costs, though none of it is built here.
+    """
+    blocks = algebra.blocks
+    if counter is not None:
+        cost_hint = {op.name: op.cost_hint for op in algebra.operators}
     patterns: List[MetaPattern] = []
-    for block, invariants in extracted.items():
+    for block in blocks.nonempty_blocks():
+        names = blocks.operators_in(block)
         if counter is not None:
-            # one unit per translation, the quotient's fee (it has nothing to
-            # merge) and one unit for the aggregation
-            n = len(invariants)
+            # the extraction's cost hints; then one unit per translation, the
+            # quotient's fee (it has nothing to merge) and one unit for the
+            # aggregation
+            n = len(names)
+            counter.charge(sum(map(cost_hint.__getitem__, names)))
             counter.charge(n + quotient_fee(n) + 1)
         label = algebra.label_overrides.get(block, block.default_label)
-        patterns.append(MetaPattern(block, label, invariants))
+        patterns.append(MetaPattern(block, label, names))
     return tuple(patterns)
 
 
@@ -171,6 +189,8 @@ def synthetic_algebra(n: int) -> OperatorAlgebra:
     if n < 1:
         raise ValueError("need at least one generator")
     blocks = [b for b in CANONICAL_ORDER if b is not BlockKind.B_REL]
+    # one tag set per block, shared by the operators it tags
+    tag_sets = {block: frozenset((block,)) for block in blocks}
     operators = []
     for i in range(n):
         block = blocks[i % len(blocks)]
@@ -179,7 +199,7 @@ def synthetic_algebra(n: int) -> OperatorAlgebra:
             Operator(
                 name=f"gen{i:04d}",
                 acts_on=ActsOn.INPUT,
-                block_tags=frozenset({block}),
+                block_tags=tag_sets[block],
                 regime=Regime.FINITE if group else Regime.NONE,
                 group_order_or_dim=2 if group else None,
             )

@@ -33,6 +33,8 @@ ORACLES = {
     "mr_names": "KillMatrix's green MRs, read by A-11 and test_harness's kill-matrix tests",
     "mutants_by_sut": "BlindnessReport's roster, read by A-05, A-11 and test_harness's "
     "concordance tests",
+    "extract_invariants": "A-04 and TestTemplates, which compare the patterns' invariants "
+    "and templates against it",
 }
 
 

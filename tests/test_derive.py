@@ -26,6 +26,7 @@ from noether.algebra import (
 from noether.derive import (
     BlockInvariant,
     CostCounter,
+    MRTemplate,
     construct_mp,
     extract_invariants,
     quotient_fee,
@@ -323,18 +324,39 @@ def _wide_algebra(n):
 
 
 class TestKeptObjects:
-    """A derivation keeps one tracked object per invariant and, per operator,
-    its `Operator` and one shared `phi`: no stored template, no `phi` per
-    invariant and no tag set per operator."""
+    """A derivation keeps its patterns and nothing per operator or per
+    invariant: a pattern holds its block's names tuple from the
+    decomposition, and a parsed algebra keeps its `Operator`s and no tag set
+    per operator."""
 
     SLACK = 64  # objects whose number does not grow with the operators
 
-    def test_construct_mp_keeps_the_invariants_and_one_phi_per_operator(self):
+    def test_construct_mp_keeps_only_its_patterns(self):
         alg = synthetic_algebra(1000)
         alg.blocks
         patterns, kept = _kept_objects(lambda: construct_mp(alg))
-        invariants = sum(len(p.invariants) for p in patterns)
-        assert kept <= invariants + len(alg.operators) + self.SLACK
+        assert kept <= self.SLACK
+        for p in patterns:
+            assert p.operators is alg.blocks.operators_in(p.block)
+
+    def test_construct_mp_builds_no_invariant_or_template(self, monkeypatch):
+        alg = _wide_algebra(100)
+        calls = []
+
+        def counting(real):
+            def call(*args):
+                calls.append(real.__name__)
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(derive, "BlockInvariant", counting(BlockInvariant))
+        monkeypatch.setattr(derive, "translate", counting(translate))
+        patterns = construct_mp(alg, CostCounter())
+        assert calls == []
+        # the same patch sees reads build them
+        patterns[0].templates
+        assert calls.count("BlockInvariant") == calls.count("translate") == len(patterns[0].operators)
 
     def test_a_parsed_algebra_keeps_one_object_per_operator(self):
         text = algebra_to_text(_wide_algebra(1000))
@@ -343,25 +365,59 @@ class TestKeptObjects:
         assert kept <= len(alg.operators) + self.SLACK
         assert len({id(op.block_tags) for op in alg.operators}) == len({op.block_tags for op in alg.operators})
 
-    def test_patterns_hold_the_extracted_invariants_sharing_phi(self, monkeypatch):
-        alg = _wide_algebra(100)
-        extracted = []
+    def test_synthetic_operators_share_one_tag_set_per_block(self):
+        alg = synthetic_algebra(1000)
+        assert len({id(op.block_tags) for op in alg.operators}) == 7
 
-        def spy(*args):
-            extracted.append(extract_invariants(*args))
-            return extracted[-1]
 
-        monkeypatch.setattr(derive, "extract_invariants", spy)
-        patterns = construct_mp(alg)
-        (by_block,) = extracted
-        assert [p.block for p in patterns] == list(by_block)
-        for p in patterns:
-            assert p.invariants is by_block[p.block]
-        phis = {}
-        for p in patterns:
-            for inv in p.invariants:
-                assert phis.setdefault(next(iter(inv.phi)), inv.phi) is inv.phi
-        assert len(phis) == len(alg.operators)
+def _extract_then_keep(alg, counter):
+    """The derivation as it was when a pattern kept its invariants, copied
+    here as an oracle: extract every block's invariants (an operator's
+    invariants share one `phi`), charge the meter, and keep them.  One
+    (block, label, invariants, templates, members) row per populated block."""
+    cost_hint = {op.name: op.cost_hint for op in alg.operators}
+    phi = {name: frozenset((name,)) for name in cost_hint}
+    blocks = decompose(alg)
+    rows = []
+    for block in blocks.nonempty_blocks():
+        names = blocks.operators_in(block)
+        counter.charge(sum(cost_hint[name] for name in names))
+        invariants = tuple(BlockInvariant(block, phi[name]) for name in names)
+        n = len(invariants)
+        counter.charge(n + quotient_fee(n) + 1)
+        label = alg.label_overrides.get(block, block.default_label)
+        templates = tuple(MRTemplate(inv) for inv in invariants)
+        rows.append((block, label, invariants, templates, frozenset(invariants)))
+    return rows
+
+
+class TestExtractThenKeep:
+    """Patterns that build their invariants on read read as the kept ones
+    did, and the meter charges the same total."""
+
+    @staticmethod
+    def assert_same(alg):
+        counter, expected_counter = CostCounter(), CostCounter()
+        got = [
+            (p.block, p.label, p.invariants, p.templates, p.members)
+            for p in construct_mp(alg, counter)
+        ]
+        assert got == _extract_then_keep(alg, expected_counter)
+        assert counter.total == expected_counter.total
+
+    @given(random_algebras())
+    @example(_MULTI_TAGGED)
+    @settings(max_examples=150, deadline=None)
+    def test_random_algebras(self, alg):
+        self.assert_same(alg)
+
+    @pytest.mark.parametrize("name", BUNDLED_ALGEBRAS)
+    def test_bundled_algebras(self, name):
+        self.assert_same(load_algebra(name))
+
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_synthetic_algebras(self, n):
+        self.assert_same(synthetic_algebra(n))
 
 
 class TestTranslate:

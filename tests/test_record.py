@@ -192,7 +192,8 @@ def test_every_package_record_hashes_as_the_tuple_of_its_compared_fields():
         algebras,
         [alg.blocks for alg in algebras],
         [construct_mp(alg) for alg in algebras],
-        # a pattern stores its invariants and builds its templates on read
+        # a pattern stores its block's names and builds its invariants and
+        # templates on read
         [p.templates for alg in algebras for p in construct_mp(alg)],
         descriptors,
         [check_reachability(d, algebras[0]) for d in descriptors],
