@@ -68,6 +68,8 @@ class ExecutableMR:
         return ""
 
     def _bound(self, first: float, second: float) -> float:
+        # at least DEFAULT_TOLERANCE > 0, so the checks accept a zero gap,
+        # which only two finite outputs give, without computing it
         return DEFAULT_TOLERANCE * max(1.0, abs(first), abs(second))
 
     def _rng(self, seed: int) -> Generator:
@@ -100,7 +102,7 @@ class SymmetryMR(ExecutableMR):
     def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
         expected = -f0 if self.action.output == "negate" else f0
         gap = f1 - expected
-        ok = abs(gap) <= self._bound(f0, f1)
+        ok = gap == 0.0 or abs(gap) <= self._bound(f0, f1)
         return "" if ok else f"equivariance gap {gap!r} at {group.members}"
 
 
@@ -147,7 +149,7 @@ class ScalingMR(ExecutableMR):
     def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
         invariant = self.decl.homogeneity == "positive-scale-invariant"
         gap = f1 - (f0 if invariant else group.scale * f0)
-        ok = abs(gap) <= self._bound(f0, f1)
+        ok = gap == 0.0 or abs(gap) <= self._bound(f0, f1)
         return "" if ok else f"scaling gap {gap!r} at {group.members}"
 
     def sample_violation(self, outputs: Sequence[float]) -> str:

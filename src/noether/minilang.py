@@ -17,11 +17,13 @@ behavior of a guarded loop that never divides by zero.  `/ 0` and
 `sqrt(negative)` raise DomainError.  Expression trees nest at most
 MAX_DEPTH levels; deeper input is an ExprSyntaxError.
 
-`compile_program` turns a program into the source of one Python function
-and compiles it once.  `compile_variants` compiles many one-statement
-variants of a program the same way, as one mutant schema: every statement
-is emitted once, each variant's replacement beside it, and each variant is
-a closure over the shared code that selects its own statement.
+`compile_program` turns a program into the source of one Python function,
+written with Python's own operators, literals and precedence wherever they
+mean the same, and compiles it once.  `compile_variants` compiles many
+one-statement variants of a program the same way, as one mutant schema:
+every statement is emitted once, each variant's replacement beside it, and
+each variant is a closure over the shared code that selects its own
+statement.
 `fold_constants` computes constant subtrees with the same operator
 functions that the compiled code calls.
 """
@@ -92,7 +94,7 @@ ARITY = {**dict.fromkeys(("+", "-", "*", "/", "%", *COMPARISONS), 2), "neg": 1, 
 
 # Deepest expression tree the parser and the compiler accept (a leaf is one
 # level).  It bounds every recursive walk over a tree, and the generated
-# Python nests one parenthesis per level, well inside CPython's 200.
+# Python nests at most one parenthesis per level, well inside CPython's 200.
 MAX_DEPTH = 100
 
 
@@ -154,8 +156,9 @@ def _all_const(nodes: Sequence[Expr]) -> bool:
 def fold_constants(node: Expr) -> Expr:
     """Evaluate constant subtrees; leaves anything that would raise alone.
 
-    Constant nodes are computed by the functions the compiled code calls,
-    so folding and evaluation share one statement of the semantics.  A
+    Constant nodes are computed by the functions the compiled code calls
+    (its inline `%` and `/` give the same outcomes), so folding and
+    evaluation share one statement of the semantics.  A
     comparison folds only as the test of a `?:`, which it then selects.
     """
     if not isinstance(node, Op):
@@ -192,14 +195,10 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             stripped = text[pos:].strip()
             if not stripped:
                 break
-            col = pos + len(text[pos:]) - len(text[pos:].lstrip()) + 1
+            col = len(text) - len(text[pos:].lstrip()) + 1
             raise ExprSyntaxError(f"unrecognized character {stripped[0]!r}", col, "a token")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num") + 1))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident") + 1))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op") + 1))
+        kind = m.lastgroup  # the one named group that matched
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
 
@@ -397,6 +396,8 @@ def type_check(prog: Program) -> None:
 # Evaluation: each program compiles once to the source of one Python `def`.
 # Operators without a Python counterpart of the same meaning are called by
 # name; folding calls the same functions, so the semantics are written once.
+# `%` and `/` of two leaves are the exception: written inline, they test the
+# divisor's truth, which is false exactly where `_mod` and `_div` see zero.
 
 
 def _div(n: float, d: float) -> float:
@@ -415,10 +416,6 @@ def _sqrt(v: float) -> float:
     return math.sqrt(v)
 
 
-def _arity_error(name: str, expected: int, got: int) -> ArityError:
-    return ArityError(f"{name} takes {expected} argument(s), got {got}")
-
-
 _INFIX = {
     "+": operator.add,
     "-": operator.sub,
@@ -429,33 +426,51 @@ _INFIX = {
 }
 _CALLED = {"/": _div, "%": _mod, "sqrt": _sqrt, "abs": abs, "min": min, "max": max}
 _OPS = {**_INFIX, **_CALLED, "neg": operator.neg}
-_NAMESPACE = {f.__name__: f for f in (*_CALLED.values(), _arity_error)}
+_NAMESPACE = {f.__name__: f for f in (*_CALLED.values(), ArityError)}
 
 
-def _emit(node: Expr, local: Mapping[str, str], consts: Dict[str, float], depth: int = 1) -> str:
-    """Python source for one expression; past MAX_DEPTH, ExprSyntaxError.
+def _emit(node: Expr, local: Mapping[str, str], consts: Dict[str, float], floor: int, depth: int = 1) -> str:
+    """Python source for one expression, parenthesized if it binds looser
+    than `floor`; past MAX_DEPTH, ExprSyntaxError.
 
-    Constants are bound by name, not written as literals: folding can make
-    inf, nan and -0.0, which have none.
+    Python ranks conditional < comparison < `+ -` < `*` as `_LEVEL` does,
+    so parentheses go only where `to_source` puts them: comparisons do not
+    chain and arithmetic is left-associative.  A finite constant is its
+    `repr` literal; inf, nan and -0.0 are bound by name.  `%` and `/` of two
+    leaves are written inline with the outcome of `_mod` and `_div`; nested
+    operands are passed to those functions.
     """
     if depth > MAX_DEPTH:
         raise _too_deep(1)
-    if isinstance(node, Const):
-        name = f"c{len(consts)}"
-        consts[name] = node.value
-        return name
     if isinstance(node, Var):
         return local[node.name]
-    args = [_emit(a, local, consts, depth + 1) for a in node.args]
+    if isinstance(node, Const):
+        text = repr(node.value)
+        if text in ("inf", "-inf", "nan", "-0.0"):
+            text = f"c{len(consts)}"
+            consts[text] = node.value
+        return text
     op = node.op
-    if op == "neg":
-        return f"(-{args[0]})"
+    level = _LEVEL.get(op, _LEVEL_ATOM)
+    if op == "?:":
+        floors = (_LEVEL_CMP, _LEVEL_CMP, _LEVEL_COND)
+    else:  # the arguments of a call need none
+        floors = (0, 0) if op in _CALLED else (max(level, _LEVEL_ADD), level + 1)
+    args = [_emit(a, local, consts, f, depth + 1) for a, f in zip(node.args, floors)]
     if op == "?:":
         test, then, other = args
-        return f"({then} if {test} else {other})"  # lazy, like `?:`
-    if op in _INFIX:
-        return f"({args[0]} {op} {args[1]})"
-    return f"{_CALLED[op].__name__}({', '.join(args)})"
+        text = f"{then} if {test} else {other}"  # lazy, like `?:`
+    elif op == "neg":
+        text = "-" + args[0]
+    elif op in _INFIX:
+        text = f"{args[0]} {op} {args[1]}"
+    elif op in "%/" and not any(isinstance(a, Op) for a in node.args):
+        n, d = args  # leaves, so each may be read twice
+        zero = n if op == "%" else f"_div({n}, {d})"
+        text, level = f"{n} {op} {d} if {d} else {zero}", _LEVEL_COND
+    else:
+        text, level = f"{_CALLED[op].__name__}({', '.join(args)})", _LEVEL_ATOM
+    return f"({text})" if level < floor else text
 
 
 def _select(lines: List[str], indent: str, target: str, sources: Sequence[str], first: int) -> None:
@@ -486,13 +501,15 @@ def _compile(
     lines = [
         "def schema(_s, _a):",
         "    def run(*args):",
-        f"        if len(args) != {n}:",
-        f"            raise _arity_error(name, {n}, len(args))",
+        "        try:",
+        f"            [{', '.join(local.values())}] = args",
+        "        except ValueError:",
+        f"            raise ArityError(f'{{name}} takes {n} argument(s), got {{len(args)}}') from None",
     ]
-    lines += [f"        v{i} = float(args[{i}])" for i in range(n)]
+    lines += [f"        v{i} = float(v{i})" for i in range(n)]
     statements = [(a.name, a.expr) for a in prog.assigns] + [(None, prog.result)]
     for k, (name, expr) in enumerate(statements):
-        sources = [_emit(e, local, consts) for e in (expr, *alternatives.get(k, ()))]
+        sources = [_emit(e, local, consts, _LEVEL_COND) for e in (expr, *alternatives.get(k, ()))]
         if name is not None:
             local.setdefault(name, f"v{len(local)}")
         target = "return " if name is None else f"{local[name]} = "
@@ -502,8 +519,10 @@ def _compile(
         lines += [f"        if _s != {k}:", f"            {target}{sources[0]}", "        else:"]
         _select(lines, "            ", target, sources[1:], 0)
     lines.append("    return run")
+    source = "\n".join(lines)
+    del lines  # only the joined text is alive while Python compiles it
     namespace = dict(_NAMESPACE, name=prog.name, **consts)
-    exec(compile("\n".join(lines), f"<minilang {prog.name}>", "exec"), namespace)
+    exec(compile(source, f"<minilang {prog.name}>", "exec"), namespace)
     return namespace["schema"]
 
 

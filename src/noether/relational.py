@@ -370,7 +370,10 @@ def parse_pattern(text: str) -> QueryExpr:
             raise fail(f"{tok} takes {len(_FIELDS[cls])} argument(s), got {len(children)}")
         return cls(*children)
 
-    out = parse(1)
+    try:
+        out = parse(1)
+    finally:
+        del parse  # `parse` refers to itself: end the parse without that cycle
     if tokens[pos] != _END:
         raise fail(f"trailing {tokens[pos]!r}")
     return out

@@ -141,6 +141,7 @@ def same_outcome(a, b):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 SPECIAL = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -3.0))
+SHAPES = ("var-var", "var-const", "const-var", "const-const", "nested")  # operands of a binary op
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -233,8 +234,8 @@ class TestEval:
         assert f(-7, 3) == -7 % 3  # floored, matches Python
         assert f(7.5, 2) == 7.5 % 2
 
-    @pytest.mark.parametrize("shape", ("var-var", "var-const", "const-var", "const-const", "nested"))
-    def test_mod_matches_the_reference_on_special_operands(self, shape):
+    @staticmethod
+    def _matches_on_special_operands(op, shape):
         # leaf and nested operands against the tree-walking reference
         values = (7.5, -3.0, 0.0, -0.0, math.inf, -math.inf, math.nan)
         for n in values:
@@ -244,10 +245,60 @@ class TestEval:
                 if shape == "nested":
                     left = Op("+", (Var("x"), Const(0.0)))
                     right = Op("neg", (Op("neg", (Var("y"),)),))
-                expr = Op("%", (left, right))
+                expr = Op(op, (left, right))
                 fn = compile_program(Program("t", ("x", "y"), (), expr))
                 got = outcome(lambda: fn(n, d))
                 assert same_outcome(got, outcome(lambda: reference_eval(expr, {"x": n, "y": d}))), (shape, n, d)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mod_matches_the_reference_on_special_operands(self, shape):
+        self._matches_on_special_operands("%", shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_division_matches_the_reference_on_special_operands(self, shape):
+        # a zero divisor of either sign is a DomainError, in the reference too
+        self._matches_on_special_operands("/", shape)
+
+    @pytest.mark.parametrize(
+        "expr",
+        (
+            Op("-", (Var("x"), Const(-2.5))),
+            Op("-", (Const(-2.5), Var("x"))),
+            Op("*", (Var("x"), Const(-3.0))),
+            Op("*", (Const(-3.0), Var("x"))),
+            Op("neg", (Const(-2.5),)),
+            Op("neg", (Op("neg", (Const(-1e300),)),)),
+            Op("?:", (Op("<", (Const(-2.5), Var("x"))), Const(-3.0), Var("x"))),
+            Op("?:", (Op("<=", (Var("x"), Const(-2.5))), Var("x"), Op("neg", (Const(-3.0),)))),
+            Op("%", (Const(-2.5), Var("x"))),
+            Op("/", (Var("x"), Const(-3.0))),
+        ),
+        ids=to_source,
+    )
+    def test_negative_literals_match_the_reference(self, expr):
+        fn = compile_program(Program("t", ("x",), (), expr))
+        for x in (2.0, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan):
+            assert same_outcome(outcome(lambda: fn(x)), outcome(lambda: reference_eval(expr, {"x": x}))), x
+
+    @pytest.mark.parametrize(
+        "expr",
+        (
+            Op("-", (Var("x"), Op("-", (Var("x"), Const(1.0))))),
+            Op("*", (Op("+", (Var("x"), Const(1.0))), Var("x"))),
+            Op("neg", (Op("+", (Var("x"), Const(1.0))),)),
+            Op("<", (Op("<", (Var("x"), Const(1.0))), Const(1.0))),
+            Op("?:", (Op("?:", (Op("<", (Var("x"), Const(0.0))), Op("<", (Var("x"), Const(-1.0))), Op("==", (Var("x"), Var("x"))))), Var("x"), Const(2.0))),
+            Op("?:", (Op("<", (Const(1.0), Var("x"))), Op("?:", (Op("<", (Var("x"), Const(0.0))), Var("x"), Const(3.0))), Const(2.0))),
+            Op("*", (Op("%", (Var("x"), Const(3.0))), Const(2.0))),
+            Op("-", (Const(1.0), Op("/", (Var("x"), Const(4.0))))),
+        ),
+        ids=to_source,
+    )
+    def test_operands_that_need_parentheses_match_the_reference(self, expr):
+        # unchecked trees, so comparisons may nest: each needs its parentheses in the generated code
+        fn = compile_program(Program("t", ("x",), (), expr))
+        for x in (2.0, 0.5, -2.5, 0.0, -0.0, math.inf, math.nan):
+            assert same_outcome(outcome(lambda: fn(x)), outcome(lambda: reference_eval(expr, {"x": x}))), x
 
     def test_division_by_zero_raises(self):
         f = make_fn("return a / b")
@@ -274,6 +325,14 @@ class TestEval:
         f = make_fn("return a + b")
         with pytest.raises(ArityError):
             f(1.0)
+
+    @pytest.mark.parametrize("params", ((), ("a",), ("a", "b", "c")), ids=len)
+    def test_wrong_argument_count_is_an_arity_error(self, params):
+        fn = compile_program(Program("t", params, (), Const(1.0)))
+        assert fn(*range(len(params))) == 1.0
+        for count in {max(len(params) - 1, 0), len(params) + 1} - {len(params)}:
+            with pytest.raises(ArityError, match=rf"t takes {len(params)} argument\(s\), got {count}$"):
+                fn(*[1.0] * count)
 
     @staticmethod
     def _agrees_with_reference(expr, xyz):

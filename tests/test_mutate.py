@@ -383,6 +383,46 @@ class TestSiteRules:
         assert isinstance(mutate(decl, seed=SEED), tuple)
 
 
+# sha256 (first 16 hex digits) of the Python source `minilang._compile`
+# generates for each bundled subject: its program alone, then the schema of
+# its candidates under the bundled config's mutator categories
+GENERATED_SOURCE_DIGESTS = {
+    "midpoint": ("a0b53ed1a39fc184", "1d454437c266da22"),
+    "exactLog2": ("022570cce33468c0", "fed0aca41a1fe40d"),
+    "isSequence": ("596c86d4e44b9bde", "a01cf5dea85a81c6"),
+    "clamp": ("10102e48cea99351", "96acf2f51fc51c0d"),
+    "signum": ("1b2e25f2e8e06ba7", "aae4ad2c127e5849"),
+    "caddSig": ("1ac2e61b75ff7f6a", "5369f719eb67b99d"),
+    "gcdSig": ("1fc1cb024f898653", "b79d824ac0c5b2ec"),
+    "lcmSig": ("2061a8c1133e4c4e", "7728188b56f80a69"),
+    "hypotSig": ("7e448d9a2851f9f7", "fb95129f66ef6be4"),
+    "powerSig": ("2a48ed53e38db97f", "2fc8d7f58478d134"),
+}
+
+
+class TestGeneratedSource:
+    def test_every_bundled_subject_is_pinned(self):
+        assert sorted(GENERATED_SOURCE_DIGESTS) == sorted(ZOO)
+
+    @pytest.mark.parametrize("name", sorted(GENERATED_SOURCE_DIGESTS))
+    def test_generated_source_is_pinned(self, name, monkeypatch):
+        sources = []
+        real_compile = builtins.compile
+
+        def recording_compile(source, *args, **kwargs):
+            sources.append(source)
+            return real_compile(source, *args, **kwargs)
+
+        decl = ZOO[name]
+        categories = [MutatorCategory[c] for c in load_mutator_config().categories]
+        variants = [(k, stmt) for _, k, _, stmt in _candidates(decl, categories)]
+        monkeypatch.setattr(builtins, "compile", recording_compile)
+        compile_program(decl.program)
+        minilang.compile_variants(decl.program, variants)
+        monkeypatch.undo()
+        assert tuple(map(_digest, sources)) == GENERATED_SOURCE_DIGESTS[name]
+
+
 class TestSchemaCost:
     """Each subject compiles its candidates once and folds each statement once."""
 

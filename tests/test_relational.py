@@ -1,6 +1,7 @@
 """Relational mini-evaluator tests: bag semantics, rewrites, MR trials."""
 
 import copy
+import gc
 import pickle
 from collections import Counter
 from unittest import mock
@@ -461,6 +462,16 @@ class TestRewriteRules:
         )
         with pytest.raises(ValueError):
             parse_pattern("select(p, join(R, S)) extra")
+
+    def test_a_parse_leaves_no_garbage_cycle(self):
+        # the nested parser refers to itself; each parse must end that cycle
+        gc.collect()
+        gc.disable()
+        try:
+            parse_pattern("distinct(select(p,join(R,empty)))")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unbound_variables_are_a_value_error(self):
         lhs = parse_pattern("select(p,R)")
