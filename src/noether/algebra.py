@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Tuple
 from ._record import field, record
 
 if TYPE_CHECKING:
-    from .relational import RewriteRule
+    from .plans import RewriteRule
 
 
 class UnassignedOperator(Exception):
@@ -172,9 +172,9 @@ class OperatorAlgebra:
     """A named operator set with a generating subset.
 
     semiring_rules holds the rewrite rules attached to the rewrite block,
-    each a `relational.RewriteRule` as parsed, and must be nonempty exactly
-    when some operator is tagged B_rel; `rho_select-push` fires them at the
-    plan root.
+    each a `plans.RewriteRule` as parsed, and must be nonempty exactly
+    when some operator is tagged B_rel; the `relational` evaluator's
+    `rho_select-push` fires them at the plan root.
     label_overrides maps block kinds to custom MetaPattern labels for this
     algebra (each block's default label applies otherwise); the eight
     effective labels must be distinct, so a label names one MetaPattern.

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import itertools
 import json
 import os
 import sys
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-# `relational` comes first: with no bytecode cache every process compiles
-# what it imports from source, and this order left the lowest peak resident
-# set (measured, CHANGES.md).  These are what `derive`, `rel` and REL_MODES
-# need; the other five modules are registered by `_lazy` below.
-from . import relational, specfile, zoo
+# What `derive` needs; the other nine modules are registered by `_lazy` below.
+# `plans` is one of them, though an algebra's rewrite lines need it: with no
+# bytecode cache every process compiles what it imports from source, and
+# compiled here, first, `plans` left the `kill` and `rel` peak resident set
+# 0.08-0.15 MB higher at each of five checkout path lengths, and the `derive`
+# and `reproduce` peaks lower at two of them at most (measured, CHANGES.md).
+from . import zoo
 from ._record import replace
 from .algebra import BlockKind
-from .derive import CostCounter, construct_mp, synthetic_algebra, theorem2_bound
+from .derive import CostCounter, construct_mp
 from .specfile import (
     MutatorConfig,
     SpecSemanticError,
@@ -52,84 +53,25 @@ def _lazy(name: str):
     return module
 
 
+_lazy("_rng")  # the sampler of `mutate`, `kill`, `rel` and `reproduce`
 _lazy("minilang")  # run by `mutate` and `harness`; registered for the tracer
 mutate = _lazy("mutate")
 harness = _lazy("harness")
+_lazy("plans")  # the rewrite-rule syntax: read by `specfile` and `relational`
 reachability = _lazy("reachability")
+relational = _lazy("relational")
 stats = _lazy("stats")
+reproduce = _lazy("reproduce")
 
 REPORT_VERSION = 1
 DEFAULT_SEED = 20260816
 
-# `rel --mutant` modes: the evaluator each names and the rewrite MR that
-# `reproduce` requires to catch it (None for the correct evaluator)
-REL_MODES: Dict[str, Tuple[relational.Evaluator, Optional[str]]] = {
-    "correct": (relational.CORRECT, None),
-    "biased-join": (relational.Evaluator(join_mode="left-semi"), "rho_join-comm"),
-    "guardless-pushdown": (relational.Evaluator(pushdown_guard=False), "rho_select-push"),
-}
-
-EXPECTED_PATTERNS: Dict[str, Dict[str, str]] = {
-    "boltzmann": {
-        "m_inv": "G",
-        "m_mono": "O_le",
-        "m_adj": "T_star",
-        "m_rev": "T_rev",
-        "m_conv": "L_star",
-        "m_dyn": "D_star",
-        "m_cmp": "E_star",
-    },
-    "equivariant": {
-        "m_inv": "G",
-        "m_mono": "O_le",
-        "m_adj": "T_star",
-        "m_rev": "T_rev",
-        "m_conv": "L_star",
-    },
-    "sort": {"m_inv": "G", "m_mono": "O_le"},
-    "relational": {"m_rel_inv": "G", "m_rel_mono": "O_le", "m_rel_cmp": "E_star", "m_rel": "B_rel"},
-    "ffn": {"m_stab": "L_star"},
-}
-
-REACHABILITY_GOLDENS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
-    # (descriptor fixture, algebra fixture, obstruction tags, assigned block tag or "-")
-    ("rho_nonadd", "boltzmann", ("O1", "O2", "O3"), "-"),
-    ("rho_mtc_bor", "boltzmann", ("O1", "O4", "O5"), "-"),
-    ("rho_rot", "equivariant", (), "G"),
-    ("rho_adj", "equivariant", (), "T_star"),
-    ("rho_train_rev", "equivariant", (), "T_rev"),
-    ("rho_join_comm", "relational", (), "G"),
-)
-
-SINGLE_OBSTRUCTION_FIXTURES: Tuple[Tuple[str, str], ...] = (
-    ("only_o1", "O1"),
-    ("only_o2", "O2"),
-    ("only_o3", "O3"),
-    ("only_o4", "O4"),
-    ("only_o5", "O5"),
-)
-
-# (set, descriptors, the coverage fraction as it prints)
-COVERAGE_SETS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
-    ("Set-N", ("rho_rot", "rho_mono", "rho_adj", "rho_train_rev", "rho_train"), "1"),
-    ("Set-L", ("rho_rot", "rho_train"), "2/5"),
-    ("Set-B", ("rho_train",), "1/5"),
-)
-
-STATS_GOLDENS = (
-    ("wilson(7,20)", lambda: stats.wilson_interval(7, 20), (0.1812, 0.5671), 5e-3),
-    ("wilson(26,52)", lambda: stats.wilson_interval(26, 52), (0.36886, 0.63114), 1e-3),
-    ("wilson(0,5)", lambda: stats.wilson_interval(0, 5), (0.0, 0.4345), 1e-3),
-    ("mcnemar(15,4)", lambda: (stats.mcnemar_exact(15, 4),), (0.019211,), 1e-3),
-    ("mcnemar(18,4)", lambda: (stats.mcnemar_exact(18, 4),), (0.004344,), 5e-4),
-    ("mcnemar(2,0)", lambda: (stats.mcnemar_exact(2, 0),), (0.5,), 1e-12),
-    ("fisher(7,13,0,20)", lambda: (stats.fisher_exact_2x2(7, 13, 0, 20),), (0.008316,), 1e-3),
-    ("fisher(2,3,0,5)", lambda: (stats.fisher_exact_2x2(2, 3, 0, 5),), (0.444444,), 1e-3),
-)
+# `rel --mutant` choices: the keys of `relational.REL_MODES`, spelled out so
+# that parsing a command line builds no evaluator
+REL_MODE_NAMES = ("correct", "biased-join", "guardless-pushdown")
 
 
 Rows = List[Dict[str, object]]
-Check = Tuple[str, bool, str]  # (check name, ok, detail): one row of reproduce's checks
 
 
 def _cell(value: object) -> str:
@@ -322,7 +264,7 @@ def cmd_kill(args) -> int:
 def cmd_rel(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     try:
-        counts = relational.run_rel_mrs(seed, args.trials, REL_MODES[args.mutant][0])
+        counts = relational.run_rel_mrs(seed, args.trials, relational.REL_MODES[args.mutant][0])
     except ValueError as exc:
         print(f"rel: {exc}", file=sys.stderr)
         return 2
@@ -344,124 +286,9 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# reproduce: the full desk-scale suite
-
-
-def _check_derivations() -> Iterator[Check]:
-    for name, expected in EXPECTED_PATTERNS.items():
-        patterns = construct_mp(zoo.load_algebra(name))
-        got = {p.label: p.block.tag for p in patterns}
-        ok = got == expected
-        yield f"derive:{name}", ok, f"{len(patterns)} patterns" if ok else f"got {sorted(got)}"
-
-
-def _check_reachability() -> Iterator[Check]:
-    check = reachability.check_reachability
-    for ref, algebra_name, tags, block in REACHABILITY_GOLDENS:
-        verdict = check(zoo.load_descriptor(ref), zoo.load_algebra(algebra_name))
-        got_tags, got_block = verdict.obstruction_tags(), _block_tag(verdict.assigned_block)
-        ok = (got_tags, got_block) == (tags, block)
-        yield f"reachability:{ref}", ok, ",".join(got_tags) or got_block
-    for ref, tag in SINGLE_OBSTRUCTION_FIXTURES:
-        verdict = check(zoo.load_descriptor(ref), zoo.load_algebra("boltzmann"))
-        got_tags = verdict.obstruction_tags()
-        yield f"obstruction:{ref}", got_tags == (tag,), ",".join(got_tags)
-
-
-def _check_blindness(result: harness.BlindnessReport) -> Iterator[Check]:
-    kills, excluded = len(result.preserving_kills), len(result.matrix.excluded)
-    yield "blindness:preserving-kills", not kills, f"{kills} rule-preserving mutants scaling-killed"
-    yield "blindness:verdict", result.verdict == "pass", result.verdict
-    violations = "; ".join(result.concordance_violations) or "clean"
-    yield "blindness:concordance", result.concordance_ok, violations
-    yield "blindness:baselines-green", not excluded, f"{excluded} excluded"
-
-
-def _check_relational(seed: int) -> Iterator[Check]:
-    # one draw of the 100 databases serves all three modes
-    runs = relational.run_rel_modes(seed, 100, [evaluator for evaluator, _ in REL_MODES.values()])
-    for (mode, (_, target)), counts in zip(REL_MODES.items(), runs):
-        if target is None:
-            detail = "; ".join(f"{mr} {p}/{p + f}" for mr, (p, f) in counts.items())
-            yield "relational:clean", all(f == 0 for _, f in counts.values()), detail
-        else:
-            fails = counts[target][1]
-            yield f"relational:{mode}-detected", fails > 0, f"{target} fails {fails}/100"
-
-
-def _check_stats() -> Iterator[Check]:
-    for name, fn, expected, tol in STATS_GOLDENS:
-        got = fn()
-        ok = all(abs(g - e) <= tol for g, e in zip(got, expected))
-        yield f"stats:{name}", ok, ",".join(f"{g:.6f}" for g in got)
-    kappa = stats.fleiss_kappa(_tsv_rows(zoo.fixture_text("fleiss_audit.tsv")))
-    yield "stats:fleiss-audit", abs(kappa - 0.857) <= 1e-3, f"{kappa:.6f}"
-
-
-def _check_coverage() -> Iterator[Check]:
-    algebra = zoo.load_algebra("equivariant")
-    check = reachability.check_reachability
-    for set_name, refs, expected in COVERAGE_SETS:
-        blocks = [check(zoo.load_descriptor(r), algebra).assigned_block for r in refs]
-        score = harness.coverage(blocks, algebra)
-        yield f"coverage:{set_name}", str(score) == expected, f"{score} (expected {expected})"
-
-
-def _check_sgd() -> Iterator[Check]:
-    eta = 1e-3
-    traj, loss = zoo.default_sgd_fixture(eta)
-    half, _ = zoo.default_sgd_fixture(eta / 2)
-    frozen, _ = zoo.default_sgd_fixture(0.0)
-    r_full = zoo.sgd_roundtrip_residual(traj, loss)
-    r_half = zoo.sgd_roundtrip_residual(half, loss)
-    r_zero = zoo.sgd_roundtrip_residual(frozen, loss)
-    ratio = r_full / r_half if r_half else float("inf")
-    ok = 3.0 <= ratio <= 5.0 and r_zero == 0.0
-    yield "sgd:order", ok, f"ratio {ratio:.4f}, zero-step residual {r_zero}"
-
-
-def _check_cost() -> Iterator[Check]:
-    ok = True
-    details = []
-    for n in (10, 100, 1000):
-        counter = CostCounter()
-        construct_mp(synthetic_algebra(n), counter)
-        bound = theorem2_bound(n)
-        details.append(f"n={n}: {counter.total} <= {bound:.1f}")
-        ok = ok and counter.total <= bound
-    yield "cost:bound", ok, "; ".join(details)
-
-
 def cmd_reproduce(args) -> int:
-    cfg = _mutator_config(args)
-    if args.tamper:
-        patches = {**cfg.matrix_patches, ("MATH", BlockKind.L_STAR): specfile.BREAKS}
-        cfg = replace(cfg, matrix_patches=patches)
-    # A-10 runs before the blindness run and its row stays last.  VmHWM marks
-    # after each stage read A-10 at about 0.1 MB over the loaded config and
-    # the blindness run, which compiles `minilang`, `mutate` and `harness`,
-    # at about 1 MB more, so the blindness run sets the peak; run after it,
-    # A-10 did not measure a lower peak at every checkout path length
-    cost = list(_check_cost())
-    result = harness.run_blindness_experiment(cfg)
-    checks = [
-        {"check": name, "ok": ok, "detail": detail}
-        for name, ok, detail in itertools.chain(
-            _check_derivations(),
-            _check_reachability(),
-            _check_blindness(result),
-            _check_relational(cfg.seed),
-            _check_stats(),
-            _check_coverage(),
-            _check_sgd(),
-            cost,
-        )
-    ]
-    failed = sum(not c["ok"] for c in checks)
-    summary = {"checks": len(checks), "failed": failed, "status": "red" if failed else "green"}
-    _emit(args, cfg.seed, {**_kills_section(result), "checks": checks, "summary": [summary]})
-    return 1 if failed else 0
+    # the suite lives in `reproduce`, which only this command compiles
+    return reproduce.run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rel", help="run the relational rewrite MRs")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--mutant", choices=tuple(REL_MODES), default="correct")
+    p.add_argument("--mutant", choices=REL_MODE_NAMES, default="correct")
     common(p, seeded=True)
     p.set_defaults(fn=cmd_rel)
 

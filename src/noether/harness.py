@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import sys
 import zlib
-from fractions import Fraction
-from typing import AbstractSet, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, AbstractSet, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import zoo
 from ._record import field, record
@@ -23,6 +22,9 @@ from .minilang import DomainError
 from .mutate import CASE, DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
 from .mutate import mutate as derive_mutants
 from .specfile import BREAKS, PRESERVES, SpecSemanticError, SutDecl
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_TOLERANCE = 100 * sys.float_info.epsilon
 DEFAULT_BUDGET = 64
@@ -265,6 +267,8 @@ def coverage(blocks: Iterable[BlockKind], algebra: OperatorAlgebra) -> Fraction:
     Each populated block contributes exactly one MetaPattern, so the
     patterns are counted by their blocks without being built.
     """
+    from fractions import Fraction  # here: it loads `decimal`, which `kill` never needs
+
     populated = algebra.blocks.nonempty_blocks()
     if not populated:
         raise EmptyMetaPatternSet(f"algebra {algebra.name} derives no MetaPatterns")
@@ -283,14 +287,12 @@ class KillSummary:
     mutants: int
     all_killed_breaking: bool = True
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.kills, self.mutants) if self.mutants else Fraction(0)
-
 
 def falsification_verdict(summaries: Iterable[KillSummary]) -> str:
-    """pass/falsified per the one-third outlier rule with the rescue clause."""
-    outliers = [s for s in summaries if s.mutants and s.rate >= Fraction(1, 3)]
+    """pass/falsified per the one-third outlier rule with the rescue clause:
+    a subject is an outlier when at least a third of its mutants are killed,
+    decided exactly in integers."""
+    outliers = [s for s in summaries if s.mutants and 3 * s.kills >= s.mutants]
     unrescued = [s for s in outliers if not s.all_killed_breaking]
     return "falsified" if len(unrescued) > 1 else "pass"
 

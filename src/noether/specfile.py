@@ -40,13 +40,13 @@ from .algebra import (
     canonical_sorted,
 )
 
-# Each parser imports what it builds only when it runs (relational for .alg
+# Each parser imports what it builds only when it runs (plans for .alg
 # rewrite lines, minilang for .sut bodies, reachability for .mr documents), so
 # reading an algebra or a descriptor loads neither evaluator.
 if TYPE_CHECKING:
     from . import minilang
+    from .plans import RewriteRule
     from .reachability import MRDescriptor
-    from .relational import RewriteRule
 
 HEADER = "#noether-spec v1"
 
@@ -308,7 +308,7 @@ def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
 
 
 def _parse_rewrite(lineno: int, line: str, rest: str) -> RewriteRule:
-    from .relational import RewriteRule, parse_guard, parse_pattern
+    from .plans import RewriteRule, parse_guard, parse_pattern
 
     tokens = rest.split(None, 1)
     if not tokens:
@@ -362,7 +362,7 @@ def algebra_to_text(algebra: OperatorAlgebra) -> str:
     if algebra.generators:
         out.append("generators " + ",".join(algebra.generators))
     if algebra.semiring_rules:
-        from .relational import rule_to_text
+        from .plans import rule_to_text
 
         out.extend(f"rewrite {rule_to_text(rule)}" for rule in algebra.semiring_rules)
     for block in canonical_sorted(algebra.label_overrides):

@@ -14,7 +14,6 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ._record import record
-from ._rng import Generator
 from .algebra import OperatorAlgebra
 from .specfile import (
     MutatorConfig,
@@ -26,6 +25,7 @@ from .specfile import (
 )
 
 if TYPE_CHECKING:
+    from ._rng import Generator
     from .reachability import MRDescriptor
 
 BUNDLED_ALGEBRAS = ("boltzmann", "equivariant", "sort", "relational", "ffn", "pwr")
@@ -187,6 +187,8 @@ def sample_args(
 def scaling_sample(decl: SutDecl, seed: int) -> List[Tuple[Tuple[float, ...], Tuple[float, ...], float]]:
     """(base args, scaled args, lambda) triples: the one scaling sample,
     which the scaling MR asserts on and the homogeneity tagger judges on."""
+    from ._rng import Generator  # here, so reading specs and deriving load no sampler
+
     rng = Generator(seed ^ 0x5CA1E)
     out = []
     for k in range(SCALING_BUDGET):

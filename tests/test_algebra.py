@@ -22,7 +22,7 @@ from noether.algebra import (
     canonical_max,
     decompose,
 )
-from noether.relational import RewriteRule, parse_guard, parse_pattern
+from noether.plans import RewriteRule, parse_guard, parse_pattern
 from noether.zoo import BUNDLED_ALGEBRAS, load_algebra
 
 BLOCKS = list(BlockKind)

@@ -665,10 +665,14 @@ class TestHumanFormat:
         )
 
 
-LAZY_MODULES = ("minilang", "mutate", "harness", "reachability", "stats")
+LAZY_MODULES = (
+    "_rng", "minilang", "mutate", "harness", "plans", "reachability", "relational", "stats", "reproduce",
+)
 # `derive` and `check-mr` read spec files and derive; `check-mr` also runs
-# `reachability`
-UNRUN_BY_DERIVE = {"minilang", "mutate", "harness", "stats"}
+# `reachability`, and an algebra's rewrite lines run `plans`
+UNRUN_BY_DERIVE = {"_rng", "minilang", "mutate", "harness", "relational", "stats", "reproduce"}
+# `fractions` imports `decimal`; only `coverage`, `stats` and `reproduce` need it
+NUMBER_MODULES = ("fractions", "decimal")
 
 
 def fresh_python(code, *flags, path=(SRC,)):
@@ -686,26 +690,30 @@ class TestCommandsLoadWhatTheyRun:
     @pytest.mark.parametrize(
         "argv, unrun",
         (
-            (["derive", "boltzmann"], UNRUN_BY_DERIVE),
+            (["derive", "boltzmann"], UNRUN_BY_DERIVE | {"plans"}),
             (["derive", str(FIXTURES / "relational.alg")], UNRUN_BY_DERIVE),
-            (["check-mr", "rho_rot", "--algebra", "equivariant"], UNRUN_BY_DERIVE),
-            (["rel", "--trials", "3"], set(LAZY_MODULES)),
+            (["check-mr", "rho_rot", "--algebra", "equivariant"], UNRUN_BY_DERIVE | {"plans"}),
+            (["rel", "--trials", "3"], set(LAZY_MODULES) - {"_rng", "plans", "relational"}),
+            (["kill"], {"plans", "relational", "reproduce", "reachability", "stats"}),
         ),
-        ids=("derive", "derive-rewrite-lines", "check-mr", "rel"),
+        ids=("derive", "derive-rewrite-lines", "check-mr", "rel", "kill"),
     )
     def test_command_runs_none_of_the_modules_it_does_not_use(self, argv, unrun):
-        # type() reads no attribute, so the check itself loads no module
+        # type() reads no attribute, so the check itself loads no module; -S:
+        # no site `.pth` file preloads a number module
         code = (
             "import contextlib, io, json, sys\n"
             "from noether import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = cli.main({argv!r})\n"
             f"ran = [n for n in {LAZY_MODULES!r} if type(sys.modules['noether.' + n]) is type(sys)]\n"
-            "print(json.dumps([rc, ran]))\n"
+            f"numbers = [n for n in {NUMBER_MODULES!r} if n in sys.modules]\n"
+            "print(json.dumps([rc, ran, numbers]))\n"
         )
-        rc, ran = json.loads(fresh_python(code))
+        rc, ran, numbers = json.loads(fresh_python(code, "-S"))
         assert rc == 0
         assert not set(ran) & unrun
+        assert numbers == []
 
     def test_package_attributes_are_the_registered_modules(self):
         code = (
@@ -715,7 +723,7 @@ class TestCommandsLoadWhatTheyRun:
             "import noether.minilang\n"
             "print(noether.minilang.MAX_DEPTH > 0)\n"
         )
-        assert fresh_python(code).split() == ["13", "True", "True"]
+        assert fresh_python(code).split() == ["15", "True", "True"]
 
     def test_tracer_installs_after_a_bare_cli_import(self):
         code = (

@@ -432,6 +432,15 @@ class TestFalsificationVerdict:
     def test_empty_subjects_are_not_outliers(self):
         assert falsification_verdict([summary("a", 0, 0, rescued=False)]) == "pass"
 
+    def test_integer_rule_is_the_exact_one_third_rule(self):
+        # two unrescued copies of one subject falsify exactly when it is an
+        # outlier by the rational rule
+        for mutants in range(61):
+            for kills in range(mutants + 1):
+                outlier = bool(mutants) and Fraction(kills, mutants) >= Fraction(1, 3)
+                pair = [summary("a", kills, mutants, rescued=False), summary("b", kills, mutants, rescued=False)]
+                assert falsification_verdict(pair) == ("falsified" if outlier else "pass"), (kills, mutants)
+
 
 # --- the full blindness experiment ----------------------------------------------------
 

@@ -9,7 +9,7 @@ from typing import ClassVar
 
 import pytest
 
-from noether import _record, harness, relational, zoo
+from noether import _record, harness, plans, relational, zoo
 from noether._rng import Generator
 from noether.derive import construct_mp
 from noether.mutate import DEFAULT_MATRIX
@@ -208,7 +208,7 @@ def test_every_package_record_hashes_as_the_tuple_of_its_compared_fields():
         zoo.default_sgd_fixture(),
         relational.CORRECT,
         db,
-        relational.parse_pattern("distinct(select(p,R))"),
+        plans.parse_pattern("distinct(select(p,R))"),
         relational.run_rel_trial("rho_select-push", db, Generator(SEED), relational.bundled_rules()),
     ]
     found = {}

@@ -10,35 +10,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noether import cli, relational
+from noether import cli, plans, relational
 from noether._rng import Generator
-from noether.cli import REL_MODES
-from noether.relational import (
-    CORRECT,
+from noether.plans import (
     EMPTY_NAME,
     MAX_PATTERN_DEPTH,
-    REL_MR_NAMES,
-    STRING_POOL,
+    TRUE,
     Base,
     Distinct,
-    Evaluator,
     Join,
     Predicate,
-    Relation,
     RewriteRule,
-    Select,
     SchemaMismatch,
-    TRUE,
+    Select,
     UnknownRelation,
     Var,
+    parse_guard,
+    parse_pattern,
+    rule_to_text,
+)
+from noether.relational import (
+    CORRECT,
+    REL_MODES,
+    REL_MR_NAMES,
+    STRING_POOL,
+    Evaluator,
+    Relation,
     bag_equal,
     bundled_rules,
     eval_query,
     gen_database,
-    parse_guard,
-    parse_pattern,
     rewrite_once,
-    rule_to_text,
     run_rel_modes,
     run_rel_mrs,
     run_rel_trial,
@@ -281,12 +283,12 @@ PREDICATES = st.one_of(
 )
 
 
-def plans(heads):
+def plan_trees(heads):
     """Plans with at most `heads` nested plan heads over named relations."""
     bases = st.sampled_from(("R", "S", "T", EMPTY_NAME, "Q")).map(Base)
     if heads == 0:
         return bases
-    sub = plans(heads - 1)
+    sub = plan_trees(heads - 1)
     return st.one_of(
         bases,
         st.builds(Select, PREDICATES, sub),
@@ -309,7 +311,7 @@ BAGS = st.dictionaries(st.tuples(st.integers(0, 2), st.sampled_from("xy")), st.i
 
 class TestFastPathDifferential:
     @settings(max_examples=300, deadline=None)
-    @given(plan=plans(4), seed=st.integers(0, 2**32))
+    @given(plan=plan_trees(4), seed=st.integers(0, 2**32))
     # joins on no shared column, on one (a scalar key) and on two (a tuple key)
     @example(plan=Join(Base("R"), Base("T")), seed=1)
     @example(plan=Join(Base("R"), Base("S")), seed=1)
@@ -431,9 +433,9 @@ class TestRewriteRules:
             parsed.append(text)
             return parse_pattern(text)
 
-        monkeypatch.setattr(relational, "parse_pattern", counting_parse)
+        monkeypatch.setattr(plans, "parse_pattern", counting_parse)
         rules = bundled_rules()
-        assert len(rules) == 4 and all(isinstance(r, relational.RewriteRule) for r in rules)
+        assert len(rules) == 4 and all(isinstance(r, RewriteRule) for r in rules)
         assert len(parsed) == 8 and sorted(parsed) == sorted(fields)
 
     def test_parsed_rule_travels_with_its_declaration(self):
@@ -704,3 +706,22 @@ class TestSharedDatabases:
             monkeypatch.setattr(relational, name, counted(getattr(relational, name)))
         assert cli.main(["reproduce", "--format", "machine", "--out", str(tmp_path / "r.jsonl")]) == 0
         assert calls == {"gen_database": 100, "bundled_rules": 1}
+
+
+class TestPlanSyntaxIsShared:
+    """`relational` evaluates the plans of `plans`: it finds a node's
+    evaluator and matches a pattern by `type(node) is cls`, so each plan
+    class it reads must be the very class the rules are parsed into."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ("Base", "Select", "Join", "Distinct", "Predicate", "Var", "SchemaMismatch", "UnknownRelation", "_FIELDS"),
+    )
+    def test_relational_reads_the_plan_syntax(self, name):
+        assert getattr(relational, name) is getattr(plans, name)
+
+    def test_every_plan_class_has_an_evaluator(self):
+        assert set(relational._EVAL) == {Base, *plans._HEADS.values()}
+
+    def test_cli_mode_names_are_the_mode_table(self):
+        assert cli.REL_MODE_NAMES == tuple(REL_MODES)
