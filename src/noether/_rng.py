@@ -137,7 +137,16 @@ class Generator:
             return low
         if span > _M32:
             raise ValueError("integers supports spans below 2**32")
-        m = self._next32() * span
+        # the first draw inline: the pending high half, or the low half of a
+        # fresh 64-bit output
+        half = self._half
+        if half is None:
+            out = self._next64()
+            self._half = out >> 32
+            m = (out & _M32) * span
+        else:
+            self._half = None
+            m = half * span
         if m & _M32 < span:
             threshold = (1 << 32) % span
             while m & _M32 < threshold:

@@ -182,11 +182,15 @@ class Guard:
     rel_var: str = ""
 
 
+# a guard's variables are pattern names
+_GUARD = re.compile(rf"attrs\(({_NAME.pattern})\)\s+subset\s+attrs\(({_NAME.pattern})\)")
+
+
 def parse_guard(text: str) -> Guard:
     text = text.strip()
     if not text or text == "none":
         return Guard()
-    m = re.fullmatch(r"attrs\((\w+)\)\s+subset\s+attrs\((\w+)\)", text)
+    m = _GUARD.fullmatch(text)
     if not m:
         raise ValueError(f"unsupported guard {text!r}")
     return Guard(pred_var=m.group(1), rel_var=m.group(2))

@@ -8,8 +8,12 @@ rules at the plan root.  Two deliberately broken evaluation modes exist so
 the rewrite MRs have something to catch: a join evaluated as a left-biased
 semi-join, and rules fired without checking their guards, so the pushdown
 ignores attribute containment; `REL_MODES` names them for `rel --mutant`.
+A plan evaluates to a `(schema, rows)` pair, rows a dict of positive
+counts; only `Evaluator.eval` and `eval_query` wrap the pair in a
+`Relation`, and the trials compare the pairs themselves.
 `run_rel_modes` runs the four MRs under several evaluators over one draw of
-the seeded databases; `run_rel_mrs` is its one-evaluator case.
+the seeded databases, firing the rules once per distinct plan of the run;
+`run_rel_mrs` is its one-evaluator case.
 """
 
 from __future__ import annotations
@@ -66,9 +70,11 @@ class _Rows(Counter):
 @record
 class Relation:
     """A bag of rows over `schema`: `rows` maps each row to its multiplicity,
-    a positive count; the constructor drops zero counts and rejects negative
-    ones, so two relations hold the same bag exactly when their `rows` are
-    equal as dicts.  `rows` is read-only, so a relation hashes."""
+    a positive int; the constructor drops zero counts and rejects negative
+    ones and any count that is not an int, so two relations hold the same
+    bag exactly when their `rows` are equal as dicts.  `rows` is read-only,
+    so a relation hashes.  A relation unpacks as its `(schema, rows)` pair,
+    the form plans evaluate to."""
 
     schema: Tuple[str, ...]
     rows: Counter = field(default_factory=Counter)
@@ -81,6 +87,8 @@ class Relation:
         for row, n in rows.items():
             if len(row) != len(schema):
                 raise SchemaMismatch(f"row arity {len(row)} != schema arity {len(schema)}")
+            if type(n) is not int:
+                raise ValueError(f"multiplicity {n!r} of row {row!r} is not an int")
             if n < 0:
                 raise ValueError(f"negative multiplicity {n} of row {row!r}")
         _set(self, "schema", schema)
@@ -98,12 +106,8 @@ class Relation:
         _set(rel, "rows", rows)
         return rel
 
-    def reordered(self, new_schema: Sequence[str]) -> "Relation":
-        if set(new_schema) != set(self.schema) or len(new_schema) != len(self.schema):
-            raise SchemaMismatch(f"cannot reorder {self.schema} as {tuple(new_schema)}")
-        # a permutation of distinct columns maps distinct rows to distinct rows
-        get = _row_getter([self.schema.index(a) for a in new_schema])
-        return Relation._trusted(tuple(new_schema), {get(row): n for row, n in self.rows.items()})
+    def __iter__(self):
+        return iter((self.schema, self.rows))
 
 
 def _key_getter(index: Sequence[int]):
@@ -119,16 +123,29 @@ def _row_getter(index: Sequence[int]):
     return _key_getter(index)
 
 
-def bag_equal(left: Relation, right: Relation) -> bool:
-    """Same column names and same bag, modulo column order: the right side is
-    first reordered into the left's columns.  Counts are positive, so the
-    bags are equal exactly when the dicts are (`dict.__eq__` runs in C;
-    `Counter.__eq__` is a Python-level loop)."""
-    if left.schema != right.schema:
-        if set(left.schema) != set(right.schema):
+@lru_cache(maxsize=256)
+def _reorder(old: Tuple[str, ...], new: Tuple[str, ...]):
+    """The function from a row over the columns `old` to the same row over
+    `new`, or None when `new` is not a permutation of `old`."""
+    if len(new) != len(old) or set(new) != set(old):
+        return None
+    # a permutation of distinct columns maps distinct rows to distinct rows
+    return _row_getter([old.index(a) for a in new])
+
+
+def bag_equal(left, right) -> bool:
+    """Same column names and same bag, modulo column order: the right side's
+    rows are first put in the left's column order.  Each side is a relation
+    or the `(schema, rows)` pair a plan evaluates to.  Counts are positive,
+    so the bags are equal exactly when the dicts are (`dict.__eq__` runs in
+    C; `Counter.__eq__` is a Python-level loop)."""
+    (left_schema, left_rows), (right_schema, right_rows) = left, right
+    if left_schema != right_schema:
+        get = _reorder(right_schema, left_schema)
+        if get is None:
             return False
-        right = right.reordered(left.schema)
-    return dict.__eq__(left.rows, right.rows)
+        right_rows = {get(row): n for row, n in right_rows.items()}
+    return dict.__eq__(left_rows, right_rows)
 
 
 class _Rowless:
@@ -154,19 +171,31 @@ def schema_of(q: QueryExpr, db: Mapping[str, Relation]) -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one function per plan class, found through `_EVAL`
+# Evaluation: one function per plan class, found through `_EVAL`.  Each maps
+# a plan to its (schema, rows) pair, rows a dict of positive counts that the
+# caller must not change.
+
+_Bag = Tuple[Tuple[str, ...], Mapping[Tuple, int]]
 
 
-def _base(ev: "Evaluator", q: Base, db) -> Relation:
+def _eval(ev: "Evaluator", q: QueryExpr, db) -> _Bag:
+    evaluate = _EVAL.get(type(q))
+    if evaluate is None:
+        raise TypeError(f"not a query node: {q!r}")
+    return evaluate(ev, q, db)
+
+
+def _base(ev: "Evaluator", q: Base, db) -> _Bag:
     if q.name not in db:
         raise UnknownRelation(q.name)
-    return db[q.name]
+    rel = db[q.name]
+    return rel.schema, rel.rows
 
 
-def _select(ev: "Evaluator", q: Select, db) -> Relation:
-    child = ev.eval(q.child, db)
-    holds, schema = q.pred.holds, child.schema
-    return Relation._trusted(schema, {r: n for r, n in child.rows.items() if holds(schema, r)})
+def _select(ev: "Evaluator", q: Select, db) -> _Bag:
+    schema, rows = _eval(ev, q.child, db)
+    holds = q.pred.holds
+    return schema, {r: n for r, n in rows.items() if holds(schema, r)}
 
 
 @lru_cache(maxsize=256)
@@ -179,28 +208,27 @@ def _join_plan(left: Tuple[str, ...], right: Tuple[str, ...]):
     return left + tuple(right[i] for i in extra), *keys, _row_getter(extra)
 
 
-def _join(ev: "Evaluator", q: Join, db) -> Relation:
-    left, right = ev.eval(q.left, db), ev.eval(q.right, db)
-    schema, left_key, right_key, extra = _join_plan(left.schema, right.schema)
+def _join(ev: "Evaluator", q: Join, db) -> _Bag:
+    (left_schema, left_rows), (right_schema, right_rows) = _eval(ev, q.left, db), _eval(ev, q.right, db)
+    schema, left_key, right_key, extra = _join_plan(left_schema, right_schema)
     by_key: Dict[object, List[Tuple[Tuple, int]]] = {}
-    for row, count in right.rows.items():
+    for row, count in right_rows.items():
         by_key.setdefault(right_key(row), []).append((extra(row), count))
     if ev.join_mode == "left-semi":
         # biased: emit the left row once per multiplicity iff matched
-        rows = {row: n for row, n in left.rows.items() if left_key(row) in by_key}
-        return Relation._trusted(left.schema, rows)
+        return left_schema, {row: n for row, n in left_rows.items() if left_key(row) in by_key}
     # a right row is its key plus its extras, so each output row has one source pair
     rows = {
         lrow + rextra: lcount * rcount
-        for lrow, lcount in left.rows.items()
+        for lrow, lcount in left_rows.items()
         for rextra, rcount in by_key.get(left_key(lrow), ())
     }
-    return Relation._trusted(schema, rows)
+    return schema, rows
 
 
-def _distinct(ev: "Evaluator", q: Distinct, db) -> Relation:
-    child = ev.eval(q.child, db)
-    return Relation._trusted(child.schema, dict.fromkeys(child.rows, 1))
+def _distinct(ev: "Evaluator", q: Distinct, db) -> _Bag:
+    schema, rows = _eval(ev, q.child, db)
+    return schema, dict.fromkeys(rows, 1)
 
 
 _EVAL = {Base: _base, Select: _select, Join: _join, Distinct: _distinct}
@@ -230,10 +258,7 @@ class Evaluator:
         return q
 
     def eval(self, q: QueryExpr, db: Mapping[str, Relation]) -> Relation:
-        evaluate = _EVAL.get(type(q))
-        if evaluate is None:
-            raise TypeError(f"not a query node: {q!r}")
-        return evaluate(self, q, db)
+        return Relation._trusted(*_eval(self, q, db))
 
 
 CORRECT = Evaluator()
@@ -356,45 +381,61 @@ class RelTrial:
 def _same_bag(evaluator, q1, q2, db) -> bool:
     """Whether two plans give the same bag on `db`, modulo column order."""
     try:
-        left = evaluator.eval(q1, db)
-        right = evaluator.eval(q2, db)
+        left = _eval(evaluator, q1, db)
+        right = _eval(evaluator, q2, db)
     except (SchemaMismatch, UnknownRelation):
         return False
     return bag_equal(left, right)
 
 
 _R, _S, _T = Base("R"), Base("S"), Base("T")
+_R_JOIN_S = Join(_R, _S)
 _DISTINCT_S = Distinct(_S)
 _DISTINCT_TWICE_S = Distinct(_DISTINCT_S)
 
+# A trial's `memo` maps a plan to what the rules made of it earlier in the
+# run.  A run loads its rules once, and every database it draws has
+# `gen_database`'s fixed schemas, the only part of a database a guard reads
+# (`schema_of`), so a plan rewrites the same way on each of them.  The memo
+# must not outlive the run: the next run may load other rules.  The
+# evaluators of a run share it, so `_select_push` keys on whether the
+# evaluator checks guards; `rewrite_once` always does.
 
-def _plans_agree(q1, q2, db, rng, rules, evaluator) -> bool:
+
+def _plans_agree(q1, q2, db, rng, rules, evaluator, memo) -> bool:
     return _same_bag(evaluator, q1, q2, db)
 
 
-def _select_push(db, rng, rules, evaluator) -> bool:
-    q = Select(_random_predicate(rng, ("a", "b", "c")), Join(_R, _S))
-    return _same_bag(evaluator, q, evaluator.optimize(q, rules, db), db)
+def _select_push(db, rng, rules, evaluator, memo) -> bool:
+    q = Select(_random_predicate(rng, ("a", "b", "c")), _R_JOIN_S)
+    key = (q, evaluator.pushdown_guard)
+    pushed = memo.get(key)
+    if pushed is None:
+        pushed = memo[key] = evaluator.optimize(q, rules, db)
+    return _same_bag(evaluator, q, pushed, db)
 
 
-def _distinct_idem(db, rng, rules, evaluator) -> bool:
+def _distinct_idem(db, rng, rules, evaluator, memo) -> bool:
     pred = _random_predicate(rng, ("b", "c"))
     once = Select(pred, _S)
     twice = Select(pred, once)
+    collapses = memo.get(twice)
+    if collapses is None:
+        collapses = memo[twice] = rewrite_once(twice, rules, db) == once
     return (
-        rewrite_once(twice, rules, db) == once
+        collapses
         and _same_bag(evaluator, twice, once, db)
         and _same_bag(evaluator, _DISTINCT_TWICE_S, _DISTINCT_S, db)
     )
 
 
-# The rewrite MRs in report order: each maps (db, rng, rules, evaluator) to
-# whether the trial passed and draws from rng in its own fixed order.
+# The rewrite MRs in report order: each maps (db, rng, rules, evaluator,
+# memo) to whether the trial passed and draws from rng in its own fixed order.
 _REL_MRS = {
-    "rho_join-comm": partial(_plans_agree, Join(_R, _S), Join(_S, _R)),
+    "rho_join-comm": partial(_plans_agree, _R_JOIN_S, Join(_S, _R)),
     "rho_select-push": _select_push,
     "rho_distinct-idem": _distinct_idem,
-    "rho_plan-equiv": partial(_plans_agree, Join(Join(_R, _S), _T), Join(_R, Join(_S, _T))),
+    "rho_plan-equiv": partial(_plans_agree, Join(_R_JOIN_S, _T), Join(_R, Join(_S, _T))),
 }
 REL_MR_NAMES = tuple(_REL_MRS)
 
@@ -405,12 +446,14 @@ def run_rel_trial(
     rng: Generator,
     rules: Sequence[RewriteRule],
     evaluator: Evaluator = CORRECT,
+    memo: Optional[Dict] = None,
 ) -> RelTrial:
-    """One trial of one rewrite MR; callers load `rules` once per run."""
+    """One trial of one rewrite MR; callers load `rules` once per run, and a
+    run may pass all its trials one `memo` of the rewrites fired so far."""
     trial = _REL_MRS.get(mr)
     if trial is None:
         raise ValueError(f"unknown relational MR {mr!r}")
-    return RelTrial(trial(db, rng, rules, evaluator))
+    return RelTrial(trial(db, rng, rules, evaluator, {} if memo is None else memo))
 
 
 def run_rel_modes(
@@ -423,18 +466,19 @@ def run_rel_modes(
     Database k is `gen_database(db_seed + k)`; each evaluator runs the MRs
     on it with a fresh `Generator([db_seed, k])`, so every evaluator sees
     the draws a run of its own would.  Relations are read-only, so the
-    evaluators can share the database.
+    evaluators can share the database, and share one memo of the rewrites.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     runs = [(evaluator, {mr: [0, 0] for mr in REL_MR_NAMES}) for evaluator in evaluators]
     rules = bundled_rules()
+    memo: Dict = {}
     for k in range(trials):
         db = gen_database(db_seed + k)
         for evaluator, counts in runs:
             rng = Generator([db_seed, k])
             for mr in REL_MR_NAMES:
-                outcome = run_rel_trial(mr, db, rng, rules, evaluator)
+                outcome = run_rel_trial(mr, db, rng, rules, evaluator, memo)
                 counts[mr][0 if outcome.passed else 1] += 1
     return [{mr: (p, f) for mr, (p, f) in counts.items()} for _, counts in runs]
 

@@ -102,6 +102,13 @@ def outcome(compute):
         return type(exc)
 
 
+def reordered(rel, new_schema):
+    """`rel` with its columns in the order `new_schema`, built through the
+    validating constructor: the reference for `bag_equal`'s reordering."""
+    index = [rel.schema.index(a) for a in new_schema]
+    return Relation(tuple(new_schema), Counter({tuple(row[i] for i in index): n for row, n in rel.rows.items()}))
+
+
 class TestRelationBasics:
     def test_row_arity_checked(self):
         with pytest.raises(SchemaMismatch):
@@ -126,12 +133,25 @@ class TestRelationBasics:
         with pytest.raises(ValueError, match="negative multiplicity"):
             Relation(("a",), Counter({(1,): -1}))
 
+    @pytest.mark.parametrize("count", (1.5, float("nan"), "x", True, False, None, 2.0))
+    def test_multiplicities_are_ints(self, count):
+        # a float would be kept, NaN dropped by the unary plus and a string
+        # would fail the sign check with a bare TypeError; a bool is no count
+        with pytest.raises(ValueError, match=r"^multiplicity .+ of row \(1,\) is not an int$"):
+            Relation(("a",), {(1,): count, (2,): 1})
+        assert Relation(("a",), {(1,): 3, (2,): 0}).rows == {(1,): 3}
+
     def test_reordered_permutes_columns(self):
-        flipped = R.reordered(("b", "a"))
-        assert flipped.schema == ("b", "a")
-        assert flipped.rows == Counter({(2, 1): 2, (2, 3): 1})
-        with pytest.raises(SchemaMismatch):
-            R.reordered(("a", "z"))
+        # bag_equal puts the right side's rows in the left's column order by
+        # one permutation per schema pair, made once
+        get = relational._reorder(("a", "b"), ("b", "a"))
+        assert {get(row): n for row, n in R.rows.items()} == Counter({(2, 1): 2, (2, 3): 1})
+        assert relational._reorder(("a", "b"), ("b", "a")) is get
+        assert relational._reorder(("a", "b"), ("a", "z")) is None
+        assert relational._reorder(("a", "b"), ("a",)) is None
+        flipped = (("b", "a"), {(2, 1): 2, (2, 3): 1})
+        assert bag_equal(R, flipped) and bag_equal(flipped, R)
+        assert reordered(R, ("b", "a")) == Relation(*flipped)
 
     def test_rows_refuse_every_write(self):
         a, b = Relation(("a",), Counter({(1,): 2})), Relation(("a",), Counter({(1,): 2}))
@@ -164,12 +184,12 @@ class TestRelationBasics:
         a, b = Relation(("a",), Counter({(1,): 2, (2,): 1})), Relation(("a",), Counter({(2,): 1, (1,): 2}))
         assert hash(a) == hash(b) and len({a, b}) == 1
         assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
-        flipped = R.reordered(("b", "a"))
-        assert hash(flipped.reordered(("a", "b"))) == hash(R)
+        flipped = reordered(R, ("b", "a"))
+        assert hash(reordered(flipped, ("a", "b"))) == hash(R)
         assert len({rel for seed in range(20) for rel in gen_database(seed).values()}) > 1
 
     def test_bag_equal_modulo_column_order(self):
-        flipped = R.reordered(("b", "a"))
+        flipped = reordered(R, ("b", "a"))
         assert bag_equal(R, flipped)
         other = Relation(("a", "c"), Counter({(1, 2): 2, (3, 2): 1}))
         assert not bag_equal(R, other)
@@ -302,7 +322,35 @@ def sorted_bag_equal(left, right):
     if set(left.schema) != set(right.schema):
         return False
     order = tuple(sorted(left.schema))
-    return left.reordered(order).rows == right.reordered(order).rows
+    return reordered(left, order).rows == reordered(right, order).rows
+
+
+# an empty database and a one-row one; neither has T
+EDGE_DBS = (
+    {
+        "R": Relation(("a", "b"), Counter()),
+        "S": Relation(("b", "c"), Counter()),
+        EMPTY_NAME: Relation(("e",), Counter()),
+    },
+    {
+        "R": Relation(("a", "b"), Counter({(0, 0): 1})),
+        "S": Relation(("b", "c"), Counter({(0, "oak"): 1})),
+        EMPTY_NAME: Relation(("e",), Counter()),
+    },
+)
+
+
+def swapped(q):
+    """q with the operands of every join swapped: under the natural join,
+    the same bag over permuted columns."""
+    cls = type(q)
+    if cls is Join:
+        return Join(swapped(q.right), swapped(q.left))
+    if cls is Select:
+        return Select(q.pred, swapped(q.child))
+    if cls is Distinct:
+        return Distinct(swapped(q.child))
+    return q
 
 
 # bags over ("a", "c") with zero counts, which the constructor drops
@@ -343,6 +391,29 @@ class TestFastPathDifferential:
             assert isinstance(result, type)
 
     @settings(max_examples=300, deadline=None)
+    @given(
+        plan=plan_trees(4),
+        other=plan_trees(4),
+        kind=st.sampled_from(("itself", "swapped", "other")),
+        db_index=st.sampled_from((None, 0, 1)),
+        seed=st.integers(0, 2**32),
+    )
+    # permuted schemas, a predicate on a missing column, an unknown relation
+    @example(plan=Join(Base("R"), Base("S")), other=Base("R"), kind="swapped", db_index=None, seed=1)
+    @example(plan=Select(Predicate("eq", "z", 0), Base("S")), other=Base("S"), kind="other", db_index=None, seed=1)
+    @example(plan=Join(Base("R"), Base("T")), other=Base("R"), kind="swapped", db_index=1, seed=1)
+    def test_same_bag_is_bag_equal_of_the_relations(self, plan, other, kind, db_index, seed):
+        # the trials compare (schema, rows) pairs; the verdict is bag_equal's
+        # on the relations Evaluator.eval returns, False where either raises
+        db = gen_database(seed) if db_index is None else EDGE_DBS[db_index]
+        other = {"itself": plan, "swapped": swapped(plan), "other": other}[kind]
+        for evaluator, _ in REL_MODES.values():
+            want = outcome(lambda: bag_equal(evaluator.eval(plan, db), evaluator.eval(other, db)))
+            if want in (SchemaMismatch, UnknownRelation):
+                want = False
+            assert relational._same_bag(evaluator, plan, other, db) is want
+
+    @settings(max_examples=300, deadline=None)
     @given(left=BAGS, right=BAGS)
     def test_bag_equal_agrees_with_counter_equality(self, left, right):
         schema = ("a", "c")
@@ -363,7 +434,7 @@ class TestFastPathDifferential:
         perm = tuple(data.draw(st.permutations(left.schema)))
         kind = data.draw(st.sampled_from(("permuted", "same columns", "any columns")))
         if kind == "permuted":
-            right = left.reordered(perm)
+            right = reordered(left, perm)
         else:
             right = relation(perm if kind == "same columns" else columns())
         assert bag_equal(left, right) == sorted_bag_equal(left, right)
@@ -567,18 +638,8 @@ class TestRewriteRules:
         assert check_rules_on_db(gen_database(seed), seed) == []
 
     def test_rules_hold_on_tiny_edge_databases(self):
-        empty_db = {
-            "R": Relation(("a", "b"), Counter()),
-            "S": Relation(("b", "c"), Counter()),
-            EMPTY_NAME: Relation(("e",), Counter()),
-        }
-        assert check_rules_on_db(empty_db) == []
-        singleton = {
-            "R": Relation(("a", "b"), Counter({(0, 0): 1})),
-            "S": Relation(("b", "c"), Counter({(0, "oak"): 1})),
-            EMPTY_NAME: Relation(("e",), Counter()),
-        }
-        assert check_rules_on_db(singleton) == []
+        for db in EDGE_DBS:
+            assert check_rules_on_db(db) == []
 
 
 def reference_gen_database(seed):
@@ -706,6 +767,64 @@ class TestSharedDatabases:
             monkeypatch.setattr(relational, name, counted(getattr(relational, name)))
         assert cli.main(["reproduce", "--format", "machine", "--out", str(tmp_path / "r.jsonl")]) == 0
         assert calls == {"gen_database": 100, "bundled_rules": 1}
+
+
+class TestRewritesFireOncePerRun:
+    """A run fires each rewrite once per distinct plan, and forgets what it
+    fired when it ends."""
+
+    def test_a_fixture_swap_between_runs_takes_effect(self, monkeypatch, tmp_path):
+        text = fixture_text("relational.alg")
+        assert "rewrite pushdown " in text
+        kept = [line for line in text.splitlines() if not line.startswith("rewrite pushdown ")]
+        (tmp_path / "relational.alg").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        guardless = Evaluator(pushdown_guard=False)
+        assert run_rel_mrs(SEED, 100, guardless) == GUARDLESS_TABLE
+        monkeypatch.setenv("NOETHER_FIXTURES", str(tmp_path))
+        # with no pushdown rule the guardless evaluator has nothing to misfire
+        assert run_rel_mrs(SEED, 100, guardless)["rho_select-push"] == (100, 0)
+        monkeypatch.delenv("NOETHER_FIXTURES")
+        assert run_rel_mrs(SEED, 100, guardless) == GUARDLESS_TABLE
+
+    def test_each_run_fires_its_own_rewrites(self, monkeypatch):
+        calls, drawn = Counter(), set()
+
+        def counted(name, fn):
+            depth = [0]  # rewrite_once calls itself through the module name
+
+            def wrapper(*args, **kwargs):
+                if not depth[0]:
+                    calls[name] += 1
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        def recording(rng, over):
+            pred = draw(rng, over)
+            if over == ("b", "c"):  # rho_distinct-idem's draw
+                drawn.add(pred)
+            return pred
+
+        draw = relational._random_predicate
+        monkeypatch.setattr(relational, "_random_predicate", recording)
+        monkeypatch.setattr(relational, "rewrite_once", counted("rewrite_once", rewrite_once))
+        for name in ("optimize", "eval"):
+            monkeypatch.setattr(Evaluator, name, counted(name, getattr(Evaluator, name)))
+        for _ in range(2):
+            calls.clear()
+            drawn.clear()
+            assert run_rel_mrs(SEED, 100) == CLEAN_TABLE
+            assert set(calls) == {"rewrite_once", "optimize", "eval"} and min(calls.values()) >= 1
+            assert calls["rewrite_once"] <= len(drawn) < 100
+        # a trial given no memo fires the rules itself, every time
+        calls.clear()
+        for _ in range(2):
+            run_rel_trial("rho_distinct-idem", gen_database(SEED), Generator([SEED, 0]), bundled_rules())
+        assert calls["rewrite_once"] == 2
 
 
 class TestPlanSyntaxIsShared:

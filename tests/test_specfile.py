@@ -219,6 +219,20 @@ generators spin,gauge
             parse_algebra(f"{text}rewrite r {rule}\n")
 
     @pytest.mark.parametrize(
+        "guard",
+        ("attrs(1p) subset attrs(R)", "attrs(é) subset attrs(R)", "attrs(p) subset attrs(2R)"),
+        ids=("digit-first-predicate", "non-ascii-predicate", "digit-first-plan"),
+    )
+    def test_guard_variables_are_pattern_names(self, guard):
+        # a guard reads its variables as pattern names, so a variable that is
+        # not one is a syntax error at the guard's column, not an unbound name
+        text = f"{HEADER}\nalgebra t\noperator a acts=input blocks=B_rel\ngenerators a\n"
+        rule = f"rewrite r {PUSHDOWN} guard={guard}"
+        col = len(rule) - len(guard) + 1
+        with pytest.raises(SpecSyntaxError, match=f"^line 5, column {col}: expected a rewrite guard, found"):
+            parse_algebra(f"{text}{rule}\n")
+
+    @pytest.mark.parametrize(
         "rule",
         (
             "lhs=select(p,R) rhs=select(p,Q) guard=none",
