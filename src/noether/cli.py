@@ -203,25 +203,22 @@ def cmd_mutate(args) -> int:
     if args.sut not in decls:
         print(f"mutate: unknown sut {args.sut!r}", file=sys.stderr)
         return 2
+    categories = None if args.categories is None else args.categories.split(",")
+    seed = 0 if args.seed is None else args.seed
     try:
-        categories = (
-            None
-            if args.categories is None
-            else [mutate.MutatorCategory[c] for c in args.categories.split(",")]
-        )
+        mutants = mutate.mutate(decls[args.sut], categories, seed=seed)
     except KeyError as exc:
         print(f"mutate: unknown mutator category {exc}", file=sys.stderr)
         return 2
-    seed = 0 if args.seed is None else args.seed
     rows = [
         {
             "id": mutate.mutant_id(m),
-            "category": m.category.name,
+            "category": m.category,
             "strata": m.strata,
             "effect": m.homogeneity_effect,
             "broken": ",".join(sorted(b.tag for b in m.broken_blocks)) or "-",
         }
-        for m in mutate.mutate(decls[args.sut], categories, seed=seed)
+        for m in mutants
     ]
     _emit(args, seed, {f"mutants of {args.sut}": rows})
     return 0

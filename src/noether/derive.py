@@ -103,25 +103,19 @@ class MetaPattern:
 
 
 def extract_invariants(
-    decomposition: BlockDecomposition,
-    algebra: OperatorAlgebra,
-    counter: Optional[CostCounter] = None,
+    decomposition: BlockDecomposition, algebra: OperatorAlgebra
 ) -> Dict[BlockKind, Tuple[BlockInvariant, ...]]:
     """Step 1, all at once: one invariant per (operator, tagged block) pair.
 
     One tuple per populated block, equal to its pattern's `invariants`, in
     canonical block order; within a block the invariants follow operator
     declaration order, and empty blocks are absent.  Extraction is
-    schema-driven; each operator pays its declared cost hint per tagged
-    block.  An operator's invariants share one `phi`.
+    schema-driven.  An operator's invariants share one `phi`.
     """
     out: Dict[BlockKind, Tuple[BlockInvariant, ...]] = {}
-    cost_hint = {op.name: op.cost_hint for op in algebra.operators}
-    phi = {name: frozenset((name,)) for name in cost_hint}
+    phi = {op.name: frozenset((op.name,)) for op in algebra.operators}
     for block in decomposition.nonempty_blocks():
         names = decomposition.operators_in(block)
-        if counter is not None:
-            counter.charge(sum(map(cost_hint.__getitem__, names)))
         out[block] = tuple([BlockInvariant(block, phi[name]) for name in names])
     return out
 

@@ -19,7 +19,7 @@ from ._record import field, record
 from ._rng import Generator
 from .algebra import BlockKind, OperatorAlgebra
 from .minilang import DomainError
-from .mutate import CASE, DEFAULT_MATRIX, Mutant, MutatorCategory, mutant_id
+from .mutate import CASE, DEFAULT_MATRIX, Mutant, mutant_id
 from .mutate import mutate as derive_mutants
 from .specfile import BREAKS, PRESERVES, SpecSemanticError, SutDecl
 
@@ -34,13 +34,9 @@ class EmptyMetaPatternSet(Exception):
     pass
 
 
-@record
-class TupleGroup:
-    """One assertion unit: the pair of argument tuples whose two outputs
-    the relation compares, plus rule metadata."""
-
-    members: Tuple[Tuple[float, ...], Tuple[float, ...]]
-    scale: Optional[float] = None  # scaling-rule lambda
+# one assertion unit: (x, y, lambda), the two argument tuples whose outputs
+# the relation compares and the scaling rule's lambda (None for the others)
+Group = Tuple[Tuple[float, ...], Tuple[float, ...], Optional[float]]
 
 
 @record
@@ -56,13 +52,14 @@ class ExecutableMR:
     def sut_name(self) -> str:
         return self.decl.name
 
-    def tuples(self, seed: int) -> List[TupleGroup]:
+    def tuples(self, seed: int) -> List[Group]:
         """Canonical tuple groups for the block's rule; deterministic."""
         raise NotImplementedError
 
-    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
-        """Why the outputs at a group's two members break the relation;
-        empty if they hold."""
+    def violation(self, lam: Optional[float], f0: float, f1: float) -> str:
+        """Why the outputs `f0`, `f1` of a group's two executions break the
+        relation, empty if they hold; the scaling rule also reads the
+        group's `lam`.  `check_mr` appends the pair."""
         raise NotImplementedError
 
     def sample_violation(self, outputs: Sequence[float]) -> str:
@@ -85,7 +82,7 @@ class SymmetryMR(ExecutableMR):
     block: ClassVar[BlockKind] = BlockKind.G
     action: zoo.GAction
 
-    def tuples(self, seed: int) -> List[TupleGroup]:
+    def tuples(self, seed: int) -> List[Group]:
         rng = self._rng(seed)
         decl, action = self.decl, self.action
         groups = []
@@ -98,14 +95,14 @@ class SymmetryMR(ExecutableMR):
             if action.shift:
                 draw = rng.integers(-30, 31) if decl.domain == "int" else rng.uniform(-5.0, 5.0)
                 offset = float(draw) or 1.0
-            groups.append(TupleGroup(members=(base, action.apply(base, offset))))
+            groups.append((base, action.apply(base, offset), None))
         return groups
 
-    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
+    def violation(self, lam: Optional[float], f0: float, f1: float) -> str:
         expected = -f0 if self.action.output == "negate" else f0
         gap = f1 - expected
         ok = gap == 0.0 or abs(gap) <= self._bound(f0, f1)
-        return "" if ok else f"equivariance gap {gap!r} at {group.members}"
+        return "" if ok else f"equivariance gap {gap!r}"
 
 
 @record
@@ -115,7 +112,7 @@ class OrderMR(ExecutableMR):
     block: ClassVar[BlockKind] = BlockKind.O_LE
     order: zoo.OrderSpec
 
-    def tuples(self, seed: int) -> List[TupleGroup]:
+    def tuples(self, seed: int) -> List[Group]:
         rng = self._rng(seed)
         decl, coord = self.decl, self.order.coordinate
         groups = []
@@ -124,12 +121,12 @@ class OrderMR(ExecutableMR):
             bumped = list(base)
             delta = rng.integers(1, 11) if decl.domain == "int" else rng.uniform(0.1, 5.0)
             bumped[coord] = base[coord] + float(delta)
-            groups.append(TupleGroup(members=(tuple(base), tuple(bumped))))
+            groups.append((tuple(base), tuple(bumped), None))
         return groups
 
-    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
+    def violation(self, lam: Optional[float], f0: float, f1: float) -> str:
         ok = f0 <= f1 + self._bound(f0, f1)
-        return "" if ok else f"order violated: {f0!r} > {f1!r} at {group.members}"
+        return "" if ok else f"order violated: {f0!r} > {f1!r}"
 
 
 @record
@@ -142,17 +139,14 @@ class ScalingMR(ExecutableMR):
         if self.decl.homogeneity == "none":
             raise ValueError(f"{self.name}: scaling MR needs a homogeneity declaration")
 
-    def tuples(self, seed: int) -> List[TupleGroup]:
-        return [
-            TupleGroup(members=(base, scaled), scale=lam)
-            for base, scaled, lam in zoo.scaling_sample(self.decl, seed)
-        ]
+    def tuples(self, seed: int) -> List[Group]:
+        return zoo.scaling_sample(self.decl, seed)
 
-    def violation(self, group: TupleGroup, f0: float, f1: float) -> str:
+    def violation(self, lam: Optional[float], f0: float, f1: float) -> str:
         invariant = self.decl.homogeneity == "positive-scale-invariant"
-        gap = f1 - (f0 if invariant else group.scale * f0)
+        gap = f1 - (f0 if invariant else lam * f0)
         ok = gap == 0.0 or abs(gap) <= self._bound(f0, f1)
-        return "" if ok else f"scaling gap {gap!r} at {group.members}"
+        return "" if ok else f"scaling gap {gap!r}"
 
     def sample_violation(self, outputs: Sequence[float]) -> str:
         # a flat output on generically varied inputs satisfies the scaling
@@ -161,7 +155,7 @@ class ScalingMR(ExecutableMR):
         return f"fixed output {outputs[0]!r} across the whole sample" if flat else ""
 
 
-def generate_tuples(mr: ExecutableMR, seed: int) -> List[TupleGroup]:
+def generate_tuples(mr: ExecutableMR, seed: int) -> List[Group]:
     """Canonical tuple groups for the MR's block rule; deterministic."""
     return mr.tuples(seed)
 
@@ -172,20 +166,20 @@ class MRCheck:
     failure: str = ""
 
 
-def check_mr(mr: ExecutableMR, fn, groups: Sequence[TupleGroup]) -> MRCheck:
+def check_mr(mr: ExecutableMR, fn, groups: Sequence[Group]) -> MRCheck:
     """Evaluate the MR's assertion on a compiled subject over its tuple groups,
-    each a pair of executions."""
+    each an `(x, y, lambda)` triple whose pair of executions `fn(*x)`,
+    `fn(*y)` the relation compares; the first failure names its pair."""
     outputs: List[float] = []
-    for group in groups:
-        first, second = group.members
+    for first, second, lam in groups:
         try:
             f0 = fn(*first)
             f1 = fn(*second)
         except DomainError as exc:
-            return MRCheck(False, f"domain error on {group.members}: {exc}")
-        failure = mr.violation(group, f0, f1)
+            return MRCheck(False, f"domain error on {(first, second)}: {exc}")
+        failure = mr.violation(lam, f0, f1)
         if failure:
-            return MRCheck(False, failure)
+            return MRCheck(False, f"{failure} at {(first, second)}")
         outputs += f0, f1
     failure = mr.sample_violation(outputs)
     return MRCheck(not failure, failure)
@@ -218,25 +212,22 @@ class KillMatrix:
 
 
 def run_kill_experiment(
-    mrs: Sequence[ExecutableMR], mutants: Sequence[Mutant], seed: int
+    mrs: Sequence[ExecutableMR], mutants_by_sut: Mapping[str, Sequence[Mutant]], seed: int
 ) -> KillMatrix:
     """Kill matrix built one subject at a time: baseline-red MRs are excluded.
 
-    Only an MR's own subject's mutants are checked against it, on the
-    tuple groups drawn for its baseline check; those groups are dropped
-    once the subject is done.  Each kill is stored with the failure text
-    that witnesses it.
+    Only an MR's own subject's mutants, `mutants_by_sut[sut]`, are checked
+    against it, on the tuple groups drawn for its baseline check; those
+    groups are dropped once the subject is done.  Each kill is stored with
+    the failure text that witnesses it.
     """
     mrs_by_sut: Dict[str, List[ExecutableMR]] = {}
     for mr in mrs:
         mrs_by_sut.setdefault(mr.sut_name, []).append(mr)
-    mutants_by_sut: Dict[str, List[Mutant]] = {}
-    for mutant in mutants:
-        mutants_by_sut.setdefault(mutant.base, []).append(mutant)
     failures: Dict[int, str] = {}  # id(mr) -> its baseline failure
     cells: Dict[Tuple[str, str], str] = {}
     for sut, sut_mrs in mrs_by_sut.items():
-        green: List[Tuple[ExecutableMR, List[TupleGroup]]] = []
+        green: List[Tuple[ExecutableMR, List[Group]]] = []
         for mr in sut_mrs:
             groups = generate_tuples(mr, seed)
             verdict = check_mr(mr, mr.decl.fn, groups)
@@ -332,7 +323,7 @@ def concordance_check(
         cell = active_cells[(category, BlockKind.L_STAR)]
         for sut in scope:
             for m in mutants_by_sut[sut]:
-                if m.category.name != category or m.homogeneity_effect != "preserving":
+                if m.category != category or m.homogeneity_effect != "preserving":
                     continue
                 if cell == BREAKS:
                     violations.append(f"{mutant_id(m)}: rule-preserving under a breaks-cell")
@@ -365,26 +356,21 @@ def run_blindness_experiment(cfg=None) -> BlindnessReport:
     active_matrix = DEFAULT_MATRIX.with_config(cfg)
     _check_overrides(cfg, decls, active_matrix)
     chosen = {name: decls[name] for name in cfg.suts} if cfg.suts else dict(decls)
-    categories = [MutatorCategory[c] for c in cfg.categories]
     mutants_by_sut = {
-        name: derive_mutants(chosen[name], categories, seed=cfg.seed, matrix=active_matrix)
+        name: derive_mutants(chosen[name], cfg.categories, seed=cfg.seed, matrix=active_matrix)
         for name in sorted(chosen)
     }
-    all_mutants = [m for mutants in mutants_by_sut.values() for m in mutants]
-    kill_matrix = run_kill_experiment(build_standard_mrs(chosen), all_mutants, seed=cfg.seed)
-    # the one read of the cells: ids of mutants their own subject's scaling MR killed
-    scaling_kills = {
-        mutant_id(m)
-        for m in all_mutants
-        if (scaling_mr_name(m.base), mutant_id(m)) in kill_matrix.cells
-    }
+    kill_matrix = run_kill_experiment(build_standard_mrs(chosen), mutants_by_sut, seed=cfg.seed)
     summaries: Dict[str, KillSummary] = {}
     preserving_kills: List[str] = []
+    scaling_kills = set()  # ids of mutants their own subject's scaling MR killed
     for name, mutants in mutants_by_sut.items():
-        killed = [m for m in mutants if mutant_id(m) in scaling_kills]
+        mr_name = scaling_mr_name(name)
+        killed = [m for m in mutants if (mr_name, mutant_id(m)) in kill_matrix.cells]
         kept = [mutant_id(m) for m in killed if m.homogeneity_effect != "breaking"]
         summaries[name] = KillSummary(name, len(killed), len(mutants), all_killed_breaking=not kept)
         preserving_kills.extend(kept)
+        scaling_kills.update(map(mutant_id, killed))
     ok, violations = concordance_check(mutants_by_sut, scaling_kills, active_matrix.cells, chosen)
     return BlindnessReport(
         summaries=summaries,

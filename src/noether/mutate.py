@@ -10,7 +10,6 @@ overrides for case-dependent cells) and tagged homogeneity-preserving or
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -20,11 +19,6 @@ from ._record import field, record
 from .algebra import CANONICAL_ORDER, BlockKind
 from .minilang import BUILTIN_ARITY, COMPARISONS, Assign, Const, DomainError, Expr, Op, Program, Var
 from .specfile import BREAKS, MUTATOR_CATEGORY_NAMES, PRESERVES, MutatorConfig, SutDecl
-
-
-MutatorCategory = enum.Enum(
-    "MutatorCategory", [(name, name) for name in MUTATOR_CATEGORY_NAMES], module=__name__
-)
 
 CASE = "case-dependent"  # a default-matrix cell only; a `.cfg` file cannot write it
 
@@ -129,7 +123,7 @@ DEFAULT_MATRIX = CompatibilityMatrix()
 @record
 class Mutant:
     base: str
-    category: MutatorCategory
+    category: str  # one of specfile.MUTATOR_CATEGORY_NAMES
     site: Tuple[int, Tuple[int, ...]]  # (statement index, path within it)
     broken_blocks: FrozenSet[BlockKind]
     homogeneity_effect: str  # preserving | breaking
@@ -145,7 +139,7 @@ def mutant_id(mutant: Mutant) -> str:
     """Stable id `base/CATEGORY@stmt:path`; the path is `root` when empty."""
     stmt, path = mutant.site
     suffix = ".".join(map(str, path)) or "root"
-    return f"{mutant.base}/{mutant.category.name}@{stmt}:{suffix}"
+    return f"{mutant.base}/{mutant.category}@{stmt}:{suffix}"
 
 
 # ---------------------------------------------------------------------------
@@ -171,36 +165,36 @@ def _is_integral_const(node: Expr) -> bool:
     return isinstance(node, Const) and float(node.value).is_integer()
 
 
-def _sites(category: MutatorCategory, node: Expr) -> List[Tuple[Tuple[int, ...], Expr]]:
+def _sites(category: str, node: Expr) -> List[Tuple[Tuple[int, ...], Expr]]:
     """(path below `node`, replacement) for each site `category` finds at `node`."""
     if not isinstance(node, Op):
         return []
     op, args = node.op, node.args
-    if category is MutatorCategory.CONDITIONALS_BOUNDARY and op in _BOUNDARY_FLIP:
+    if category == "CONDITIONALS_BOUNDARY" and op in _BOUNDARY_FLIP:
         return [((), Op(_BOUNDARY_FLIP[op], args))]
-    if category is MutatorCategory.INCREMENTS and op in COMPARISONS:
+    if category == "INCREMENTS" and op in COMPARISONS:
         # only comparison-threshold constants are increment sites
         return [((i,), Const(float(a.value) + 1.0)) for i, a in enumerate(args) if _is_integral_const(a)]
-    if category is MutatorCategory.INVERT_NEGS and op == "neg":
+    if category == "INVERT_NEGS" and op == "neg":
         return [((), args[0])]
-    if category is MutatorCategory.MATH and op in _MATH_SWAP:
+    if category == "MATH" and op in _MATH_SWAP:
         return [((), Op(_MATH_SWAP[op], args))]
-    if category is MutatorCategory.NEGATE_CONDITIONALS and op == "?:":
+    if category == "NEGATE_CONDITIONALS" and op == "?:":
         test, then, other = args
         return [((), Op(op, (test, other, then)))]
-    if category is MutatorCategory.CALL_REMOVAL and op in BUILTIN_ARITY:
+    if category == "CALL_REMOVAL" and op in BUILTIN_ARITY:
         return [((), Const(1.0))]
     return []
 
 
 def _candidates(
-    decl: SutDecl, categories: Sequence[MutatorCategory]
-) -> List[Tuple[MutatorCategory, int, Tuple[int, ...], Expr]]:
+    decl: SutDecl, categories: Sequence[str]
+) -> List[Tuple[str, int, Tuple[int, ...], Expr]]:
     """(category, stmt, path, replaced statement) in deterministic order."""
     out = []
     exprs = _statement_exprs(decl.program)
     for category in categories:
-        if category is MutatorCategory.RETURN_VALS:
+        if category == "RETURN_VALS":
             out.append((category, len(exprs) - 1, (), Const(0.0)))
             continue
         for stmt_index, root in enumerate(exprs):
@@ -419,20 +413,25 @@ def classify(
 
 def mutate(
     decl: SutDecl,
-    categories: Optional[Iterable[MutatorCategory]] = None,
+    categories: Optional[Iterable[str]] = None,
     seed: int = 0,
     matrix: Optional[CompatibilityMatrix] = None,
 ) -> Tuple[Mutant, ...]:
     """All surviving mutants, fully classified and tagged.
 
-    Deterministic for a fixed seed: sites are enumerated in (category,
-    statement, preorder-path) order and the seed fixes the tagging sample.
+    `categories` are names from MUTATOR_CATEGORY_NAMES, all of them by
+    default; the first unknown one raises KeyError before any work.
+    Deterministic for a fixed seed: sites are enumerated in (canonical
+    category, statement, preorder-path) order and the seed fixes the
+    tagging sample.
     """
-    if categories is None:
-        cats: Sequence[MutatorCategory] = tuple(MutatorCategory)
-    else:
-        wanted = set(categories)
-        cats = tuple(c for c in MutatorCategory if c in wanted)
+    cats = MUTATOR_CATEGORY_NAMES
+    if categories is not None:
+        wanted = tuple(categories)
+        for name in wanted:
+            if name not in MUTATOR_CATEGORY_NAMES:
+                raise KeyError(name)
+        cats = tuple(c for c in MUTATOR_CATEGORY_NAMES if c in wanted)
     if matrix is None:
         matrix = DEFAULT_MATRIX
     candidates = _candidates(decl, cats)
@@ -449,7 +448,7 @@ def mutate(
                 base=decl.name,
                 category=category,
                 site=(k, path),
-                broken_blocks=classify(decl.name, category.name, matrix, decl.blocks),
+                broken_blocks=classify(decl.name, category, matrix, decl.blocks),
                 homogeneity_effect=homogeneity_effect_of(base, _rebuild(decl.program, k, stmt), fn),
                 fn=fn,
             )

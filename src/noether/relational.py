@@ -70,10 +70,11 @@ class _Rows(Counter):
 @record
 class Relation:
     """A bag of rows over `schema`: `rows` maps each row to its multiplicity,
-    a positive int; the constructor drops zero counts and rejects negative
-    ones and any count that is not an int, so two relations hold the same
-    bag exactly when their `rows` are equal as dicts.  `rows` is read-only,
-    so a relation hashes.  A relation unpacks as its `(schema, rows)` pair,
+    a positive int; the constructor drops zero counts and rejects a row
+    that is not a tuple of the schema's arity, negative counts and any
+    count that is not an int, so two relations hold the same bag exactly
+    when their `rows` are equal as dicts.  `rows` is read-only, so a
+    relation hashes.  A relation unpacks as its `(schema, rows)` pair,
     the form plans evaluate to."""
 
     schema: Tuple[str, ...]
@@ -85,6 +86,8 @@ class Relation:
             raise SchemaMismatch(f"repeated column name in {schema}")
         rows = Counter(self.rows)
         for row, n in rows.items():
+            if not isinstance(row, tuple):
+                raise SchemaMismatch(f"row {row!r} is not a tuple")
             if len(row) != len(schema):
                 raise SchemaMismatch(f"row arity {len(row)} != schema arity {len(schema)}")
             if type(n) is not int:

@@ -209,7 +209,7 @@ def test_a05_scaling_blindness(blind):
                 (scaling_mr_name(sut), mutant_id(m)), False
             ):
                 preserving_killed.append(mutant_id(m))
-    hypot = {m.category.name: m for m in report.mutants_by_sut["hypotSig"]}
+    hypot = {m.category: m for m in report.mutants_by_sut["hypotSig"]}
     return_zero = hypot["RETURN_VALS"]
     sqrt_gone = hypot["CALL_REMOVAL"]
     probes_ok = all(

@@ -15,9 +15,15 @@ so it does not count as reading one.  The check is still by bare name:
 two members that share an attribute name share their fate.  Code that only
 tests call is deleted with its tests, unless it is an oracle a test
 compares against; those are listed below.
+
+A second check fails on any name a module-level `import` binds (under
+`if TYPE_CHECKING:` too, but not from `__future__`) that its module never
+reads, by a name or by a word of a string constant that is not a
+docstring, which covers quoted annotations.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,3 +117,50 @@ def test_only_oracles_lack_a_caller_outside_the_tests():
     assert sorted(q for q, name in uncalled.items() if name not in ORACLES) == []
     # an oracle that gained a real caller leaves the list
     assert sorted(set(uncalled.values())) == sorted(ORACLES)
+
+
+def _module_imports(tree):
+    """(bound name, line) of each import at module level, outside any def or
+    class but inside `if` blocks such as `if TYPE_CHECKING:`."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".", 1)[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, ast.If):
+            stack += node.body + node.orelse
+
+
+def _docstrings(tree):
+    """The string constants that are a module's, class's or def's docstring."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def _reads(tree):
+    """The names a module reads: `ast.Name` ids and the words of its
+    non-docstring string constants."""
+    docstrings = set(map(id, _docstrings(tree)))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            reads.update(re.findall(r"\w+", node.value))
+    return reads
+
+
+def test_every_module_import_is_read():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = _reads(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _module_imports(tree) if name not in reads]
+    assert unused == []

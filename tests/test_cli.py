@@ -108,6 +108,12 @@ class TestExitCodes:
         assert code == 2
         assert "expected 2 integers" in err
 
+    @pytest.mark.parametrize("categories,unknown", (("FOO", "FOO"), ("", ""), ("MATH,ZZZ,AAA", "ZZZ")))
+    def test_unknown_category_is_named(self, categories, unknown, capsys):
+        code, out, err = run(["mutate", "signum", "--categories", categories], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"mutate: unknown mutator category {unknown!r}\n"
+
     def test_fixture_dir_override_empty(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NOETHER_FIXTURES", str(tmp_path))
         code, _, err = run(["derive", "boltzmann"], capsys)

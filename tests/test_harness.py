@@ -31,7 +31,7 @@ from noether.harness import (
     scaling_mr_name,
 )
 from noether.minilang import DomainError, compile_program
-from noether.mutate import MutatorCategory, _Subject, _rebuild, mutate
+from noether.mutate import _Subject, _rebuild, mutate
 from noether.reachability import check_reachability
 from noether.specfile import HEADER, SpecSemanticError, parse_sut_file
 from noether.zoo import (
@@ -74,8 +74,8 @@ class TestGenerateTuples:
         mr = standard_mr("midpoint:L_scale")
         renamed = replace(mr, name="anything-else")
         assert generate_tuples(mr, SEED) == generate_tuples(renamed, SEED)
-        for g in generate_tuples(mr, SEED):
-            assert g.members[1] == tuple(g.scale * a for a in g.members[0])
+        for base, scaled, lam in generate_tuples(mr, SEED):
+            assert scaled == tuple(lam * a for a in base)
         scaling_mrs = [mr for mr in build_standard_mrs(ZOO) if isinstance(mr, ScalingMR)]
         assert {mr.sut_name for mr in scaling_mrs} == {
             name for name, decl in ZOO.items() if decl.homogeneity != "none"
@@ -84,17 +84,17 @@ class TestGenerateTuples:
             groups = generate_tuples(mr, SEED)
             tagged = _Subject(mr.decl, SEED).scaling_points
             # the tagger's points: every base, then every scaled point
-            assert tagged == [g.members[0] for g in groups] + [g.members[1] for g in groups]
+            assert tagged == [g[0] for g in groups] + [g[1] for g in groups]
 
     def test_flip_actions_sample_away_from_fixed_points(self):
         mr = standard_mr("signum:G:sign-flip")
         for group in generate_tuples(mr, SEED):
-            assert group.members[0][0] != 0.0
+            assert group[0][0] != 0.0
 
     def test_shift_offsets_are_never_zero(self):
         mr = standard_mr("isSequence:G:shift-all")
         for group in generate_tuples(mr, SEED):
-            base, moved = group.members
+            base, moved, _ = group
             offset = moved[0] - base[0]
             assert offset != 0.0
             assert all(m - b == offset for b, m in zip(base, moved))
@@ -103,7 +103,7 @@ class TestGenerateTuples:
         mr = standard_mr("clamp:O_le")
         coord = SUT_ORDER_SPECS["clamp"].coordinate
         for group in generate_tuples(mr, SEED):
-            lo, hi = group.members
+            lo, hi, _ = group
             assert hi[coord] > lo[coord]
             assert lo[1] <= lo[2]  # the declared cone
             others = [i for i in range(len(lo)) if i != coord]
@@ -172,7 +172,7 @@ class TestCheckMr:
         mr = standard_mr("gcdSig:L_scale")
         groups = mr.tuples(SEED)
         assert len(groups) == SCALING_BUDGET
-        assert [(*g.members, g.scale) for g in groups] == scaling_sample(ZOO["gcdSig"], SEED)
+        assert groups == scaling_sample(ZOO["gcdSig"], SEED)
 
     def test_constant_output_fails_the_scaling_relation(self):
         decl = sut_from(
@@ -211,26 +211,26 @@ def sequence_violation(mr, group, values):
             expected = -expected
         gap = got - expected
         ok = abs(gap) <= sequence_bound(values)
-        return "" if ok else f"equivariance gap {gap!r} at {group.members}"
+        return "" if ok else f"equivariance gap {gap!r} at {group[:2]}"
     if isinstance(mr, OrderMR):
         lo, hi = values
         ok = lo <= hi + sequence_bound(values)
-        return "" if ok else f"order violated: {lo!r} > {hi!r} at {group.members}"
+        return "" if ok else f"order violated: {lo!r} > {hi!r} at {group[:2]}"
     f0, f1 = values
     invariant = mr.decl.homogeneity == "positive-scale-invariant"
-    gap = f1 - (f0 if invariant else group.scale * f0)
+    gap = f1 - (f0 if invariant else group[2] * f0)
     ok = abs(gap) <= sequence_bound(values)
-    return "" if ok else f"scaling gap {gap!r} at {group.members}"
+    return "" if ok else f"scaling gap {gap!r} at {group[:2]}"
 
 
 def sequence_check_mr(mr, fn, groups):
-    """The check as a loop over each group's members."""
+    """The check as a loop over each group's two argument tuples."""
     outputs = []
     for group in groups:
         try:
-            values = [fn(*args) for args in group.members]
+            values = [fn(*args) for args in group[:2]]
         except DomainError as exc:
-            return MRCheck(False, f"domain error on {group.members}: {exc}")
+            return MRCheck(False, f"domain error on {group[:2]}: {exc}")
         failure = sequence_violation(mr, group, values)
         if failure:
             return MRCheck(False, failure)
@@ -266,7 +266,10 @@ class TestPairCheck:
     def test_violation_matches_the_sequence_formula(self, mr, k, f0, f1):
         groups = generate_tuples(mr, SEED)
         group = groups[k % len(groups)]
-        assert mr.violation(group, f0, f1) == sequence_violation(mr, group, [f0, f1])
+        failure = mr.violation(group[2], f0, f1)
+        # check_mr appends the pair to the violation
+        witness = failure and f"{failure} at {group[:2]}"
+        assert witness == sequence_violation(mr, group, [f0, f1])
 
     def test_check_mr_matches_the_sequence_loop_on_every_bundled_mr(self):
         mutants = {name: mutate(decl, seed=SEED) for name, decl in ZOO.items()}
@@ -287,15 +290,18 @@ class TestPairCheck:
         mr = SymmetryMR("both:G:flip", decl, SUT_G_ACTIONS["signum"][0])
         groups = generate_tuples(mr, SEED)
         verdict = check_mr(mr, decl.fn, groups)
-        first = groups[0].members[0][0]
+        first = groups[0][0][0]
         cause = "sqrt of a negative number" if first > 0 else "division by zero"
-        assert verdict.failure == f"domain error on {groups[0].members}: {cause}"
+        assert verdict.failure == f"domain error on {groups[0][:2]}: {cause}"
         assert verdict == sequence_check_mr(mr, decl.fn, groups)
 
     def test_every_group_is_a_pair(self):
+        # a pair of argument tuples, and a lambda exactly for the scaling rule
         for mr in build_standard_mrs(ZOO):
+            scaling = isinstance(mr, ScalingMR)
             for seed in (SEED, 7):
-                assert all(len(g.members) == 2 for g in generate_tuples(mr, seed)), mr.name
+                groups = generate_tuples(mr, seed)
+                assert all(len(g) == 3 and (g[2] is not None) == scaling for g in groups), mr.name
 
 
 # --- kill experiment --------------------------------------------------------------
@@ -308,7 +314,7 @@ class TestKillExperiment:
         )
         red = ScalingMR("flat:L_scale", decl)
         mrs = [standard_mr("midpoint:G:negate-all"), red]
-        matrix = run_kill_experiment(mrs, mutate(ZOO["midpoint"], seed=SEED), SEED)
+        matrix = run_kill_experiment(mrs, {"midpoint": mutate(ZOO["midpoint"], seed=SEED)}, SEED)
         assert matrix.mr_names == ("midpoint:G:negate-all",)
         assert len(matrix.excluded) == 1
         assert matrix.excluded[0][:2] == ("flat:L_scale", "flat")
@@ -316,14 +322,14 @@ class TestKillExperiment:
     def test_cross_subject_pairs_are_absent(self):
         mrs = [standard_mr("signum:L_scale")]
         mutants = mutate(ZOO["midpoint"], seed=SEED)
-        matrix = run_kill_experiment(mrs, mutants, SEED)
+        matrix = run_kill_experiment(mrs, {"midpoint": mutants}, SEED)
         assert matrix.mr_names == ("signum:L_scale",)
         assert matrix.cells == {}
 
     def test_matrix_bookkeeping(self):
         mrs = {mr.name: mr for mr in build_standard_mrs(ZOO) if mr.sut_name == "midpoint"}
         mutants = {mutant_id(m): m for m in mutate(ZOO["midpoint"], seed=SEED)}
-        matrix = run_kill_experiment(list(mrs.values()), list(mutants.values()), SEED)
+        matrix = run_kill_experiment(list(mrs.values()), {"midpoint": list(mutants.values())}, SEED)
         assert matrix.cells
         for (name, mid), witness in matrix.cells.items():
             # each witness is the failure text a rerun of the check reproduces
@@ -578,7 +584,7 @@ class TestBlindness:
         preserving = [
             mutant_id(m)
             for m in by_sut["gcdSig"]
-            if m.category is MutatorCategory.NEGATE_CONDITIONALS
+            if m.category == "NEGATE_CONDITIONALS"
             and m.homogeneity_effect == "preserving"
         ]
         assert preserving

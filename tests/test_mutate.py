@@ -24,7 +24,6 @@ from noether.mutate import (
     DEFAULT_MATRIX,
     MissingOverride,
     Mutant,
-    MutatorCategory,
     PRESERVES,
     _DOMAIN_ERROR,
     _POLY,
@@ -39,7 +38,7 @@ from noether.mutate import (
     mutate,
     syntactic_degree,
 )
-from noether.specfile import HEADER, MutatorConfig, parse_sut_file, sut_file_to_text
+from noether.specfile import HEADER, MUTATOR_CATEGORY_NAMES, MutatorConfig, parse_sut_file, sut_file_to_text
 from noether.zoo import (
     LAMBDA_SAMPLES,
     check_homogeneity,
@@ -160,7 +159,7 @@ class TestClassify:
     def test_strata_follow_the_broken_blocks(self):
         probe = Mutant(
             base="x",
-            category=MutatorCategory.MATH,
+            category="MATH",
             site=(0, ()),
             broken_blocks=frozenset(),
             homogeneity_effect="breaking",
@@ -247,7 +246,7 @@ class TestMutantCensus:
         assert len(mutants) == total
         assert sum(m.strata == "D1" for m in mutants) == d1
         assert sum(m.homogeneity_effect == "preserving" for m in mutants) == preserving
-        assert Counter(m.category.name for m in mutants) == by_cat
+        assert Counter(m.category for m in mutants) == by_cat
 
     def test_deterministic(self):
         assert mutate(ZOO["gcdSig"], seed=SEED) == mutate(ZOO["gcdSig"], seed=SEED)
@@ -258,15 +257,31 @@ class TestMutantCensus:
         assert [(m.category, m.site) for m in a] == [(m.category, m.site) for m in b]
 
     def test_category_filter(self):
-        only = mutate(ZOO["midpoint"], categories=[MutatorCategory.RETURN_VALS], seed=SEED)
+        only = mutate(ZOO["midpoint"], categories=["RETURN_VALS"], seed=SEED)
         assert len(only) == 1
         (m,) = only
-        assert m.category is MutatorCategory.RETURN_VALS
+        assert m.category == "RETURN_VALS"
         assert replacement(m) == Const(0.0)
         assert m.site == (len(ZOO["midpoint"].program.assigns), ())
 
+    @pytest.mark.parametrize(
+        "categories,unknown", ((["BOGUS"], "BOGUS"), (["ZZZ", "AAA"], "ZZZ"), (["MATH", "", "ZZZ"], ""))
+    )
+    def test_first_unknown_category_raises_before_any_work(self, categories, unknown, monkeypatch):
+        monkeypatch.setattr("noether.mutate._candidates", lambda *args: pytest.fail("enumerated"))
+        with pytest.raises(KeyError) as info:
+            mutate(ZOO["midpoint"], categories, seed=SEED)
+        assert info.value.args == (unknown,)
+
+    def test_categories_run_once_each_in_canonical_order(self):
+        got = mutate(ZOO["midpoint"], ["MATH", "RETURN_VALS", "MATH"], seed=SEED)
+        assert got == mutate(ZOO["midpoint"], ["RETURN_VALS", "MATH"], seed=SEED)
+        every = mutate(ZOO["midpoint"], seed=SEED)
+        assert got == tuple(m for m in every if m.category in ("MATH", "RETURN_VALS"))
+        assert {m.category for m in got} == {"MATH", "RETURN_VALS"}
+
     def test_describe_format(self):
-        (m,) = mutate(ZOO["midpoint"], categories=[MutatorCategory.RETURN_VALS], seed=SEED)
+        (m,) = mutate(ZOO["midpoint"], categories=["RETURN_VALS"], seed=SEED)
         assert mutant_id(m) == "midpoint/RETURN_VALS@0:root"
 
 
@@ -322,7 +337,7 @@ class TestSiteRules:
 
     def test_increments_touch_only_comparison_thresholds(self):
         decl, mutants = self._single(
-            "return x < 3 ? 0 : x + 2", categories=[MutatorCategory.INCREMENTS]
+            "return x < 3 ? 0 : x + 2", categories=["INCREMENTS"]
         )
         assert len(mutants) == 1  # the 3, not the 0 branch constant or the +2
         (m,) = mutants
@@ -330,14 +345,14 @@ class TestSiteRules:
 
     def test_boundary_flips_strict_to_nonstrict(self):
         decl, mutants = self._single(
-            "return x < 3 ? 0 : 1", categories=[MutatorCategory.CONDITIONALS_BOUNDARY]
+            "return x < 3 ? 0 : 1", categories=["CONDITIONALS_BOUNDARY"]
         )
         (m,) = mutants
         assert replacement(m, decl) == Op("<=", (Var("x"), Const(3.0)))
 
     def test_call_removal_pins_to_one(self):
         decl, mutants = self._single(
-            "return sqrt(x * x)", categories=[MutatorCategory.CALL_REMOVAL]
+            "return sqrt(x * x)", categories=["CALL_REMOVAL"]
         )
         (m,) = mutants
         assert replacement(m, decl) == Const(1.0)
@@ -345,7 +360,7 @@ class TestSiteRules:
 
     def test_equivalent_candidates_are_filtered(self):
         _, mutants = self._single(
-            "return x + 0", categories=[MutatorCategory.MATH]
+            "return x + 0", categories=["MATH"]
         )
         # x + 0 -> x - 0: the folded trees differ, but the two agree at every
         # grid point, so the grid route drops the candidate
@@ -367,7 +382,7 @@ class TestSiteRules:
         monkeypatch.setattr(
             minilang, "compile_variants", lambda prog, variants: list(map(counted, real_variants(prog, variants)))
         )
-        _, mutants = self._single("return x + abs(1)", categories=[MutatorCategory.CALL_REMOVAL])
+        _, mutants = self._single("return x + abs(1)", categories=["CALL_REMOVAL"])
         assert mutants == ()
         assert calls == []
 
@@ -375,10 +390,10 @@ class TestSiteRules:
     def test_infinite_thresholds_are_not_increment_sites(self, threshold):
         text = f"{HEADER}\nsut t(x) blocks=O_le\nreturn x < {threshold} ? 1 : 0\n"
         decl = parse_sut_file(text)[0]
-        assert {c[0] for c in _candidates(decl, tuple(MutatorCategory))} == {
-            MutatorCategory.CONDITIONALS_BOUNDARY,
-            MutatorCategory.NEGATE_CONDITIONALS,
-            MutatorCategory.RETURN_VALS,
+        assert {c[0] for c in _candidates(decl, MUTATOR_CATEGORY_NAMES)} == {
+            "CONDITIONALS_BOUNDARY",
+            "NEGATE_CONDITIONALS",
+            "RETURN_VALS",
         }
         assert isinstance(mutate(decl, seed=SEED), tuple)
 
@@ -414,7 +429,7 @@ class TestGeneratedSource:
             return real_compile(source, *args, **kwargs)
 
         decl = ZOO[name]
-        categories = [MutatorCategory[c] for c in load_mutator_config().categories]
+        categories = load_mutator_config().categories
         variants = [(k, stmt) for _, k, _, stmt in _candidates(decl, categories)]
         monkeypatch.setattr(builtins, "compile", recording_compile)
         compile_program(decl.program)
@@ -455,7 +470,7 @@ class TestSchemaCost:
         # the subject on its own, then the schema of all its candidates
         assert compiles == ["<minilang gcdSig>", "<minilang gcdSig>"]
         assert len(_statement_exprs(ZOO["gcdSig"].program)) == 27
-        assert len(_candidates(ZOO["gcdSig"], tuple(MutatorCategory))) == 70
+        assert len(_candidates(ZOO["gcdSig"], MUTATOR_CATEGORY_NAMES)) == 70
         assert len(folds) == 27 + 70
         assert len(mutants) == CENSUS["gcdSig"][0]
 
@@ -470,7 +485,7 @@ class TestSchemaCost:
     )
     def test_only_survivors_are_rebuilt(self, suts, counts, monkeypatch):
         cfg = load_mutator_config()
-        categories = [MutatorCategory[c] for c in cfg.categories]
+        categories = cfg.categories
         rebuilt = []
         real_rebuild = _rebuild
         monkeypatch.setattr("noether.mutate._rebuild", lambda *args: rebuilt.append(args) or real_rebuild(*args))
@@ -483,7 +498,7 @@ class TestSchemaCost:
 
     def test_blindness_roster_filter_and_tag_counts(self):
         cfg = load_mutator_config()
-        categories = [MutatorCategory[c] for c in cfg.categories]
+        categories = cfg.categories
         candidates = survivors = preserving = 0
         for name in cfg.suts:
             candidates += len(_candidates(ZOO[name], categories))
@@ -565,7 +580,7 @@ class TestEarlyExitFilter:
     def test_agrees_with_the_full_grid_on_every_candidate(self, name):
         decl = ZOO[name]
         base, unfoldable = subject(decl), grid_only(decl)
-        candidates = _candidates(decl, tuple(MutatorCategory))
+        candidates = _candidates(decl, MUTATOR_CATEGORY_NAMES)
         assert candidates
         for _, k, _, stmt in candidates:
             program = _rebuild(decl.program, k, stmt)
@@ -613,7 +628,7 @@ class TestEarlyExitFilter:
 
     def test_fold_route_decides_without_a_call(self):
         decl = parse_sut_file(f"{HEADER}\nsut h(x) blocks=O_le\nreturn x + abs(1)\n")[0]
-        ((_, k, _, stmt),) = _candidates(decl, [MutatorCategory.CALL_REMOVAL])
+        ((_, k, _, stmt),) = _candidates(decl, ["CALL_REMOVAL"])
 
         def never_called(*args):
             raise AssertionError(f"called at {args}")

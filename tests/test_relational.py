@@ -114,6 +114,15 @@ class TestRelationBasics:
         with pytest.raises(SchemaMismatch):
             Relation(("a",), Counter({(1, 2): 1}))
 
+    @pytest.mark.parametrize(
+        "schema, row", [(("a",), "x"), (("a", "b"), "ab"), (("a",), 1)]
+    )
+    def test_rows_are_tuples(self, schema, row):
+        # a string of the schema's length was kept as a row; an int raised a
+        # bare TypeError from len()
+        with pytest.raises(SchemaMismatch, match=rf"^row {row!r} is not a tuple$"):
+            Relation(schema, {row: 1})
+
     def test_repeated_column_name_rejected(self):
         # a sorted reorder maps both (1, 2) and (1, 3) over ("a", "a") to (1, 1)
         with pytest.raises(SchemaMismatch):
