@@ -33,6 +33,7 @@ from .specfile import (
     parse_algebra,
     parse_mr_descriptor,
     parse_mutator_config,
+    split_lines,
 )
 
 
@@ -128,7 +129,7 @@ def _load(ref: str, ext: str, parse: Callable[[str], object]):
 
 def _tsv_rows(text: str) -> List[List[str]]:
     """A label matrix: one tab-separated row per nonblank line."""
-    return [line.split("\t") for line in text.splitlines() if line.strip()]
+    return [line.split("\t") for line in split_lines(text) if line.strip()]
 
 
 def _block_tag(block: Optional[BlockKind]) -> str:

@@ -21,7 +21,7 @@ from .algebra import BlockKind, OperatorAlgebra
 from .minilang import DomainError
 from .mutate import CASE, DEFAULT_MATRIX, Mutant, mutant_id
 from .mutate import mutate as derive_mutants
-from .specfile import BREAKS, PRESERVES, SpecSemanticError, SutDecl
+from .specfile import BREAKS, PRESERVES, MutatorConfig, SpecSemanticError, SutDecl
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -345,10 +345,9 @@ def _check_overrides(cfg, decls, matrix) -> None:
             raise SpecSemanticError("override", f"({cat}, {block.tag}) is {effect}, not case-dependent")
 
 
-def run_blindness_experiment(cfg=None) -> BlindnessReport:
-    """The full rule-blind scaling kill experiment on the configured suts."""
-    if cfg is None:
-        cfg = zoo.load_mutator_config()
+def run_blindness_experiment(cfg: MutatorConfig) -> BlindnessReport:
+    """The full rule-blind scaling kill experiment on the suts, categories
+    and seed of `cfg` (`zoo.load_mutator_config()` for the bundled one)."""
     decls = zoo.load_zoo()
     unknown = [name for name in cfg.suts if name not in decls]
     if unknown:

@@ -177,7 +177,20 @@ def fold_constants(node: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing.  `_LEVEL` ranks the operators from loosest to tightest binding;
+# the parser, the printer and the compiler all read it.
+
+_LEVEL_COND = 1
+_LEVEL_CMP = 2
+_LEVEL_ADD = 3
+_LEVEL_MUL = 4
+_LEVEL_ATOM = 5  # leaves, `neg` and calls
+_LEVEL = {
+    "?:": _LEVEL_COND,
+    **dict.fromkeys(COMPARISONS, _LEVEL_CMP),
+    **dict.fromkeys("+-", _LEVEL_ADD),
+    **dict.fromkeys("*/%", _LEVEL_MUL),
+}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
@@ -235,10 +248,10 @@ class _Parser:
         if self.level > MAX_DEPTH:
             raise _too_deep(self.peek()[2])
 
-    # expr := comparison ["?" expr ":" expr]; each expr is one level deeper
+    # expr := binary ["?" expr ":" expr]; each expr is one level deeper
     def parse_expr(self) -> Expr:
         self.descend()
-        node = self.parse_comparison()
+        node = self.parse_binary(_LEVEL_CMP)
         if self.at_op("?"):
             self.next()
             then = self.parse_expr()
@@ -247,26 +260,19 @@ class _Parser:
         self.level -= 1
         return node
 
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        if self.at_op(*COMPARISONS):
-            _, op, _ = self.next()
-            right = self.parse_additive()
-            return Op(op, (left, right))
-        return left
-
-    def parse_additive(self) -> Expr:
-        node = self.parse_multiplicative()
-        while self.at_op("+", "-"):
-            _, op, _ = self.next()
-            node = Op(op, (node, self.parse_multiplicative()))
-        return node
-
-    def parse_multiplicative(self) -> Expr:
-        node = self.parse_unary()
-        while self.at_op("*", "/", "%"):
-            _, op, _ = self.next()
-            node = Op(op, (node, self.parse_unary()))
+    def parse_binary(self, level: int) -> Expr:
+        """The operators `_LEVEL` ranks at `level` over operands of the next
+        level: arithmetic is left-associative, and comparisons do not chain."""
+        # the operand call is written twice, not put in a helper, so that a
+        # nesting level costs six frames; only operator tokens spell a
+        # `_LEVEL` key
+        node = self.parse_binary(level + 1) if level < _LEVEL_MUL else self.parse_unary()
+        while _LEVEL.get(self.peek()[1]) == level:
+            op = self.next()[1]
+            right = self.parse_binary(level + 1) if level < _LEVEL_MUL else self.parse_unary()
+            node = Op(op, (node, right))
+            if level == _LEVEL_CMP:
+                break
         return node
 
     def parse_unary(self) -> Expr:
@@ -560,18 +566,6 @@ def compile_variants(
 
 # ---------------------------------------------------------------------------
 # Printing (round-trips through parse_expr)
-
-_LEVEL_COND = 1
-_LEVEL_CMP = 2
-_LEVEL_ADD = 3
-_LEVEL_MUL = 4
-_LEVEL_ATOM = 5  # leaves, `neg` and calls
-_LEVEL = {
-    "?:": _LEVEL_COND,
-    **dict.fromkeys(COMPARISONS, _LEVEL_CMP),
-    **dict.fromkeys("+-", _LEVEL_ADD),
-    **dict.fromkeys("*/%", _LEVEL_MUL),
-}
 
 
 def _level(node: Expr) -> int:

@@ -151,26 +151,11 @@ def bag_equal(left, right) -> bool:
     return dict.__eq__(left_rows, right_rows)
 
 
-class _Rowless:
-    """db's relations with their rows dropped, each made when a plan looks
-    it up."""
-
-    __slots__ = ("db",)
-
-    def __init__(self, db: Mapping[str, Relation]):
-        self.db = db
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.db
-
-    def __getitem__(self, name: str) -> Relation:
-        return Relation._trusted(self.db[name].schema, {})
-
-
 def schema_of(q: QueryExpr, db: Mapping[str, Relation]) -> Tuple[str, ...]:
     """The schema of `eval_query(q, db)`, or the schema error it raises: q
-    evaluated over db's relations with their rows dropped."""
-    return eval_query(q, _Rowless(db)).schema
+    evaluated over an empty copy of each of db's relations, made on each
+    call; a run's memo of rewrites keeps the calls few."""
+    return eval_query(q, {name: Relation._trusted(rel.schema, {}) for name, rel in db.items()}).schema
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +433,16 @@ def run_rel_trial(
     db: Mapping[str, Relation],
     rng: Generator,
     rules: Sequence[RewriteRule],
-    evaluator: Evaluator = CORRECT,
-    memo: Optional[Dict] = None,
+    evaluator: Evaluator,
+    memo: Dict,
 ) -> RelTrial:
-    """One trial of one rewrite MR; callers load `rules` once per run, and a
-    run may pass all its trials one `memo` of the rewrites fired so far."""
+    """One trial of one rewrite MR under `evaluator`; callers load `rules`
+    once per run and pass all of a run's trials one `memo` of the rewrites
+    fired so far, which a trial reads and fills."""
     trial = _REL_MRS.get(mr)
     if trial is None:
         raise ValueError(f"unknown relational MR {mr!r}")
-    return RelTrial(trial(db, rng, rules, evaluator, {} if memo is None else memo))
+    return RelTrial(trial(db, rng, rules, evaluator, memo))
 
 
 def run_rel_modes(

@@ -50,7 +50,7 @@ if TYPE_CHECKING:
 
 HEADER = "#noether-spec v1"
 
-# grammar-level category vocabulary; the mutation engine's enum is built from it
+# grammar-level category vocabulary; a mutant's category is one of these names
 MUTATOR_CATEGORY_NAMES = (
     "CONDITIONALS_BOUNDARY",
     "INCREMENTS",
@@ -93,6 +93,20 @@ _ONCE = frozenset(("algebra", "generators", "mr", "mutators", "seed", "suts"))
 _HEADS = {"algebra": "an algebra declaration", "mr": "an mr declaration", "sut": "a sut declaration"}
 
 
+def split_lines(text: str) -> List[str]:
+    """The lines of `text`, broken only where `open` breaks them, at "\\n",
+    "\\r\\n" and "\\r" (`str.splitlines` also breaks at "\\x0c", "\\x85" and
+    six more), with no empty line after a final line break."""
+    # a one-character `in` scans fast; the two-character replace scans about
+    # 1 ms per 10,000-operator algebra even when it finds nothing
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _read(
     text: str, keywords: Sequence[str], head: str = "", body: bool = False
 ) -> Iterator[Tuple[int, str, Optional[str], str]]:
@@ -106,7 +120,7 @@ def _read(
     yielded with keyword None, as is a keyword line that goes on with `=`
     (it assigns a variable of that name).  A generator, so that no second
     list of a 10,000-operator algebra's lines is kept."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     header_seen = False
     seen = set()
     for lineno, line in enumerate(lines, start=1):
@@ -114,7 +128,7 @@ def _read(
         stripped = line.lstrip()
         if not header_seen and stripped:
             if stripped != HEADER:
-                raise SpecSyntaxError(lineno, _first_column(line), f"header {HEADER!r}", stripped[:40])
+                raise SpecSyntaxError(lineno, len(line) - len(stripped) + 1, f"header {HEADER!r}", stripped[:40])
             header_seen = True
             continue
         if not stripped or stripped[0] == "#":
@@ -132,16 +146,11 @@ def _read(
             yield lineno, line, None, rest
         else:
             expected = _HEADS[head] if body else f"{', '.join(keywords[:-1])} or {keywords[-1]}"
-            raise SpecSyntaxError(lineno, _first_column(line), expected, keyword)
+            raise SpecSyntaxError(lineno, len(line) - len(stripped) + 1, expected, keyword)
     if not header_seen:
         raise SpecSyntaxError(1, 1, f"header {HEADER!r}", "end of document")
     if head and head not in seen:
         raise SpecSyntaxError(len(lines) + 1, 1, _HEADS[head], "end of document")
-
-
-def _first_column(line: str) -> int:
-    """1-based column of the line's first word."""
-    return len(line) - len(line.lstrip()) + 1
 
 
 _WORD = re.compile(r"\S+")

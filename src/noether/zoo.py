@@ -243,68 +243,38 @@ def check_homogeneity(
 
 
 # ---------------------------------------------------------------------------
-# Toy SGD round-trip
+# Toy SGD round-trip on the bundled low-D quadratic: per-batch gradients
+# grad_i(theta) = A_i (theta - c_i), ten steps alternating over two batches.
+# Vectors are float tuples and each A_i is a tuple of rows.
+
+_SGD_MATRICES = (((1.2, 0.3), (0.3, 0.9)), ((0.7, 0.0), (0.0, 1.5)))
+_SGD_CENTERS = ((1.0, -2.0), (-0.5, 0.75))
+_SGD_THETA0 = (3.0, -1.0)
+_SGD_ORDER = tuple(i % 2 for i in range(10))
 
 
-@record
-class SgdTrajectory:
-    theta0: Tuple[float, ...]
-    eta: float
-    batch_order: Tuple[int, ...]
-
-    def __post_init__(self):
-        # eta=0 is the documented no-motion case, so nonnegative not positive
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if not self.batch_order:
-            raise ValueError("batch_order must be nonempty")
-
-
-@record
-class QuadraticLoss:
-    """Per-batch quadratic-loss gradients grad_i(theta) = A_i (theta - c_i).
-
-    Vectors are float tuples and each A_i is a tuple of rows.
-    """
-
-    matrices: Tuple[Tuple[Tuple[float, ...], ...], ...]
-    centers: Tuple[Tuple[float, ...], ...]
-
-    def gradient(self, batch: int, theta: Sequence[float]) -> Tuple[float, ...]:
-        offset = [t - c for t, c in zip(theta, self.centers[batch])]
-        return tuple(sum(map(mul, row, offset)) for row in self.matrices[batch])
-
-
-def _sgd_leg(
-    theta: Tuple[float, ...], loss: QuadraticLoss, batches: Iterable[int], step: float
-) -> Tuple[float, ...]:
+def _sgd_leg(theta: Tuple[float, ...], batches: Iterable[int], step: float) -> Tuple[float, ...]:
     """theta after one step of size `step` along each batch's gradient."""
     for i in batches:
-        theta = tuple(t + step * g for t, g in zip(theta, loss.gradient(i, theta)))
+        offset = [t - c for t, c in zip(theta, _SGD_CENTERS[i])]
+        gradient = [sum(map(mul, row, offset)) for row in _SGD_MATRICES[i]]
+        theta = tuple(t + step * g for t, g in zip(theta, gradient))
     return theta
 
 
-def sgd_roundtrip_residual(traj: SgdTrajectory, loss: QuadraticLoss) -> float:
-    """l2 gap between forward-only and forward/inverse/forward endpoints.
+def sgd_roundtrip_residual(eta: float) -> float:
+    """l2 gap between the forward-only and the forward/inverse/forward
+    endpoints of the bundled quadratic's SGD run with step size `eta`.
 
     The inverse leg is the gradient-ascent approximation of each step's
     inverse, applied in reversed batch order; its per-step error is
     O(eta^2), which the order-check property pins to a ratio near 4 when
-    eta is halved.
+    eta is halved.  eta=0 is the documented no-motion case, so eta must be
+    nonnegative, not positive.
     """
-    theta = tuple(map(float, traj.theta0))
-    forward_end = _sgd_leg(theta, loss, traj.batch_order, -traj.eta)
-    back = _sgd_leg(forward_end, loss, reversed(traj.batch_order), traj.eta)
-    replay = _sgd_leg(back, loss, traj.batch_order, -traj.eta)
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    forward_end = _sgd_leg(_SGD_THETA0, _SGD_ORDER, -eta)
+    back = _sgd_leg(forward_end, reversed(_SGD_ORDER), eta)
+    replay = _sgd_leg(back, _SGD_ORDER, -eta)
     return math.sqrt(sum(d * d for d in map(sub, forward_end, replay)))
-
-
-def default_sgd_fixture(eta: float = 1e-3) -> Tuple[SgdTrajectory, QuadraticLoss]:
-    """The bundled low-D quadratic used by the order-check property: ten
-    steps alternating over its two batches."""
-    matrices = (((1.2, 0.3), (0.3, 0.9)), ((0.7, 0.0), (0.0, 1.5)))
-    centers = ((1.0, -2.0), (-0.5, 0.75))
-    loss = QuadraticLoss(matrices=matrices, centers=centers)
-    order = tuple(i % 2 for i in range(10))
-    traj = SgdTrajectory(theta0=(3.0, -1.0), eta=eta, batch_order=order)
-    return traj, loss

@@ -300,12 +300,9 @@ def test_a08_relational_rewrite_mrs():
 
 
 def test_a09_sgd_reversal_order():
-    traj, loss = zoo.default_sgd_fixture(1e-3)
-    half, _ = zoo.default_sgd_fixture(5e-4)
-    frozen, _ = zoo.default_sgd_fixture(0.0)
-    r_full = zoo.sgd_roundtrip_residual(traj, loss)
-    r_half = zoo.sgd_roundtrip_residual(half, loss)
-    r_zero = zoo.sgd_roundtrip_residual(frozen, loss)
+    r_full = zoo.sgd_roundtrip_residual(1e-3)
+    r_half = zoo.sgd_roundtrip_residual(5e-4)
+    r_zero = zoo.sgd_roundtrip_residual(0.0)
     ratio = r_full / r_half
     ok = 3.0 <= ratio <= 5.0 and r_zero == 0.0
     check(9, "SGD reversal residual is second order", ok, f"ratio {ratio:.4f}, zero-step {r_zero}")

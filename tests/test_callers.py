@@ -19,7 +19,8 @@ compares against; those are listed below.
 A second check fails on any name a module-level `import` binds (under
 `if TYPE_CHECKING:` too, but not from `__future__`) that its module never
 reads, by a name or by a word of a string constant that is not a
-docstring, which covers quoted annotations.
+docstring, which covers quoted annotations, and on any name an `import`
+inside a `def` binds that the `def` never reads.
 """
 
 import ast
@@ -119,10 +120,11 @@ def test_only_oracles_lack_a_caller_outside_the_tests():
     assert sorted(set(uncalled.values())) == sorted(ORACLES)
 
 
-def _module_imports(tree):
-    """(bound name, line) of each import at module level, outside any def or
-    class but inside `if` blocks such as `if TYPE_CHECKING:`."""
-    stack = list(tree.body)
+def _imports(node):
+    """(bound name, line) of each import in `node`'s own body, outside any
+    nested def or class but inside blocks such as `if TYPE_CHECKING:` or
+    `try:`."""
+    stack = list(node.body)
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Import):
@@ -131,8 +133,8 @@ def _module_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
-        elif isinstance(node, ast.If):
-            stack += node.body + node.orelse
+        elif not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            stack += [c for c in ast.iter_child_nodes(node) if isinstance(c, (ast.stmt, ast.excepthandler))]
 
 
 def _docstrings(tree):
@@ -161,6 +163,8 @@ def test_every_module_import_is_read():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        reads = _reads(tree)
-        unused += [f"{path.name}:{line} {name}" for name, line in _module_imports(tree) if name not in reads]
+        scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for scope in scopes:
+            reads = _reads(scope)
+            unused += [f"{path.name}:{line} {name}" for name, line in _imports(scope) if name not in reads]
     assert unused == []

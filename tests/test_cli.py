@@ -515,6 +515,9 @@ class TestSubcommands:
         assert kappas[:2] == [1.0, 1.0]
         assert kappas[2] == pytest.approx(0.856954, abs=1e-6)
 
+    def test_label_matrix_rows_end_only_at_line_breaks(self):
+        assert cli._tsv_rows("a\tb\x0b c\r\nd\x85\te\rf\tg\n\n") == [["a", "b\x0b c"], ["d\x85", "e"], ["f", "g"]]
+
 
 @pytest.fixture(scope="module")
 def kill_run(tmp_path_factory):

@@ -348,7 +348,7 @@ class TestKillExperiment:
             return real_compile(prog)
 
         monkeypatch.setattr(minilang, "compile_program", counting_compile)
-        run_blindness_experiment()
+        run_blindness_experiment(load_mutator_config())
         assert len(compiled) == 6
         assert sorted(compiled) == sorted(load_mutator_config().suts)
 
@@ -463,7 +463,7 @@ FROZEN_SUMMARIES = {
 
 @pytest.fixture(scope="module")
 def blindness_report():
-    return run_blindness_experiment()
+    return run_blindness_experiment(load_mutator_config())
 
 
 # the one-statement subjects of the shallow kill experiment

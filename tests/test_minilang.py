@@ -172,6 +172,30 @@ class TestParsePrint:
     def test_left_associative(self):
         assert parse_expr("8 - 3 - 2") == Op("-", (Op("-", (Const(8.0), Const(3.0))), Const(2.0)))
 
+    @pytest.mark.parametrize(
+        "src,tree",
+        (
+            ("1 < 2 + 3", Op("<", (Const(1.0), Op("+", (Const(2.0), Const(3.0)))))),
+            ("a % b * c", Op("*", (Op("%", (Var("a"), Var("b"))), Var("c")))),
+            ("a - b + c", Op("+", (Op("-", (Var("a"), Var("b"))), Var("c")))),
+        ),
+    )
+    def test_levels_of_the_precedence_table(self, src, tree):
+        assert parse_expr(src) == tree
+
+    @pytest.mark.parametrize(
+        "src,message",
+        (
+            ("a < b < c", "trailing input '<' at column 7"),
+            ("a == b <= c", "trailing input '<=' at column 8"),
+            ("x < 0 ? a < b < c : 1", "unexpected '<' at column 15 (expected ':')"),
+        ),
+    )
+    def test_comparisons_do_not_chain(self, src, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(src)
+        assert str(info.value).startswith(message)
+
     def test_ternary_right_associative(self):
         e = parse_expr("x < 0 ? 1 : x < 5 ? 2 : 3")
         assert e.op == "?:" and e.args[2].op == "?:"

@@ -200,16 +200,15 @@ def test_every_package_record_hashes_as_the_tuple_of_its_compared_fields():
         mrs,
         [harness.generate_tuples(mr, SEED)[:1] for mr in mrs],
         harness.check_mr(mrs[0], lambda *args: 0.0, harness.generate_tuples(mrs[0], SEED)),
-        harness.run_blindness_experiment(),
+        harness.run_blindness_experiment(zoo.load_mutator_config()),
         DEFAULT_MATRIX,
         zoo.load_mutator_config(),
         zoo.SUT_G_ACTIONS,
         zoo.SUT_ORDER_SPECS,
-        zoo.default_sgd_fixture(),
         relational.CORRECT,
         db,
         plans.parse_pattern("distinct(select(p,R))"),
-        relational.run_rel_trial("rho_select-push", db, Generator(SEED), relational.bundled_rules()),
+        relational.run_rel_trial("rho_select-push", db, Generator(SEED), relational.bundled_rules(), relational.CORRECT, {}),
     ]
     found = {}
     _records_in(roots, found, set())

@@ -487,7 +487,7 @@ class TestOptimizer:
         pushdown = bundled_rules()[0]
         guardless = RewriteRule(pushdown.name, pushdown.lhs, pushdown.rhs, parse_guard("none"))
         outcomes = [
-            run_rel_trial("rho_select-push", gen_database(SEED + k), Generator([SEED, k]), [guardless]).passed
+            run_rel_trial("rho_select-push", gen_database(SEED + k), Generator([SEED, k]), [guardless], CORRECT, {}).passed
             for k in range(50)
         ]
         assert not all(outcomes) and any(outcomes)
@@ -732,21 +732,21 @@ class TestTrials:
         with pytest.raises(ValueError):
             run_rel_mrs(SEED, 0)
         with pytest.raises(ValueError):
-            run_rel_trial("rho_bogus", gen_database(0), Generator(0), ())
+            run_rel_trial("rho_bogus", gen_database(0), Generator(0), (), CORRECT, {})
 
     def test_deterministic(self):
         assert run_rel_mrs(SEED, 25) == run_rel_mrs(SEED, 25)
 
 
 def reference_run_rel_mrs(db_seed, trials, evaluator):
-    """One evaluator's run drawing its own databases: the loop that
-    `run_rel_modes` shares across evaluators."""
+    """One evaluator's run drawing its own databases, each trial with a
+    fresh memo: the loop that `run_rel_modes` shares across evaluators."""
     counts = {mr: [0, 0] for mr in REL_MR_NAMES}
     rules = bundled_rules()
     for k in range(trials):
         db, rng = gen_database(db_seed + k), Generator([db_seed, k])
         for mr in REL_MR_NAMES:
-            counts[mr][0 if run_rel_trial(mr, db, rng, rules, evaluator).passed else 1] += 1
+            counts[mr][0 if run_rel_trial(mr, db, rng, rules, evaluator, {}).passed else 1] += 1
     return {mr: tuple(pf) for mr, pf in counts.items()}
 
 
@@ -829,10 +829,10 @@ class TestRewritesFireOncePerRun:
             assert run_rel_mrs(SEED, 100) == CLEAN_TABLE
             assert set(calls) == {"rewrite_once", "optimize", "eval"} and min(calls.values()) >= 1
             assert calls["rewrite_once"] <= len(drawn) < 100
-        # a trial given no memo fires the rules itself, every time
+        # a trial given a fresh memo fires the rules itself, every time
         calls.clear()
         for _ in range(2):
-            run_rel_trial("rho_distinct-idem", gen_database(SEED), Generator([SEED, 0]), bundled_rules())
+            run_rel_trial("rho_distinct-idem", gen_database(SEED), Generator([SEED, 0]), bundled_rules(), CORRECT, {})
         assert calls["rewrite_once"] == 2
 
 

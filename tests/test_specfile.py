@@ -633,6 +633,42 @@ class TestSutParsing:
             parse_sut_file(f"{HEADER}\nreturn 1\n")
 
 
+# the breaks `str.splitlines` makes that `open` does not
+NOT_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestLineBreaks:
+    """A document's lines end at "\\n", "\\r\\n" or "\\r" only, as `open` reads them."""
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS, ids=lambda sep: f"U+{ord(sep):04X}")
+    def test_a_comment_keeps_its_line(self, sep):
+        lines = [HEADER, "algebra t", f"# a comment {sep} here", OPERATOR_F, "generators f"]
+        assert parse_algebra("\n".join(lines)) == parse_algebra("\n".join(lines[:2] + lines[3:]))
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_algebra("\n".join(lines[:4] + ["bogus"]))
+        assert (info.value.line, info.value.col) == (5, 1)
+
+    def test_a_form_feed_is_whitespace_in_a_body_line(self):
+        head = f"{HEADER}\nsut f(x) blocks=G homogeneity=none\n"
+        (decl,) = parse_sut_file(head + "t = x\x0c+ 1\nreturn t\n")
+        (plain,) = parse_sut_file(head + "t = x + 1\nreturn t\n")
+        assert decl.program == plain.program
+
+    @pytest.mark.parametrize("newline", ("\r\n", "\r"), ids=("crlf", "cr"))
+    def test_crlf_and_cr_documents_read_as_with_lf(self, newline):
+        for text in (fixture_text("sort.alg"), f"{HEADER}\nalgebra t\n\n{OPERATOR_F}\ngenerators f\n"):
+            assert parse_algebra(text.replace("\n", newline)) == parse_algebra(text)
+        # a missing head line is an error at the line after the last, with or
+        # without a final line break
+        for text in (f"{HEADER}\n# only a comment\n", f"{HEADER}\n# only a comment", f"{HEADER}\n\n\n"):
+            lines = {}
+            for sep in ("\n", newline):
+                with pytest.raises(SpecSyntaxError) as info:
+                    parse_algebra(text.replace("\n", sep))
+                lines[sep] = info.value.line
+            assert lines[newline] == lines["\n"] == text.count("\n") + 1 + (not text.endswith("\n"))
+
+
 class TestMutatorParsing:
     def test_unknown_category(self):
         with pytest.raises(SpecSemanticError):

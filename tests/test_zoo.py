@@ -16,12 +16,10 @@ from noether.zoo import (
     SUT_ORDER_SPECS,
     GAction,
     check_homogeneity,
-    default_sgd_fixture,
     load_zoo,
     sample_args,
     scaling_sample,
     sgd_roundtrip_residual,
-    SgdTrajectory,
     small_int_grid,
 )
 
@@ -229,18 +227,16 @@ class TestHomogeneity:
 
 class TestSgdRoundTrip:
     def test_error_order_ratio_near_four(self):
-        r1 = sgd_roundtrip_residual(*default_sgd_fixture(eta=1e-3))
-        r2 = sgd_roundtrip_residual(*default_sgd_fixture(eta=5e-4))
+        r1 = sgd_roundtrip_residual(1e-3)
+        r2 = sgd_roundtrip_residual(5e-4)
         ratio = r1 / r2
         assert ratio == pytest.approx(3.9834, abs=1e-3)  # frozen
         assert 3.0 <= ratio <= 5.0
 
     def test_zero_step_size_has_zero_residual(self):
-        assert sgd_roundtrip_residual(*default_sgd_fixture(eta=0.0)) == 0.0
+        assert sgd_roundtrip_residual(0.0) == 0.0
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
-            SgdTrajectory(theta0=(0.0,), eta=-0.1, batch_order=(0,))
-        with pytest.raises(ValueError):
-            SgdTrajectory(theta0=(0.0,), eta=0.1, batch_order=())
+            sgd_roundtrip_residual(-0.1)
 
