@@ -113,6 +113,13 @@ class Generator:
         self._state = ((self._inc + init_state) * _PCG_MULT + self._inc) & _M128
         self._half = None  # the unused high half of the last 64-bit output
 
+    def copy(self) -> Generator:
+        """A generator that goes on from this one's state with the same
+        draws, and draws independently of it."""
+        twin = Generator.__new__(Generator)
+        twin._state, twin._inc, twin._half = self._state, self._inc, self._half
+        return twin
+
     def _next64(self) -> int:
         state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
         rot = state >> 122

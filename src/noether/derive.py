@@ -182,22 +182,15 @@ def synthetic_algebra(n: int) -> OperatorAlgebra:
     """
     if n < 1:
         raise ValueError("need at least one generator")
-    blocks = [b for b in CANONICAL_ORDER if b is not BlockKind.B_REL]
-    # one tag set per block, shared by the operators it tags
-    tag_sets = {block: frozenset((block,)) for block in blocks}
-    operators = []
-    for i in range(n):
-        block = blocks[i % len(blocks)]
-        group = block is BlockKind.G
-        operators.append(
-            Operator(
-                name=f"gen{i:04d}",
-                acts_on=ActsOn.INPUT,
-                block_tags=tag_sets[block],
-                regime=Regime.FINITE if group else Regime.NONE,
-                group_order_or_dim=2 if group else None,
-            )
-        )
+    # (tag set, regime, size) per block, shared by the operators it tags, so
+    # that the loop reads no enum member
+    kinds = [
+        (frozenset((b,)), Regime.FINITE, 2) if b is BlockKind.G else (frozenset((b,)), Regime.NONE, None)
+        for b in CANONICAL_ORDER
+        if b is not BlockKind.B_REL
+    ]
+    acts_on = ActsOn.INPUT
+    operators = [Operator(f"gen{i:04d}", acts_on, *kinds[i % len(kinds)]) for i in range(n)]
     return OperatorAlgebra(
         name=f"synthetic-{n}",
         operators=tuple(operators),

@@ -18,6 +18,7 @@ block of the target algebra certifies its relation form.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Optional, Tuple
 
 from ._record import field, record
@@ -65,8 +66,8 @@ class MRDescriptor:
             raise ValueError("parameter directions must be >= 1")
         if self.adjoint_indexing not in ("fixed", "configuration-indexed"):
             raise ValueError(f"bad adjoint indexing {self.adjoint_indexing!r}")
-        if not self.tolerance > 0:  # also rejects NaN
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # also rejects NaN
+            raise ValueError("tolerance must be finite and positive")
         if self.relation_form == "mixed-difference" and self.difference_order < 2:
             raise ValueError("mixed-difference form needs diff_order >= 2")
 

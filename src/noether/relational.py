@@ -452,20 +452,23 @@ def run_rel_modes(
     `evaluators`, in their order: `[run_rel_mrs(db_seed, trials, e) for e
     in evaluators]`, with each database drawn once for all of them.
 
-    Database k is `gen_database(db_seed + k)`; each evaluator runs the MRs
-    on it with a fresh `Generator([db_seed, k])`, so every evaluator sees
-    the draws a run of its own would.  Relations are read-only, so the
-    evaluators can share the database, and share one memo of the rewrites.
+    Database k is `gen_database(db_seed + k)`; the evaluators run the MRs
+    on it with the stream of one `Generator([db_seed, k])`, each but the last
+    on a copy taken before any draw, so every evaluator sees the draws a run
+    of its own would.  Relations are read-only, so the evaluators can share
+    the database, and share one memo of the rewrites.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     runs = [(evaluator, {mr: [0, 0] for mr in REL_MR_NAMES}) for evaluator in evaluators]
     rules = bundled_rules()
     memo: Dict = {}
+    last = len(runs) - 1
     for k in range(trials):
         db = gen_database(db_seed + k)
-        for evaluator, counts in runs:
-            rng = Generator([db_seed, k])
+        seeded = Generator([db_seed, k])
+        for i, (evaluator, counts) in enumerate(runs):
+            rng = seeded.copy() if i < last else seeded
             for mr in REL_MR_NAMES:
                 outcome = run_rel_trial(mr, db, rng, rules, evaluator, memo)
                 counts[mr][0 if outcome.passed else 1] += 1

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optio
 
 from ._record import field, record
 from .algebra import (
+    _NO_REGIME,
     _TAG_TO_KIND,
     ActsOn,
     BlockKind,
@@ -119,12 +120,17 @@ def _read(
     `head` line comes first, and every other line after it is a body line,
     yielded with keyword None, as is a keyword line that goes on with `=`
     (it assigns a variable of that name).  A generator, so that no second
-    list of a 10,000-operator algebra's lines is kept."""
+    list of a 10,000-operator algebra's lines is kept; the one list drops
+    each line as it is read, so that the records built from the lines do not
+    pile up on top of all of them."""
+    # reversed, so that popping from its end reads the lines in order
     lines = split_lines(text)
+    lines.reverse()
+    count = len(lines)
     header_seen = False
     seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip()
+    for lineno in range(1, count + 1):
+        line = lines.pop().rstrip()
         stripped = line.lstrip()
         if not header_seen and stripped:
             if stripped != HEADER:
@@ -150,7 +156,7 @@ def _read(
     if not header_seen:
         raise SpecSyntaxError(1, 1, f"header {HEADER!r}", "end of document")
     if head and head not in seen:
-        raise SpecSyntaxError(len(lines) + 1, 1, _HEADS[head], "end of document")
+        raise SpecSyntaxError(count + 1, 1, _HEADS[head], "end of document")
 
 
 _WORD = re.compile(r"\S+")
@@ -200,11 +206,20 @@ def _parse_attrs(
             attrs[key] = kind.get(value) or _choose(subject, lineno, key, value, kind)
         else:
             try:
-                attrs[key] = kind(value)
+                attrs[key] = _number(kind, value)
             except ValueError:
                 col = _column(line, words, i) + len(key) + 1
                 raise SpecSyntaxError(lineno, col, f"{_TYPE_NAMES[kind]} for {key}", value)
     return attrs
+
+
+def _number(kind: type, text: str):
+    """`kind(text)` for `int` or `float`, read as an ASCII literal; ValueError
+    for other digits (`٣`) or an underscore (`1_0`), which Python's own
+    literal grammar takes."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return kind(text)
 
 
 def _choose(subject: str, lineno: int, key: str, value: str, choices: Mapping[str, object]):
@@ -253,15 +268,36 @@ def _comma_list(value: str) -> Tuple[str, ...]:
 
 
 def parse_algebra(text: str) -> OperatorAlgebra:
+    """The algebra `text` declares.
+
+    An operator line whose attribute text (the line after the operator's
+    name) repeats an earlier line's is built from the fields of the first
+    operator parsed from that text, under its own name; the map from text to
+    operator lives for this one call."""
     name = ""
     operators: List[Operator] = []
     generators: Tuple[str, ...] = ()
     rewrites: List[RewriteRule] = []
     labels: Dict[BlockKind, str] = {}
+    first_of: Dict[str, Operator] = {}
     keywords = ("algebra", "operator", "generators", "rewrite", "label")
     for lineno, line, keyword, rest in _read(text, keywords, "algebra"):
         if keyword == "operator":
-            operators.append(_parse_operator(lineno, line, rest))
+            # split(None, 1), so that the text after a tab or a run of spaces
+            # is the same key as after one space
+            words = rest.split(None, 1)
+            attr_text = words[1] if len(words) == 2 else ""
+            first = first_of.get(attr_text)
+            if first is None:
+                # a new text; a line without one raises here, so "" is no key
+                op = first_of[attr_text] = _parse_operator(lineno, line, rest)
+            else:
+                # cannot raise: the first's fields passed every check, and the
+                # name is a nonempty word
+                op = Operator(
+                    words[0], first.acts_on, first.block_tags, first.regime, first.group_order_or_dim, first.cost_hint
+                )
+            operators.append(op)
         elif keyword == "algebra":
             name = _name_word(lineno, line, rest, "algebra")
         elif keyword == "generators":
@@ -310,7 +346,7 @@ def _parse_operator(lineno: int, line: str, rest: str) -> Operator:
         raise SpecSyntaxError(lineno, len(line) + 1, "size=<int> alongside regime")
     try:
         return Operator(
-            op_name, attrs["acts"], blocks, attrs.get("regime", Regime.NONE), attrs.get("size"), attrs.get("cost", 1)
+            op_name, attrs["acts"], blocks, attrs.get("regime", _NO_REGIME), attrs.get("size"), attrs.get("cost", 1)
         )
     except ValueError as exc:
         raise SpecSemanticError(op_name, str(exc))
@@ -362,7 +398,7 @@ def algebra_to_text(algebra: OperatorAlgebra) -> str:
         parts = [f"operator {op.name}", f"acts={op.acts_on.value}"]
         tags = ",".join(k.tag for k in canonical_sorted(op.block_tags))
         parts.append(f"blocks={tags}")
-        if op.regime is not Regime.NONE:
+        if op.regime is not _NO_REGIME:
             parts.append(f"regime={op.regime.value}")
             parts.append(f"size={op.group_order_or_dim}")
         if op.cost_hint != 1:
@@ -558,7 +594,7 @@ def parse_mutator_config(text: str) -> MutatorConfig:
                 raise SpecSemanticError("mutators", f"no mutator category on line {lineno}")
         elif keyword == "seed":
             try:
-                seed = int(rest)
+                seed = _number(int, rest)
             except ValueError:
                 raise SpecSyntaxError(lineno, len(line) - len(rest) + 1, "integer for seed", rest)
             if seed < 0:

@@ -109,6 +109,27 @@ class TestAlgebraValidation:
         with pytest.raises(ValueError):
             OperatorAlgebra(name="bad", operators=(a, a), generators=("x",))
 
+    @pytest.mark.parametrize("repeated", ("operator", "generator"))
+    def test_duplicates_found_in_linear_time(self, repeated):
+        """The duplicate check makes a few equality tests per name, not one
+        per pair of names."""
+        tests = [0]
+
+        class Name(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                tests[0] += 1
+                return str.__eq__(self, other)
+
+        names = [Name(f"op{i}") for i in range(2000)]
+        copies = {repeated: [Name("op7")]}
+        operators = tuple(op(n, BlockKind.O_LE) for n in names + copies.get("operator", []))
+        generators = tuple(names + copies.get("generator", []))
+        with pytest.raises(ValueError, match=rf"^duplicate {repeated} names \['op7'\]$"):
+            OperatorAlgebra(name="bad", operators=operators, generators=generators)
+        assert tests[0] <= 2 * len(names)
+
     def test_unknown_generator_rejected(self):
         with pytest.raises(ValueError):
             OperatorAlgebra(name="bad", operators=(op("x", BlockKind.O_LE),), generators=("y",))

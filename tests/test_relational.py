@@ -774,8 +774,19 @@ class TestSharedDatabases:
 
         for name in ("gen_database", "bundled_rules"):
             monkeypatch.setattr(relational, name, counted(getattr(relational, name)))
+        for name in ("__init__", "copy"):
+            monkeypatch.setattr(Generator, name, counted(getattr(Generator, name)))
         assert cli.main(["reproduce", "--format", "machine", "--out", str(tmp_path / "r.jsonl")]) == 0
-        assert calls == {"gen_database": 100, "bundled_rules": 1}
+        # one predicate stream per database, copied for two of the three
+        # modes; 100 more generators draw the databases, 23 the MR samples
+        assert calls == {"gen_database": 100, "bundled_rules": 1, "__init__": 223, "copy": 200}
+
+    def test_one_evaluator_copies_no_stream(self, monkeypatch, capsys):
+        copies = []
+        real_copy = Generator.copy
+        monkeypatch.setattr(Generator, "copy", lambda self: copies.append(self) or real_copy(self))
+        assert cli.main(["rel", "--trials", "10", "--mutant", "biased-join"]) in (0, 1)
+        assert copies == []
 
 
 class TestRewritesFireOncePerRun:

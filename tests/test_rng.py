@@ -41,13 +41,16 @@ def both(seed):
 
 
 def assert_same_draws(seed, draws):
-    oracle, ours = both(seed)
+    assert_continues(*both(seed), draws)
+
+
+def assert_continues(oracle, ours, draws):
     for method, (low, extent) in draws:
         high = low + extent
         want = getattr(oracle, method)(low, high)
         got = getattr(ours, method)(low, high)
         assert type(got) is (int if method == "integers" else float)
-        assert got == want, (seed, method, low, high)
+        assert got == want, (method, low, high)
 
 
 class TestAgainstNumpy:
@@ -90,6 +93,23 @@ class TestAgainstNumpy:
             np.random.default_rng(seed)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             Generator(seed)
+
+    @given(SEEDS, st.sampled_from((0, 1, 3)), DRAWS)
+    @settings(max_examples=100, deadline=None)
+    # after one draw the high half is pending, and the copy's first draw is it
+    @example(0, 1, [("integers", (0, 10)), ("uniform", (0.0, 1.0))])
+    def test_a_copy_continues_the_stream(self, seed, taken, draws):
+        """A copy taken fresh, or after an odd number of `integers` draws
+        (the high half of the last output pending), draws what NumPy's
+        generator would next, and so does the original after it."""
+        ours = Generator(seed)
+        oracles = [np.random.default_rng(seed) for _ in range(2)]
+        for _ in range(taken):
+            got = ours.integers(0, 10)
+            assert [oracle.integers(0, 10) for oracle in oracles] == [got, got]
+        twin = ours.copy()
+        assert_continues(oracles[0], twin, draws)
+        assert_continues(oracles[1], ours, draws)
 
     @pytest.mark.parametrize("seed", [1.5, "7", None, {1, 2}])
     def test_non_integer_seeds_rejected(self, seed):

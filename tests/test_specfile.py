@@ -2,15 +2,17 @@
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noether.algebra import ActsOn, BlockKind, Regime
+from noether import specfile
+from noether.algebra import ActsOn, BlockKind, Operator, OperatorAlgebra, Regime
 from noether.specfile import (
     _OPERATOR_KEYS,
     HEADER,
@@ -104,6 +106,122 @@ class TestRoundTrips:
         except (SpecSyntaxError, SpecSemanticError):
             return
         assert parse_algebra(algebra_to_text(alg)) == alg
+
+
+def reference_parse_algebra(text):
+    """`parse_algebra` of a document of algebra, operator and generators
+    lines with no map: every operator line is parsed on its own."""
+    name, operators, generators = "", [], ()
+    keywords = ("algebra", "operator", "generators", "rewrite", "label")
+    for lineno, line, keyword, rest in specfile._read(text, keywords, "algebra"):
+        if keyword == "operator":
+            operators.append(specfile._parse_operator(lineno, line, rest))
+        elif keyword == "algebra":
+            name = specfile._name_word(lineno, line, rest, "algebra")
+        else:
+            generators = specfile._comma_list(rest)
+    try:
+        return OperatorAlgebra(name, tuple(operators), generators)
+    except ValueError as exc:
+        raise SpecSemanticError(name, str(exc))
+
+
+# the whitespace a line may hold between its words
+GAPS = st.sampled_from((" ", "  ", "\t", " \t", "\t "))
+
+
+@st.composite
+def attribute_texts(draw):
+    """A valid operator attribute text, its words in any order and apart by any gap."""
+    tags = draw(st.lists(st.sampled_from(("G", "O_le", "T_rev", "L_star")), min_size=1, max_size=3, unique=True))
+    words = [f"acts={draw(st.sampled_from(('input', 'output', 'both', 'param')))}", "blocks=" + ",".join(tags)]
+    if "G" in tags:
+        words += [f"regime={draw(st.sampled_from(('finite', 'lie', 'trunc')))}", f"size={draw(st.integers(0, 20))}"]
+    if draw(st.booleans()):
+        words.append(f"cost={draw(st.integers(1, 3))}")
+    words = draw(st.permutations(words))
+    return "".join(word + draw(GAPS) for word in words[:-1]) + words[-1]
+
+
+@st.composite
+def repeating_algebras(draw, min_operators=1):
+    """The lines of an algebra whose operators draw their attribute texts from
+    a few: after the name a line has any gap, and it may put `cost=2` in
+    front of an earlier text after a tab (`y`, a tab, `cost=2 acts=...` after
+    `x acts=...`), whose key a split at the first space would get wrong."""
+    texts = draw(st.lists(attribute_texts(), min_size=1, max_size=4))
+    lines = []
+    for i in range(draw(st.integers(min_operators, 12))):
+        text = draw(st.sampled_from(texts))
+        gap = draw(GAPS)
+        if "cost=" not in text and draw(st.booleans()):
+            text, gap = "cost=2 " + text, "\t"
+        lines.append(f"{draw(st.sampled_from(('', ' ')))}operator{draw(GAPS)}n{i}{gap}{text}")
+    return ["algebra t", *lines, "generators " + ",".join(f"n{i}" for i in range(len(lines)))]
+
+
+def _document(lines):
+    return "\n".join([HEADER, *lines]) + "\n"
+
+
+# a line's replacement: (name, gap, attribute text, another line's name) -> line
+CORRUPTIONS = (
+    lambda name, gap, text, other: f"operator {other}{gap}{text}",
+    lambda name, gap, text, other: f"operator {name}{gap}{text} bogus",
+    lambda name, gap, text, other: f"operator {name}{gap}{text} cost=0",
+    lambda name, gap, text, other: f"operator {name}{gap}{text} size=x",
+    lambda name, gap, text, other: f"operator {name}{gap}cost=1_0 {text}",
+    lambda name, gap, text, other: f"operator {name}{gap}{text.replace('blocks=', 'blocks=Q,')}",
+    lambda name, gap, text, other: f"operator {name}{gap}{text.replace('acts=', 'acts=x')}",
+    lambda name, gap, text, other: f"operator {name}{gap}{text} regime=lie",
+    lambda name, gap, text, other: f"operator {name}",
+    lambda name, gap, text, other: "operator",
+)
+
+
+class TestRepeatedAttributeTexts:
+    """`parse_algebra` builds an operator whose attribute text repeats an
+    earlier line's from that line's operator, and reads every document as
+    the map-free reference does."""
+
+    @given(repeating_algebras())
+    @settings(max_examples=200, deadline=None)
+    @example(
+        ["algebra t", "operator x acts=both blocks=O_le", "operator y\tcost=2 acts=both blocks=O_le", "generators x,y"]
+    )
+    def test_same_algebra_as_the_reference(self, lines):
+        text = _document(lines)
+        assert parse_algebra(text) == reference_parse_algebra(text)
+
+    @given(repeating_algebras(min_operators=2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_error_as_the_reference(self, lines, data):
+        at = data.draw(st.integers(1, len(lines) - 2))
+        _, name, text = lines[at].split(None, 2)
+        other = data.draw(st.sampled_from([line.split()[1] for line in lines[1:-1] if line is not lines[at]]))
+        lines[at] = data.draw(st.sampled_from(CORRUPTIONS))(name, data.draw(GAPS), text, other)
+        text = _document(lines)
+        with pytest.raises((SpecSyntaxError, SpecSemanticError)) as want:
+            reference_parse_algebra(text)
+        with pytest.raises((SpecSyntaxError, SpecSemanticError)) as got:
+            parse_algebra(text)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        rng = random.Random(3)
+        # 9 texts without the G tag and 40 with it
+        texts = [f"acts={a} blocks={b}" for a in ("input", "both", "param") for b in ("O_le", "L_star", "E_star")]
+        texts += [f"acts=param blocks=G regime=finite size={size}" for size in range(40)]
+        lines = [f"operator op{i} {rng.choice(texts)}" for i in range(1000)]
+        distinct = len({line.split(None, 2)[2] for line in lines})
+        parses, inits = [], []
+        real_parse_attrs, real_init = specfile._parse_attrs, Operator.__init__
+        monkeypatch.setattr(specfile, "_parse_attrs", lambda *args: parses.append(args) or real_parse_attrs(*args))
+        monkeypatch.setattr(Operator, "__init__", lambda self, *args: inits.append(args) or real_init(self, *args))
+        algebra = parse_algebra(_document(["algebra t", *lines, "generators op0"]))
+        monkeypatch.undo()
+        assert distinct == 49
+        assert (len(parses), len(inits), len(algebra.operators)) == (distinct, 1000, 1000)
 
 
 class TestAlgebraParsing:
@@ -587,9 +705,9 @@ class TestDescriptorParsing:
         mr = parse_mr_descriptor(f"{HEADER}\nmr rho_x\nform=mixed-difference diff_order=2\n")
         assert mr.difference_order == 2
 
-    @pytest.mark.parametrize("value", ("0", "-1e-9", "nan"))
+    @pytest.mark.parametrize("value", ("0", "-1e-9", "nan", "inf", "1e999"))
     def test_tolerance_must_be_positive(self, value):
-        with pytest.raises(SpecSemanticError):
+        with pytest.raises(SpecSemanticError, match="^rho_x: tolerance must be finite and positive$"):
             parse_mr_descriptor(f"{HEADER}\nmr rho_x\ntolerance={value}\n")
 
     def test_duplicate_field(self):
@@ -777,6 +895,69 @@ class TestErrorColumns:
         with pytest.raises(SpecSyntaxError) as exc:
             _parse_attrs("f", 3, line, [word], _OPERATOR_KEYS)
         assert str(exc.value) == message
+
+
+class TestAsciiNumbers:
+    """A number in a document is an ASCII literal: the other Unicode digits
+    and the underscores that `int` and `float` also read are rejected at the
+    value's column."""
+
+    @pytest.mark.parametrize(
+        "parse,body,message",
+        (
+            (
+                parse_algebra,
+                "algebra t\noperator f acts=input blocks=G regime=finite size=٣\ngenerators f",
+                "line 3, column 51: expected integer for size, found '٣'",
+            ),
+            (
+                parse_algebra,
+                "algebra t\noperator f acts=input blocks=O_le cost=1_0\ngenerators f",
+                "line 3, column 40: expected integer for cost, found '1_0'",
+            ),
+            (
+                parse_mr_descriptor,
+                "mr r\ndiff_order=٢",
+                "line 3, column 12: expected integer for diff_order, found '٢'",
+            ),
+            (
+                parse_mr_descriptor,
+                "mr r\ndirections=1_0",
+                "line 3, column 12: expected integer for directions, found '1_0'",
+            ),
+            (
+                parse_mr_descriptor,
+                "mr r\ntolerance=١e-3",
+                "line 3, column 11: expected decimal for tolerance, found '١e-3'",
+            ),
+            (
+                parse_mr_descriptor,
+                "mr r\ntolerance=1_0e-3",
+                "line 3, column 11: expected decimal for tolerance, found '1_0e-3'",
+            ),
+            (parse_mutator_config, "seed 1_000", "line 2, column 6: expected integer for seed, found '1_000'"),
+            (parse_mutator_config, "seed ٣", "line 2, column 6: expected integer for seed, found '٣'"),
+        ),
+        ids=(
+            "arabic-size",
+            "underscore-cost",
+            "arabic-diff-order",
+            "underscore-directions",
+            "arabic-tolerance",
+            "underscore-tolerance",
+            "underscore-seed",
+            "arabic-seed",
+        ),
+    )
+    def test_non_ascii_digits_and_underscores_rejected(self, parse, body, message):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse(f"{HEADER}\n{body}\n")
+        assert str(exc.value) == message
+
+    def test_ascii_literals_still_read(self):
+        mr = parse_mr_descriptor(f"{HEADER}\nmr r\ndiff_order=+2 directions=3 tolerance=.5e-3\n")
+        assert (mr.difference_order, mr.parameter_directions, mr.tolerance) == (2, 3, 0.0005)
+        assert parse_mutator_config(f"{HEADER}\nseed 1000\n").seed == 1000
 
 
 def _noether_modules_after(code: str) -> set:
