@@ -2,7 +2,8 @@
 bit for bit, for the draws this package makes.
 
 ``Generator(seed)`` yields what NumPy's ``default_rng(seed)`` yields for
-an int seed or a (nested) list of int seeds:
+an int seed or a (nested) list of int seeds, and ``generators(seeds)``
+yields ``Generator(seed)`` for each seed in turn:
 
 * ``SeedSequence`` entropy mixing into a four-word pool, then eight state
   words (a 128-bit LCG state and increment);
@@ -15,18 +16,43 @@ an int seed or a (nested) list of int seeds:
 * ``uniform(low, high)``: ``low + (high - low) * u``, u the top 53 bits of a
   whole 64-bit output.
 
+Seeds are mixed in lanes, SIMD within a register (Lamport, "Multiple Byte
+Processing with Full-Word Instructions", CACM 1975).  Each step of the mix
+XORs a 32-bit value with a constant or multiplies it by one, and the
+constants are the same for every seed.  So one Python int holds the values
+of many seeds, one in the low 32 bits of each 128-bit lane, and one int
+operation takes the step for all of them.  It is exact because:
+
+* a constant is XORed in repeated in every lane;
+* every multiplier is below 2**32, so a product stays below 2**64, and a
+  mix ``L*x + R*h`` below 2**65: inside its lane;
+* SeedSequence's mix ``L*x - R*h`` is taken as ``L*x + ((-R) mod 2**32)*h``,
+  the same mod 2**32, so no lane borrows from its neighbour;
+* each step ends by masking every lane to its low 32 bits, which drops
+  what a product carried past them and what ``h >> 16`` shifted in from the
+  next lane.
+
+``Generator(seed)`` is the one-lane case; ``generators`` mixes up to 32
+seeds at a time and holds only those.  Entropy past four words is mixed in
+one word at a time, so only seeds with the same number of words past four
+share a mix: ``generators`` groups each 32 by that number.
+
 The test suite checks the stream against NumPy itself.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import islice
+from typing import Iterable, Iterator
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL = 4
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MULT_A, _MULT_B = 0x931E8875, 0x58F38DED
+_LANES = 32  # the most seeds `generators` mixes at once
+_MIX_L, _NEG_MIX_R = 0xCA01F9DD, -0x4973F715 & _M32
 
 
 def _chain(init: int, mult: int, n: int) -> list:
@@ -34,23 +60,6 @@ def _chain(init: int, mult: int, n: int) -> list:
     for _ in range(n):
         out.append(out[-1] * mult & _M32)
     return out
-
-
-# SeedSequence's hash constants evolve independently of the seed: its k-th
-# hashmix XORs _HASH_A[k] into the value, then multiplies by _HASH_A[k + 1].
-# The first _POOL calls fill the pool and the next _POOL * (_POOL - 1)
-# cross-mix it; entropy beyond _POOL words continues the chain from
-# _HASH_A[-1].
-_HASH_A = _chain(0x43B0D7E5, _MULT_A, _POOL * _POOL)
-_CROSS = tuple(
-    (src, dst, _HASH_A[k], _HASH_A[k + 1])
-    for k, (src, dst) in enumerate(
-        ((s, d) for s in range(_POOL) for d in range(_POOL) if s != d), start=_POOL
-    )
-)
-# generate_state: eight output words, the same way from the pool's cycle
-_HASH_B = _chain(0x8B51F9DD, _MULT_B, 8)
-_OUT = tuple((i % _POOL, _HASH_B[i], _HASH_B[i + 1]) for i in range(8))
 
 
 def _words(seed) -> list:
@@ -67,30 +76,92 @@ def _words(seed) -> list:
             seed >>= 32
         return words
     if isinstance(seed, (list, tuple)):
-        return [w for item in seed for w in _words(item)]
+        words = []
+        for item in seed:
+            words += _words(item)
+        return words
     raise TypeError(f"seed must be an int or a list of ints, not {type(seed).__name__}")
 
 
-def _pool(entropy: list) -> list:
-    """SeedSequence.mix_entropy over a zeroed four-word pool."""
-    a = _HASH_A
-    pool = []
-    for i in range(_POOL):
-        h = ((entropy[i] if i < len(entropy) else 0) ^ a[i]) * a[i + 1] & _M32
-        pool.append(h ^ h >> 16)
-    for src, dst, x, m in _CROSS:
-        h = (pool[src] ^ x) * m & _M32
-        r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _M32
-        pool[dst] = r ^ r >> 16
-    x = a[-1]
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            m = x * _MULT_A & _M32
-            h = (word ^ x) * m & _M32
-            r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _M32
-            pool[dst] = r ^ r >> 16
-            x = m
-    return pool
+def _entropy(seed) -> tuple:
+    """`seed`'s words as (the first _POOL of them as one int, the rest)."""
+    words = _words(seed)
+    first = 0
+    for word in reversed(words[:_POOL]):
+        first = first << 32 | word
+    return first, words[_POOL:]
+
+
+def _pack(values) -> int:
+    """One int holding each of `values`, all below 2**128, in its own
+    128-bit lane, the first in the lowest."""
+    packed = shift = 0
+    for value in values:
+        packed |= value << shift
+        shift += 128
+    return packed
+
+
+# generate_state: eight output words from the pool's cycle, each hashed the
+# way the pool's are, with its own chain of constants
+_HASH_B = _chain(0x8B51F9DD, 0x58F38DED, 8)
+_OUT = tuple((i % _POOL, _HASH_B[i], _HASH_B[i + 1]) for i in range(8))
+
+
+@lru_cache(maxsize=8)
+def _schedule(extra: int) -> tuple:
+    """SeedSequence's hashmixes for entropy `extra` words longer than the
+    pool, each as (source, [destination,] XOR constant, multiplier): those
+    that fill the pool, then those that mix it."""
+    # The hash constants evolve independently of the seed: the k-th hashmix
+    # XORs a[k] into the value, then multiplies by a[k + 1].  The first _POOL
+    # hash the entropy into the pool; each mix then hashes a source word and
+    # folds it into a destination, first pool word into pool word, then each
+    # entropy word past the pool's length into every pool word.
+    a = _chain(0x43B0D7E5, 0x931E8875, _POOL * (_POOL + extra))
+    pairs = [(src, dst) for src in range(_POOL + extra) for dst in range(_POOL) if src != dst]
+    return (
+        tuple((k, a[k], a[k + 1]) for k in range(_POOL)),
+        tuple((src, dst, a[k], a[k + 1]) for k, (src, dst) in enumerate(pairs, _POOL)),
+    )
+
+
+def _mix(entropies: list) -> list:
+    """The PCG64 (state, increment) of each of `entropies`, as `_entropy`
+    gives them, all with the same number of words past the pool's length,
+    mixed together one per lane."""
+    extra = len(entropies[0][1])
+    fill, mixes = _schedule(extra)
+    # a constant times `ones` is that constant in every lane
+    ones = _pack([1] * len(entropies))
+    mask = _M32 * ones
+    first = _pack(low for low, _ in entropies)
+    # the entropy words past the pool's length follow it, read, never written
+    pool = [first >> 32 * k & mask for k in range(_POOL)]
+    pool += [_pack(rest[j] for _, rest in entropies) for j in range(extra)]
+    for k, x, m in fill:
+        h = (pool[k] ^ x * ones) * m & mask
+        pool[k] = (h ^ h >> 16) & mask
+    mix_l, mix_r = _MIX_L, _NEG_MIX_R
+    for src, dst, x, m in mixes:
+        h = (pool[src] ^ x * ones) * m & mask
+        h = (h ^ h >> 16) & mask
+        r = (mix_l * pool[dst] + mix_r * h) & mask
+        pool[dst] = (r ^ r >> 16) & mask
+    w = []
+    for src, x, m in _OUT:
+        h = (pool[src] ^ x * ones) * m & mask
+        w.append((h ^ h >> 16) & mask)
+    # the words read as four little-endian uint64s: state hi, lo, inc hi, lo
+    init_state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    init_seq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+    seeded = []
+    for shift in range(0, 128 * len(entropies), 128):
+        # PCG's srandom: the state starts at one step from zero, adds the
+        # initial state, and steps once more
+        inc = (init_seq >> shift << 1 | 1) & _M128
+        seeded.append((((inc + (init_state >> shift & _M128)) * _PCG_MULT + inc) & _M128, inc))
+    return seeded
 
 
 class Generator:
@@ -99,26 +170,13 @@ class Generator:
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed):
-        pool = _pool(_words(seed))
-        w = []
-        for src, x, m in _OUT:
-            h = (pool[src] ^ x) * m & _M32
-            w.append(h ^ h >> 16)
-        # the words read as four little-endian uint64s: state hi, lo, inc hi, lo
-        init_state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        init_seq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
-        # PCG's srandom: the state starts at one step from zero, adds the
-        # initial state, and steps once more
-        self._inc = (init_seq << 1 | 1) & _M128
-        self._state = ((self._inc + init_state) * _PCG_MULT + self._inc) & _M128
+        ((self._state, self._inc),) = _mix([_entropy(seed)])
         self._half = None  # the unused high half of the last 64-bit output
 
     def copy(self) -> Generator:
         """A generator that goes on from this one's state with the same
         draws, and draws independently of it."""
-        twin = Generator.__new__(Generator)
-        twin._state, twin._inc, twin._half = self._state, self._inc, self._half
-        return twin
+        return _resumed(self._state, self._inc, self._half)
 
     def _next64(self) -> int:
         state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
@@ -163,3 +221,23 @@ class Generator:
     def uniform(self, low: float, high: float) -> float:
         """A uniform float in [low, high)."""
         return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
+
+
+def _resumed(state: int, inc: int, half) -> Generator:
+    rng = Generator.__new__(Generator)
+    rng._state, rng._inc, rng._half = state, inc, half
+    return rng
+
+
+def generators(seeds: Iterable) -> Iterator[Generator]:
+    """``Generator(seed)`` for each of `seeds` in turn, mixing up to
+    _LANES seeds at once and holding only those; seeds with the same number
+    of words past the pool's length share a mix."""
+    seeds = iter(seeds)
+    while chunk := [_entropy(seed) for seed in islice(seeds, _LANES)]:
+        seeded = {}
+        for extra in {len(rest) for _, rest in chunk}:
+            group = [i for i, (_, rest) in enumerate(chunk) if len(rest) == extra]
+            seeded.update(zip(group, _mix([chunk[i] for i in group])))
+        for i in range(len(chunk)):
+            yield _resumed(*seeded[i], None)

@@ -13,7 +13,10 @@ counts; only `Evaluator.eval` and `eval_query` wrap the pair in a
 `Relation`, and the trials compare the pairs themselves.
 `run_rel_modes` runs the four MRs under several evaluators over one draw of
 the seeded databases, firing the rules once per distinct plan of the run;
-`run_rel_mrs` is its one-evaluator case.
+`run_rel_mrs` is its one-evaluator case.  Database k of a run at `db_seed`
+is `gen_database(Generator(db_seed + k))`, and its trials draw their
+predicates from `Generator([db_seed, k])`; the run takes both kinds of
+stream from `generators`, which seeds them many at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import field, record
-from ._rng import Generator
+from ._rng import Generator, generators
 from .plans import (
     _FIELDS,
     EMPTY_NAME,
@@ -332,10 +335,10 @@ _GENERATED = {
 }
 
 
-def gen_database(seed: int) -> Dict[str, Relation]:
-    """Each generated relation draws its row count in 1..4, then each row's
-    first and second value, uniformly from its columns' pools."""
-    draw = Generator(seed).integers
+def gen_database(rng: Generator) -> Dict[str, Relation]:
+    """Each generated relation draws from `rng` its row count in 1..4, then
+    each row's first and second value, uniformly from its columns' pools."""
+    draw = rng.integers
     db = {}
     for name, (schema, first, second) in _GENERATED.items():
         bag: Dict[Tuple, int] = {}
@@ -452,11 +455,13 @@ def run_rel_modes(
     `evaluators`, in their order: `[run_rel_mrs(db_seed, trials, e) for e
     in evaluators]`, with each database drawn once for all of them.
 
-    Database k is `gen_database(db_seed + k)`; the evaluators run the MRs
-    on it with the stream of one `Generator([db_seed, k])`, each but the last
-    on a copy taken before any draw, so every evaluator sees the draws a run
-    of its own would.  Relations are read-only, so the evaluators can share
-    the database, and share one memo of the rewrites.
+    Database k is `gen_database(Generator(db_seed + k))`; the evaluators
+    run the MRs on it with the stream of one `Generator([db_seed, k])`, each
+    but the last on a copy taken before any draw, so every evaluator sees
+    the draws a run of its own would.  Both kinds of stream come from
+    `generators`, which seeds them many at a time.  Relations are read-only,
+    so the evaluators can share the database, and share one memo of the
+    rewrites.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -464,9 +469,10 @@ def run_rel_modes(
     rules = bundled_rules()
     memo: Dict = {}
     last = len(runs) - 1
-    for k in range(trials):
-        db = gen_database(db_seed + k)
-        seeded = Generator([db_seed, k])
+    databases = generators(db_seed + k for k in range(trials))
+    streams = generators([db_seed, k] for k in range(trials))
+    for db_rng, seeded in zip(databases, streams):
+        db = gen_database(db_rng)
         for i, (evaluator, counts) in enumerate(runs):
             rng = seeded.copy() if i < last else seeded
             for mr in REL_MR_NAMES:

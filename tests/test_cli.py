@@ -682,6 +682,9 @@ LAZY_MODULES = (
 UNRUN_BY_DERIVE = {"_rng", "minilang", "mutate", "harness", "relational", "stats", "reproduce"}
 # `fractions` imports `decimal`; only `coverage`, `stats` and `reproduce` need it
 NUMBER_MODULES = ("fractions", "decimal")
+# stdlib modules that load a shared library and that no command needs:
+# loading `array` in `_rng` raised the `rel` command's peak RSS by 52-96 kB
+EXTENSION_MODULES = ("array",)
 
 
 def fresh_python(code, *flags, path=(SRC,)):
@@ -717,12 +720,14 @@ class TestCommandsLoadWhatTheyRun:
             f"    rc = cli.main({argv!r})\n"
             f"ran = [n for n in {LAZY_MODULES!r} if type(sys.modules['noether.' + n]) is type(sys)]\n"
             f"numbers = [n for n in {NUMBER_MODULES!r} if n in sys.modules]\n"
-            "print(json.dumps([rc, ran, numbers]))\n"
+            f"extensions = [n for n in {EXTENSION_MODULES!r} if n in sys.modules]\n"
+            "print(json.dumps([rc, ran, numbers, extensions]))\n"
         )
-        rc, ran, numbers = json.loads(fresh_python(code, "-S"))
+        rc, ran, numbers, extensions = json.loads(fresh_python(code, "-S"))
         assert rc == 0
         assert not set(ran) & unrun
         assert numbers == []
+        assert extensions == []
 
     def test_package_attributes_are_the_registered_modules(self):
         code = (

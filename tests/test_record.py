@@ -187,7 +187,7 @@ def test_every_package_record_hashes_as_the_tuple_of_its_compared_fields():
     descriptors = [zoo.load_descriptor(name) for name in ("rho_rot", "rho_mono")]
     decls = zoo.load_zoo()
     mrs = harness.build_standard_mrs(decls)
-    db = relational.gen_database(SEED)
+    db = relational.gen_database(Generator(SEED))
     roots = [
         algebras,
         [alg.blocks for alg in algebras],

@@ -195,7 +195,7 @@ class TestRelationBasics:
         assert copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
         flipped = reordered(R, ("b", "a"))
         assert hash(reordered(flipped, ("a", "b"))) == hash(R)
-        assert len({rel for seed in range(20) for rel in gen_database(seed).values()}) > 1
+        assert len({rel for seed in range(20) for rel in gen_database(Generator(seed)).values()}) > 1
 
     def test_bag_equal_modulo_column_order(self):
         flipped = reordered(R, ("b", "a"))
@@ -374,7 +374,7 @@ class TestFastPathDifferential:
     @example(plan=Join(Base("R"), Base("S")), seed=1)
     @example(plan=Join(Base("R"), Base("R")), seed=1)
     def test_evaluators_match_the_reference(self, plan, seed):
-        db = gen_database(seed)
+        db = gen_database(Generator(seed))
         trusted = Relation.__dict__["_trusted"].__func__
         built = []
 
@@ -414,7 +414,7 @@ class TestFastPathDifferential:
     def test_same_bag_is_bag_equal_of_the_relations(self, plan, other, kind, db_index, seed):
         # the trials compare (schema, rows) pairs; the verdict is bag_equal's
         # on the relations Evaluator.eval returns, False where either raises
-        db = gen_database(seed) if db_index is None else EDGE_DBS[db_index]
+        db = gen_database(Generator(seed)) if db_index is None else EDGE_DBS[db_index]
         other = {"itself": plan, "swapped": swapped(plan), "other": other}[kind]
         for evaluator, _ in REL_MODES.values():
             want = outcome(lambda: bag_equal(evaluator.eval(plan, db), evaluator.eval(other, db)))
@@ -487,7 +487,7 @@ class TestOptimizer:
         pushdown = bundled_rules()[0]
         guardless = RewriteRule(pushdown.name, pushdown.lhs, pushdown.rhs, parse_guard("none"))
         outcomes = [
-            run_rel_trial("rho_select-push", gen_database(SEED + k), Generator([SEED, k]), [guardless], CORRECT, {}).passed
+            run_rel_trial("rho_select-push", gen_database(Generator(SEED + k)), Generator([SEED, k]), [guardless], CORRECT, {}).passed
             for k in range(50)
         ]
         assert not all(outcomes) and any(outcomes)
@@ -644,7 +644,7 @@ class TestRewriteRules:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rules_hold_on_generated_databases(self, seed):
-        assert check_rules_on_db(gen_database(seed), seed) == []
+        assert check_rules_on_db(gen_database(Generator(seed)), seed) == []
 
     def test_rules_hold_on_tiny_edge_databases(self):
         for db in EDGE_DBS:
@@ -674,7 +674,7 @@ def reference_gen_database(seed):
 class TestGeneratedDatabases:
     def test_matches_the_reference_draw(self):
         for seed in range(200):
-            got, want = gen_database(seed), reference_gen_database(seed)
+            got, want = gen_database(Generator(seed)), reference_gen_database(seed)
             assert list(got) == list(want)
             for name, rel in got.items():
                 assert rel.schema == want[name].schema and rel.rows == want[name].rows
@@ -684,7 +684,7 @@ class TestGeneratedDatabases:
                 assert Relation(rel.schema, rel.rows) == rel
 
     def test_shape(self):
-        db = gen_database(3)
+        db = gen_database(Generator(3))
         assert set(db) == {"R", "S", "T", EMPTY_NAME}
         assert db["R"].schema == ("a", "b")
         assert db["S"].schema == ("b", "c")
@@ -694,8 +694,8 @@ class TestGeneratedDatabases:
             assert 1 <= sum(db[name].rows.values()) <= 4
 
     def test_deterministic(self):
-        assert gen_database(9) == gen_database(9)
-        assert gen_database(9) != gen_database(10)
+        assert gen_database(Generator(9)) == gen_database(Generator(9))
+        assert gen_database(Generator(9)) != gen_database(Generator(10))
 
 
 # frozen per-MR (passes, fails) tables over 100 trials at the pinned seed
@@ -732,7 +732,7 @@ class TestTrials:
         with pytest.raises(ValueError):
             run_rel_mrs(SEED, 0)
         with pytest.raises(ValueError):
-            run_rel_trial("rho_bogus", gen_database(0), Generator(0), (), CORRECT, {})
+            run_rel_trial("rho_bogus", gen_database(Generator(0)), Generator(0), (), CORRECT, {})
 
     def test_deterministic(self):
         assert run_rel_mrs(SEED, 25) == run_rel_mrs(SEED, 25)
@@ -744,7 +744,7 @@ def reference_run_rel_mrs(db_seed, trials, evaluator):
     counts = {mr: [0, 0] for mr in REL_MR_NAMES}
     rules = bundled_rules()
     for k in range(trials):
-        db, rng = gen_database(db_seed + k), Generator([db_seed, k])
+        db, rng = gen_database(Generator(db_seed + k)), Generator([db_seed, k])
         for mr in REL_MR_NAMES:
             counts[mr][0 if run_rel_trial(mr, db, rng, rules, evaluator, {}).passed else 1] += 1
     return {mr: tuple(pf) for mr, pf in counts.items()}
@@ -753,8 +753,11 @@ def reference_run_rel_mrs(db_seed, trials, evaluator):
 class TestSharedDatabases:
     """`run_rel_modes` draws each database once for all its evaluators."""
 
-    @pytest.mark.parametrize("seed", (0, 3, 11, SEED))
-    @pytest.mark.parametrize("trials", (1, 25, 100))
+    # 2**128 - 20 and up: seeds of five words; from 2**128 - 20 the database
+    # seeds reach that length inside the first 32
+    @pytest.mark.parametrize("seed", (0, 3, 11, SEED, 2**128 - 20, 2**128 + 7))
+    # `generators` seeds 32 streams at a time
+    @pytest.mark.parametrize("trials", (1, 25, 32, 33, 100))
     def test_matches_one_run_per_evaluator(self, seed, trials):
         biased = REL_MODES["biased-join"][0]
         evaluators = (CORRECT, biased, REL_MODES["guardless-pushdown"][0], biased)
@@ -772,14 +775,22 @@ class TestSharedDatabases:
 
             return wrapper
 
+        def counted_streams(seeds):
+            for rng in real_generators(seeds):
+                calls["generators"] += 1
+                yield rng
+
         for name in ("gen_database", "bundled_rules"):
             monkeypatch.setattr(relational, name, counted(getattr(relational, name)))
         for name in ("__init__", "copy"):
             monkeypatch.setattr(Generator, name, counted(getattr(Generator, name)))
+        real_generators = relational.generators
+        monkeypatch.setattr(relational, "generators", counted_streams)
         assert cli.main(["reproduce", "--format", "machine", "--out", str(tmp_path / "r.jsonl")]) == 0
-        # one predicate stream per database, copied for two of the three
-        # modes; 100 more generators draw the databases, 23 the MR samples
-        assert calls == {"gen_database": 100, "bundled_rules": 1, "__init__": 223, "copy": 200}
+        # `generators` seeds one stream per database to draw it and one to
+        # draw its predicates, copied for two of the three modes; 23 more
+        # generators, seeded one at a time, draw the MR samples
+        assert calls == {"gen_database": 100, "bundled_rules": 1, "generators": 200, "__init__": 23, "copy": 200}
 
     def test_one_evaluator_copies_no_stream(self, monkeypatch, capsys):
         copies = []
@@ -843,7 +854,7 @@ class TestRewritesFireOncePerRun:
         # a trial given a fresh memo fires the rules itself, every time
         calls.clear()
         for _ in range(2):
-            run_rel_trial("rho_distinct-idem", gen_database(SEED), Generator([SEED, 0]), bundled_rules(), CORRECT, {})
+            run_rel_trial("rho_distinct-idem", gen_database(Generator(SEED)), Generator([SEED, 0]), bundled_rules(), CORRECT, {})
         assert calls["rewrite_once"] == 2
 
 

@@ -15,10 +15,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noether._rng import Generator
+from noether._rng import Generator, generators
 
+# ints and nested lists of one to four uint32 words, then entropy longer
+# than four words, of several lengths; `generators` mixes the first kind in
+# one set of lanes and each length of the second in its own
+MIXED = (
+    0, 2**32 - 1, [5], [[6, 7]], [2**40, 9], [1, [2, 3], 4], 2**96 + 11,
+    2**128, [1, 2, 3, 4, 5], [2**70, 2**70], 2**200 + 3, [[2**128 - 1], 2**64],
+)
 SEEDS = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**64 + 1, 2**130 + 3]),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**64 + 1, 2**130 + 3, *MIXED]),
     st.integers(0, 2**200),
     st.lists(st.integers(0, 2**70), max_size=12),
 )
@@ -93,6 +100,8 @@ class TestAgainstNumpy:
             np.random.default_rng(seed)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             Generator(seed)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            next(generators([7, seed]))
 
     @given(SEEDS, st.sampled_from((0, 1, 3)), DRAWS)
     @settings(max_examples=100, deadline=None)
@@ -115,12 +124,68 @@ class TestAgainstNumpy:
     def test_non_integer_seeds_rejected(self, seed):
         with pytest.raises(TypeError):
             Generator(seed)
+        with pytest.raises(TypeError):
+            next(generators([7, seed]))
 
     def test_empty_or_wide_ranges_rejected(self):
         rng = Generator(0)
         for low, high in ((3, 3), (4, 2), (0, 2**32)):
             with pytest.raises(ValueError):
                 rng.integers(low, high)
+
+
+def mixed_seeds(n):
+    """n seeds cycling through the kinds of MIXED, each made distinct."""
+    return [[seed, i] if i >= len(MIXED) else seed for i, seed in zip(range(n), MIXED * n)]
+
+
+# the first draws: the low half of one output, the pending high half, a
+# whole output, and a span that rejects about half of all draws
+FIRST_DRAWS = [("integers", (0, 10)), ("integers", (-5, 1000)), ("uniform", (0.0, 1.0)), ("integers", (0, 2**31 + 1))]
+
+
+class TestGenerators:
+    """`generators` mixes up to 32 seeds in the lanes of one int; each stream
+    it yields is `Generator(seed)`'s and NumPy's."""
+
+    # empty, one lane, and lists that stop short of, fill and straddle the
+    # 32-seed chunks
+    @pytest.mark.parametrize("n", (0, 1, 31, 32, 33, 65))
+    def test_each_stream_is_the_seeds_own(self, n):
+        seeds = mixed_seeds(n)
+        ours = list(generators(seeds))
+        assert len(ours) == n
+        for seed, batched in zip(seeds, ours):
+            single = Generator(seed)
+            assert (batched._state, batched._inc, batched._half) == (single._state, single._inc, None)
+            oracle = np.random.default_rng(seed)
+            for method, (low, extent) in FIRST_DRAWS:
+                want = getattr(oracle, method)(low, low + extent)
+                assert getattr(batched, method)(low, low + extent) == want
+                assert getattr(single, method)(low, low + extent) == want
+
+    @given(st.lists(SEEDS, max_size=70), DRAWS)
+    @settings(max_examples=40, deadline=None)
+    def test_streams_match_numpy(self, seeds, draws):
+        ours = list(generators(seeds))
+        assert len(ours) == len(seeds)
+        for seed, rng in zip(seeds, ours):
+            assert_continues(np.random.default_rng(seed), rng, draws)
+
+    def test_reads_one_chunk_of_seeds_at_a_time(self):
+        read = []
+
+        def seeds():
+            for k in range(100):
+                read.append(k)
+                yield k
+
+        streams = generators(seeds())
+        next(streams)
+        assert len(read) == 32
+        for _ in range(32):
+            next(streams)
+        assert len(read) == 64
 
 
 def test_import_loads_no_numpy():
